@@ -8,6 +8,7 @@ against these contracts before anything touches a device.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from eaclab.errors import (
@@ -54,11 +55,30 @@ class OperationSchema:
             raise ValueError("read operations must be idempotent")
 
 
+COMPARATORS = {
+    "<=": operator.le,
+    ">=": operator.ge,
+    "<": operator.lt,
+    ">": operator.gt,
+    "==": operator.eq,
+}
+
+
 @dataclass(frozen=True)
 class SafetyPredicate:
     field: str
-    comparator: str  # one of <=, >=, <, >, ==
+    comparator: str  # one of COMPARATORS
     threshold: Quantity
+
+    def __post_init__(self) -> None:
+        if self.comparator not in COMPARATORS:
+            raise ValueError(
+                f"unknown safety comparator {self.comparator!r} for {self.field}"
+            )
+
+    def holds(self, commanded: float, threshold: float) -> bool:
+        """Whether a value, in canonical units, satisfies the predicate."""
+        return COMPARATORS[self.comparator](commanded, threshold)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,14 @@ class _Usage(Exception):
     pass
 
 
+# What malformed input documents raise while they are turned into objects.
+_DAMAGE = (EacError, ValueError, KeyError, TypeError, AttributeError)
+
+
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}".splitlines()[0]
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -66,37 +74,49 @@ def _read_text(path: str) -> str:
         raise _Usage(f"cannot read {path}: {exc}") from exc
 
 
-def _load_lab(path: str | None) -> dict:
+def _read_json(path: Path | str, what: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise _Usage(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def _load_lab(path: str | None):
+    """The lab config with its registry and genesis state; errors fail closed."""
     if path is None:
         path = os.environ.get("EAC_LAB")
     if path is None:
         raise _Usage("no lab config: pass --lab or set EAC_LAB")
+    lab = _read_json(path, "lab config")
     try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise _Usage(f"lab config {path} is not valid JSON: {exc}") from exc
+        return lab, registry_from_lab_config(lab), genesis_from_lab_config(lab)
+    except _DAMAGE as exc:
+        raise _Usage(f"lab config {path} is invalid: {_describe(exc)}") from exc
 
 
 def _parse_inject(arg: str | None) -> dict[int, str]:
+    """Fault schedule from ``kind@index[,kind@index...]`` or a JSON file
+    mapping dispatch indices to kinds, e.g. ``{"14": "error"}``."""
     if not arg:
         return {}
     if "@" in arg:
-        schedule_map = {}
-        for part in arg.split(","):
-            kind, _, index = part.partition("@")
-            if kind not in _INJECT_ALIASES or not index.isdigit():
-                raise _Usage(f"bad --inject entry {part!r}")
-            schedule_map[int(index)] = _INJECT_ALIASES[kind]
-        return schedule_map
-    doc = json.loads(_read_text(arg))
-    return {int(k): _INJECT_ALIASES.get(v, v) for k, v in doc.items()}
+        entries = [part.partition("@")[::2] for part in arg.split(",")]
+    else:
+        doc = _read_json(arg, "--inject file")
+        if not isinstance(doc, dict):
+            raise _Usage(f"--inject file {arg} must hold a JSON object")
+        entries = [(kind, index) for index, kind in doc.items()]
+    schedule_map = {}
+    for kind, index in entries:
+        if not isinstance(kind, str) or kind not in _INJECT_ALIASES or not index.isdecimal():
+            raise _Usage(f"bad --inject entry {kind}@{index}")
+        schedule_map[int(index)] = _INJECT_ALIASES[kind]
+    return schedule_map
 
 
 def _validate_pipeline(spec_path: str, lab_path: str | None):
     """Parse, expand, and statically check; returns artifacts or diagnostics."""
-    lab = _load_lab(lab_path)
-    registry = registry_from_lab_config(lab)
-    genesis = genesis_from_lab_config(lab)
+    lab, registry, genesis = _load_lab(lab_path)
     text = _read_text(spec_path)
     try:
         spec = expand_sweeps(parse_spec(text))
@@ -210,6 +230,13 @@ def cmd_run(args) -> int:
         store.export_csv(run_id), encoding="utf-8"
     )
     print(canonical_json(summary))
+    if result.uninjected:
+        print(
+            "nothing injected at dispatch "
+            + ", ".join(str(i) for i in result.uninjected)
+            + ": no operation dispatch carries that index",
+            file=sys.stderr,
+        )
     if result.fault is not None:
         print(
             f"fault {result.fault.kind} at {result.fault.node_id}: "
@@ -221,22 +248,24 @@ def cmd_run(args) -> int:
 
 def _load_run_state(run_dir: Path, lab: dict):
     genesis = genesis_from_lab_config(lab)
-    events = []
     log_path = run_dir / "log.ndjson"
-    if log_path.exists():
-        for line in log_path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                events.append(StateEvent.from_dict(json.loads(line)))
-    return replay(genesis, events), events
+    try:
+        events = [
+            StateEvent.from_dict(json.loads(line))
+            for line in (_read_text(log_path) if log_path.exists() else "").splitlines()
+            if line.strip()
+        ]
+        return replay(genesis, events), events
+    except _DAMAGE as exc:
+        raise _Usage(f"event log {log_path} is damaged: {_describe(exc)}") from exc
 
 
 def cmd_state(args) -> int:
-    lab = _load_lab(args.lab)
-    registry = registry_from_lab_config(lab)
+    lab, registry, genesis = _load_lab(args.lab)
     if args.run:
         state, _ = _load_run_state(Path(args.run), lab)
     else:
-        state = genesis_from_lab_config(lab)
+        state = genesis
     table = []
     for device_id in sorted(state.devices):
         record = state.devices[device_id]
@@ -267,23 +296,28 @@ def cmd_state(args) -> int:
 
 def cmd_resume(args) -> int:
     run_dir = Path(args.run_dir)
-    checkpoint_path = run_dir / "checkpoint.json"
-    if not checkpoint_path.exists():
+    if not (run_dir / "checkpoint.json").exists():
         raise _Usage(f"no checkpoint in {run_dir}")
-    lab = _load_lab(args.lab)
-    registry = registry_from_lab_config(lab)
-    genesis = genesis_from_lab_config(lab)
-    checkpoint = Checkpoint.from_dict(json.loads(checkpoint_path.read_text()))
-    spec = parse_spec((run_dir / "spec.json").read_text(encoding="utf-8"))
-    summary = json.loads((run_dir / "result.json").read_text(encoding="utf-8"))
-    seed = int(summary.get("seed", 0))
-    dag = compile_spec(spec, registry, genesis)
-    plan = schedule(dag, genesis, registry, policy=json.loads(
-        (run_dir / "plan.json").read_text())["policy"])
-    state, events = _load_run_state(run_dir, lab)
+    lab, registry, genesis = _load_lab(args.lab)
+    try:
+        checkpoint = Checkpoint.from_dict(
+            _read_json(run_dir / "checkpoint.json", "checkpoint")
+        )
+        summary = _read_json(run_dir / "result.json", "run summary")
+        seed = int(summary.get("seed", 0))
+        shash = summary["spec_hash"]
+        policy = _read_json(run_dir / "plan.json", "plan")["policy"]
+        spec = parse_spec(_read_text(run_dir / "spec.json"))
+        dag = compile_spec(spec, registry, genesis)
+        plan = schedule(dag, genesis, registry, policy=policy)
+    except _DAMAGE as exc:
+        raise _Usage(f"run directory {run_dir} is damaged: {_describe(exc)}") from exc
+    state, _ = _load_run_state(run_dir, lab)
 
     appended: list[StateEvent] = []
     if args.clear:
+        if args.clear not in state.devices:
+            raise _Usage(f"--clear names no device of the lab: {args.clear!r}")
         event = StateEvent(
             seq=state.next_seq,
             time=state.clock,
@@ -301,7 +335,7 @@ def cmd_resume(args) -> int:
     try:
         result = executor_resume(
             checkpoint, plan, dag, state, registry, fleet,
-            spec_hash=summary["spec_hash"], store=store,
+            spec_hash=shash, store=store,
         )
     except CheckpointMismatchError as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)

@@ -10,7 +10,9 @@ lowered node groups.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from eaclab.canon import canonical_json, sha256_hex
 from eaclab.capabilities import CapabilityRegistry, OperationSchema
@@ -76,11 +78,44 @@ class WorkflowDAG:
     # binding name -> {capability, selector, constraints}
     bindings: dict[str, dict] = field(default_factory=dict)
 
+    # The adjacency indexes and the topological order below are computed on
+    # first use and cached on the instance; they are derived from the
+    # fields, so to_dict, equality and dag_hash never see them.
+
+    @cached_property
+    def successor_index(self) -> dict[str, tuple[str, ...]]:
+        """Sorted successors of every node (an edge repeated per edge kind)."""
+        return _adjacency(self.nodes, ((src, dst) for src, dst, _ in self.edges))
+
+    @cached_property
+    def predecessor_index(self) -> dict[str, tuple[str, ...]]:
+        """Sorted predecessors of every node (an edge repeated per edge kind)."""
+        return _adjacency(self.nodes, ((dst, src) for src, dst, _ in self.edges))
+
+    @cached_property
+    def _topo_rank(self) -> dict[str, int] | None:
+        """Kahn's algorithm, ties broken by ascending node_id; None on a cycle."""
+        indegree = {nid: 0 for nid in self.nodes}
+        for _, dst, _ in self.edges:
+            indegree[dst] += 1
+        ready = [nid for nid, deg in indegree.items() if deg == 0]
+        heapq.heapify(ready)
+        rank: dict[str, int] = {}
+        successors = self.successor_index
+        while ready:
+            nid = heapq.heappop(ready)
+            rank[nid] = len(rank)
+            for succ in successors[nid]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    heapq.heappush(ready, succ)
+        return rank if len(rank) == len(self.nodes) else None
+
     def successors(self, node_id: str) -> list[str]:
-        return sorted(dst for src, dst, _ in self.edges if src == node_id)
+        return list(self.successor_index.get(node_id, ()))
 
     def predecessors(self, node_id: str) -> list[str]:
-        return sorted(src for src, dst, _ in self.edges if dst == node_id)
+        return list(self.predecessor_index.get(node_id, ()))
 
     def to_dict(self) -> dict:
         return {
@@ -94,6 +129,13 @@ class WorkflowDAG:
         return canonical_json(self.to_dict())
 
 
+def _adjacency(nodes, pairs) -> dict[str, tuple[str, ...]]:
+    index: dict[str, list[str]] = {nid: [] for nid in nodes}
+    for key, value in pairs:
+        index.setdefault(key, []).append(value)
+    return {key: tuple(sorted(values)) for key, values in index.items()}
+
+
 def dag_hash(dag: WorkflowDAG) -> str:
     return sha256_hex(dag.to_dict())
 
@@ -103,12 +145,13 @@ def validate_dag(dag: WorkflowDAG) -> None:
     for src, dst, _ in dag.edges:
         if src not in dag.nodes or dst not in dag.nodes:
             raise CompileError(f"edge endpoint missing: {src} -> {dst}")
-    topo_order(dag)  # raises CycleError on a cycle
+    topo_rank(dag)  # raises CycleError on a cycle
+    successors = dag.successor_index
     reachable = set(dag.roots)
     frontier = list(dag.roots)
     while frontier:
         node = frontier.pop()
-        for succ in dag.successors(node):
+        for succ in successors.get(node, ()):
             if succ not in reachable:
                 reachable.add(succ)
                 frontier.append(succ)
@@ -117,26 +160,21 @@ def validate_dag(dag: WorkflowDAG) -> None:
         raise CompileError(f"unreachable nodes: {sorted(unreachable)}")
 
 
+def topo_rank(dag: WorkflowDAG) -> dict[str, int]:
+    """Position of every node in ``topo_order(dag)``, computed once per DAG.
+
+    The mapping is shared by every caller and must not be modified. Raises
+    CycleError, on every call, if the graph has a cycle.
+    """
+    rank = dag._topo_rank
+    if rank is None:
+        raise CycleError("workflow graph contains a cycle")
+    return rank
+
+
 def topo_order(dag: WorkflowDAG) -> list[str]:
     """Deterministic topological order, ties broken by ascending node_id."""
-    import heapq
-
-    indegree = {nid: 0 for nid in dag.nodes}
-    for _, dst, _ in dag.edges:
-        indegree[dst] += 1
-    ready = [nid for nid, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        nid = heapq.heappop(ready)
-        order.append(nid)
-        for succ in dag.successors(nid):
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, succ)
-    if len(order) != len(dag.nodes):
-        raise CycleError("workflow graph contains a cycle")
-    return order
+    return list(topo_rank(dag))
 
 
 def _canonical_params(params: dict[str, Quantity]) -> dict[str, Quantity]:
@@ -230,19 +268,11 @@ def static_check(
                 continue
             commanded = to_canonical(step.params[predicate.field]).value
             threshold = to_canonical(predicate.threshold).value
-            comparator = predicate.comparator
-            ok = {
-                "<=": commanded <= threshold,
-                ">=": commanded >= threshold,
-                "<": commanded < threshold,
-                ">": commanded > threshold,
-                "==": commanded == threshold,
-            }.get(comparator, True)
-            if not ok:
+            if not predicate.holds(commanded, threshold):
                 diagnostics.append(
                     Diagnostic(
                         "safety_violation", "error", step.step_id,
-                        f"{predicate.field} {comparator} {threshold:g} violated "
+                        f"{predicate.field} {predicate.comparator} {threshold:g} violated "
                         f"by commanded value {commanded:g}",
                     )
                 )
@@ -406,8 +436,9 @@ def render_tree(dag: WorkflowDAG) -> str:
     """Human-readable indented rendering in topological order."""
     depth: dict[str, int] = {}
     lines = []
-    for nid in topo_order(dag):
-        preds = dag.predecessors(nid)
+    predecessors = dag.predecessor_index
+    for nid in topo_rank(dag):
+        preds = predecessors[nid]
         depth[nid] = 0 if not preds else max(depth[p] for p in preds) + 1
         node = dag.nodes[nid]
         lines.append("  " * depth[nid] + f"{nid} [{node.kind}] {node.binding}.{node.operation}")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from eaclab.capabilities import CapabilityRegistry
-from eaclab.compiler import WorkflowDAG
+from eaclab.compiler import WorkflowDAG, topo_rank
 from eaclab.errors import (
     CheckpointMismatchError,
     SimFault,
@@ -95,6 +95,9 @@ class RunResult:
     state: LabState
     checkpoint: Checkpoint | None = None
     fault: FaultEvent | None = None
+    # Fault-schedule indices no operation dispatch carried, so nothing was
+    # injected there (a stabilize wait, or a dispatch the run never reached).
+    uninjected: tuple[int, ...] = ()
 
 
 def runtime_precheck(
@@ -142,14 +145,7 @@ def runtime_precheck(
 
             value = to_canonical(observed).value
             threshold = to_canonical(pred.threshold).value
-            ok = {
-                "<=": value <= threshold,
-                ">=": value >= threshold,
-                "<": value < threshold,
-                ">": value > threshold,
-                "==": value == threshold,
-            }.get(pred.comparator, True)
-            if not ok:
+            if not pred.holds(value, threshold):
                 return FaultEvent(
                     "implicit_violation", device_id, node.node_id,
                     f"observed {pred.field}={value:g} violates "
@@ -244,10 +240,8 @@ class _RunContext:
 
 def _dispatch_order(plan: ExecutionPlan, dag: WorkflowDAG) -> list:
     """Plan order by start time, dependency-consistent on ties."""
-    from eaclab.compiler import topo_order
-
-    index = {nid: i for i, nid in enumerate(topo_order(dag))}
-    return sorted(plan.assignments, key=lambda a: (a.start, index[a.node_id]))
+    rank = topo_rank(dag)
+    return sorted(plan.assignments, key=lambda a: (a.start, rank[a.node_id]))
 
 
 def _node_capability(dag: WorkflowDAG, node) -> str:
@@ -311,10 +305,10 @@ def resume(
             "plan does not match the checkpointed plan hash"
         )
     order = _dispatch_order(plan, dag)
-    committed: list[str] = []
+    committed: set[str] = set()
     if checkpoint.last_committed_node is not None:
         for a in order:
-            committed.append(a.node_id)
+            committed.add(a.node_id)
             if a.node_id == checkpoint.last_committed_node:
                 break
         else:
@@ -352,6 +346,7 @@ def resume(
 
 def _run(ctx: _RunContext, skip_through: str | None) -> RunResult:
     order = _dispatch_order(ctx.plan, ctx.dag)
+    predecessors = ctx.dag.predecessor_index
     done_at: dict[str, float] = {}
     device_free: dict[str, float] = {}
     silent = skip_through is not None
@@ -360,7 +355,7 @@ def _run(ctx: _RunContext, skip_through: str | None) -> RunResult:
         node = ctx.dag.nodes[assignment.node_id]
         device_id = assignment.device_id
         capability = _node_capability(ctx.dag, node)
-        preds = [p for p in ctx.dag.predecessors(node.node_id) if p in done_at]
+        preds = [p for p in predecessors[node.node_id] if p in done_at]
         earliest = max([done_at[p] for p in preds] or [0.0])
         start = max(earliest, device_free.get(device_id, 0.0)) + assignment.transition
 
@@ -388,6 +383,7 @@ def _run(ctx: _RunContext, skip_through: str | None) -> RunResult:
         log=ctx.log,
         wire=ctx.wire,
         state=ctx.state,
+        uninjected=tuple(sorted(ctx.fault_schedule)),
     )
 
 
@@ -441,13 +437,13 @@ def _execute_node(ctx, node, assignment, device_id, capability, start: float):
             )
             ctx.emit("fault", device_id, start, _fault_payload(fault, "pause"))
             return _paused(ctx, fault, start)
+        ctx.dispatch_count += 1
         ctx.emit(
             "dispatch",
             device_id,
             start,
             {"node_id": node.node_id, "op": "stabilize", "index": ctx.dispatch_count},
         )
-        ctx.dispatch_count += 1
         end = start + elapsed
         ctx.emit(
             "telemetry", device_id, end, {"stabilize_elapsed": elapsed}
@@ -472,7 +468,7 @@ def _execute_node(ctx, node, assignment, device_id, capability, start: float):
         )
         ctx.dump_frame(frame, start)
 
-        injected = ctx.fault_schedule.get(index)
+        injected = ctx.fault_schedule.pop(index, None)
         try:
             if injected is not None:
                 raise SimFault(injected, f"injected at dispatch {index}")
@@ -582,6 +578,7 @@ def _paused(ctx, fault: FaultEvent, time: float) -> RunResult:
         state=ctx.state,
         checkpoint=checkpoint,
         fault=fault,
+        uninjected=tuple(sorted(ctx.fault_schedule)),
     )
 
 
@@ -614,6 +611,7 @@ def _aborted(ctx, fault: FaultEvent, time: float) -> RunResult:
         wire=ctx.wire,
         state=ctx.state,
         fault=fault,
+        uninjected=tuple(sorted(ctx.fault_schedule)),
     )
 
 

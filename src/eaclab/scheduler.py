@@ -9,11 +9,12 @@ batched plan never loses to FIFO).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 
 from eaclab.canon import canonical_json, sha256_hex
 from eaclab.capabilities import CapabilityRegistry, TransitionLatency
-from eaclab.compiler import WorkflowDAG, topo_order, validate_dag
+from eaclab.compiler import WorkflowDAG, topo_rank, validate_dag
 from eaclab.errors import UnschedulableError
 from eaclab.labstate import LabState, StateEvent, query_eligible
 
@@ -103,11 +104,7 @@ def resolve_bindings(
     order; each takes the eligible device with the fewest bindings already
     mapped to it, ties broken by ascending device id.
     """
-    order: list[str] = []
-    for nid in topo_order(dag):
-        binding = dag.nodes[nid].binding
-        if binding not in order:
-            order.append(binding)
+    order = list(dict.fromkeys(dag.nodes[nid].binding for nid in topo_rank(dag)))
     load: dict[str, int] = {}
     resolved: dict[str, str] = dict(pinned or {})
     for device in resolved.values():
@@ -143,6 +140,102 @@ def _latency_for(
     return TransitionLatency()
 
 
+class _FifoQueue:
+    """Ready nodes in topological order."""
+
+    def __init__(self, rank: dict[str, int]) -> None:
+        self._rank = rank
+        self._heap: list[tuple[int, str, float]] = []
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+    def push(self, nid: str, earliest: float) -> None:
+        heapq.heappush(self._heap, (self._rank[nid], nid, earliest))
+
+    def pop(self, free, mode) -> tuple[str, float]:
+        _, nid, earliest = heapq.heappop(self._heap)
+        return nid, earliest
+
+
+class _BatchedQueue:
+    """Ready nodes by the batched key, least first.
+
+    The key of a ready node on device d is (cost > 0, start, est_duration,
+    node_id), where cost is the transition latency from d's mode to the
+    node's mode and start = max(earliest, free[d]) + cost. Only the device
+    of the last pick changes its free time and mode, so nodes are kept in
+    one group per (binding, mode): every node of a group has the same cost.
+    Within a cost-free group the order is exact without any re-scoring:
+    nodes whose earliest start has passed free[d] ("available") all start
+    at free[d] and are ordered by (est_duration, node_id); the others
+    ("waiting") start at their earliest and are ordered by (earliest,
+    est_duration, node_id). free[d] only grows, so a node moves from
+    waiting to available at most once. When every ready node would pay a
+    transition, the keys are computed one by one, as floating-point sums
+    may tie where their addends do not.
+    """
+
+    def __init__(self, dag: WorkflowDAG, devices: dict[str, str], latency: dict) -> None:
+        self._dag = dag
+        self._devices = devices
+        self._latency = latency
+        self._earliest: dict[str, float] = {}  # the ready nodes
+        self._waiting: dict[tuple, list[tuple[float, float, str]]] = {}
+        self._available: dict[tuple, list[tuple[float, str]]] = {}
+
+    def __bool__(self) -> bool:
+        return bool(self._earliest)
+
+    def push(self, nid: str, earliest: float) -> None:
+        node = self._dag.nodes[nid]
+        self._earliest[nid] = earliest
+        group = (node.binding, node.mode)
+        self._available.setdefault(group, [])
+        heapq.heappush(
+            self._waiting.setdefault(group, []), (earliest, node.est_duration, nid)
+        )
+
+    def pop(self, free: dict[str, float], mode: dict[str, str | None]) -> tuple[str, float]:
+        best = None
+        for group in list(self._waiting):
+            binding, node_mode = group
+            device = self._devices[binding]
+            if self._latency[binding].cost(mode.get(device), node_mode) > 0:
+                continue
+            top = self._top(group, free[device])
+            if top is not None and (best is None or top < best):
+                best = top
+        if best is None:
+            best = min(self._key(nid, free, mode) for nid in self._earliest)
+        nid = best[-1]
+        return nid, self._earliest.pop(nid)
+
+    def _top(self, group: tuple, free: float) -> tuple | None:
+        """Least (start, est_duration, node_id) of a cost-free group."""
+        live = self._earliest
+        waiting, available = self._waiting[group], self._available[group]
+        while waiting and (waiting[0][0] <= free or waiting[0][2] not in live):
+            _, duration, nid = heapq.heappop(waiting)
+            if nid in live:
+                heapq.heappush(available, (duration, nid))
+        while available and available[0][1] not in live:
+            heapq.heappop(available)
+        if available:
+            return (free, *available[0])
+        if waiting:
+            return waiting[0]
+        del self._waiting[group], self._available[group]
+        return None
+
+    def _key(self, nid: str, free, mode) -> tuple:
+        node = self._dag.nodes[nid]
+        device = self._devices[node.binding]
+        cost = self._latency[node.binding].cost(mode.get(device), node.mode)
+        start = max(self._earliest[nid], free[device]) + cost
+        return (cost > 0, start, node.est_duration, nid)
+
+
 def _run_list_schedule(
     dag: WorkflowDAG,
     state: LabState,
@@ -154,47 +247,45 @@ def _run_list_schedule(
     skip: frozenset[str] = frozenset(),
     horizon: float = 0.0,
 ) -> list[Assignment]:
-    order = topo_order(dag)
-    topo_index = {nid: i for i, nid in enumerate(order)}
+    """Graham list scheduling: repeatedly dispatch the least ready node.
+
+    ``fifo`` takes ready nodes in topological order, ``batched`` by the
+    key described at ``_BatchedQueue``. A node's earliest start (the end of
+    its last predecessor, or ``horizon``) is fixed once it becomes ready.
+    """
+    rank = topo_rank(dag)
+    predecessors, successors = dag.predecessor_index, dag.successor_index
     free: dict[str, float] = dict(device_free or {})
     mode: dict[str, str | None] = dict(device_mode or {})
     for device in devices.values():
         free.setdefault(device, horizon)
         if device not in mode:
             mode[device] = state.devices[device].mode if device in state.devices else None
+    latency = {binding: _latency_for(dag, binding, registry) for binding in devices}
 
-    pending = [nid for nid in order if nid not in skip]
     unmet = {
-        nid: sum(1 for p in dag.predecessors(nid) if p not in skip) for nid in pending
+        nid: sum(1 for p in predecessors[nid] if p not in skip)
+        for nid in rank if nid not in skip
     }
     done_at: dict[str, float] = {}
     assignments: list[Assignment] = []
-    ready = {nid for nid in pending if unmet[nid] == 0}
+    ready = (
+        _BatchedQueue(dag, devices, latency) if prefer_mode_match else _FifoQueue(rank)
+    )
 
+    def release(nid: str) -> None:
+        earliest = max((done_at[p] for p in predecessors[nid] if p in done_at),
+                       default=horizon)
+        ready.push(nid, earliest)
+
+    for nid, count in unmet.items():
+        if count == 0:
+            release(nid)
     while ready:
-
-        def keyed(nid: str):
-            node = dag.nodes[nid]
-            device = devices[node.binding]
-            latency = _latency_for(dag, node.binding, registry)
-            cost = latency.cost(mode.get(device), node.mode)
-            earliest = max(
-                [done_at[p] for p in dag.predecessors(nid) if p in done_at] or [horizon]
-            )
-            start = max(earliest, free[device]) + cost
-            if prefer_mode_match:
-                return (cost > 0, start, node.est_duration, nid)
-            return (topo_index[nid],)
-
-        nid = min(ready, key=keyed)
-        ready.discard(nid)
+        nid, earliest = ready.pop(free, mode)
         node = dag.nodes[nid]
         device = devices[node.binding]
-        latency = _latency_for(dag, node.binding, registry)
-        cost = latency.cost(mode.get(device), node.mode)
-        earliest = max(
-            [done_at[p] for p in dag.predecessors(nid) if p in done_at] or [horizon]
-        )
+        cost = latency[node.binding].cost(mode.get(device), node.mode)
         start = max(earliest, free[device]) + cost
         end = start + node.est_duration
         assignments.append(
@@ -204,12 +295,12 @@ def _run_list_schedule(
         free[device] = end
         if node.mode is not None:
             mode[device] = node.mode
-        for succ in dag.successors(nid):
+        for succ in successors[nid]:
             if succ in skip:
                 continue
             unmet[succ] -= 1
             if unmet[succ] == 0:
-                ready.add(succ)
+                release(succ)
 
     assignments.sort(key=lambda a: (a.start, a.node_id))
     return assignments
@@ -250,33 +341,42 @@ def schedule(
     )
 
 
-def _contraction_acyclic(dag: WorkflowDAG, groups: dict[str, int]) -> bool:
-    """True iff contracting each group to a supernode leaves the graph acyclic."""
-    def rep(nid: str) -> str:
-        return f"g{groups[nid]}" if nid in groups else nid
+def _closes_cycle(
+    dag: WorkflowDAG,
+    rank: dict[str, int],
+    membership: dict[str, int],
+    members: list[list[str]],
+    gid: int,
+    nid: str,
+) -> bool:
+    """True iff adding ``nid`` to group ``gid`` makes the contraction cyclic.
 
-    adjacency: dict[str, set[str]] = {}
-    for src, dst, _ in dag.edges:
-        a, b = rep(src), rep(dst)
-        if a != b:
-            adjacency.setdefault(a, set()).add(b)
-    seen: dict[str, int] = {}
-
-    def dfs(v: str) -> bool:
-        seen[v] = 1
-        for w in adjacency.get(v, ()):
-            status = seen.get(w, 0)
-            if status == 1:
-                return False
-            if status == 0 and not dfs(w):
-                return False
-        seen[v] = 2
-        return True
-
-    nodes = set(adjacency)
-    for targets in adjacency.values():
-        nodes |= targets
-    return all(seen.get(v, 0) == 2 or dfs(v) for v in sorted(nodes))
+    The contraction of the current groups is acyclic, so merging ``nid``
+    into group g closes a cycle exactly when g reaches ``nid`` through some
+    vertex outside g (a direct edge only becomes a self-loop), or ``nid``
+    reaches g. ``nid`` is visited in topological order after every grouped
+    node, and its successors are later still and ungrouped, so it cannot
+    reach g; for the same reason an ungrouped node later than ``nid`` cannot
+    reach ``nid`` and the search skips it.
+    """
+    successors = dag.successor_index
+    limit = rank[nid]
+    seen_groups = {gid}
+    seen: set[str] = set()
+    stack = [s for m in members[gid] for s in successors[m] if s != nid]
+    while stack:
+        node = stack.pop()
+        if node == nid:
+            return True
+        group = membership.get(node)
+        if group is None:
+            if node not in seen and rank[node] < limit:
+                seen.add(node)
+                stack.extend(successors[node])
+        elif group not in seen_groups:
+            seen_groups.add(group)
+            stack.extend(s for m in members[group] for s in successors[m])
+    return False
 
 
 def batch_compatible(
@@ -287,20 +387,19 @@ def batch_compatible(
     Greedy over the topological order; a node joins the open group for its
     (binding, mode) key only if the contracted graph stays acyclic.
     """
+    rank = topo_rank(dag)
     groups: list[list[str]] = []
     group_key: list[tuple[str, str]] = []
     open_group: dict[tuple[str, str], int] = {}
     membership: dict[str, int] = {}
-    for nid in topo_order(dag):
+    for nid in rank:
         node = dag.nodes[nid]
         if node.mode is None:
             continue
         key = (node.binding, node.mode)
         if key in open_group:
             gid = open_group[key]
-            trial = dict(membership)
-            trial[nid] = gid
-            if _contraction_acyclic(dag, trial):
+            if not _closes_cycle(dag, rank, membership, groups, gid, nid):
                 groups[gid].append(nid)
                 membership[nid] = gid
                 continue
@@ -422,7 +521,7 @@ def _replan_delay(plan, dag, target: str, delay: float) -> ExecutionPlan:
     Per-device dispatch order is kept exactly as planned, so the effect is
     a pure time translation of everything downstream.
     """
-    position = {nid: i for i, nid in enumerate(topo_order(dag))}
+    position = topo_rank(dag)
     per_device_order: dict[str, list[str]] = {}
     for a in sorted(plan.assignments, key=lambda a: (a.start, position[a.node_id])):
         per_device_order.setdefault(a.device_id, []).append(a.node_id)
@@ -445,7 +544,7 @@ def _replan_delay(plan, dag, target: str, delay: float) -> ExecutionPlan:
             if index >= len(per_device_order[device]):
                 continue
             nid = per_device_order[device][index]
-            preds = [p for p in dag.predecessors(nid) if p in duration]
+            preds = [p for p in dag.predecessor_index[nid] if p in duration]
             if any(p not in done_at for p in preds):
                 continue
             earliest = max([done_at[p] for p in preds] or [0.0])

@@ -7,6 +7,7 @@ from eaclab.capabilities import (
     CapabilitySchema,
     OperationSchema,
     ParamSchema,
+    SafetyPredicate,
     TransitionLatency,
     builtin_registry,
     schema_from_dict,
@@ -154,6 +155,24 @@ def test_schema_from_dict_custom_capability():
     assert schema.safety.conditions[0].comparator == "<="
     assert schema.transitions.cost("T298", "T310") == 160.0
     assert schema.reconcile_ops == {"temperature": "heat_to"}
+
+
+@pytest.mark.parametrize(
+    "comparator, value, holds",
+    [("<=", 350, True), ("<=", 351, False), (">=", 350, True), ("<", 350, False),
+     (">", 351, True), ("==", 350, True), ("==", 349, False)],
+)
+def test_safety_predicate_holds(comparator, value, holds):
+    predicate = SafetyPredicate("temperature", comparator, Quantity(350.0, "K"))
+    assert predicate.holds(value, 350.0) is holds
+
+
+@pytest.mark.parametrize("comparator", ["=<", "!=", "", "le"])
+def test_unknown_safety_comparator_is_rejected(comparator):
+    condition = {"field": "temperature", "comparator": comparator,
+                 "threshold": {"value": 350, "unit": "K"}}
+    with pytest.raises(ValueError, match="comparator"):
+        schema_from_dict("cell", {"safety": {"conditions": [condition]}})
 
 
 def test_read_operations_must_be_idempotent():

@@ -140,3 +140,145 @@ def test_bad_inject_argument_is_usage_error(tmp_path):
     assert main(
         ["run", SPEC, "--lab", LAB, "--out", str(tmp_path), "--inject", "weird@@"]
     ) == 4
+
+
+def _usage_error(capsys, argv):
+    """Run argv; assert exit 4 with a single usage-error line and no stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"x": "error"}', '{"5": "melt"}', '{"5": 3}', '[5, "error"]', '"error@5"', "not json"],
+)
+def test_bad_inject_file_is_usage_error(tmp_path, capsys, content):
+    inject = tmp_path / "inject.json"
+    inject.write_text(content)
+    _usage_error(
+        capsys, ["run", SPEC, "--lab", LAB, "--out", str(tmp_path), "--inject", str(inject)]
+    )
+
+
+def test_inject_file_schedules_a_fault(tmp_path, capsys):
+    inject = tmp_path / "inject.json"
+    inject.write_text('{"5": "error"}')
+    code = main(["run", SPEC, "--lab", LAB, "--out", str(tmp_path), "--inject", str(inject)])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "paused"
+
+
+def _stabilize_index(run_dir):
+    for line in (run_dir / "log.ndjson").read_text().splitlines():
+        event = json.loads(line)
+        if event["kind"] == "dispatch" and "frame" not in event["payload"]:
+            return event["payload"]["index"]
+    raise AssertionError("no stabilize wait dispatched")
+
+
+def test_inject_without_target_says_so_on_stderr(tmp_path, capsys):
+    _, clean_dir, clean = _run_clean(tmp_path, capsys)
+    wait = _stabilize_index(clean_dir)
+    out = tmp_path / "missed"
+    code = main(
+        ["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", f"error@{wait},error@999"]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out) == clean
+    assert captured.err == (
+        f"nothing injected at dispatch {wait}, 999: "
+        "no operation dispatch carries that index\n"
+    )
+
+
+def _paused_run(tmp_path, capsys):
+    out = tmp_path / "paused"
+    assert main(["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", "error@5"]) == 3
+    summary = json.loads(capsys.readouterr().out)
+    return out / summary["run_id"]
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("checkpoint.json", "not json"),
+        ("checkpoint.json", '{"run_id": "r"}'),
+        ("checkpoint.json", None),
+        ("spec.json", "{"),
+        ("spec.json", None),
+        ("result.json", "[]"),
+        ("result.json", "{}"),
+        ("plan.json", '{"policy": "lifo"}'),
+        ("plan.json", None),
+        ("log.ndjson", "garbage\n"),
+    ],
+)
+def test_resume_on_damaged_run_dir_is_usage_error(tmp_path, capsys, name, content):
+    run_dir = _paused_run(tmp_path, capsys)
+    if content is None:
+        (run_dir / name).unlink()
+    else:
+        (run_dir / name).write_text(content)
+    _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+
+
+def test_resume_clear_of_unknown_device_is_usage_error(tmp_path, capsys):
+    run_dir = _paused_run(tmp_path, capsys)
+    _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_9"])
+
+
+def _tcell_files(tmp_path, comparator):
+    lab = json.loads(LAB_PATH.read_text())
+    lab["devices"].append({"device_id": "tcell_1", "capability": "tcell"})
+    lab["capabilities"]["tcell"] = {
+        "operations": {
+            "scan": {
+                "params": {"temperature": {"unit": "K", "min": 250, "max": 400}},
+                "kind": "read",
+            }
+        },
+        "safety": {
+            "conditions": [
+                {
+                    "field": "temperature",
+                    "comparator": comparator,
+                    "threshold": {"value": 350, "unit": "K"},
+                }
+            ]
+        },
+    }
+    spec = {
+        "spec_id": "hot-scan",
+        "version": "1.0.0",
+        "resources": [{"name": "cell", "capability": "tcell"}],
+        "steps": [
+            {
+                "id": "scan",
+                "binding": "cell",
+                "op": "scan",
+                "params": {"temperature": {"value": 390, "unit": "K"}},
+            }
+        ],
+    }
+    lab_path, spec_path = tmp_path / "lab.json", tmp_path / "spec.json"
+    lab_path.write_text(json.dumps(lab))
+    spec_path.write_text(json.dumps(spec))
+    return str(lab_path), str(spec_path)
+
+
+def test_unknown_safety_comparator_fails_closed(tmp_path, capsys):
+    lab, spec = _tcell_files(tmp_path, "=<")
+    err = _usage_error(capsys, ["validate", spec, "--lab", lab])
+    assert "=<" in err
+
+
+def test_known_safety_comparator_rejects_hot_scan(tmp_path, capsys):
+    lab, spec = _tcell_files(tmp_path, "<=")
+    assert main(["validate", spec, "--lab", lab]) == 2
+    assert "safety_violation" in capsys.readouterr().err

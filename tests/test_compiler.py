@@ -241,11 +241,29 @@ def test_validate_dag_rejects_cycles_and_dangling_edges():
         edges=(("a", "b", "flow"), ("b", "a", "flow")),
         roots=("a",),
     )
-    with pytest.raises(CycleError):
-        topo_order(cyclic)
+    for _ in range(2):  # the cached failure raises on every call
+        with pytest.raises(CycleError):
+            topo_order(cyclic)
+        with pytest.raises(CycleError):
+            validate_dag(cyclic)
     dangling = WorkflowDAG(nodes=nodes, edges=(("a", "ghost", "flow"),), roots=("a",))
     with pytest.raises(CompileError):
         validate_dag(dangling)
+
+
+def test_cached_indexes_stay_out_of_identity(campaign_spec, registry, genesis):
+    dag = compile_spec(campaign_spec, registry, genesis)
+    fresh = compile_spec(campaign_spec, registry, genesis)
+    before = dag.to_dict()
+    order = topo_order(dag)
+    order.reverse()  # callers get their own list
+    assert topo_order(dag) == topo_order(fresh)
+    for nid, node in dag.nodes.items():
+        assert dag.successors(nid) == sorted(d for s, d, _ in dag.edges if s == nid)
+        assert dag.predecessors(nid) == sorted(s for s, d, _ in dag.edges if d == nid)
+    assert dag.to_dict() == before
+    assert dag == fresh
+    assert dag_hash(dag) == dag_hash(fresh)
 
 
 def test_render_tree_mentions_every_node(campaign_dag):

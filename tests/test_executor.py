@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -56,6 +57,67 @@ def _dispatch_index(result, node_id):
         if event.kind == "dispatch" and event.payload.get("node_id") == node_id:
             return event.payload["index"]
     raise AssertionError(f"no dispatch for {node_id}")
+
+
+def _dispatch_indices(result):
+    return [e.payload["index"] for e in result.log if e.kind == "dispatch"]
+
+
+def _random_campaign(seed):
+    """Seeded variant of the campaign: sweep length, ports, volumes, and
+    whether measurements wait for the cell temperature."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    doc = json.loads(CAMPAIGN_PATH.read_text())
+    select, fill, measure = doc["steps"]
+    select["repeat"] = {"dest": [rng.randint(1, 6) for _ in range(n)]}
+    fill["repeat"] = {"volume": [rng.choice([0.5, 0.7, 1.0]) for _ in range(n)]}
+    measure["repeat"] = {"concentration": [0.43] * n}
+    if rng.random() < 0.5:
+        del measure["stabilization"]
+    return expand_sweeps(parse_spec(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dispatch_indices_are_one_to_n(lab_config, seed):
+    """Every dispatch, stabilize waits included, gets the next index."""
+    rng = random.Random(seed)
+    registry = registry_from_lab_config(lab_config)
+    genesis = genesis_from_lab_config(lab_config)
+    spec = expand_sweeps(parse_spec(CAMPAIGN_PATH.read_text()))
+    if seed:
+        spec = _random_campaign(seed)
+    dag = compile_spec(spec, registry, genesis)
+    for policy in ("fifo", "batched"):
+        plan = schedule(dag, genesis, registry, policy=policy)
+        clean = _execute(lab_config, plan, dag, genesis, registry, spec)
+        indices = _dispatch_indices(clean)
+        assert indices == list(range(1, len(indices) + 1))
+        assert clean.uninjected == ()
+
+        waits = [
+            e.payload["index"] for e in clean.log
+            if e.kind == "dispatch" and "frame" not in e.payload
+        ]
+        operations = sorted(set(indices) - set(waits))
+        # Stabilize waits and an index past the end inject nothing.
+        for target in [*waits, len(indices) + 1, rng.choice(operations)]:
+            kind = rng.choice(["comm_timeout", "device_error", "implicit_violation"])
+            faulted = _execute(
+                lab_config, plan, dag, genesis, registry, spec, {target: kind}
+            )
+            got = _dispatch_indices(faulted)
+            assert got == list(range(1, len(got) + 1))
+            missed = target not in operations
+            assert faulted.uninjected == ((target,) if missed else ())
+            injected = [
+                e for e in faulted.log
+                if e.kind == "fault"
+                and e.payload["detail"] == f"injected at dispatch {target}"
+            ]
+            assert len(injected) == (0 if missed else 1)
+            if missed:
+                assert faulted.log == clean.log
 
 
 def test_fault_free_run_completes(lab_config):

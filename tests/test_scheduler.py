@@ -6,6 +6,7 @@ from eaclab.capabilities import builtin_registry
 from eaclab.compiler import compile_spec, topo_order
 from eaclab.errors import UnschedulableError
 from eaclab.labstate import StateEvent
+from eaclab import scheduler
 from eaclab.scheduler import (
     batch_compatible,
     count_mode_transitions,
@@ -16,7 +17,13 @@ from eaclab.scheduler import (
 )
 from eaclab.specmodel import parse_spec
 
-from workloads import brute_force_makespan, payoff_workload, random_dag
+from workloads import (
+    brute_force_makespan,
+    campaign_workload,
+    contraction_acyclic,
+    payoff_workload,
+    random_dag,
+)
 
 
 def _chain_spec():
@@ -119,6 +126,27 @@ def test_batch_grouping_on_payoff():
     batches = batch_compatible(dag, state, {"r": "reader_1"})
     by_mode = {b.mode: set(b.members) for b in batches}
     assert by_mode == {"T298": {"j1", "j2", "j4"}, "T310": {"j3"}}
+
+
+def test_incremental_batching_check_matches_oracle(monkeypatch):
+    """Every join decision of batch_compatible agrees with a full DFS."""
+    original = scheduler._closes_cycle
+    outcomes = []
+
+    def checked(dag, rank, membership, members, gid, nid):
+        closes = original(dag, rank, membership, members, gid, nid)
+        assert closes == (not contraction_acyclic(dag, {**membership, nid: gid})), nid
+        outcomes.append(closes)
+        return closes
+
+    monkeypatch.setattr(scheduler, "_closes_cycle", checked)
+    for seed in range(300):
+        dag, state, _ = random_dag(seed)
+        batch_compatible(dag, state)
+    for n in (1, 5, 12):
+        spec, registry, state = campaign_workload(n)
+        batch_compatible(compile_spec(spec, registry, state), state)
+    assert True in outcomes and False in outcomes
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -2,11 +2,14 @@
 
 import json
 import random
+from pathlib import Path
 
 from eaclab.capabilities import registry_from_lab_config
 from eaclab.compiler import OpNode, WorkflowDAG
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
-from eaclab.specmodel import parse_spec
+from eaclab.specmodel import expand_sweeps, parse_spec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # Single reader device that starts the day holding temperature mode T310;
 # four scan jobs at [298, 298, 310, 298] K with a 100 s reconfiguration
@@ -51,6 +54,25 @@ def payoff_workload():
     state = genesis_from_lab_config(PAYOFF_LAB)
     spec = parse_spec(json.dumps(PAYOFF_SPEC))
     return spec, registry, state
+
+
+def campaign_workload(n: int):
+    """The Li2SO4 campaign with its three sweeps lengthened to ``n`` points.
+
+    Ports cycle 1..6 and fill volumes cycle through 0.5..1.0 mL, so
+    fills of different lengths share the pump and the batched policy has
+    real choices to make. Returns (expanded spec, registry, genesis).
+    """
+    lab = json.loads((CONFIGS / "reference_lab.json").read_text())
+    doc = json.loads((CONFIGS / "li2so4_campaign.json").read_text())
+    doc["spec_id"] = f"campaign-{n}"
+    select, fill, measure = doc["steps"]
+    ports = [i % 6 + 1 for i in range(n)]
+    select["repeat"] = {"dest": ports}
+    fill["repeat"] = {"volume": [round(0.5 + 0.1 * ((5 * i) % 6), 1) for i in range(n)]}
+    measure["repeat"] = {"concentration": [0.43 * p for p in ports]}
+    spec = expand_sweeps(parse_spec(json.dumps(doc)))
+    return spec, registry_from_lab_config(lab), genesis_from_lab_config(lab)
 
 
 def random_dag(seed: int):
@@ -165,3 +187,38 @@ def brute_force_makespan(dag, state, registry, devices) -> float:
 
     dfs(frozenset(), {}, {d: 0.0 for d in init_mode}, dict(init_mode), 0.0)
     return best[0]
+
+
+def contraction_acyclic(dag: WorkflowDAG, groups: dict[str, int]) -> bool:
+    """True iff contracting each group to a supernode leaves the graph acyclic.
+
+    Rebuilds the contracted graph and runs a DFS over all of it: the
+    reference the scheduler's incremental batching check is tested against.
+    """
+    def rep(nid: str) -> str:
+        return f"g{groups[nid]}" if nid in groups else nid
+
+    adjacency: dict[str, set[str]] = {}
+    for src, dst, _ in dag.edges:
+        a, b = rep(src), rep(dst)
+        if a != b:
+            adjacency.setdefault(a, set()).add(b)
+    seen: dict[str, int] = {}
+
+    def dfs(v: str) -> bool:
+        seen[v] = 1
+        for w in adjacency.get(v, ()):
+            status = seen.get(w, 0)
+            if status == 1:
+                return False
+            if status == 0 and not dfs(w):
+                return False
+        seen[v] = 2
+        return True
+
+    nodes = set(adjacency)
+    for targets in adjacency.values():
+        nodes |= targets
+    return all(seen.get(v, 0) == 2 or dfs(v) for v in sorted(nodes))
+
+
