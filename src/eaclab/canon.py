@@ -19,4 +19,10 @@ def canonical_bytes(obj: object) -> bytes:
 
 
 def sha256_hex(obj: object) -> str:
-    return hashlib.sha256(canonical_bytes(obj)).hexdigest()
+    return sha256_text(canonical_json(obj))
+
+
+def sha256_text(text: str) -> str:
+    """Digest of an already serialized artifact; ``sha256_text(canonical_json(x))
+    == sha256_hex(x)``, so a caller that writes the text need not encode twice."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -9,12 +9,13 @@ codes: 0 success, 2 validation error, 3 runtime fault (paused/aborted),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
 
-from eaclab.canon import canonical_json
+from eaclab.canon import canonical_json, sha256_text
 from eaclab.capabilities import registry_from_lab_config
 from eaclab.compiler import compile_spec, render_tree, static_check
 from eaclab.errors import (
@@ -35,7 +36,7 @@ from eaclab.labstate import (
 )
 from eaclab.scheduler import plan_hash as compute_plan_hash, schedule
 from eaclab.shims import SimFleet
-from eaclab.specmodel import expand_sweeps, parse_spec, serialize_spec, spec_hash
+from eaclab.specmodel import expand_sweeps, parse_spec, serialize_spec
 from eaclab.telemetry import TelemetryStore
 
 EXIT_OK = 0
@@ -163,25 +164,24 @@ def _run_dir(out: str, run_id: str) -> Path:
     return path
 
 
-def _write_run_artifacts(run_dir: Path, result, plan, spec, seed: int, append: bool):
+def _write_run_artifacts(
+    run_dir: Path, result, plan, spec_text: str, shash: str, seed: int, append: bool
+):
     mode = "a" if append else "w"
     with open(run_dir / "log.ndjson", mode, encoding="utf-8") as fh:
-        for event in result.log:
-            fh.write(canonical_json(event.to_dict()) + "\n")
+        fh.writelines(canonical_json(event.to_dict()) + "\n" for event in result.log)
     with open(run_dir / "telemetry.ndjson", mode, encoding="utf-8") as fh:
-        for rec in result.telemetry:
-            fh.write(canonical_json(rec.to_dict()) + "\n")
+        fh.writelines(canonical_json(rec.to_dict()) + "\n" for rec in result.telemetry)
     with open(run_dir / "wire.ndjson", mode, encoding="utf-8") as fh:
-        for frame in result.wire:
-            fh.write(canonical_json(frame) + "\n")
+        fh.writelines(canonical_json(frame) + "\n" for frame in result.wire)
     (run_dir / "plan.json").write_text(plan.serialize() + "\n", encoding="utf-8")
-    (run_dir / "spec.json").write_text(serialize_spec(spec) + "\n", encoding="utf-8")
+    (run_dir / "spec.json").write_text(spec_text + "\n", encoding="utf-8")
     (run_dir / "snapshot.json").write_bytes(snapshot(result.state) + b"\n")
     summary = {
         "run_id": result.run_id,
         "status": result.status,
         "seed": seed,
-        "spec_hash": spec_hash(spec),
+        "spec_hash": shash,
         "plan_hash": compute_plan_hash(plan),
         "telemetry_count": len(result.telemetry),
     }
@@ -210,7 +210,8 @@ def cmd_run(args) -> int:
     fleet = SimFleet.from_lab_config(lab)
     for device in fleet.devices.values():
         device.rng.seed(device.config.seed + args.seed)
-    shash = spec_hash(spec)
+    spec_text = serialize_spec(spec)
+    shash = sha256_text(spec_text)
     run_id = f"run-{shash[:8]}-s{args.seed}"
     store = TelemetryStore()
     result = execute(
@@ -225,7 +226,9 @@ def cmd_run(args) -> int:
         store=store,
     )
     run_dir = _run_dir(args.out, run_id)
-    summary = _write_run_artifacts(run_dir, result, plan, spec, args.seed, append=False)
+    summary = _write_run_artifacts(
+        run_dir, result, plan, spec_text, shash, args.seed, append=False
+    )
     (run_dir / "telemetry.csv").write_text(
         store.export_csv(run_id), encoding="utf-8"
     )
@@ -246,8 +249,7 @@ def cmd_run(args) -> int:
     return EXIT_OK if result.status == "completed" else EXIT_RUNTIME
 
 
-def _load_run_state(run_dir: Path, lab: dict):
-    genesis = genesis_from_lab_config(lab)
+def _load_run_state(run_dir: Path, genesis):
     log_path = run_dir / "log.ndjson"
     try:
         events = [
@@ -263,7 +265,7 @@ def _load_run_state(run_dir: Path, lab: dict):
 def cmd_state(args) -> int:
     lab, registry, genesis = _load_lab(args.lab)
     if args.run:
-        state, _ = _load_run_state(Path(args.run), lab)
+        state, _ = _load_run_state(Path(args.run), genesis)
     else:
         state = genesis
     table = []
@@ -312,7 +314,14 @@ def cmd_resume(args) -> int:
         plan = schedule(dag, genesis, registry, policy=policy)
     except _DAMAGE as exc:
         raise _Usage(f"run directory {run_dir} is damaged: {_describe(exc)}") from exc
-    state, _ = _load_run_state(run_dir, lab)
+    state, events = _load_run_state(run_dir, genesis)
+    try:
+        # Dispatch indices of the resumed part continue the run's numbering.
+        last_dispatch = max(
+            (int(e.payload["index"]) for e in events if e.kind == "dispatch"), default=0
+        )
+    except _DAMAGE as exc:
+        raise _Usage(f"event log in {run_dir} is damaged: {_describe(exc)}") from exc
 
     appended: list[StateEvent] = []
     if args.clear:
@@ -336,6 +345,7 @@ def cmd_resume(args) -> int:
         result = executor_resume(
             checkpoint, plan, dag, state, registry, fleet,
             spec_hash=shash, store=store,
+            last_dispatch=last_dispatch,
         )
     except CheckpointMismatchError as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
@@ -345,12 +355,17 @@ def cmd_resume(args) -> int:
         return EXIT_RUNTIME
 
     result.log[:0] = appended
-    summary = _write_run_artifacts(run_dir, result, plan, spec, seed, append=True)
+    spec_text = serialize_spec(spec)
+    summary = _write_run_artifacts(
+        run_dir, result, plan, spec_text, sha256_text(spec_text), seed, append=True
+    )
     print(canonical_json(summary))
     return EXIT_OK if result.status == "completed" else EXIT_RUNTIME
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="eaclab",
         description="Declarative experiment stack: validate, plan, and run "
@@ -395,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code; callable repeatedly in one
+    process."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

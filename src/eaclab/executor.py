@@ -291,14 +291,16 @@ def resume(
     fleet: SimFleet,
     spec_hash: str,
     store: TelemetryStore | None = None,
+    last_dispatch: int = 0,
 ) -> RunResult:
     """Continue a paused run from the node after its checkpoint.
 
     Committed nodes are replayed silently through the simulator (same
     frames, same seeds) to rebuild device state without re-logging, then
-    execution proceeds normally. Raises CheckpointMismatchError if the
-    plan hash differs and StillBlockedError if the blocking condition is
-    still present.
+    execution proceeds normally. Dispatch indices continue after
+    ``last_dispatch``, the highest index the run has logged so far.
+    Raises CheckpointMismatchError if the plan hash differs and
+    StillBlockedError if the blocking condition is still present.
     """
     if compute_plan_hash(plan) != checkpoint.plan_hash:
         raise CheckpointMismatchError(
@@ -339,6 +341,7 @@ def resume(
         plan_hash=checkpoint.plan_hash,
         fault_schedule={},
         store=store if store is not None else TelemetryStore(),
+        dispatch_count=last_dispatch,
         last_committed=checkpoint.last_committed_node,
     )
     return _run(ctx, skip_through=checkpoint.last_committed_node)
@@ -584,7 +587,7 @@ def _paused(ctx, fault: FaultEvent, time: float) -> RunResult:
 
 def _aborted(ctx, fault: FaultEvent, time: float) -> RunResult:
     # Teardown guarantee: every opened connection is closed, newest first.
-    for device_id in sorted(ctx.connected, reverse=True):
+    for device_id in reversed(ctx.connected):
         node = _teardown_stub(ctx.dag, device_id)
         _precheck_and_log(ctx, node, device_id, "", time)
         frame = encode_operation("", "disconnect", {}, device_id)

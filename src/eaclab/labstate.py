@@ -151,25 +151,32 @@ def genesis_from_lab_config(config: dict) -> LabState:
 
 
 def apply_event(state: LabState, event: StateEvent) -> LabState:
-    """Fold one event into the state; epoch and clock always advance."""
+    """Fold one event into the state; epoch and clock always advance.
+
+    States share their ``devices`` dict until an event changes a record,
+    so the dict of a state is never mutated once the state exists.
+    """
     if event.seq != state.next_seq:
         raise SequenceGapError(
             f"expected seq {state.next_seq}, got {event.seq}"
         )
-    record = state.devices.get(event.device_id)
+    devices = state.devices
+    record = devices.get(event.device_id)
     if record is None and event.device_id:
         raise SpecSchemaError("bad_value", event.device_id, "unknown device")
 
+    changed = None
     if record is not None:
-        if event.kind == "telemetry":
+        kind = event.kind
+        if kind == "telemetry":
             observed = dict(record.observed)
             for name, value in event.payload.items():
                 if isinstance(value, dict) and "value" in value:
                     observed[name] = Quantity.from_dict(value)
                 elif isinstance(value, (int, float)) and not isinstance(value, bool):
                     observed[name] = Quantity(float(value))
-            record = replace(record, observed=observed)
-        elif event.kind == "transition":
+            changed = replace(record, observed=observed)
+        elif kind == "transition":
             new_status = event.payload["to"]
             if new_status not in DEVICE_STATUSES:
                 raise IllegalTransitionError(f"unknown status {new_status!r}")
@@ -179,27 +186,27 @@ def apply_event(state: LabState, event: StateEvent) -> LabState:
                 )
             holder = event.payload.get("holder") if new_status == "busy" else None
             mode = event.payload.get("mode", record.mode)
-            record = replace(record, status=new_status, holder=holder, mode=mode)
-        elif event.kind == "fault":
+            changed = replace(record, status=new_status, holder=holder, mode=mode)
+        elif kind == "fault":
             # A fault being retried in place leaves the device operational.
             if event.payload.get("disposition") != "recover":
-                record = replace(record, status="fault", holder=None)
-        elif event.kind == "reconcile":
+                changed = replace(record, status="fault", holder=None)
+        elif kind == "reconcile":
             desired = dict(record.desired)
             for name, value in event.payload.get("desired", {}).items():
                 desired[name] = Quantity.from_dict(value)
-            record = replace(record, desired=desired)
+            changed = replace(record, desired=desired)
         # dispatch and precheck events carry provenance only; no record change.
+    if changed is not None:
+        devices = dict(devices)
+        devices[changed.device_id] = changed
 
-    new_state = replace(
-        state,
+    return LabState(
+        devices=devices,
         clock=max(state.clock, event.time),
         epoch=state.epoch + 1,
         next_seq=state.next_seq + 1,
     )
-    if record is not None:
-        new_state = new_state.with_device(record)
-    return new_state
 
 
 def replay(genesis: LabState, events) -> LabState:

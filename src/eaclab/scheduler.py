@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from eaclab.canon import canonical_json, sha256_hex
+from eaclab.canon import canonical_json, sha256_text
 from eaclab.capabilities import CapabilityRegistry, TransitionLatency
 from eaclab.compiler import WorkflowDAG, topo_rank, validate_dag
 from eaclab.errors import UnschedulableError
@@ -83,12 +84,19 @@ class ExecutionPlan:
             "pending_recovery": self.pending_recovery,
         }
 
-    def serialize(self) -> str:
+    # The plan is frozen, so its canonical text is computed on first use and
+    # cached on the instance; serialize and plan_hash share the one encoding.
+
+    @cached_property
+    def _canonical_text(self) -> str:
         return canonical_json(self.to_dict())
+
+    def serialize(self) -> str:
+        return self._canonical_text
 
 
 def plan_hash(plan: ExecutionPlan) -> str:
-    return sha256_hex(plan.to_dict())
+    return sha256_text(plan.serialize())
 
 
 def resolve_bindings(

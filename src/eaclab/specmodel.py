@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 
@@ -202,6 +203,13 @@ def _parse_step(obj, index: int) -> StepSpec:
             _expect(values, list, locus, "sweep values")
             if not values:
                 raise SpecSchemaError("empty_sweep", locus, f"sweep {pname!r} has no values")
+            for value in values:
+                if isinstance(value, dict):
+                    _parse_quantity(value, f"{locus}.repeat.{pname}")
+                elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise SpecSchemaError(
+                        "bad_type", locus, f"sweep {pname!r} value has wrong type"
+                    )
             repeat[pname] = tuple(values)
     return StepSpec(
         step_id=step_id,
@@ -352,27 +360,14 @@ def spec_hash(spec: ExperimentSpec) -> str:
     return sha256_hex(spec_to_dict(spec))
 
 
-def _sweep_shape(repeat: dict[str, tuple]) -> tuple[int, ...]:
-    return tuple(len(v) for v in repeat.values())
-
-
-def _instantiate(step: StepSpec, combo: tuple, index: int) -> StepSpec:
+def _swept_params(step: StepSpec, combo: tuple) -> dict[str, Quantity]:
     params = dict(step.params)
     for pname, value in zip(step.repeat, combo):  # type: ignore[union-attr]
         if isinstance(value, dict):
             params[pname] = Quantity.from_dict(value)
-        elif pname in params:
-            params[pname] = replace(params[pname], value=float(value))
         else:
-            raise ExpansionError(
-                f"sweep over unknown parameter {pname!r} in step {step.step_id!r}"
-            )
-    return replace(
-        step,
-        step_id=f"{step.step_id}#{index}",
-        params=params,
-        repeat=None,
-    )
+            params[pname] = Quantity(float(value), params[pname].unit)
+    return params
 
 
 def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
@@ -388,33 +383,22 @@ def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
     if all(s.repeat is None for s in spec.steps):
         return spec
 
+    # Instance ids first: a step may depend on a swept step listed after it.
     instances: dict[str, list[str]] = {}
     shapes: dict[str, tuple[int, ...] | None] = {}
-    new_steps: list[StepSpec] = []
     for step in spec.steps:
         if step.repeat is None:
             shapes[step.step_id] = None
             instances[step.step_id] = [step.step_id]
-            new_steps.append(step)
-            continue
-        for pname in step.repeat:
-            if pname not in step.params and not all(
-                isinstance(v, dict) for v in step.repeat[pname]
-            ):
-                raise ExpansionError(
-                    f"sweep over unknown parameter {pname!r} in step {step.step_id!r}"
-                )
-        shapes[step.step_id] = _sweep_shape(step.repeat)
-        ids: list[str] = []
-        for index, combo in enumerate(itertools.product(*step.repeat.values())):
-            inst = _instantiate(step, combo, index)
-            ids.append(inst.step_id)
-            new_steps.append(inst)
-        instances[step.step_id] = ids
+        else:
+            shape = tuple(len(v) for v in step.repeat.values())
+            shapes[step.step_id] = shape
+            instances[step.step_id] = [
+                f"{step.step_id}#{k}" for k in range(math.prod(shape))
+            ]
 
-    rewritten: list[StepSpec] = []
-    for step in new_steps:
-        base_id, _, suffix = step.step_id.partition("#")
+    def depends_on(step: StepSpec, instance_id: str) -> tuple[str, ...]:
+        base_id, _, suffix = instance_id.partition("#")
         deps: list[str] = []
         for dep in step.depends_on:
             dep_shape = shapes.get(dep)
@@ -424,8 +408,35 @@ def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
                 deps.append(f"{dep}#{suffix}")
             else:
                 deps.extend(instances[dep])
-        rewritten.append(replace(step, depends_on=tuple(deps)))
+        return tuple(deps)
 
-    expanded = replace(spec, steps=tuple(rewritten))
+    new_steps: list[StepSpec] = []
+    for step in spec.steps:
+        if step.repeat is None:
+            deps = depends_on(step, step.step_id)
+            new_steps.append(step if deps == step.depends_on else replace(step, depends_on=deps))
+            continue
+        for pname in step.repeat:
+            if pname not in step.params and not all(
+                isinstance(v, dict) for v in step.repeat[pname]
+            ):
+                raise ExpansionError(
+                    f"sweep over unknown parameter {pname!r} in step {step.step_id!r}"
+                )
+        for instance_id, combo in zip(
+            instances[step.step_id], itertools.product(*step.repeat.values())
+        ):
+            new_steps.append(
+                StepSpec(
+                    step_id=instance_id,
+                    binding=step.binding,
+                    operation=step.operation,
+                    params=_swept_params(step, combo),
+                    depends_on=depends_on(step, instance_id),
+                    stabilization=step.stabilization,
+                )
+            )
+
+    expanded = replace(spec, steps=tuple(new_steps))
     validate_spec(expanded)
     return expanded

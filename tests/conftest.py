@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
 from eaclab.capabilities import registry_from_lab_config
+from eaclab.cli import main
 from eaclab.compiler import compile_spec
 from eaclab.labstate import genesis_from_lab_config
 from eaclab.specmodel import expand_sweeps, parse_spec
@@ -11,6 +14,14 @@ from eaclab.specmodel import expand_sweeps, parse_spec
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LAB_PATH = REPO_ROOT / "configs" / "reference_lab.json"
 CAMPAIGN_PATH = REPO_ROOT / "configs" / "li2so4_campaign.json"
+
+
+def run_main(argv):
+    """``eaclab.cli.main(argv)`` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from eaclab import cli
 from eaclab.cli import main
 
 from conftest import CAMPAIGN_PATH, LAB_PATH
@@ -217,6 +218,7 @@ def _paused_run(tmp_path, capsys):
         ("plan.json", '{"policy": "lifo"}'),
         ("plan.json", None),
         ("log.ndjson", "garbage\n"),
+        ("log.ndjson", '{"seq":0,"time":0,"device_id":"","kind":"dispatch","payload":{"index":"x"}}'),
     ],
 )
 def test_resume_on_damaged_run_dir_is_usage_error(tmp_path, capsys, name, content):
@@ -282,3 +284,54 @@ def test_known_safety_comparator_rejects_hot_scan(tmp_path, capsys):
     lab, spec = _tcell_files(tmp_path, "<=")
     assert main(["validate", spec, "--lab", lab]) == 2
     assert "safety_violation" in capsys.readouterr().err
+
+
+def _dispatch_indices(run_dir):
+    events = [json.loads(line) for line in (run_dir / "log.ndjson").read_text().splitlines()]
+    return [e["payload"]["index"] for e in events if e["kind"] == "dispatch"]
+
+
+def test_resumed_run_continues_dispatch_numbering(tmp_path, capsys):
+    out = tmp_path / "paused"
+    assert main(["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", "timeout@5"]) == 3
+    run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
+    assert _dispatch_indices(run_dir) == [1, 2, 3, 4, 5]
+    assert main(["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"]) == 0
+    indices = _dispatch_indices(run_dir)
+    assert indices == list(range(1, len(indices) + 1))
+    assert len(indices) == 37
+
+
+def _mixed_sequence(tmp_path):
+    bad = tmp_path / "bad.json"
+    doc = json.loads(CAMPAIGN_PATH.read_text())
+    doc["steps"][1]["params"]["flow_rate"]["value"] = 99.0
+    bad.write_text(json.dumps(doc))
+    out = str(tmp_path / "runs")
+    return [
+        ["explode"],
+        ["validate", "--lab", LAB],
+        ["--help"],
+        ["validate", str(bad), "--lab", LAB],
+        ["plan", SPEC, "--lab", LAB, "--policy", "fifo"],
+        ["run", SPEC, "--lab", LAB, "--out", out, "--inject", "timeout@5"],
+        ["run", SPEC, "--lab", LAB, "--out", out],
+    ]
+
+
+def test_main_is_repeatable_in_one_process(tmp_path, capsys):
+    """The parser built on the first call serves every later call alike."""
+    cli.build_parser.cache_clear()
+    sequence = _mixed_sequence(tmp_path)
+    passes = []
+    for _ in range(2):
+        outcomes = []
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        passes.append(outcomes)
+    assert passes[0] == passes[1]
+    assert [code for code, _, _ in passes[0]] == [4, 4, 0, 2, 0, 3, 0]
+    assert passes[0][2][1].startswith("usage: eaclab")
+    assert cli.build_parser.cache_info().misses == 1

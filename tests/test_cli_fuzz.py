@@ -1,0 +1,132 @@
+"""Exit-code contract under fuzzed argv: every command ends in 0, 2, 3 or 4
+and never in a traceback.
+
+Arguments are drawn over the five subcommands and their flags; file
+arguments name a valid spec, malformed JSON, a missing path, a directory,
+or a run directory (completed, paused, or damaged in one of several ways).
+Every example runs in this one process, so the parser that ``main`` builds
+on its first call serves all of them.
+"""
+
+import itertools
+import json
+import shutil
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from conftest import CAMPAIGN_PATH, LAB_PATH, run_main
+
+EXIT_CODES = {0, 2, 3, 4}
+
+# Damaged run directories: (file, rewrite of its text; None deletes it).
+DAMAGE = {
+    "checkpoint": ("checkpoint.json", lambda text: "not json"),
+    "no-checkpoint-field": ("checkpoint.json", lambda text: '{"run_id": "r"}'),
+    "no-spec": ("spec.json", None),
+    "summary": ("result.json", lambda text: "[]"),
+    "plan": ("plan.json", lambda text: '{"policy": "lifo"}'),
+    "log": ("log.ndjson", lambda text: "garbage\n"),
+    "log-index": ("log.ndjson", lambda text: text.replace('"index":', '"index":"x","i":')),
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    paths = {
+        "spec": str(CAMPAIGN_PATH),
+        "lab": str(LAB_PATH),
+        "malformed": str(base / "malformed.json"),
+        "missing": str(base / "missing.json"),
+        "directory": str(base),
+        "inject": str(base / "inject.json"),
+        "out": str(base / "runs"),
+    }
+    (base / "malformed.json").write_text('{"spec_id": ')
+    (base / "inject.json").write_text('{"5": "error"}')
+
+    def run(name, *extra):
+        out = base / name
+        _, stdout, _ = run_main(
+            ["run", paths["spec"], "--lab", paths["lab"], "--out", str(out), *extra]
+        )
+        return out / json.loads(stdout)["run_id"]
+
+    paths["completed"] = str(run("completed"))
+    paused = run("paused", "--inject", "timeout@5")
+    paths["paused"] = str(paused)
+    for key, (name, rewrite) in DAMAGE.items():
+        damaged = base / f"damaged-{key}"
+        shutil.copytree(paused, damaged)
+        if rewrite is None:
+            (damaged / name).unlink()
+        else:
+            (damaged / name).write_text(rewrite((damaged / name).read_text()))
+        paths[f"damaged-{key}"] = str(damaged)
+    paths["fresh"] = itertools.count()
+    paths["base"] = base
+    return paths
+
+
+INPUTS = ("spec", "malformed", "missing", "directory")
+RUN_DIRS = ("completed", "paused", "missing", "spec", *(f"damaged-{k}" for k in DAMAGE))
+# --lab is left out a sixth of the time (a usage error without EAC_LAB).
+LABS = st.sampled_from(["lab", "lab", "lab", "malformed", "missing", None])
+FLAG_VALUES = {
+    "--policy": st.sampled_from(["fifo", "batched", "lifo"]),
+    "--seed": st.sampled_from(["0", "3", "-1", "x"]),
+    "--inject": st.sampled_from(
+        ["timeout@5", "implicit@20", "error@14,noliquid@9", "weird@@", "timeout@x",
+         "=inject", "=malformed", "=missing"]
+    ),
+    "--run": st.sampled_from(RUN_DIRS),
+    "--clear": st.sampled_from(["pump_1", "valve_1", "pump_9", ""]),
+}
+SUBCOMMANDS = {
+    "validate": (INPUTS, ()),
+    "plan": (INPUTS, ("--policy",)),
+    "run": (INPUTS, ("--policy", "--seed", "--inject")),
+    "state": (None, ("--run",)),
+    "resume": (RUN_DIRS, ("--clear",)),
+}
+
+
+def _path(files, key):
+    if key == "paused":
+        # resume completes a paused run, so each example gets its own copy.
+        copy = files["base"] / f"paused-{next(files['fresh'])}"
+        shutil.copytree(files["paused"], copy)
+        return str(copy)
+    return files[key]
+
+
+def _value(files, flag, drawn):
+    if flag == "--inject":
+        return files[drawn[1:]] if drawn.startswith("=") else drawn
+    if flag == "--run":
+        return _path(files, drawn)
+    return drawn
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_command_exits_with_a_documented_code(files, data):
+    command = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    positional, flags = SUBCOMMANDS[command]
+    argv = [command]
+    if positional is not None and data.draw(st.integers(0, 9)):
+        argv.append(_path(files, data.draw(st.sampled_from(positional))))
+    lab = data.draw(LABS)
+    if lab is not None:
+        argv += ["--lab", files[lab]]
+    if flags:
+        for flag in data.draw(st.lists(st.sampled_from(flags), unique=True)):
+            argv += [flag, _value(files, flag, data.draw(FLAG_VALUES[flag]))]
+    if data.draw(st.integers(0, 19)) == 0:
+        argv.append(data.draw(st.sampled_from(["--help", "--bogus", "extra"])))
+    if command == "run":
+        argv += ["--out", files["out"]]
+    code, _, err = run_main(argv)
+    assert code in EXIT_CODES, (argv, code, err)
+    assert "Traceback" not in err, (argv, err)

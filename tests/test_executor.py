@@ -231,6 +231,83 @@ def test_resume_after_clearing_matches_baseline(lab_config):
         assert got.time == want.time
 
 
+def _paused_and_resumed(lab_config):
+    """The fill#0 timeout run, the operator's clear event and the resume."""
+    registry, genesis, spec, dag, plan = _campaign_setup(lab_config)
+    baseline = _execute(lab_config, plan, dag, genesis, registry, spec)
+    index = _dispatch_index(baseline, "fill#0")
+    paused = _execute(
+        lab_config, plan, dag, genesis, registry, spec,
+        fault_schedule={index: "comm_timeout"},
+    )
+    state = paused.state
+    clear = StateEvent(
+        state.next_seq, state.clock, "pump_1", "transition", {"to": "idle"}
+    )
+    resumed = resume(
+        paused.checkpoint, plan, dag, apply_event(state, clear), registry,
+        SimFleet.from_lab_config(lab_config), spec_hash=spec_hash(spec),
+        last_dispatch=max(_dispatch_indices(paused)),
+    )
+    return genesis, paused, clear, resumed
+
+
+def test_resume_continues_dispatch_numbering(lab_config):
+    _, paused, _, resumed = _paused_and_resumed(lab_config)
+    assert resumed.status == "completed"
+    indices = _dispatch_indices(paused) + _dispatch_indices(resumed)
+    assert indices == list(range(1, len(indices) + 1))
+
+
+def test_folding_a_run_log_never_mutates_a_state(lab_config):
+    """States share their devices dict until an event changes a record, so
+    no fold may write into a dict an earlier state still holds."""
+    genesis, paused, clear, resumed = _paused_and_resumed(lab_config)
+    log = paused.log + [clear] + resumed.log
+    assert {e.kind for e in log} >= {"precheck", "dispatch", "telemetry", "transition", "fault"}
+    states = [genesis]
+    taken = [snapshot(genesis)]
+    for event in log:
+        states.append(apply_event(states[-1], event))
+        taken.append(snapshot(states[-1]))
+        if event.kind in ("precheck", "dispatch"):
+            assert states[-1].devices is states[-2].devices
+    assert snapshot(replay(genesis, log)) == taken[-1]
+    assert [snapshot(state) for state in states] == taken
+
+
+def test_abort_tears_down_newest_connection_first(lab_config):
+    registry, genesis, spec, dag, plan = _campaign_setup(lab_config)
+    clean = _execute(lab_config, plan, dag, genesis, registry, spec)
+    operations = [
+        e.payload["index"] for e in clean.log
+        if e.kind == "dispatch" and "frame" in e.payload
+    ]
+    several_open = 0
+    for index in operations:
+        aborted = _execute(
+            lab_config, plan, dag, genesis, registry, spec,
+            {index: "implicit_violation"},
+        )
+        assert aborted.status == "aborted"
+        fault_at = next(i for i, e in enumerate(aborted.log) if e.kind == "fault")
+        opened: list[str] = []
+        for event in aborted.log[:fault_at]:
+            if event.kind == "transition" and event.payload["to"] == "busy":
+                opened.append(event.device_id)
+            elif event.kind == "transition" and event.payload["to"] == "idle":
+                opened.remove(event.device_id)
+        torn_down = [
+            e.device_id for e in aborted.log[fault_at:]
+            if e.kind == "dispatch" and e.payload["op"] == "disconnect"
+        ]
+        assert torn_down == opened[::-1]
+        several_open += len(opened) > 1 and opened[::-1] != sorted(opened, reverse=True)
+    # Some abort has open connections whose newest-first order is not
+    # their descending id order, so the check above tells the two apart.
+    assert several_open
+
+
 def test_resume_rejects_mismatched_plan(lab_config):
     registry, genesis, spec, dag, plan = _campaign_setup(lab_config)
     checkpoint = Checkpoint("run-t", None, 0, "0" * 64)

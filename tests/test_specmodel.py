@@ -194,6 +194,25 @@ def test_unknown_sweep_param_raises():
         expand_sweeps(parse_spec(json.dumps(doc)))
 
 
+@pytest.mark.parametrize(
+    "value, code",
+    [
+        ("abc", "bad_type"),
+        (None, "bad_type"),
+        (True, "bad_type"),
+        ({"v": 1}, "unknown_field"),
+        ({"unit": "mL"}, "missing_field"),
+        ({"value": 1, "unit": "furlong"}, "bad_unit"),
+    ],
+)
+def test_malformed_sweep_value_is_a_schema_error(value, code):
+    doc = _doc()
+    doc["steps"][0]["repeat"] = {"volume": [1, value]}
+    with pytest.raises(SpecSchemaError) as err:
+        parse_spec(json.dumps(doc))
+    assert err.value.code == code
+
+
 def test_aligned_sweeps_pair_index_wise():
     doc = _doc()
     doc["steps"][0]["repeat"] = {"volume": [1, 2, 3]}
