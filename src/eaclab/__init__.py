@@ -21,11 +21,10 @@ from eaclab.labstate import (
     apply_event,
     genesis_from_lab_config,
     query_eligible,
-    reconcile,
     replay,
     snapshot,
 )
-from eaclab.scheduler import ExecutionPlan, replan, schedule
+from eaclab.scheduler import ExecutionPlan, schedule
 from eaclab.shims import SimFleet
 from eaclab.specmodel import (
     ExperimentSpec,
@@ -65,9 +64,7 @@ __all__ = [
     "genesis_from_lab_config",
     "parse_spec",
     "query_eligible",
-    "reconcile",
     "registry_from_lab_config",
-    "replan",
     "replay",
     "resume",
     "schedule",

@@ -43,7 +43,6 @@ class OperationSchema:
     params: dict[str, ParamSchema] = field(default_factory=dict)
     kind: str = "actuate"
     idempotent: bool = False
-    blocking: bool = True
     # Name of a companion configure op the compiler must emit before this
     # one, consuming the matching subset of the step's params.
     configure_via: str | None = None
@@ -84,7 +83,6 @@ class SafetyPredicate:
 @dataclass(frozen=True)
 class SafetyEnvelope:
     conditions: tuple[SafetyPredicate, ...] = ()
-    cooldown_required: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -116,9 +114,6 @@ class CapabilitySchema:
     safety: SafetyEnvelope = SafetyEnvelope()
     transitions: TransitionLatency = TransitionLatency()
     calibration_window: float = DEFAULT_CALIBRATION_WINDOW_S
-    exclusive: bool = True
-    # Observed-state field -> operation that corrects it (reconciliation).
-    reconcile_ops: dict[str, str] = field(default_factory=dict)
 
     def operation(self, name: str) -> OperationSchema:
         try:
@@ -261,7 +256,6 @@ def builtin_registry() -> CapabilityRegistry:
                     idempotent=True,
                 ),
             },
-            reconcile_ops={"dest": "set"},
         )
     )
     registry.register(
@@ -341,7 +335,6 @@ def _parse_operation(name: str, obj: dict) -> OperationSchema:
         params=params,
         kind=obj.get("kind", "actuate"),
         idempotent=bool(obj.get("idempotent", obj.get("kind") == "read")),
-        blocking=bool(obj.get("blocking", True)),
         configure_via=obj.get("configure_via"),
     )
 
@@ -368,10 +361,7 @@ def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
     return CapabilitySchema(
         capability=name,
         operations=operations,
-        safety=SafetyEnvelope(
-            conditions=conditions,
-            cooldown_required=safety_obj.get("cooldown_required"),
-        ),
+        safety=SafetyEnvelope(conditions=conditions),
         transitions=TransitionLatency(
             warmup=float(trans_obj.get("warmup", 0.0)),
             cooldown=float(trans_obj.get("cooldown", 0.0)),
@@ -380,8 +370,6 @@ def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
         calibration_window=float(
             obj.get("calibration_window", DEFAULT_CALIBRATION_WINDOW_S)
         ),
-        exclusive=bool(obj.get("exclusive", True)),
-        reconcile_ops=dict(obj.get("reconcile_ops", {})),
     )
 
 

@@ -251,10 +251,12 @@ def cmd_run(args) -> int:
 
 def _load_run_state(run_dir: Path, genesis):
     log_path = run_dir / "log.ndjson"
+    if not log_path.is_file():
+        raise _Usage(f"no event log in {run_dir}")
     try:
         events = [
             StateEvent.from_dict(json.loads(line))
-            for line in (_read_text(log_path) if log_path.exists() else "").splitlines()
+            for line in _read_text(log_path).splitlines()
             if line.strip()
         ]
         return replay(genesis, events), events

@@ -48,7 +48,6 @@ class OpNode:
     operation: str
     kind: str
     params: dict[str, Quantity] = field(default_factory=dict)
-    resolved_device: str | None = None
     idempotent: bool = False
     est_duration: float = _DEFAULT_DURATION
     mode: str | None = None
@@ -62,7 +61,6 @@ class OpNode:
             "operation": self.operation,
             "kind": self.kind,
             "params": {k: q.to_dict() for k, q in sorted(self.params.items())},
-            "resolved_device": self.resolved_device,
             "idempotent": self.idempotent,
             "est_duration": self.est_duration,
             "mode": self.mode,

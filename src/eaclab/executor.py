@@ -9,7 +9,6 @@ deterministically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from eaclab.capabilities import CapabilityRegistry
@@ -155,7 +154,7 @@ def runtime_precheck(
     return None
 
 
-def handle_fault(fault: FaultEvent, node, plan: ExecutionPlan, state: LabState) -> str:
+def handle_fault(fault: FaultEvent, node) -> str:
     """Deterministic fault -> disposition mapping."""
     if fault.kind == "comm_timeout":
         # A timed-out non-idempotent command may have partially executed;
@@ -486,7 +485,7 @@ def _execute_node(ctx, node, assignment, device_id, capability, start: float):
                 if exc.kind == "implicit_violation"
                 else None,
             )
-            disposition = handle_fault(fault, node, ctx.plan, ctx.state)
+            disposition = handle_fault(fault, node)
             if disposition == "recover" and attempts < _RETRY_BUDGET:
                 attempts += 1
                 ctx.emit("fault", device_id, start, _fault_payload(fault, "recover"))
@@ -552,7 +551,7 @@ def _fault_payload(fault: FaultEvent, disposition: str) -> dict:
 
 
 def _dispose(ctx, fault: FaultEvent, node, time: float):
-    disposition = handle_fault(fault, node, ctx.plan, ctx.state)
+    disposition = handle_fault(fault, node)
     if disposition == "recover":
         disposition = "pause"  # precheck failures are not retried in place
     ctx.emit("fault", fault.device_id, time, _fault_payload(fault, disposition))
@@ -588,7 +587,7 @@ def _paused(ctx, fault: FaultEvent, time: float) -> RunResult:
 def _aborted(ctx, fault: FaultEvent, time: float) -> RunResult:
     # Teardown guarantee: every opened connection is closed, newest first.
     for device_id in reversed(ctx.connected):
-        node = _teardown_stub(ctx.dag, device_id)
+        node = _teardown_stub(device_id)
         _precheck_and_log(ctx, node, device_id, "", time)
         frame = encode_operation("", "disconnect", {}, device_id)
         ctx.dispatch_count += 1
@@ -618,7 +617,7 @@ def _aborted(ctx, fault: FaultEvent, time: float) -> RunResult:
     )
 
 
-def _teardown_stub(dag: WorkflowDAG, device_id: str):
+def _teardown_stub(device_id: str):
     from eaclab.compiler import OpNode
 
     return OpNode(
@@ -629,7 +628,3 @@ def _teardown_stub(dag: WorkflowDAG, device_id: str):
         idempotent=True,
         est_duration=0.0,
     )
-
-
-def _isclose(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)

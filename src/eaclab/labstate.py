@@ -7,13 +7,12 @@ snapshot byte for byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from eaclab.canon import canonical_bytes
 from eaclab.capabilities import CapabilityRegistry
 from eaclab.errors import IllegalTransitionError, SequenceGapError, SpecSchemaError
-from eaclab.units import Quantity, to_canonical
+from eaclab.units import Quantity
 
 DEVICE_STATUSES = frozenset({"offline", "idle", "busy", "fault", "cooling", "warming"})
 
@@ -33,13 +32,7 @@ _TRANSITIONS = frozenset(
     }
 )
 
-EVENT_KINDS = frozenset(
-    {"dispatch", "telemetry", "fault", "transition", "reconcile", "precheck"}
-)
-
-# Relative tolerance below which a continuous observed field counts as
-# matching its desired value during reconciliation.
-RECONCILE_REL_TOL = 1e-3
+EVENT_KINDS = frozenset({"dispatch", "telemetry", "fault", "transition", "precheck"})
 
 
 def transition_allowed(old: str, new: str) -> bool:
@@ -119,9 +112,6 @@ class LabState:
     epoch: int = 0
     next_seq: int = 0
 
-    def device(self, device_id: str) -> DeviceRecord:
-        return self.devices[device_id]
-
     def with_device(self, record: DeviceRecord) -> "LabState":
         devices = dict(self.devices)
         devices[record.device_id] = record
@@ -191,11 +181,6 @@ def apply_event(state: LabState, event: StateEvent) -> LabState:
             # A fault being retried in place leaves the device operational.
             if event.payload.get("disposition") != "recover":
                 changed = replace(record, status="fault", holder=None)
-        elif kind == "reconcile":
-            desired = dict(record.desired)
-            for name, value in event.payload.get("desired", {}).items():
-                desired[name] = Quantity.from_dict(value)
-            changed = replace(record, desired=desired)
         # dispatch and precheck events carry provenance only; no record change.
     if changed is not None:
         devices = dict(devices)
@@ -214,58 +199,6 @@ def replay(genesis: LabState, events) -> LabState:
     for event in events:
         state = apply_event(state, event)
     return state
-
-
-def _field_matches(desired: Quantity, observed: Quantity | None, discrete: bool) -> bool:
-    if observed is None:
-        return False
-    try:
-        obs = to_canonical(observed)
-        want = to_canonical(desired)
-    except Exception:
-        return False
-    if obs.unit != want.unit:
-        return False
-    if discrete:
-        return obs.value == want.value
-    return math.isclose(obs.value, want.value, rel_tol=RECONCILE_REL_TOL)
-
-
-def _is_discrete(value: Quantity) -> bool:
-    return value.unit == "" and float(value.value).is_integer()
-
-
-def reconcile(
-    record: DeviceRecord, registry: CapabilityRegistry
-) -> tuple[list[dict], bool]:
-    """Corrective operations driving observed toward desired.
-
-    Returns (operations, needs_recovery). A faulted device yields no
-    operations and the recovery flag; otherwise the list is empty exactly
-    when every desired field is observed within tolerance. Operations are
-    ordered by field name for determinism.
-    """
-    if record.status == "fault":
-        return [], True
-    schema = registry.get(record.capability)
-    operations: list[dict] = []
-    for name in sorted(record.desired):
-        want = record.desired[name]
-        if _field_matches(want, record.observed.get(name), _is_discrete(want)):
-            continue
-        op_name = schema.reconcile_ops.get(name)
-        if op_name is None:
-            continue
-        gated = any(p.field == name for p in schema.safety.conditions)
-        operations.append(
-            {
-                "device_id": record.device_id,
-                "op": op_name,
-                "params": {name: want.to_dict()},
-                "safety_gated": gated,
-            }
-        )
-    return operations, False
 
 
 def query_eligible(

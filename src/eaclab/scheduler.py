@@ -10,14 +10,14 @@ batched plan never loses to FIFO).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from eaclab.canon import canonical_json, sha256_text
 from eaclab.capabilities import CapabilityRegistry, TransitionLatency
 from eaclab.compiler import WorkflowDAG, topo_rank, validate_dag
 from eaclab.errors import UnschedulableError
-from eaclab.labstate import LabState, StateEvent, query_eligible
+from eaclab.labstate import LabState, query_eligible
 
 POLICIES = ("fifo", "batched")
 
@@ -62,17 +62,9 @@ class ExecutionPlan:
     batches: tuple[Batch, ...]
     makespan: float
     policy: str
-    status: str = "ok"  # ok | requiring_recovery
+    # Always "ok" and None; both stay in plan.json and the plan hash.
+    status: str = "ok"
     pending_recovery: str | None = None
-
-    def assignment(self, node_id: str) -> Assignment:
-        for a in self.assignments:
-            if a.node_id == node_id:
-                return a
-        raise KeyError(node_id)
-
-    def device_of(self, node_id: str) -> str:
-        return self.assignment(node_id).device_id
 
     def to_dict(self) -> dict:
         return {
@@ -103,8 +95,6 @@ def resolve_bindings(
     dag: WorkflowDAG,
     state: LabState,
     registry: CapabilityRegistry,
-    exclude: frozenset[str] = frozenset(),
-    pinned: dict[str, str] | None = None,
 ) -> dict[str, str]:
     """Map each binding to one concrete device, deterministically.
 
@@ -114,12 +104,8 @@ def resolve_bindings(
     """
     order = list(dict.fromkeys(dag.nodes[nid].binding for nid in topo_rank(dag)))
     load: dict[str, int] = {}
-    resolved: dict[str, str] = dict(pinned or {})
-    for device in resolved.values():
-        load[device] = load.get(device, 0) + 1
+    resolved: dict[str, str] = {}
     for binding in order:
-        if binding in resolved:
-            continue
         info = dag.bindings.get(binding, {})
         capability = info.get("capability", binding)
         candidates = query_eligible(
@@ -128,7 +114,6 @@ def resolve_bindings(
         selector = info.get("selector")
         if selector is not None:
             candidates = [d for d in candidates if d == selector]
-        candidates = [d for d in candidates if d not in exclude]
         if not candidates:
             raise UnschedulableError(
                 f"no eligible device for binding {binding!r} ({capability})"
@@ -250,31 +235,26 @@ def _run_list_schedule(
     registry: CapabilityRegistry,
     devices: dict[str, str],
     prefer_mode_match: bool,
-    device_free: dict[str, float] | None = None,
-    device_mode: dict[str, str | None] | None = None,
-    skip: frozenset[str] = frozenset(),
-    horizon: float = 0.0,
 ) -> list[Assignment]:
     """Graham list scheduling: repeatedly dispatch the least ready node.
 
     ``fifo`` takes ready nodes in topological order, ``batched`` by the
     key described at ``_BatchedQueue``. A node's earliest start (the end of
-    its last predecessor, or ``horizon``) is fixed once it becomes ready.
+    its last predecessor, or 0) is fixed once it becomes ready. Each device
+    starts free at 0 in its mode in ``state``.
     """
     rank = topo_rank(dag)
     predecessors, successors = dag.predecessor_index, dag.successor_index
-    free: dict[str, float] = dict(device_free or {})
-    mode: dict[str, str | None] = dict(device_mode or {})
-    for device in devices.values():
-        free.setdefault(device, horizon)
-        if device not in mode:
-            mode[device] = state.devices[device].mode if device in state.devices else None
+    free: dict[str, float] = dict.fromkeys(devices.values(), 0.0)
+    mode: dict[str, str | None] = {
+        device: state.devices[device].mode if device in state.devices else None
+        for device in free
+    }
     latency = {binding: _latency_for(dag, binding, registry) for binding in devices}
 
-    unmet = {
-        nid: sum(1 for p in predecessors[nid] if p not in skip)
-        for nid in rank if nid not in skip
-    }
+    # Predecessor index entries, an edge counted once per edge kind, as the
+    # successor loop below decrements once per entry.
+    unmet = {nid: len(predecessors[nid]) for nid in rank}
     done_at: dict[str, float] = {}
     assignments: list[Assignment] = []
     ready = (
@@ -282,8 +262,7 @@ def _run_list_schedule(
     )
 
     def release(nid: str) -> None:
-        earliest = max((done_at[p] for p in predecessors[nid] if p in done_at),
-                       default=horizon)
+        earliest = max((done_at[p] for p in predecessors[nid]), default=0.0)
         ready.push(nid, earliest)
 
     for nid, count in unmet.items():
@@ -304,8 +283,6 @@ def _run_list_schedule(
         if node.mode is not None:
             mode[device] = node.mode
         for succ in successors[nid]:
-            if succ in skip:
-                continue
             unmet[succ] -= 1
             if unmet[succ] == 0:
                 release(succ)
@@ -447,130 +424,3 @@ def count_mode_transitions(
             transitions += 1
         current[a.device_id] = node.mode
     return transitions
-
-
-def replan(
-    plan: ExecutionPlan,
-    event: StateEvent,
-    dag: WorkflowDAG,
-    state: LabState,
-    registry: CapabilityRegistry,
-) -> ExecutionPlan:
-    """Deterministically adjust a plan after a fault or delay event.
-
-    Assignments finished by ``event.time`` are never edited. A fault
-    migrates unfinished work away from the faulted device when the
-    in-flight node is idempotent, and otherwise marks the plan as
-    requiring recovery at that node. A delay event shifts everything
-    downstream of the delayed node by the overrun.
-    """
-    if event.kind == "fault":
-        return _replan_fault(plan, event, dag, state, registry)
-    delay = float(event.payload["delay"])
-    target = event.payload["node_id"]
-    return _replan_delay(plan, dag, target, delay)
-
-
-def _replan_fault(plan, event, dag, state, registry) -> ExecutionPlan:
-    now = event.time
-    faulted = event.device_id
-    completed = [a for a in plan.assignments if a.end <= now]
-    done_ids = {a.node_id for a in completed}
-    in_flight = [
-        a for a in plan.assignments
-        if a.device_id == faulted and a.start < now < a.end
-    ]
-    if in_flight and not dag.nodes[in_flight[0].node_id].idempotent:
-        return replace(
-            plan,
-            assignments=tuple(completed),
-            makespan=_makespan(completed),
-            status="requiring_recovery",
-            pending_recovery=in_flight[0].node_id,
-        )
-
-    pinned = {}
-    remapped_bindings = set()
-    for a in completed:
-        binding = dag.nodes[a.node_id].binding
-        if a.device_id != faulted:
-            pinned[binding] = a.device_id
-        else:
-            remapped_bindings.add(binding)
-    devices = resolve_bindings(
-        dag, state, registry, exclude=frozenset({faulted}), pinned=pinned
-    )
-    device_free = {}
-    for a in completed:
-        device_free[a.device_id] = max(device_free.get(a.device_id, now), a.end, now)
-    rest = _run_list_schedule(
-        dag,
-        state,
-        registry,
-        devices,
-        prefer_mode_match=(plan.policy == "batched"),
-        device_free=device_free,
-        skip=frozenset(done_ids),
-        horizon=now,
-    )
-    assignments = tuple(sorted(completed + rest, key=lambda a: (a.start, a.node_id)))
-    return replace(
-        plan,
-        assignments=assignments,
-        makespan=_makespan(assignments),
-        status="ok",
-        pending_recovery=None,
-    )
-
-
-def _replan_delay(plan, dag, target: str, delay: float) -> ExecutionPlan:
-    """Recompute timing with the target node's duration extended by ``delay``.
-
-    Per-device dispatch order is kept exactly as planned, so the effect is
-    a pure time translation of everything downstream.
-    """
-    position = topo_rank(dag)
-    per_device_order: dict[str, list[str]] = {}
-    for a in sorted(plan.assignments, key=lambda a: (a.start, position[a.node_id])):
-        per_device_order.setdefault(a.device_id, []).append(a.node_id)
-    duration = {
-        a.node_id: (a.end - a.start) + (delay if a.node_id == target else 0.0)
-        for a in plan.assignments
-    }
-    transition = {a.node_id: a.transition for a in plan.assignments}
-    device_of = {a.node_id: a.device_id for a in plan.assignments}
-
-    done_at: dict[str, float] = {}
-    free: dict[str, float] = {}
-    next_index = {device: 0 for device in per_device_order}
-    assignments: list[Assignment] = []
-    remaining = set(duration)
-    while remaining:
-        progressed = False
-        for device in sorted(per_device_order):
-            index = next_index[device]
-            if index >= len(per_device_order[device]):
-                continue
-            nid = per_device_order[device][index]
-            preds = [p for p in dag.predecessor_index[nid] if p in duration]
-            if any(p not in done_at for p in preds):
-                continue
-            earliest = max([done_at[p] for p in preds] or [0.0])
-            start = max(earliest, free.get(device, 0.0)) + transition[nid]
-            end = start + duration[nid]
-            assignments.append(
-                Assignment(nid, device, start, end, transition[nid])
-            )
-            done_at[nid] = end
-            free[device] = end
-            next_index[device] += 1
-            remaining.discard(nid)
-            progressed = True
-        if not progressed:
-            raise UnschedulableError("replan deadlock: circular device order")
-    assignments.sort(key=lambda a: (a.start, a.node_id))
-    return replace(
-        plan,
-        assignments=tuple(assignments),
-        makespan=_makespan(assignments),
-    )

@@ -309,8 +309,6 @@ class SimDevice:
     def __init__(self, config: SimDeviceConfig):
         self.config = config
         self.rng = random.Random(config.seed)
-        self.connected = False
-        self.configured: dict | None = None
         self.power_on_time = 0.0
 
     def temperature_at(self, now: float) -> float:
@@ -332,10 +330,9 @@ class SimDevice:
         replies = [WireFrame(cfg.device_id, b"OK\r", "from_device")]
 
         if operation == "connect":
-            self.connected = True
             self.power_on_time = now
         elif operation == "disconnect":
-            self.connected = False
+            pass  # completes at once, like connect
         elif cfg.capability == "pump" and operation == "dispense":
             completion = now + params["volume"] / params["flow_rate"] * 60.0
             if not fleet.selection_queue:
@@ -354,9 +351,6 @@ class SimDevice:
             replies.append(WireFrame(cfg.device_id, line.encode(), "from_device"))
             telemetry.update(parse_balance_line(line))
             telemetry["stable"] = float(telemetry.pop("stable"))
-            completion = now + 1.0
-        elif cfg.capability == "potentiostat" and operation == "configure":
-            self.configured = params
             completion = now + 1.0
         elif cfg.capability == "potentiostat" and operation == "measure_eis":
             if not fleet.cell_queue:

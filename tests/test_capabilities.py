@@ -154,7 +154,6 @@ def test_schema_from_dict_custom_capability():
     assert schema.operation("heat_to").params["temperature"].max == 360
     assert schema.safety.conditions[0].comparator == "<="
     assert schema.transitions.cost("T298", "T310") == 160.0
-    assert schema.reconcile_ops == {"temperature": "heat_to"}
 
 
 @pytest.mark.parametrize(

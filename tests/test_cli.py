@@ -218,6 +218,7 @@ def _paused_run(tmp_path, capsys):
         ("plan.json", '{"policy": "lifo"}'),
         ("plan.json", None),
         ("log.ndjson", "garbage\n"),
+        ("log.ndjson", None),
         ("log.ndjson", '{"seq":0,"time":0,"device_id":"","kind":"dispatch","payload":{"index":"x"}}'),
     ],
 )
@@ -235,10 +236,25 @@ def test_resume_clear_of_unknown_device_is_usage_error(tmp_path, capsys):
     _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_9"])
 
 
-def _tcell_files(tmp_path, comparator):
+@pytest.mark.parametrize("target", ["missing", "file", "empty_dir"])
+def test_state_of_a_run_without_event_log_is_usage_error(tmp_path, capsys, target):
+    run = {"missing": tmp_path / "nope", "file": CAMPAIGN_PATH, "empty_dir": tmp_path}[target]
+    _usage_error(capsys, ["state", "--lab", LAB, "--run", str(run)])
+
+
+def test_state_of_a_log_with_unknown_event_kind_is_usage_error(tmp_path, capsys):
+    (tmp_path / "log.ndjson").write_text(
+        '{"seq":0,"time":0,"device_id":"valve_1","kind":"reconcile",'
+        '"payload":{"desired":{"dest":{"value":3,"unit":""}}}}\n'
+    )
+    err = _usage_error(capsys, ["state", "--lab", LAB, "--run", str(tmp_path)])
+    assert "reconcile" in err
+
+
+def _tcell_files(tmp_path, comparator, temperature=390, unread_keys=False):
     lab = json.loads(LAB_PATH.read_text())
     lab["devices"].append({"device_id": "tcell_1", "capability": "tcell"})
-    lab["capabilities"]["tcell"] = {
+    tcell = lab["capabilities"]["tcell"] = {
         "operations": {
             "scan": {
                 "params": {"temperature": {"unit": "K", "min": 250, "max": 400}},
@@ -255,6 +271,12 @@ def _tcell_files(tmp_path, comparator):
             ]
         },
     }
+    if unread_keys:
+        # Keys older lab configs carry and the loader does not read.
+        tcell["operations"]["scan"]["blocking"] = False
+        tcell["safety"]["cooldown_required"] = {"field": "temperature"}
+        tcell["exclusive"] = False
+        tcell["reconcile_ops"] = {"temperature": "scan"}
     spec = {
         "spec_id": "hot-scan",
         "version": "1.0.0",
@@ -264,7 +286,7 @@ def _tcell_files(tmp_path, comparator):
                 "id": "scan",
                 "binding": "cell",
                 "op": "scan",
-                "params": {"temperature": {"value": 390, "unit": "K"}},
+                "params": {"temperature": {"value": temperature, "unit": "K"}},
             }
         ],
     }
@@ -284,6 +306,25 @@ def test_known_safety_comparator_rejects_hot_scan(tmp_path, capsys):
     lab, spec = _tcell_files(tmp_path, "<=")
     assert main(["validate", spec, "--lab", lab]) == 2
     assert "safety_violation" in capsys.readouterr().err
+
+
+def test_unread_capability_keys_change_no_output(tmp_path, capsys):
+    outcomes = []
+    for unread_keys in (False, True):
+        base = tmp_path / str(unread_keys)
+        base.mkdir()
+        lab, spec = _tcell_files(base, "<=", 330, unread_keys)
+        outcome = []
+        for argv in (["validate", spec], ["plan", spec], ["run", spec, "--out", str(base / "runs")]):
+            code = main([*argv, "--lab", lab])
+            outcome.append((code, capsys.readouterr().out))
+        runs = base / "runs"
+        files = [f for f in sorted(runs.rglob("*")) if f.is_file()]
+        outcome.append([(f.relative_to(runs), f.read_bytes()) for f in files])
+        outcomes.append(outcome)
+    assert outcomes[0] == outcomes[1]
+    assert [code for code, _ in outcomes[0][:3]] == [0, 0, 0]
+    assert outcomes[0][3]
 
 
 def _dispatch_indices(run_dir):

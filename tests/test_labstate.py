@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from eaclab.capabilities import CapabilityRegistry, builtin_registry, schema_from_dict
 from eaclab.errors import IllegalTransitionError, SequenceGapError
 from eaclab.labstate import (
     DEVICE_STATUSES,
@@ -12,7 +11,6 @@ from eaclab.labstate import (
     apply_event,
     genesis_from_lab_config,
     query_eligible,
-    reconcile,
     replay,
     snapshot,
     transition_allowed,
@@ -129,95 +127,6 @@ def test_replay_reproduces_snapshot_byte_identically(seed):
     # Replaying a strict prefix then the rest also converges.
     mid = replay(replay(_state(), events[:11]), events[11:])
     assert snapshot(mid) == snapshot(state)
-
-
-def _heater_registry() -> CapabilityRegistry:
-    registry = builtin_registry()
-    registry.register(
-        schema_from_dict(
-            "heater",
-            {
-                "operations": {
-                    "heat_to": {
-                        "params": {"temperature": {"unit": "K", "min": 280, "max": 360}},
-                        "kind": "configure",
-                        "idempotent": True,
-                    },
-                    "set_power": {
-                        "params": {"level": {"unit": "", "min": 0, "max": 10}},
-                    },
-                },
-                "safety": {
-                    "conditions": [
-                        {
-                            "field": "temperature",
-                            "comparator": "<=",
-                            "threshold": {"value": 360, "unit": "K"},
-                        }
-                    ]
-                },
-                "reconcile_ops": {"temperature": "heat_to", "level": "set_power"},
-            },
-        )
-    )
-    return registry
-
-
-def test_reconcile_matches_map_diff_oracle():
-    registry = _heater_registry()
-    desired = {"temperature": Quantity(310.0, "K"), "level": Quantity(3.0)}
-    observed = {"temperature": Quantity(309.0, "K"), "level": Quantity(3.0)}
-    record = DeviceRecord("h", "heater", desired=desired, observed=observed)
-    ops, needs_recovery = reconcile(record, registry)
-    # Oracle: exactly the desired fields whose observation differs beyond
-    # tolerance, in sorted field order.
-    mismatched = sorted(
-        name
-        for name in desired
-        if name not in observed
-        or (
-            abs(observed[name].value - desired[name].value)
-            > 1e-3 * abs(desired[name].value)
-            if desired[name].unit or not float(desired[name].value).is_integer()
-            else observed[name].value != desired[name].value
-        )
-    )
-    assert [op["params"].keys() for op in ops] == [{name} for name in mismatched]
-    assert ops[0]["op"] == "heat_to"
-    assert ops[0]["safety_gated"] is True
-    assert not needs_recovery
-
-
-def test_reconcile_empty_when_converged():
-    registry = _heater_registry()
-    record = DeviceRecord(
-        "h",
-        "heater",
-        desired={"temperature": Quantity(310.0, "K")},
-        observed={"temperature": Quantity(310.2, "K")},  # within 1e-3 rel
-    )
-    ops, _ = reconcile(record, registry)
-    assert ops == []
-
-
-def test_reconcile_discrete_requires_exact_match():
-    registry = _heater_registry()
-    record = DeviceRecord(
-        "h",
-        "heater",
-        desired={"level": Quantity(3.0)},
-        observed={"level": Quantity(3.002)},
-    )
-    ops, _ = reconcile(record, registry)
-    assert [op["op"] for op in ops] == ["set_power"]
-    assert ops[0]["safety_gated"] is False
-
-
-def test_reconcile_faulted_device_needs_recovery():
-    registry = _heater_registry()
-    record = DeviceRecord("h", "heater", status="fault")
-    ops, needs_recovery = reconcile(record, registry)
-    assert ops == [] and needs_recovery
 
 
 def test_query_eligible_filters(genesis, registry):

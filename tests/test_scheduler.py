@@ -5,13 +5,12 @@ import pytest
 from eaclab.capabilities import builtin_registry
 from eaclab.compiler import compile_spec, topo_order
 from eaclab.errors import UnschedulableError
-from eaclab.labstate import StateEvent
+from eaclab.labstate import DeviceRecord
 from eaclab import scheduler
 from eaclab.scheduler import (
     batch_compatible,
     count_mode_transitions,
     plan_hash,
-    replan,
     resolve_bindings,
     schedule,
 )
@@ -86,15 +85,11 @@ def test_fifo_follows_topological_order(campaign_dag, genesis, registry):
 def test_resolve_bindings_deterministic_and_load_balanced(campaign_dag, genesis, registry):
     devices = resolve_bindings(campaign_dag, genesis, registry)
     assert devices == {"pump": "pump_1", "valve": "valve_1", "stat": "pstat_1"}
-    excluded = resolve_bindings(
-        campaign_dag, genesis, registry, exclude=frozenset({"pump_1"})
-    )
-    assert excluded["pump"] == "pump_2"
+    faulted = genesis.with_device(DeviceRecord("pump_1", "pump", status="fault"))
+    assert resolve_bindings(campaign_dag, faulted, registry)["pump"] == "pump_2"
+    faulted = faulted.with_device(DeviceRecord("pump_2", "pump", status="fault"))
     with pytest.raises(UnschedulableError):
-        resolve_bindings(
-            campaign_dag, genesis, registry,
-            exclude=frozenset({"pump_1", "pump_2"}),
-        )
+        resolve_bindings(campaign_dag, faulted, registry)
 
 
 def test_selector_pins_device(genesis, registry):
@@ -176,62 +171,3 @@ def test_plan_hash_deterministic(campaign_dag, genesis, registry):
     b = schedule(campaign_dag, genesis, registry)
     assert plan_hash(a) == plan_hash(b)
     assert a.serialize() == b.serialize()
-
-
-def test_replan_fault_migrates_idempotent_work(genesis, registry):
-    doc = {
-        "spec_id": "mig",
-        "version": "1.0.0",
-        "resources": [{"name": "p", "capability": "pump"}],
-        "steps": [
-            {"id": "a", "binding": "p", "op": "stop"},
-            {"id": "b", "binding": "p", "op": "stop", "depends_on": ["a"]},
-        ],
-    }
-    dag = compile_spec(parse_spec(json.dumps(doc)), registry, genesis)
-    plan = schedule(dag, genesis, registry, policy="fifo")
-    faulted = plan.device_of("a")
-    event = StateEvent(0, plan.assignment("a").end + 0.25, faulted, "fault", {})
-    new_plan = replan(plan, event, dag, genesis, registry)
-    assert new_plan.status == "ok"
-    # Unfinished nodes moved off the faulted device.
-    for a in new_plan.assignments:
-        if a.end > event.time:
-            assert a.device_id != faulted
-    # Finished prefix untouched.
-    done = {a.node_id for a in plan.assignments if a.end <= event.time}
-    for nid in done:
-        assert new_plan.assignment(nid) == plan.assignment(nid)
-
-
-def test_replan_fault_with_non_idempotent_in_flight(genesis, registry):
-    dag = compile_spec(_chain_spec(), registry, genesis)
-    plan = schedule(dag, genesis, registry, policy="fifo")
-    dispense = plan.assignment("a")
-    event = StateEvent(
-        0, (dispense.start + dispense.end) / 2, dispense.device_id, "fault", {}
-    )
-    new_plan = replan(plan, event, dag, genesis, registry)
-    assert new_plan.status == "requiring_recovery"
-    assert new_plan.pending_recovery == "a"
-    assert all(a.end <= event.time for a in new_plan.assignments)
-
-
-def test_replan_delay_shifts_downstream_only(campaign_dag, genesis, registry):
-    plan = schedule(campaign_dag, genesis, registry, policy="fifo")
-    target = "fill#2"
-    delay = 42.0
-    event = StateEvent(
-        0, plan.assignment(target).start, "", "dispatch",
-        {"node_id": target, "delay": delay},
-    )
-    shifted = replan(plan, event, campaign_dag, genesis, registry)
-    assert shifted.assignment(target).end == pytest.approx(
-        plan.assignment(target).end + delay
-    )
-    # Nodes finishing before the delayed node are untouched.
-    for a in plan.assignments:
-        if a.end <= plan.assignment(target).start:
-            assert shifted.assignment(a.node_id) == a
-    assert shifted.makespan == pytest.approx(plan.makespan + delay)
-    _assert_plan_invariants(shifted, campaign_dag)
