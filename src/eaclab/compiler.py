@@ -1,11 +1,12 @@
 """Static checking and lowering of expanded specs into workflow DAGs.
 
 Lowering rules: each used binding gets one connect node before its first
-operation and one teardown node after its last; every action step gets a
-preceding precheck node; operations that declare a companion configure op
-are split into configure + measure nodes; stabilization constraints lower
-to stabilize nodes. Original step dependencies become edges between the
-lowered node groups.
+operation and one teardown node after its last; operations that declare a
+companion configure op are split into configure + measure nodes;
+stabilization constraints lower to stabilize nodes. Original step
+dependencies become edges between the lowered node groups. Live-state
+checks are not lowered to nodes: the executor checks live state right
+before every dispatch.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import LabState
 from eaclab.specmodel import ExperimentSpec, StepSpec, _dependency_cycle
 from eaclab.units import Quantity, canonicalize_units, to_canonical
-
-NODE_KINDS = frozenset(
-    {"connect", "precheck", "action", "measure", "stabilize", "teardown"}
-)
 
 # est_duration defaults (seconds) for operations the spec gives no clock for.
 _DEFAULT_DURATION = 1.0
@@ -291,7 +288,6 @@ def compile_spec(
     edges: list[tuple[str, str, str]] = []
     used_bindings: list[str] = []
     last_node_of_step: dict[str, str] = {}
-    first_node_of_step: dict[str, str] = {}
     last_on_binding: dict[str, list[str]] = {}
 
     def add_node(node: OpNode) -> None:
@@ -315,20 +311,7 @@ def compile_spec(
             )
 
         mode = _step_mode(step, op)
-        pre_id = f"{step.step_id}:pre"
-        add_node(
-            OpNode(
-                node_id=pre_id,
-                binding=step.binding,
-                operation="precheck",
-                kind="precheck",
-                idempotent=True,
-                est_duration=0.0,
-            )
-        )
-        edges.append((f"connect:{step.binding}", pre_id, "setup"))
-        first_node_of_step[step.step_id] = pre_id
-        prev = pre_id
+        lowered: list[str] = []  # the step's nodes, in flow order
 
         params = _canonical_params(step.params)
         if op.configure_via is not None and op.configure_via in schema.operations:
@@ -348,8 +331,7 @@ def compile_spec(
                     mode=mode,
                 )
             )
-            edges.append((prev, cfg_id, "flow"))
-            prev = cfg_id
+            lowered.append(cfg_id)
 
         if step.stabilization is not None:
             # Stabilization gates the step: the wait completes before the
@@ -371,8 +353,7 @@ def compile_spec(
                     },
                 )
             )
-            edges.append((prev, stab_id, "flow"))
-            prev = stab_id
+            lowered.append(stab_id)
 
         main_kind = "measure" if op.kind == "read" else "action"
         add_node(
@@ -387,17 +368,19 @@ def compile_spec(
                 mode=mode,
             )
         )
-        edges.append((prev, step.step_id, "flow"))
-        prev = step.step_id
+        lowered.append(step.step_id)
 
-        last_node_of_step[step.step_id] = prev
+        first, last = lowered[0], lowered[-1]
+        edges.append((f"connect:{step.binding}", first, "setup"))
+        edges.extend((src, dst, "flow") for src, dst in zip(lowered, lowered[1:]))
+        last_node_of_step[step.step_id] = last
         for dep in step.depends_on:
-            edges.append((last_node_of_step[dep], first_node_of_step[step.step_id], "dep"))
+            edges.append((last_node_of_step[dep], first, "dep"))
         # Mutual exclusion between same-binding steps is the scheduler's
         # job (one device runs one node at a time); no ordering edge is
         # added so batching may reorder independent steps.
         last_on_binding.setdefault(step.binding, [])
-        last_on_binding[step.binding].append(prev)
+        last_on_binding[step.binding].append(last)
 
     for binding_name in used_bindings:
         teardown_id = f"teardown:{binding_name}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from eaclab.capabilities import CapabilityRegistry
-from eaclab.compiler import WorkflowDAG, topo_rank
+from eaclab.compiler import OpNode, WorkflowDAG, topo_rank
 from eaclab.errors import (
     CheckpointMismatchError,
     SimFault,
@@ -23,7 +23,7 @@ from eaclab.labstate import LabState, StateEvent, apply_event
 from eaclab.scheduler import ExecutionPlan, plan_hash as compute_plan_hash
 from eaclab.shims import SimFleet, WireFrame, encode_operation
 from eaclab.telemetry import TelemetryRecord, TelemetryStore
-from eaclab.units import Quantity
+from eaclab.units import Quantity, to_canonical
 
 FAULT_KINDS = frozenset(
     {"device_error", "comm_timeout", "no_liquid_detected", "implicit_violation"}
@@ -140,8 +140,6 @@ def runtime_precheck(
             observed = record.observed.get(pred.field)
             if observed is None:
                 continue
-            from eaclab.units import to_canonical
-
             value = to_canonical(observed).value
             threshold = to_canonical(pred.threshold).value
             if not pred.holds(value, threshold):
@@ -316,12 +314,8 @@ def resume(
             raise CheckpointMismatchError(
                 f"checkpoint node {checkpoint.last_committed_node!r} not in plan"
             )
-    next_nodes = [
-        a for a in order
-        if a.node_id not in committed and dag.nodes[a.node_id].kind != "precheck"
-    ]
-    if next_nodes:
-        a = next_nodes[0]
+    a = next((a for a in order if a.node_id not in committed), None)
+    if a is not None:
         node = dag.nodes[a.node_id]
         blocked = runtime_precheck(
             node, a.device_id, state, registry, checkpoint.run_id,
@@ -357,8 +351,7 @@ def _run(ctx: _RunContext, skip_through: str | None) -> RunResult:
         node = ctx.dag.nodes[assignment.node_id]
         device_id = assignment.device_id
         capability = _node_capability(ctx.dag, node)
-        preds = [p for p in predecessors[node.node_id] if p in done_at]
-        earliest = max([done_at[p] for p in preds] or [0.0])
+        earliest = max((done_at[p] for p in predecessors[node.node_id]), default=0.0)
         start = max(earliest, device_free.get(device_id, 0.0)) + assignment.transition
 
         if silent:
@@ -375,8 +368,7 @@ def _run(ctx: _RunContext, skip_through: str | None) -> RunResult:
             return outcome
         done_at[node.node_id] = outcome
         device_free[device_id] = outcome
-        if node.kind != "precheck":
-            ctx.last_committed = node.node_id
+        ctx.last_committed = node.node_id
 
     return RunResult(
         run_id=ctx.run_id,
@@ -390,8 +382,6 @@ def _run(ctx: _RunContext, skip_through: str | None) -> RunResult:
 
 
 def _silent_replay(ctx, node, device_id, capability, start: float) -> float:
-    if node.kind == "precheck":
-        return start
     if node.kind == "stabilize":
         elapsed = stabilize_wait(node, start, ctx.fleet.devices[device_id])
         return start + elapsed
@@ -426,9 +416,6 @@ def _execute_node(ctx, node, assignment, device_id, capability, start: float):
     fault = _precheck_and_log(ctx, node, device_id, capability, start)
     if fault is not None:
         return _dispose(ctx, fault, node, start)
-
-    if node.kind == "precheck":
-        return start
 
     if node.kind == "stabilize":
         try:
@@ -617,9 +604,7 @@ def _aborted(ctx, fault: FaultEvent, time: float) -> RunResult:
     )
 
 
-def _teardown_stub(device_id: str):
-    from eaclab.compiler import OpNode
-
+def _teardown_stub(device_id: str) -> OpNode:
     return OpNode(
         node_id=f"abort-teardown:{device_id}",
         binding="",

@@ -9,13 +9,14 @@ testable without vendor documentation.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import struct
 from dataclasses import dataclass, field
 
 from eaclab.errors import FrameParseError, RangeError, SimFault
-from eaclab.units import Quantity
+from eaclab.units import Quantity, canonicalize_units
 
 PUMP_DISPENSE_PREFIX = bytes([0xE9, 0x0E, 0x08])
 _RELAY_ON = 0xFF
@@ -157,8 +158,6 @@ def decode_potentiostat_config(frame: WireFrame) -> dict:
 
 
 def _q(params: dict[str, Quantity], name: str, unit: str) -> float:
-    from eaclab.units import canonicalize_units
-
     return canonicalize_units(params[name], unit).value
 
 
@@ -312,8 +311,6 @@ class SimDevice:
         self.power_on_time = 0.0
 
     def temperature_at(self, now: float) -> float:
-        import math
-
         cfg = self.config
         dt = max(0.0, now - self.power_on_time)
         return cfg.temperature_setpoint + (

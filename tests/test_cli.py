@@ -231,6 +231,22 @@ def test_resume_on_damaged_run_dir_is_usage_error(tmp_path, capsys, name, conten
     _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
 
 
+def test_resume_of_a_checkpoint_for_another_plan_is_rejected(tmp_path, capsys):
+    """A run paused under another plan (for instance by an eaclab whose
+    compiler lowered steps differently) cannot be resumed."""
+    run_dir = _paused_run(tmp_path, capsys)
+    path = run_dir / "checkpoint.json"
+    checkpoint = json.loads(path.read_text())
+    checkpoint["plan_hash"] = "ab" * 32
+    path.write_text(json.dumps(checkpoint))
+    code = main(["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("checkpoint mismatch: ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_resume_clear_of_unknown_device_is_usage_error(tmp_path, capsys):
     run_dir = _paused_run(tmp_path, capsys)
     _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_9"])

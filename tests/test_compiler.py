@@ -46,10 +46,10 @@ def _single_measure_spec():
     )
 
 
-def test_single_measure_lowers_to_five_nodes(genesis, registry):
+def test_single_measure_lowers_to_four_nodes(genesis, registry):
     dag = compile_spec(_single_measure_spec(), registry, genesis)
-    assert set(dag.nodes) == {"connect:stat", "m:pre", "m:cfg", "m", "teardown:stat"}
-    assert topo_order(dag) == ["connect:stat", "m:pre", "m:cfg", "m", "teardown:stat"]
+    assert set(dag.nodes) == {"connect:stat", "m:cfg", "m", "teardown:stat"}
+    assert topo_order(dag) == ["connect:stat", "m:cfg", "m", "teardown:stat"]
     assert dag.nodes["m"].kind == "measure"
     assert dag.nodes["m:cfg"].operation == "configure"
     # Configure consumed the shared params; the measure node keeps none.
@@ -61,13 +61,13 @@ def test_node_count_formula(campaign_spec, campaign_dag):
     bindings = {s.binding for s in campaign_spec.steps}
     per_step = 0
     for s in campaign_spec.steps:
-        per_step += 2  # precheck + main
+        per_step += 1  # main
         if s.operation == "measure_eis":
             per_step += 1  # split-off configure
         if s.stabilization is not None:
             per_step += 1
     expected = per_step + 2 * len(bindings)  # connect + teardown per binding
-    assert len(campaign_dag.nodes) == expected == 54
+    assert len(campaign_dag.nodes) == expected == 36
 
 
 def test_compile_is_deterministic(campaign_spec, registry, genesis):
@@ -84,10 +84,10 @@ def test_every_edge_is_forward_in_topo_order(campaign_dag):
 
 
 def test_measure_dominated_by_fill(campaign_dag):
-    # measure#k is downstream of fill#k: a dep edge enters its precheck
-    # and fill#k is an ancestor of the measure node itself.
+    # measure#k is downstream of fill#k: a dep edge enters its configure
+    # node and fill#k is an ancestor of the measure node itself.
     for k in range(6):
-        assert (f"fill#{k}", f"measure#{k}:pre", "dep") in campaign_dag.edges
+        assert (f"fill#{k}", f"measure#{k}:cfg", "dep") in campaign_dag.edges
         ancestors = set()
         frontier = [f"measure#{k}"]
         while frontier:

@@ -259,6 +259,34 @@ def test_resume_continues_dispatch_numbering(lab_config):
     assert indices == list(range(1, len(indices) + 1))
 
 
+def test_one_precheck_gates_each_dispatch(lab_config):
+    """The live-state gate runs once per dispatch, right before it: each
+    precheck is followed at once by the dispatch or fault of its node, on
+    its device, at its time."""
+    logs = []
+    for policy in ("fifo", "batched"):
+        registry, genesis, spec, dag, plan = _campaign_setup(lab_config, policy)
+        clean = _execute(lab_config, plan, dag, genesis, registry, spec)
+        assert sum(e.kind == "precheck" for e in clean.log) == 36
+        logs.append(clean.log)
+    aborted = _execute(
+        lab_config, plan, dag, genesis, registry, spec,
+        {_dispatch_index(clean, "fill#0"): "implicit_violation"},
+    )
+    assert aborted.status == "aborted"
+    _, paused, clear, resumed = _paused_and_resumed(lab_config)
+    logs += [aborted.log, paused.log + [clear] + resumed.log]
+    for log in logs:
+        for gate, after in zip(log, log[1:] + [None]):
+            if gate.kind != "precheck":
+                continue
+            assert after is not None and after.kind in ("dispatch", "fault"), gate
+            assert after.payload["node_id"] == gate.payload["node_id"]
+            assert (after.device_id, after.time) == (gate.device_id, gate.time)
+        prechecks = sum(e.kind == "precheck" for e in log)
+        assert prechecks == sum(e.kind == "dispatch" for e in log)
+
+
 def test_folding_a_run_log_never_mutates_a_state(lab_config):
     """States share their devices dict until an event changes a record, so
     no fold may write into a dict an earlier state still holds."""
@@ -357,6 +385,8 @@ def test_calibration_lapse_aborts_before_actuation(lab_config):
     assert result.status == "aborted"
     assert result.fault.kind == "implicit_violation"
     assert result.fault.predicate == "calibration_lapsed"
+    # The first operation's own gate stops it.
+    assert result.fault.node_id == "m:cfg"
     frames = [bytes.fromhex(f["hex"]) for f in result.wire if f["direction"] == "to_device"]
     # Only lifecycle frames reached the wire: connect then abort teardown.
     assert frames == [b"HELLO\r", b"BYE\r"]

@@ -1,10 +1,16 @@
 """Plan fingerprint: scheduler and compiler changes must not move a plan.
 
-One sha256 covers the fifo and batched plan hashes and the ``render_tree``
-text of every ``random_dag`` seed 0-999 and of the Li2SO4 campaign at
-1..24 and 48 points with mixed fill volumes. A speed-up that reorders a
-single assignment, or a tie broken another way, changes the digest. A
-change that is meant to move plans must say so and update the constant.
+Two sha256 digests cover the fifo and batched plan hashes and the
+``render_tree`` text of
+
+- ``random_dag``: every ``random_dag`` seed 0-999. These DAGs are built
+  without the compiler, so only a scheduler change can move this digest;
+- ``campaign``: the Li2SO4 campaign at 1..24 and 48 points with mixed fill
+  volumes, compiled from its spec, so a lowering change moves it too.
+
+A speed-up that reorders a single assignment, or a tie broken another way,
+changes a digest. A change that is meant to move plans must say so and
+update the constant of the digest it moves.
 """
 
 import hashlib
@@ -14,27 +20,31 @@ from eaclab.scheduler import plan_hash, schedule
 
 from workloads import campaign_workload, random_dag
 
-PLAN_FINGERPRINT = "b9624114d38883045369552a3cc7ebe83fc41418748881f0c6f174ed5a459424"
+PLAN_FINGERPRINTS = {
+    "random_dag": "89ddd07bca326a79c147a490510a8487b9951314e692eb8d744a06191ed64989",
+    "campaign": "0c74af0c2ed9732a95b91834be0a4d76ee87ff39670de0b1e7f4db46b11a6c21",
+}
 
 
 def _instances():
     for seed in range(1000):
         dag, state, registry = random_dag(seed)
-        yield f"random_dag:{seed}", dag, state, registry
+        yield "random_dag", f"random_dag:{seed}", dag, state, registry
     for n in [*range(1, 25), 48]:
         spec, registry, state = campaign_workload(n)
-        yield f"campaign:{n}", compile_spec(spec, registry, state), state, registry
+        dag = compile_spec(spec, registry, state)
+        yield "campaign", f"campaign:{n}", dag, state, registry
 
 
-def fingerprint() -> str:
-    digest = hashlib.sha256()
-    for name, dag, state, registry in _instances():
+def fingerprints() -> dict[str, str]:
+    digests = {group: hashlib.sha256() for group in PLAN_FINGERPRINTS}
+    for group, name, dag, state, registry in _instances():
         fifo = plan_hash(schedule(dag, state, registry, policy="fifo"))
         batched = plan_hash(schedule(dag, state, registry, policy="batched"))
         line = f"{name} {fifo} {batched}\n{render_tree(dag)}\n"
-        digest.update(line.encode("utf-8"))
-    return digest.hexdigest()
+        digests[group].update(line.encode("utf-8"))
+    return {group: digest.hexdigest() for group, digest in digests.items()}
 
 
 def test_plan_fingerprint_is_unchanged():
-    assert fingerprint() == PLAN_FINGERPRINT
+    assert fingerprints() == PLAN_FINGERPRINTS

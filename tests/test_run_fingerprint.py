@@ -28,10 +28,10 @@ SPEC = str(CAMPAIGN_PATH)
 INJECT_KINDS = ("timeout", "error", "noliquid", "implicit")
 
 RUN_FINGERPRINTS = {
-    "clean": "2fc94b539960f39b4898d738e055155706228339fd4f0dde10149e91b5b61bc0",
-    "recovered": "6e285a44df8d050702b8fe9a0d6d355711ba44fbda2bba92782b44ce227668e3",
-    "resumed": "d66951b250dbae54f46209daea9be44b48f4aba216a037cfe3b8c8c967bfec4a",
-    "aborted": "6405ff087ca77598ac84c872f0eab361ab528a4bc105e871df08c775de73a72b",
+    "clean": "8d9d5ac6d5df264be47f72362874b9b9e2925b0ba44de7d9e9ccf074262ecaa7",
+    "recovered": "23b0b6a8779bcdbbe72cdbcf3dca4c8cb14dbbd2b45e2864381c96e6ca99c8ea",
+    "resumed": "699e11a67a2867009509ac9d2b2efa9e7680fa7930559934c5b2fc6633e943e4",
+    "aborted": "a8427c38237f115a0ab09b5be832d6e245eb78571310abcd138a2a70b47199b8",
 }
 
 
