@@ -147,8 +147,16 @@ class CapabilityRegistry:
 
     def __init__(self) -> None:
         self._schemas: dict[str, CapabilitySchema] = {}
+        self._frozen = False
+
+    def freeze(self) -> "CapabilityRegistry":
+        """Refuse every later ``register``, so the registry can be shared."""
+        self._frozen = True
+        return self
 
     def register(self, schema: CapabilitySchema) -> None:
+        if self._frozen:
+            raise TypeError(f"registry is frozen; cannot register {schema.capability!r}")
         if schema.capability in self._schemas:
             raise DuplicateCapabilityError(schema.capability)
         self._schemas[schema.capability] = schema

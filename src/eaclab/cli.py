@@ -13,11 +13,13 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import MappingProxyType
 
 from eaclab.canon import canonical_json, sha256_text
 from eaclab.capabilities import registry_from_lab_config
-from eaclab.compiler import compile_spec, render_tree, static_check
+from eaclab.compiler import Diagnostic, compile_spec, render_tree, static_check
 from eaclab.errors import (
     CheckpointMismatchError,
     EacError,
@@ -34,7 +36,7 @@ from eaclab.labstate import (
     replay,
     snapshot,
 )
-from eaclab.scheduler import plan_hash as compute_plan_hash, schedule
+from eaclab.scheduler import ExecutionPlan, plan_hash as compute_plan_hash, schedule
 from eaclab.shims import SimFleet
 from eaclab.specmodel import expand_sweeps, parse_spec, serialize_spec
 from eaclab.telemetry import TelemetryStore
@@ -68,11 +70,20 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}".splitlines()[0]
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: Path | str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise _Usage(f"cannot read {path}: {exc}") from exc
+
+
+def _read_text(path: Path | str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _Usage(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _read_json(path: Path | str, what: str):
@@ -82,15 +93,56 @@ def _read_json(path: Path | str, what: str):
         raise _Usage(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
+def _frozen(doc):
+    """A read-only copy of a JSON document: mapping proxies and tuples."""
+    if isinstance(doc, dict):
+        return MappingProxyType({key: _frozen(value) for key, value in doc.items()})
+    if isinstance(doc, list):
+        return tuple(_frozen(value) for value in doc)
+    return doc
+
+
+@functools.lru_cache(maxsize=1)
+def _lab_from_bytes(data: bytes):
+    """The lab config, registry and genesis state of a lab file's bytes.
+
+    Memoised on the bytes, so a process parses an unchanged lab once.
+    Exceptions are not cached. All three are read-only, since every later
+    command with the same bytes gets the same objects: the config is
+    frozen, the registry refuses ``register``, and the genesis state's
+    device table and records hold mapping proxies.
+    """
+    lab = json.loads(data.decode("utf-8"))
+    registry = registry_from_lab_config(lab).freeze()
+    genesis = genesis_from_lab_config(lab)
+    devices = {
+        device_id: replace(
+            record,
+            desired=MappingProxyType(record.desired),
+            observed=MappingProxyType(record.observed),
+            attrs=MappingProxyType(record.attrs),
+        )
+        for device_id, record in genesis.devices.items()
+    }
+    return _frozen(lab), registry, replace(genesis, devices=MappingProxyType(devices))
+
+
 def _load_lab(path: str | None):
-    """The lab config with its registry and genesis state; errors fail closed."""
+    """The lab config with its registry and genesis state; errors fail closed.
+
+    The file is read on every call, so an edited lab takes effect at once.
+    """
     if path is None:
         path = os.environ.get("EAC_LAB")
     if path is None:
         raise _Usage("no lab config: pass --lab or set EAC_LAB")
-    lab = _read_json(path, "lab config")
+    data = _read_bytes(path)
     try:
-        return lab, registry_from_lab_config(lab), genesis_from_lab_config(lab)
+        return _lab_from_bytes(data)
+    except UnicodeDecodeError as exc:
+        raise _Usage(f"lab config {path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise _Usage(f"lab config {path} is not valid JSON: {exc}") from exc
     except _DAMAGE as exc:
         raise _Usage(f"lab config {path} is invalid: {_describe(exc)}") from exc
 
@@ -115,39 +167,57 @@ def _parse_inject(arg: str | None) -> dict[int, str]:
     return schedule_map
 
 
-def _validate_pipeline(spec_path: str, lab_path: str | None):
-    """Parse, expand, and statically check; returns artifacts or diagnostics."""
-    lab, registry, genesis = _load_lab(lab_path)
-    text = _read_text(spec_path)
+def _spec_text(data: bytes) -> str:
+    """A spec file's text; bytes that are not UTF-8 are a syntax error."""
     try:
-        spec = expand_sweeps(parse_spec(text))
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise SpecSyntaxError(f"not UTF-8 text: {exc.reason}", line, column) from exc
+
+
+def _validate_pipeline(spec_path: str, lab_path: str | None):
+    """Parse, expand, and statically check a spec.
+
+    Returns (spec, diagnostics, lab, registry, genesis). The spec is None
+    when the spec has errors, and the diagnostics are then its errors.
+    """
+    lab, registry, genesis = _load_lab(lab_path)
+    data = _read_bytes(spec_path)
+    try:
+        spec = expand_sweeps(parse_spec(_spec_text(data)))
     except SpecSyntaxError as exc:
-        return None, [f"syntax error {exc.line}:{exc.column}: {exc}"], lab, registry, genesis
+        error = Diagnostic("syntax", "error", f"{exc.line}:{exc.column}", str(exc))
+        return None, [error], lab, registry, genesis
     except (SpecSchemaError, EacError) as exc:
         code = getattr(exc, "code", "bad_value")
         locus = getattr(exc, "locus", "$")
-        return None, [f"{code} error {locus}: {exc}"], lab, registry, genesis
+        return None, [Diagnostic(code, "error", locus, str(exc))], lab, registry, genesis
     diagnostics = static_check(spec, registry, genesis)
-    lines = [d.render() for d in diagnostics if d.severity == "error"]
-    if lines:
-        return None, lines, lab, registry, genesis
-    return spec, [d.render() for d in diagnostics], lab, registry, genesis
+    errors = [d for d in diagnostics if d.severity == "error"]
+    if errors:
+        return None, errors, lab, registry, genesis
+    return spec, diagnostics, lab, registry, genesis
+
+
+def _report(diagnostics: list[Diagnostic]) -> None:
+    for diagnostic in diagnostics:
+        print(diagnostic.render(), file=sys.stderr)
 
 
 def cmd_validate(args) -> int:
-    spec, lines, *_ = _validate_pipeline(args.spec, args.lab)
-    for line in lines:
-        print(line, file=sys.stderr)
+    spec, diagnostics, *_ = _validate_pipeline(args.spec, args.lab)
+    _report(diagnostics)
     return EXIT_OK if spec is not None else EXIT_VALIDATION
 
 
 def cmd_plan(args) -> int:
-    spec, lines, lab, registry, genesis = _validate_pipeline(args.spec, args.lab)
-    for line in lines:
-        print(line, file=sys.stderr)
+    spec, diagnostics, lab, registry, genesis = _validate_pipeline(args.spec, args.lab)
+    _report(diagnostics)
     if spec is None:
         return EXIT_VALIDATION
-    dag = compile_spec(spec, registry, genesis)
+    dag = compile_spec(spec, registry, genesis, diagnostics)
     try:
         plan = schedule(dag, genesis, registry, policy=args.policy)
     except UnschedulableError as exc:
@@ -196,12 +266,11 @@ def _write_run_artifacts(
 
 
 def cmd_run(args) -> int:
-    spec, lines, lab, registry, genesis = _validate_pipeline(args.spec, args.lab)
-    for line in lines:
-        print(line, file=sys.stderr)
+    spec, diagnostics, lab, registry, genesis = _validate_pipeline(args.spec, args.lab)
+    _report(diagnostics)
     if spec is None:
         return EXIT_VALIDATION
-    dag = compile_spec(spec, registry, genesis)
+    dag = compile_spec(spec, registry, genesis, diagnostics)
     try:
         plan = schedule(dag, genesis, registry, policy=args.policy)
     except UnschedulableError as exc:
@@ -298,6 +367,29 @@ def cmd_state(args) -> int:
     return EXIT_OK
 
 
+def _resume_mismatch(checkpoint, summary_plan_hash, plan, dag, state) -> str | None:
+    """Why the paused run's plan, spec and log do not belong together, if so."""
+    if compute_plan_hash(plan) != summary_plan_hash:
+        return "plan.json does not match the plan hash in result.json"
+    assigned = [a.node_id for a in plan.assignments]
+    if len(assigned) != len(dag.nodes) or set(assigned) != set(dag.nodes):
+        return "plan.json does not assign exactly the nodes compiled from spec.json"
+    for a in plan.assignments:
+        capability = dag.bindings[dag.nodes[a.node_id].binding]["capability"]
+        record = state.devices.get(a.device_id)
+        if record is None or record.capability != capability:
+            return (
+                f"plan.json assigns {a.node_id} to {a.device_id!r}, "
+                f"which is not a {capability} of the lab"
+            )
+    if checkpoint.state_epoch != state.epoch:
+        return (
+            f"checkpoint is at state epoch {checkpoint.state_epoch}, "
+            f"log.ndjson replays to epoch {state.epoch}"
+        )
+    return None
+
+
 def cmd_resume(args) -> int:
     run_dir = Path(args.run_dir)
     if not (run_dir / "checkpoint.json").exists():
@@ -310,10 +402,11 @@ def cmd_resume(args) -> int:
         summary = _read_json(run_dir / "result.json", "run summary")
         seed = int(summary.get("seed", 0))
         shash = summary["spec_hash"]
-        policy = _read_json(run_dir / "plan.json", "plan")["policy"]
+        summary_plan_hash = summary["plan_hash"]
+        # The run continues the plan it was paused under; it is not planned again.
+        plan = ExecutionPlan.from_dict(_read_json(run_dir / "plan.json", "plan"))
         spec = parse_spec(_read_text(run_dir / "spec.json"))
         dag = compile_spec(spec, registry, genesis)
-        plan = schedule(dag, genesis, registry, policy=policy)
     except _DAMAGE as exc:
         raise _Usage(f"run directory {run_dir} is damaged: {_describe(exc)}") from exc
     state, events = _load_run_state(run_dir, genesis)
@@ -324,6 +417,10 @@ def cmd_resume(args) -> int:
         )
     except _DAMAGE as exc:
         raise _Usage(f"event log in {run_dir} is damaged: {_describe(exc)}") from exc
+    mismatch = _resume_mismatch(checkpoint, summary_plan_hash, plan, dag, state)
+    if mismatch is not None:
+        print(f"checkpoint mismatch: {mismatch}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     appended: list[StateEvent] = []
     if args.clear:

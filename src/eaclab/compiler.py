@@ -275,10 +275,20 @@ def static_check(
 
 
 def compile_spec(
-    spec: ExperimentSpec, registry: CapabilityRegistry, state: LabState
+    spec: ExperimentSpec,
+    registry: CapabilityRegistry,
+    state: LabState,
+    diagnostics: list[Diagnostic] | None = None,
 ) -> WorkflowDAG:
-    """Lower a statically clean, sweep-expanded spec to a WorkflowDAG."""
-    errors = [d for d in static_check(spec, registry, state) if d.severity == "error"]
+    """Lower a statically clean, sweep-expanded spec to a WorkflowDAG.
+
+    Raises CompileError if the spec has static errors. ``diagnostics`` is
+    ``static_check(spec, registry, state)`` when the caller has already
+    run it; otherwise the spec is checked here.
+    """
+    if diagnostics is None:
+        diagnostics = static_check(spec, registry, state)
+    errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
         raise CompileError(
             "spec has static errors: " + "; ".join(d.render() for d in errors)
@@ -288,6 +298,7 @@ def compile_spec(
     edges: list[tuple[str, str, str]] = []
     used_bindings: list[str] = []
     last_node_of_step: dict[str, str] = {}
+    dep_targets: list[tuple[str, str]] = []  # (dependency, first node of dependent)
     last_on_binding: dict[str, list[str]] = {}
 
     def add_node(node: OpNode) -> None:
@@ -374,13 +385,16 @@ def compile_spec(
         edges.append((f"connect:{step.binding}", first, "setup"))
         edges.extend((src, dst, "flow") for src, dst in zip(lowered, lowered[1:]))
         last_node_of_step[step.step_id] = last
-        for dep in step.depends_on:
-            edges.append((last_node_of_step[dep], first, "dep"))
+        dep_targets.extend((dep, first) for dep in step.depends_on)
         # Mutual exclusion between same-binding steps is the scheduler's
         # job (one device runs one node at a time); no ordering edge is
         # added so batching may reorder independent steps.
         last_on_binding.setdefault(step.binding, [])
         last_on_binding[step.binding].append(last)
+
+    # A step may depend on one listed after it, so dependency edges are
+    # added once every step is lowered.
+    edges.extend((last_node_of_step[dep], first, "dep") for dep, first in dep_targets)
 
     for binding_name in used_bindings:
         teardown_id = f"teardown:{binding_name}"

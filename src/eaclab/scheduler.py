@@ -76,6 +76,32 @@ class ExecutionPlan:
             "pending_recovery": self.pending_recovery,
         }
 
+    @classmethod
+    def from_dict(cls, obj: dict) -> "ExecutionPlan":
+        """The plan ``to_dict`` describes: ``from_dict(p.to_dict()) == p``."""
+        if obj["policy"] not in POLICIES:
+            raise ValueError(f"unknown policy {obj['policy']!r}")
+        return cls(
+            assignments=tuple(
+                Assignment(
+                    node_id=a["node_id"],
+                    device_id=a["device_id"],
+                    start=float(a["start"]),
+                    end=float(a["end"]),
+                    transition=float(a["transition"]),
+                )
+                for a in obj["assignments"]
+            ),
+            batches=tuple(
+                Batch(b["batch_id"], b["device_id"], b["mode"], tuple(b["members"]))
+                for b in obj["batches"]
+            ),
+            makespan=float(obj["makespan"]),
+            policy=obj["policy"],
+            status=obj["status"],
+            pending_recovery=obj["pending_recovery"],
+        )
+
     # The plan is frozen, so its canonical text is computed on first use and
     # cached on the instance; serialize and plan_hash share the one encoding.
 

@@ -1,11 +1,21 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from eaclab import cli
+from eaclab import cli, compiler
+from eaclab.canon import canonical_json
+from eaclab.capabilities import schema_from_dict
 from eaclab.cli import main
+from eaclab.compiler import compile_spec, static_check
+from eaclab.labstate import snapshot
+from eaclab.specmodel import expand_sweeps, parse_spec
 
-from conftest import CAMPAIGN_PATH, LAB_PATH
+from conftest import CAMPAIGN_PATH, LAB_PATH, run_main
 
 LAB = str(LAB_PATH)
 SPEC = str(CAMPAIGN_PATH)
@@ -392,3 +402,276 @@ def test_main_is_repeatable_in_one_process(tmp_path, capsys):
     assert [code for code, _, _ in passes[0]] == [4, 4, 0, 2, 0, 3, 0]
     assert passes[0][2][1].startswith("usage: eaclab")
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_forward_dependency_gives_a_sound_plan(tmp_path, capsys, registry, genesis):
+    """A step may depend on a step listed after it."""
+    doc = json.loads(CAMPAIGN_PATH.read_text())
+    doc["steps"][0]["depends_on"] = ["fill"]  # select#k waits for fill#k
+    del doc["steps"][1]["depends_on"]
+    spec = tmp_path / "forward.json"
+    spec.write_text(json.dumps(doc))
+    dag = compile_spec(expand_sweeps(parse_spec(spec.read_text())), registry, genesis)
+    assert ("fill#0", "select#0", "dep") in dag.edges
+    assert main(["validate", str(spec), "--lab", LAB]) == 0
+    for policy in ("fifo", "batched"):
+        assert main(["plan", str(spec), "--lab", LAB, "--policy", policy]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        starts = {a["node_id"]: a["start"] for a in plan["assignments"]}
+        ends = {a["node_id"]: a["end"] for a in plan["assignments"]}
+        assert len(plan["assignments"]) == len(dag.nodes)
+        assert sorted(starts) == sorted(dag.nodes)
+        for src, dst, _ in dag.edges:
+            assert starts[dst] >= ends[src] - 1e-9, (src, dst)
+
+
+def test_step_order_does_not_change_plan_or_run(tmp_path, capsys):
+    """The campaign with ``fill`` listed before the ``select`` it depends on
+    plans and runs as the campaign does."""
+    doc = json.loads(CAMPAIGN_PATH.read_text())
+    doc["steps"] = doc["steps"][::-1]
+    spec = tmp_path / "reversed.json"
+    spec.write_text(json.dumps(doc))
+    for policy in ("fifo", "batched"):
+        outputs = [run_main(["plan", path, "--lab", LAB, "--policy", policy])
+                   for path in (SPEC, str(spec))]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+    telemetry = []
+    for path in (SPEC, str(spec)):
+        out = tmp_path / "runs"
+        code, stdout, _ = run_main(["run", path, "--lab", LAB, "--out", str(out)])
+        assert code == 0
+        run_dir = out / json.loads(stdout)["run_id"]
+        telemetry.append([json.loads(line)["fields"] for line in
+                          (run_dir / "telemetry.ndjson").read_text().splitlines()])
+    assert telemetry[0] == telemetry[1]
+
+
+def _faulted_device(run_dir):
+    events = [json.loads(line) for line in (run_dir / "log.ndjson").read_text().splitlines()]
+    return [e for e in events if e["kind"] == "fault"][-1]["device_id"]
+
+
+def _mismatch(capsys, argv):
+    """Run argv; assert exit 2 with one checkpoint-mismatch line and no stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("checkpoint mismatch: ")
+    assert len(captured.err.strip().splitlines()) == 1
+    return captured.err
+
+
+def test_resume_of_a_truncated_log_is_rejected(tmp_path, capsys):
+    out = tmp_path / "paused"
+    assert main(["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", "error@6"]) == 3
+    run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
+    device = _faulted_device(run_dir)
+    assert json.loads((run_dir / "checkpoint.json").read_text())["state_epoch"] == 18
+    log = run_dir / "log.ndjson"
+    kept = "".join(log.read_text().splitlines(keepends=True)[:10])
+    log.write_text(kept)
+    err = _mismatch(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", device])
+    assert "epoch 18" in err and "epoch 10" in err
+    assert log.read_text() == kept
+    assert (run_dir / "checkpoint.json").exists()
+
+
+def _rehash(run_dir, plan):
+    """Write plan.json and point result.json and the checkpoint at its hash."""
+    text = canonical_json(plan)
+    (run_dir / "plan.json").write_text(text + "\n")
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    for name in ("result.json", "checkpoint.json"):
+        doc = json.loads((run_dir / name).read_text())
+        doc["plan_hash"] = digest
+        (run_dir / name).write_text(json.dumps(doc))
+
+
+def test_resume_of_a_plan_that_result_json_does_not_name_is_rejected(tmp_path, capsys):
+    run_dir = _paused_run(tmp_path, capsys)
+    plan = json.loads((run_dir / "plan.json").read_text())
+    plan["makespan"] += 1.0
+    (run_dir / "plan.json").write_text(json.dumps(plan))
+    err = _mismatch(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+    assert "result.json" in err
+
+
+@pytest.mark.parametrize("edit", ["pre_node", "missing_node", "wrong_capability"])
+def test_resume_of_a_plan_for_another_dag_is_rejected(tmp_path, capsys, edit):
+    """A plan whose hashes agree but whose nodes or devices do not fit the
+    spec and lab, such as a plan with the ``:pre`` precheck nodes an older
+    eaclab lowered, is refused, never a KeyError."""
+    run_dir = _paused_run(tmp_path, capsys)
+    plan = json.loads((run_dir / "plan.json").read_text())
+    fill = next(a for a in plan["assignments"] if a["node_id"] == "fill#1")
+    if edit == "pre_node":
+        plan["assignments"].append({**fill, "node_id": "fill#1:pre"})
+    elif edit == "missing_node":
+        plan["assignments"].remove(fill)
+    else:
+        fill["device_id"] = "pstat_1"
+    _rehash(run_dir, plan)
+    _mismatch(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+
+
+def test_resume_on_a_lab_without_a_planned_device_is_rejected(tmp_path, capsys):
+    """Paused before its potentiostat was first used, a run cannot resume on
+    a lab that has renamed that potentiostat."""
+    out = tmp_path / "paused"
+    assert main(["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", "error@1"]) == 3
+    run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
+    assert "pstat_1" not in (run_dir / "log.ndjson").read_text()
+    lab = json.loads(LAB_PATH.read_text())
+    for device in lab["devices"]:
+        if device["device_id"] == "pstat_1":
+            device["device_id"] = "pstat_9"
+    renamed = tmp_path / "renamed.json"
+    renamed.write_text(json.dumps(lab))
+    device = _faulted_device(run_dir)
+    err = _mismatch(capsys, ["resume", str(run_dir), "--lab", str(renamed), "--clear", device])
+    assert "'pstat_1'" in err
+
+
+def test_resume_continues_the_persisted_plan(tmp_path, capsys, monkeypatch):
+    run_dir = _paused_run(tmp_path, capsys)
+    plan_text = (run_dir / "plan.json").read_text()
+
+    def no_schedule(*args, **kwargs):
+        raise AssertionError("resume must not plan the spec again")
+
+    monkeypatch.setattr(cli, "schedule", no_schedule)
+    assert main(["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "completed"
+    assert (run_dir / "plan.json").read_text() == plan_text
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+def test_spec_that_is_not_utf8_is_a_syntax_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(b'{\n  "spec_id": "\xc3("}')
+    assert main(["validate", str(spec), "--lab", LAB]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("syntax error 2:15: not UTF-8 text")
+    assert len(captured.err.strip().splitlines()) == 1
+    spec.write_bytes(NOT_UTF8)
+    for command in ("validate", "plan", "run"):
+        argv = [command, str(spec), "--lab", LAB]
+        assert main(argv + (["--out", str(tmp_path)] if command == "run" else [])) == 2
+        assert capsys.readouterr().err.startswith("syntax error 1:1: not UTF-8 text")
+
+
+def test_lab_and_inject_files_that_are_not_utf8_are_usage_errors(tmp_path, capsys):
+    raw = tmp_path / "raw.json"
+    raw.write_bytes(NOT_UTF8)
+    err = _usage_error(capsys, ["validate", SPEC, "--lab", str(raw)])
+    assert err.startswith(f"usage error: lab config {raw} is not UTF-8 text")
+    _usage_error(capsys, ["state", "--lab", str(raw)])
+    err = _usage_error(
+        capsys, ["run", SPEC, "--lab", LAB, "--out", str(tmp_path), "--inject", str(raw)]
+    )
+    assert "is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("name", ["checkpoint.json", "result.json", "plan.json", "spec.json", "log.ndjson"])
+def test_run_dir_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, name):
+    run_dir = _paused_run(tmp_path, capsys)
+    (run_dir / name).write_bytes(NOT_UTF8)
+    err = _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+    assert "is not UTF-8 text" in err
+    if name == "log.ndjson":
+        _usage_error(capsys, ["state", "--lab", LAB, "--run", str(run_dir)])
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of ``python -m eaclab.cli argv``."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "eaclab.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_lab_memo_follows_the_bytes_of_the_lab_file(tmp_path, capsys):
+    """Labs alternated, rewritten in place, and made invalid in one process
+    give what a fresh process gives for the same files."""
+    tcell_lab, tcell_spec = _tcell_files(tmp_path, "<=", 330)
+    edited = tmp_path / "edited.json"
+    steps = [
+        (None, tcell_lab),                        # the tcell lab: accepted
+        (None, LAB),                              # no tcell device: rejected
+        (None, tcell_lab),
+        (None, LAB),
+        (Path(tcell_lab).read_bytes(), str(edited)),
+        (LAB_PATH.read_bytes(), str(edited)),     # rewritten: new verdict
+        (b'{"devices": [{"capability": "pump"}]}', str(edited)),  # invalid
+        (b'{"devices": ', str(edited)),           # not JSON
+        (Path(tcell_lab).read_bytes(), str(edited)),
+    ]
+    outcomes = []
+    for content, lab in steps:
+        if content is not None:
+            edited.write_bytes(content)
+        code = main(["validate", tcell_spec, "--lab", lab])
+        captured = capsys.readouterr()
+        got = (code, captured.out, captured.err)
+        assert got == _fresh_process(["validate", tcell_spec, "--lab", lab])
+        outcomes.append(code)
+    assert outcomes == [0, 2, 0, 2, 0, 2, 4, 4, 0]
+
+
+def test_lab_is_parsed_once_for_unchanged_bytes(tmp_path, capsys):
+    cli._lab_from_bytes.cache_clear()
+    for argv in _mixed_sequence(tmp_path):
+        main(argv)
+    main(["state", "--lab", LAB])
+    capsys.readouterr()
+    info = cli._lab_from_bytes.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 4, 1)
+
+
+def test_memoised_lab_cannot_be_changed(tmp_path, capsys):
+    """What the memo hands out refuses every change, and commands that
+    try nothing leave it as it was."""
+    sequence = _mixed_sequence(tmp_path)
+    first = [run_main(argv) for argv in sequence]
+    lab, registry, genesis = cli._load_lab(LAB)
+    before = snapshot(genesis)
+    with pytest.raises(TypeError):
+        registry.register(schema_from_dict("heater", {}))
+    with pytest.raises(TypeError):
+        registry.register(registry.get("pump"))
+    assert "heater" not in registry
+    with pytest.raises(TypeError):
+        lab["devices"] = []
+    with pytest.raises(AttributeError):
+        lab["devices"].append({})
+    with pytest.raises(TypeError):
+        lab["devices"][0]["device_id"] = "pump_9"
+    with pytest.raises(TypeError):
+        genesis.devices["pump_1"] = None
+    with pytest.raises(TypeError):
+        genesis.devices["valve_1"].attrs["ports"] = 2.0
+    assert [run_main(argv) for argv in sequence] == first
+    assert all(a is b for a, b in zip(cli._load_lab(LAB), (lab, registry, genesis)))
+    assert snapshot(genesis) == before
+
+
+@pytest.mark.parametrize("command", ["validate", "plan", "run"])
+def test_each_command_checks_the_spec_once(tmp_path, capsys, monkeypatch, command):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return static_check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "static_check", counted)
+    monkeypatch.setattr(compiler, "static_check", counted)
+    extra = ["--out", str(tmp_path)] if command == "run" else []
+    assert main([command, SPEC, "--lab", LAB, *extra]) == 0
+    assert len(calls) == 1

@@ -2,8 +2,9 @@
 and never in a traceback.
 
 Arguments are drawn over the five subcommands and their flags; file
-arguments name a valid spec, malformed JSON, a missing path, a directory,
-or a run directory (completed, paused, or damaged in one of several ways).
+arguments name a valid spec, malformed JSON, drawn bytes that are not
+UTF-8, a missing path, a directory, or a run directory (completed, paused,
+or damaged in one of several ways, some of them non-UTF-8 bytes).
 Every example runs in this one process, so the parser that ``main`` builds
 on its first call serves all of them.
 """
@@ -28,7 +29,14 @@ DAMAGE = {
     "plan": ("plan.json", lambda text: '{"policy": "lifo"}'),
     "log": ("log.ndjson", lambda text: "garbage\n"),
     "log-index": ("log.ndjson", lambda text: text.replace('"index":', '"index":"x","i":')),
+    "raw-spec": ("spec.json", lambda text: b"\xff\xfe" + text.encode("utf-8")),
+    "raw-plan": ("plan.json", lambda text: text.encode("utf-8").replace(b"fill", b"f\xe9ll")),
+    "raw-log": ("log.ndjson", lambda text: text.encode("utf-8") + b"\x80\n"),
 }
+# File contents that are not UTF-8: 0xfe never occurs in UTF-8 text.
+RAW_BYTES = st.builds(
+    lambda head, tail: head + b"\xfe" + tail, st.binary(max_size=32), st.binary(max_size=32)
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,23 +70,26 @@ def files(tmp_path_factory):
         if rewrite is None:
             (damaged / name).unlink()
         else:
-            (damaged / name).write_text(rewrite((damaged / name).read_text()))
+            content = rewrite((damaged / name).read_text())
+            if isinstance(content, str):
+                content = content.encode("utf-8")
+            (damaged / name).write_bytes(content)
         paths[f"damaged-{key}"] = str(damaged)
     paths["fresh"] = itertools.count()
     paths["base"] = base
     return paths
 
 
-INPUTS = ("spec", "malformed", "missing", "directory")
+INPUTS = ("spec", "malformed", "raw", "missing", "directory")
 RUN_DIRS = ("completed", "paused", "missing", "spec", *(f"damaged-{k}" for k in DAMAGE))
-# --lab is left out a sixth of the time (a usage error without EAC_LAB).
-LABS = st.sampled_from(["lab", "lab", "lab", "malformed", "missing", None])
+# --lab is left out a seventh of the time (a usage error without EAC_LAB).
+LABS = st.sampled_from(["lab", "lab", "lab", "malformed", "raw", "missing", None])
 FLAG_VALUES = {
     "--policy": st.sampled_from(["fifo", "batched", "lifo"]),
     "--seed": st.sampled_from(["0", "3", "-1", "x"]),
     "--inject": st.sampled_from(
         ["timeout@5", "implicit@20", "error@14,noliquid@9", "weird@@", "timeout@x",
-         "=inject", "=malformed", "=missing"]
+         "=inject", "=malformed", "=raw", "=missing"]
     ),
     "--run": st.sampled_from(RUN_DIRS),
     "--clear": st.sampled_from(["pump_1", "valve_1", "pump_9", ""]),
@@ -92,20 +103,24 @@ SUBCOMMANDS = {
 }
 
 
-def _path(files, key):
+def _path(files, key, data):
     if key == "paused":
         # resume completes a paused run, so each example gets its own copy.
         copy = files["base"] / f"paused-{next(files['fresh'])}"
         shutil.copytree(files["paused"], copy)
         return str(copy)
+    if key == "raw":
+        path = files["base"] / f"raw-{next(files['fresh'])}.json"
+        path.write_bytes(data.draw(RAW_BYTES))
+        return str(path)
     return files[key]
 
 
-def _value(files, flag, drawn):
+def _value(files, flag, drawn, data):
     if flag == "--inject":
-        return files[drawn[1:]] if drawn.startswith("=") else drawn
+        return _path(files, drawn[1:], data) if drawn.startswith("=") else drawn
     if flag == "--run":
-        return _path(files, drawn)
+        return _path(files, drawn, data)
     return drawn
 
 
@@ -116,13 +131,13 @@ def test_every_command_exits_with_a_documented_code(files, data):
     positional, flags = SUBCOMMANDS[command]
     argv = [command]
     if positional is not None and data.draw(st.integers(0, 9)):
-        argv.append(_path(files, data.draw(st.sampled_from(positional))))
+        argv.append(_path(files, data.draw(st.sampled_from(positional)), data))
     lab = data.draw(LABS)
     if lab is not None:
-        argv += ["--lab", files[lab]]
+        argv += ["--lab", _path(files, lab, data)]
     if flags:
         for flag in data.draw(st.lists(st.sampled_from(flags), unique=True)):
-            argv += [flag, _value(files, flag, data.draw(FLAG_VALUES[flag]))]
+            argv += [flag, _value(files, flag, data.draw(FLAG_VALUES[flag]), data)]
     if data.draw(st.integers(0, 19)) == 0:
         argv.append(data.draw(st.sampled_from(["--help", "--bogus", "extra"])))
     if command == "run":

@@ -1,9 +1,11 @@
+import itertools
 import json
 
 import pytest
 
 from eaclab.capabilities import builtin_registry
 from eaclab.compiler import (
+    Diagnostic,
     WorkflowDAG,
     compile_spec,
     dag_hash,
@@ -120,6 +122,25 @@ def test_est_durations(campaign_dag):
 
 def test_static_check_clean_campaign(campaign_spec, registry, genesis):
     assert static_check(campaign_spec, registry, genesis) == []
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_step_order_does_not_change_the_dag(campaign_text, campaign_dag, registry, genesis, order):
+    """Dependency edges are added once every step is lowered, so a step may
+    depend on a step listed after it."""
+    doc = json.loads(campaign_text)
+    doc["steps"] = [doc["steps"][i] for i in order]
+    dag = compile_spec(expand_sweeps(parse_spec(json.dumps(doc))), registry, genesis)
+    assert dag == campaign_dag
+    assert dag_hash(dag) == dag_hash(campaign_dag)
+
+
+def test_compile_spec_takes_the_callers_static_check(campaign_spec, campaign_dag, registry, genesis):
+    diagnostics = static_check(campaign_spec, registry, genesis)
+    assert compile_spec(campaign_spec, registry, genesis, diagnostics) == campaign_dag
+    error = Diagnostic("out_of_range", "error", "fill#0", "volume too large")
+    with pytest.raises(CompileError, match="out_of_range"):
+        compile_spec(campaign_spec, registry, genesis, [error])
 
 
 def test_static_check_diagnostic_codes(registry, genesis):

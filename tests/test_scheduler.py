@@ -8,6 +8,7 @@ from eaclab.errors import UnschedulableError
 from eaclab.labstate import DeviceRecord
 from eaclab import scheduler
 from eaclab.scheduler import (
+    ExecutionPlan,
     batch_compatible,
     count_mode_transitions,
     plan_hash,
@@ -171,3 +172,25 @@ def test_plan_hash_deterministic(campaign_dag, genesis, registry):
     b = schedule(campaign_dag, genesis, registry)
     assert plan_hash(a) == plan_hash(b)
     assert a.serialize() == b.serialize()
+
+
+def test_plan_round_trips_through_its_json():
+    """``resume`` continues the plan it reads back from plan.json."""
+    workloads = [random_dag(seed) for seed in range(60)]
+    for n in (1, 6, 24):
+        spec, registry, state = campaign_workload(n)
+        workloads.append((compile_spec(spec, registry, state), state, registry))
+    for dag, state, registry in workloads:
+        for policy in ("fifo", "batched"):
+            plan = schedule(dag, state, registry, policy=policy)
+            loaded = ExecutionPlan.from_dict(json.loads(plan.serialize()))
+            assert loaded == plan
+            assert loaded.serialize() == plan.serialize()
+            assert plan_hash(loaded) == plan_hash(plan)
+
+
+def test_plan_from_dict_rejects_an_unknown_policy(campaign_dag, genesis, registry):
+    doc = schedule(campaign_dag, genesis, registry).to_dict()
+    doc["policy"] = "lifo"
+    with pytest.raises(ValueError):
+        ExecutionPlan.from_dict(doc)
