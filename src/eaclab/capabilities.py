@@ -9,13 +9,13 @@ against these contracts before anything touches a device.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 
 from eaclab.errors import (
     DuplicateCapabilityError,
     UnknownCapabilityError,
     UnknownOperationError,
 )
+from eaclab.records import field, record
 from eaclab.units import Quantity, canonicalize_units, unit_dimension
 
 # Calibration validity window for every built-in device type, in simulated
@@ -25,7 +25,7 @@ DEFAULT_CALIBRATION_WINDOW_S = 30 * 24 * 3600
 OPERATION_KINDS = frozenset({"configure", "actuate", "read", "connect", "disconnect"})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParamSchema:
     unit: str
     min: float
@@ -37,7 +37,7 @@ class ParamSchema:
             raise ValueError(f"min {self.min} > max {self.max}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OperationSchema:
     name: str
     params: dict[str, ParamSchema] = field(default_factory=dict)
@@ -63,7 +63,7 @@ COMPARATORS = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SafetyPredicate:
     field: str
     comparator: str  # one of COMPARATORS
@@ -80,12 +80,12 @@ class SafetyPredicate:
         return COMPARATORS[self.comparator](commanded, threshold)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SafetyEnvelope:
     conditions: tuple[SafetyPredicate, ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TransitionLatency:
     warmup: float = 0.0
     cooldown: float = 0.0
@@ -107,7 +107,7 @@ class TransitionLatency:
         return self.warmup + self.cooldown
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CapabilitySchema:
     capability: str
     operations: dict[str, OperationSchema]
@@ -124,14 +124,14 @@ class CapabilitySchema:
             ) from None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Violation:
     code: str  # out_of_range | missing_param | unknown_param | bad_unit
     param: str
     message: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ValidationReport:
     capability: str
     operation: str

@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from types import MappingProxyType
 
@@ -36,8 +35,9 @@ from eaclab.labstate import (
     replay,
     snapshot,
 )
+from eaclab.records import replace
 from eaclab.scheduler import ExecutionPlan, plan_hash as compute_plan_hash, schedule
-from eaclab.shims import SimFleet
+from eaclab.shims import SimDeviceConfig, SimFleet
 from eaclab.specmodel import expand_sweeps, parse_spec, serialize_spec
 from eaclab.telemetry import TelemetryStore
 
@@ -63,7 +63,7 @@ class _Usage(Exception):
 
 
 # What malformed input documents raise while they are turned into objects.
-_DAMAGE = (EacError, ValueError, KeyError, TypeError, AttributeError)
+_DAMAGE = (EacError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
 
 
 def _describe(exc: Exception) -> str:
@@ -110,11 +110,15 @@ def _lab_from_bytes(data: bytes):
     Exceptions are not cached. All three are read-only, since every later
     command with the same bytes gets the same objects: the config is
     frozen, the registry refuses ``register``, and the genesis state's
-    device table and records hold mapping proxies.
+    device table and records hold mapping proxies. Every device's ``sim``
+    section is parsed here too, so a bad one fails every command, not only
+    ``run``; the parsed configs are mutable, so ``SimFleet`` builds its own.
     """
     lab = json.loads(data.decode("utf-8"))
     registry = registry_from_lab_config(lab).freeze()
     genesis = genesis_from_lab_config(lab)
+    for entry in lab.get("devices", []):
+        SimDeviceConfig.from_lab_entry(entry)
     devices = {
         device_id: replace(
             record,

@@ -12,13 +12,13 @@ before every dispatch.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from eaclab.canon import canonical_json, sha256_hex
 from eaclab.capabilities import CapabilityRegistry, OperationSchema
 from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import LabState
+from eaclab.records import field, record
 from eaclab.specmodel import ExperimentSpec, StepSpec, _dependency_cycle
 from eaclab.units import Quantity, canonicalize_units, to_canonical
 
@@ -27,7 +27,7 @@ _DEFAULT_DURATION = 1.0
 _VALVE_SET_DURATION = 2.0
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     code: str
     severity: str  # error | warning
@@ -38,7 +38,7 @@ class Diagnostic:
         return f"{self.code} {self.severity} {self.locus}: {self.message}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpNode:
     node_id: str
     binding: str
@@ -65,7 +65,7 @@ class OpNode:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WorkflowDAG:
     nodes: dict[str, OpNode]
     edges: tuple[tuple[str, str, str], ...]

@@ -9,8 +9,6 @@ deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from eaclab.capabilities import CapabilityRegistry
 from eaclab.compiler import OpNode, WorkflowDAG, topo_rank
 from eaclab.errors import (
@@ -20,6 +18,7 @@ from eaclab.errors import (
     StillBlockedError,
 )
 from eaclab.labstate import LabState, StateEvent, apply_event
+from eaclab.records import field, record
 from eaclab.scheduler import ExecutionPlan, plan_hash as compute_plan_hash
 from eaclab.shims import SimFleet, WireFrame, encode_operation
 from eaclab.telemetry import TelemetryRecord, TelemetryStore
@@ -44,7 +43,7 @@ _TELEMETRY_UNITS = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FaultEvent:
     kind: str
     device_id: str
@@ -59,7 +58,7 @@ class FaultEvent:
             raise ValueError("implicit_violation must name its predicate")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Checkpoint:
     run_id: str
     last_committed_node: str | None
@@ -84,7 +83,7 @@ class Checkpoint:
         )
 
 
-@dataclass
+@record
 class RunResult:
     run_id: str
     status: str  # completed | paused | aborted
@@ -194,7 +193,7 @@ def stabilize_wait(node, start: float, device, setpoint: float | None = None) ->
     )
 
 
-@dataclass
+@record
 class _RunContext:
     run_id: str
     plan: ExecutionPlan

@@ -7,11 +7,10 @@ snapshot byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from eaclab.canon import canonical_bytes
 from eaclab.capabilities import CapabilityRegistry
 from eaclab.errors import IllegalTransitionError, SequenceGapError, SpecSchemaError
+from eaclab.records import field, record, replace
 from eaclab.units import Quantity
 
 DEVICE_STATUSES = frozenset({"offline", "idle", "busy", "fault", "cooling", "warming"})
@@ -39,7 +38,7 @@ def transition_allowed(old: str, new: str) -> bool:
     return old == new or new == "fault" or (old, new) in _TRANSITIONS
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DeviceRecord:
     device_id: str
     capability: str
@@ -73,7 +72,7 @@ class DeviceRecord:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StateEvent:
     seq: int
     time: float
@@ -105,7 +104,7 @@ class StateEvent:
         )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabState:
     devices: dict[str, DeviceRecord] = field(default_factory=dict)
     clock: float = 0.0

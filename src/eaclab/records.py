@@ -1,0 +1,101 @@
+"""Value classes for eaclab, made by one small class decorator.
+
+``@record`` and ``@record(frozen=True)`` read a class's annotations in
+order, its class-level defaults and its ``field(default_factory=...)``
+markers, and add what the standard library's ``@dataclass`` would: an
+``__init__`` that calls ``__post_init__`` when the class defines one,
+``__repr__``, and ``__eq__`` over the field tuple. Frozen records also
+hash that tuple and refuse assignment; mutable ones are unhashable. Only
+``__init__`` is compiled, once per class, so importing a module of
+records stays cheap. ``replace`` copies a record through its
+``__init__``, so ``__post_init__`` checks every copy.
+"""
+
+from operator import attrgetter
+
+_FACTORY = object()  # the default of an argument that a factory fills in
+
+
+class FrozenInstanceError(AttributeError):
+    """Assigning or deleting a field of a frozen record."""
+
+
+class field:
+    """A field default made anew for each instance by ``default_factory``."""
+
+    def __init__(self, *, default_factory):
+        self.default_factory = default_factory
+
+
+def record(cls=None, *, frozen=False):
+    """Class decorator: ``@record`` or ``@record(frozen=True)``."""
+    if cls is None:
+        return lambda cls: _build(cls, frozen)
+    return _build(cls, frozen)
+
+
+def replace(obj, **changes):
+    """A copy of record ``obj`` with ``changes``, made by its ``__init__``."""
+    for name in obj._fields:
+        if name not in changes:
+            changes[name] = getattr(obj, name)
+    return obj.__class__(**changes)
+
+
+def _build(cls, frozen):
+    names = tuple(cls.__annotations__)
+    env = {"_FACTORY": _FACTORY, "_setattr": object.__setattr__}
+    params, body = [], []
+    for name in names:
+        default = cls.__dict__.get(name)
+        value = name
+        if name not in cls.__dict__:
+            params.append(name)
+        elif isinstance(default, field):
+            env[f"_f_{name}"] = default.default_factory
+            params.append(f"{name}=_FACTORY")
+            value = f"_f_{name}() if {name} is _FACTORY else {name}"
+            delattr(cls, name)
+        else:
+            env[f"_d_{name}"] = default
+            params.append(f"{name}=_d_{name}")
+        body.append(f"_setattr(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]), env)
+    if len(names) > 1:
+        values = attrgetter(*names)
+    else:
+        def values(obj):
+            return tuple(getattr(obj, name) for name in names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    for method in (env["__init__"], __eq__, __hash__, __repr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    if frozen:
+        cls.__setattr__ = _refuse_set
+        cls.__delattr__ = _refuse_delete
+    else:
+        cls.__hash__ = None
+    cls._fields = names
+    return cls
+
+
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")

@@ -10,7 +10,6 @@ batched plan never loses to FIFO).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 
 from eaclab.canon import canonical_json, sha256_text
@@ -18,11 +17,12 @@ from eaclab.capabilities import CapabilityRegistry, TransitionLatency
 from eaclab.compiler import WorkflowDAG, topo_rank, validate_dag
 from eaclab.errors import UnschedulableError
 from eaclab.labstate import LabState, query_eligible
+from eaclab.records import record
 
 POLICIES = ("fifo", "batched")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Assignment:
     node_id: str
     device_id: str
@@ -40,7 +40,7 @@ class Assignment:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Batch:
     batch_id: str
     device_id: str
@@ -56,7 +56,7 @@ class Batch:
         }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExecutionPlan:
     assignments: tuple[Assignment, ...]
     batches: tuple[Batch, ...]

@@ -13,9 +13,9 @@ import math
 import random
 import re
 import struct
-from dataclasses import dataclass, field
 
 from eaclab.errors import FrameParseError, RangeError, SimFault
+from eaclab.records import field, record
 from eaclab.units import Quantity, canonicalize_units
 
 PUMP_DISPENSE_PREFIX = bytes([0xE9, 0x0E, 0x08])
@@ -32,7 +32,7 @@ TARE_FRAME = b"TARE\r"
 READ_FRAME = b"SI\r"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WireFrame:
     device_id: str
     data: bytes
@@ -243,7 +243,7 @@ def decode_operation(capability: str, frame: WireFrame) -> tuple[str, dict]:
     return match.group(1), params
 
 
-@dataclass
+@record
 class SimDeviceConfig:
     device_id: str
     capability: str
@@ -257,6 +257,21 @@ class SimDeviceConfig:
     temperature_setpoint: float = 293.0
     temperature_tau: float = 30.0
     fault_probability: float = 0.0
+
+    def __post_init__(self) -> None:
+        numbers = (
+            self.temperature_start,
+            self.temperature_setpoint,
+            self.temperature_tau,
+            self.fault_probability,
+            *self.conductivity_table,
+            *self.conductivity_table.values(),
+            *self.port_concentrations.values(),
+        )
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValueError(f"sim section of {self.device_id} has a non-finite number")
+        if self.temperature_tau <= 0:
+            raise ValueError(f"temperature_tau must be > 0, not {self.temperature_tau}")
 
     @classmethod
     def from_lab_entry(cls, entry: dict) -> "SimDeviceConfig":
@@ -295,7 +310,7 @@ def interpolate_conductivity(table: dict[float, float], concentration: float) ->
     raise AssertionError("unreachable")
 
 
-@dataclass
+@record
 class SimResult:
     replies: list[WireFrame]
     telemetry: dict[str, float]

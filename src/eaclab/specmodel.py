@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
 
 from eaclab.canon import canonical_json, sha256_hex
 from eaclab.errors import (
@@ -21,6 +20,7 @@ from eaclab.errors import (
     SpecSyntaxError,
     UnitError,
 )
+from eaclab.records import field, record, replace
 from eaclab.units import Quantity, to_canonical
 
 _VERSION_RE = re.compile(r"^\d+\.\d+\.\d+$")
@@ -28,7 +28,7 @@ _VERSION_RE = re.compile(r"^\d+\.\d+\.\d+$")
 STABILIZATION_MODES = frozenset({"fixed_delay", "setpoint_then_hold"})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResourceBinding:
     binding_name: str
     capability: str
@@ -36,14 +36,14 @@ class ResourceBinding:
     constraints: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StabilizationConstraint:
     mode: str
     duration: Quantity
     signal: str | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class StepSpec:
     step_id: str
     binding: str
@@ -54,7 +54,7 @@ class StepSpec:
     repeat: dict[str, tuple] | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExperimentSpec:
     spec_id: str
     version: str

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 
 from eaclab.canon import canonical_json
 from eaclab.errors import NoDataError, ProvenanceError
+from eaclab.records import field, record
 from eaclab.units import Quantity
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TelemetryRecord:
     run_id: str
     node_id: str
@@ -45,7 +45,7 @@ class TelemetryRecord:
         )
 
 
-@dataclass
+@record
 class TelemetryStore:
     _records: list[TelemetryRecord] = field(default_factory=list)
 

@@ -8,9 +8,9 @@ registration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from eaclab.errors import UnitError
+from eaclab.records import record
 
 # unit -> (dimension, factor, offset). canonical value = value * factor + offset.
 _UNIT_TABLE: dict[str, tuple[str, float, float]] = {
@@ -57,7 +57,7 @@ def unit_dimension(unit: str) -> str:
         raise UnitError(f"unknown unit {unit!r}") from None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Quantity:
     """A finite number tagged with a registered unit ('' = dimensionless)."""
 

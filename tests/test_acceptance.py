@@ -261,7 +261,7 @@ def test_criterion_6_deterministic_fault_handling(lab_config):
 
 def test_criterion_7_implicit_failure_gating(lab_config):
     started = time.perf_counter()
-    from dataclasses import replace
+    from eaclab.records import replace
 
     registry = registry_from_lab_config(lab_config)
     genesis = genesis_from_lab_config(lab_config)

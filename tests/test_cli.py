@@ -675,3 +675,29 @@ def test_each_command_checks_the_spec_once(tmp_path, capsys, monkeypatch, comman
     extra = ["--out", str(tmp_path)] if command == "run" else []
     assert main([command, SPEC, "--lab", LAB, *extra]) == 0
     assert len(calls) == 1
+
+
+# Damaged `sim` sections of pump_1, and what each one names in the diagnostic.
+BAD_SIM = {
+    "seed": ({"seed": "x"}, "invalid literal for int()"),
+    "section": ("x", "AttributeError"),
+    "table": ({"conductivity_table": [0.43]}, "AttributeError"),
+    "port": ({"port_concentrations": {"a": 0.43}}, "invalid literal for int()"),
+    "tau": ({"temperature_tau": 0}, "temperature_tau must be > 0"),
+    "overflow": ({"seed": 1e400}, "OverflowError"),
+    "nan": ({"port_concentrations": {"1": float("nan")}}, "non-finite number"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_SIM))
+def test_bad_sim_section_fails_every_command_closed(tmp_path, capsys, damage):
+    sim, named = BAD_SIM[damage]
+    lab = json.loads(LAB_PATH.read_text())
+    lab["devices"][0]["sim"] = sim
+    lab_path = tmp_path / "lab.json"
+    lab_path.write_text(json.dumps(lab))
+    for command, extra in (("validate", []), ("plan", []), ("run", ["--out", str(tmp_path)])):
+        err = _usage_error(capsys, [command, SPEC, "--lab", str(lab_path), *extra])
+        assert err.startswith(f"usage error: lab config {lab_path} is invalid: ")
+        assert named in err
+    assert os.listdir(tmp_path) == ["lab.json"]

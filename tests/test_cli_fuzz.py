@@ -3,8 +3,9 @@ and never in a traceback.
 
 Arguments are drawn over the five subcommands and their flags; file
 arguments name a valid spec, malformed JSON, drawn bytes that are not
-UTF-8, a missing path, a directory, or a run directory (completed, paused,
-or damaged in one of several ways, some of them non-UTF-8 bytes).
+UTF-8, a missing path, a directory, a lab with a damaged ``sim`` section,
+or a run directory (completed, paused, or damaged in one of several ways,
+some of them non-UTF-8 bytes).
 Every example runs in this one process, so the parser that ``main`` builds
 on its first call serves all of them.
 """
@@ -33,6 +34,16 @@ DAMAGE = {
     "raw-plan": ("plan.json", lambda text: text.encode("utf-8").replace(b"fill", b"f\xe9ll")),
     "raw-log": ("log.ndjson", lambda text: text.encode("utf-8") + b"\x80\n"),
 }
+# Labs whose pump_1 carries a damaged `sim` section.
+SIM_DAMAGE = {
+    "sim-seed": {"seed": "x"},
+    "sim-section": [11],
+    "sim-table": {"conductivity_table": {"0.43": "high"}},
+    "sim-port": {"port_concentrations": {"1.5": 0.43}},
+    "sim-tau": {"temperature_tau": -30.0},
+    "sim-overflow": {"seed": 1e400},
+    "sim-nan": {"temperature_setpoint": float("nan")},
+}
 # File contents that are not UTF-8: 0xfe never occurs in UTF-8 text.
 RAW_BYTES = st.builds(
     lambda head, tail: head + b"\xfe" + tail, st.binary(max_size=32), st.binary(max_size=32)
@@ -52,6 +63,11 @@ def files(tmp_path_factory):
         "out": str(base / "runs"),
     }
     (base / "malformed.json").write_text('{"spec_id": ')
+    for key, sim in SIM_DAMAGE.items():
+        lab = json.loads(LAB_PATH.read_text())
+        lab["devices"][0]["sim"] = sim
+        paths[key] = str(base / f"{key}.json")
+        (base / f"{key}.json").write_text(json.dumps(lab))
     (base / "inject.json").write_text('{"5": "error"}')
 
     def run(name, *extra):
@@ -82,8 +98,9 @@ def files(tmp_path_factory):
 
 INPUTS = ("spec", "malformed", "raw", "missing", "directory")
 RUN_DIRS = ("completed", "paused", "missing", "spec", *(f"damaged-{k}" for k in DAMAGE))
-# --lab is left out a seventh of the time (a usage error without EAC_LAB).
-LABS = st.sampled_from(["lab", "lab", "lab", "malformed", "raw", "missing", None])
+# --lab is left out an eighth of the time (a usage error without EAC_LAB);
+# "sim" names one of the SIM_DAMAGE labs.
+LABS = st.sampled_from(["lab", "lab", "lab", "malformed", "raw", "missing", "sim", None])
 FLAG_VALUES = {
     "--policy": st.sampled_from(["fifo", "batched", "lifo"]),
     "--seed": st.sampled_from(["0", "3", "-1", "x"]),
@@ -113,6 +130,8 @@ def _path(files, key, data):
         path = files["base"] / f"raw-{next(files['fresh'])}.json"
         path.write_bytes(data.draw(RAW_BYTES))
         return str(path)
+    if key == "sim":
+        return files[data.draw(st.sampled_from(sorted(SIM_DAMAGE)))]
     return files[key]
 
 

@@ -376,7 +376,7 @@ def test_calibration_lapse_aborts_before_actuation(lab_config):
     plan = schedule(dag, genesis, registry)
     # Calibration lapses between planning and execution: the device's
     # last calibration turns out to predate the 30-day window.
-    from dataclasses import replace
+    from eaclab.records import replace
 
     stale = genesis.with_device(
         replace(genesis.devices["pstat_1"], last_calibrated=-2_600_000.0)

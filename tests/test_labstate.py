@@ -141,7 +141,7 @@ def test_query_eligible_filters(genesis, registry):
 
 
 def test_query_eligible_respects_calibration_window(genesis, registry):
-    from dataclasses import replace
+    from eaclab.records import replace
 
     stale = replace(genesis, clock=2_592_000.0 + 1.0)
     assert query_eligible(stale, "pump", None, registry) == []
