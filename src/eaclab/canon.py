@@ -9,9 +9,12 @@ from __future__ import annotations
 import hashlib
 import json
 
+# The one encoder of the package; ``json.dumps`` would build it anew per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
 
 def canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def canonical_bytes(obj: object) -> bytes:

@@ -62,8 +62,10 @@ class _Usage(Exception):
     pass
 
 
-# What malformed input documents raise while they are turned into objects.
-_DAMAGE = (EacError, ValueError, KeyError, TypeError, AttributeError, OverflowError)
+# What malformed input documents raise while they are turned into objects;
+# ``RecursionError`` is JSON nested too deeply to decode.
+_DAMAGE = (EacError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
+           RecursionError)
 
 
 def _describe(exc: Exception) -> str:
@@ -91,34 +93,27 @@ def _read_json(path: Path | str, what: str):
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise _Usage(f"{what} {path} is not valid JSON: {exc}") from exc
-
-
-def _frozen(doc):
-    """A read-only copy of a JSON document: mapping proxies and tuples."""
-    if isinstance(doc, dict):
-        return MappingProxyType({key: _frozen(value) for key, value in doc.items()})
-    if isinstance(doc, list):
-        return tuple(_frozen(value) for value in doc)
-    return doc
+    except RecursionError as exc:
+        raise _Usage(f"{what} {path} is nested too deeply: {exc}") from exc
 
 
 @functools.lru_cache(maxsize=1)
 def _lab_from_bytes(data: bytes):
-    """The lab config, registry and genesis state of a lab file's bytes.
+    """The simulator configs, registry and genesis state of a lab file's bytes.
 
     Memoised on the bytes, so a process parses an unchanged lab once.
     Exceptions are not cached. All three are read-only, since every later
-    command with the same bytes gets the same objects: the config is
-    frozen, the registry refuses ``register``, and the genesis state's
-    device table and records hold mapping proxies. Every device's ``sim``
-    section is parsed here too, so a bad one fails every command, not only
-    ``run``; the parsed configs are mutable, so ``SimFleet`` builds its own.
+    command with the same bytes gets the same objects: the configs are a
+    tuple of frozen ``SimDeviceConfig``s, one per device, whose tables are
+    mapping proxies; the registry refuses ``register``; and the genesis
+    state's device table and records hold mapping proxies. Parsing every
+    device's ``sim`` section here makes a bad one fail every command, not
+    only ``run``, and gives ``run`` and ``resume`` their fleet's configs.
     """
     lab = json.loads(data.decode("utf-8"))
     registry = registry_from_lab_config(lab).freeze()
     genesis = genesis_from_lab_config(lab)
-    for entry in lab.get("devices", []):
-        SimDeviceConfig.from_lab_entry(entry)
+    configs = tuple(SimDeviceConfig.from_lab_entry(entry) for entry in lab.get("devices", []))
     devices = {
         device_id: replace(
             record,
@@ -128,11 +123,11 @@ def _lab_from_bytes(data: bytes):
         )
         for device_id, record in genesis.devices.items()
     }
-    return _frozen(lab), registry, replace(genesis, devices=MappingProxyType(devices))
+    return configs, registry, replace(genesis, devices=MappingProxyType(devices))
 
 
 def _load_lab(path: str | None):
-    """The lab config with its registry and genesis state; errors fail closed.
+    """The lab's simulator configs, registry and genesis state; errors fail closed.
 
     The file is read on every call, so an edited lab takes effect at once.
     """
@@ -184,25 +179,25 @@ def _spec_text(data: bytes) -> str:
 def _validate_pipeline(spec_path: str, lab_path: str | None):
     """Parse, expand, and statically check a spec.
 
-    Returns (spec, diagnostics, lab, registry, genesis). The spec is None
-    when the spec has errors, and the diagnostics are then its errors.
+    Returns (spec, diagnostics, sim_configs, registry, genesis). The spec is
+    None when the spec has errors, and the diagnostics are then its errors.
     """
-    lab, registry, genesis = _load_lab(lab_path)
+    sim_configs, registry, genesis = _load_lab(lab_path)
     data = _read_bytes(spec_path)
     try:
         spec = expand_sweeps(parse_spec(_spec_text(data)))
     except SpecSyntaxError as exc:
         error = Diagnostic("syntax", "error", f"{exc.line}:{exc.column}", str(exc))
-        return None, [error], lab, registry, genesis
+        return None, [error], sim_configs, registry, genesis
     except (SpecSchemaError, EacError) as exc:
         code = getattr(exc, "code", "bad_value")
         locus = getattr(exc, "locus", "$")
-        return None, [Diagnostic(code, "error", locus, str(exc))], lab, registry, genesis
+        return None, [Diagnostic(code, "error", locus, str(exc))], sim_configs, registry, genesis
     diagnostics = static_check(spec, registry, genesis)
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
-        return None, errors, lab, registry, genesis
-    return spec, diagnostics, lab, registry, genesis
+        return None, errors, sim_configs, registry, genesis
+    return spec, diagnostics, sim_configs, registry, genesis
 
 
 def _report(diagnostics: list[Diagnostic]) -> None:
@@ -217,7 +212,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    spec, diagnostics, lab, registry, genesis = _validate_pipeline(args.spec, args.lab)
+    spec, diagnostics, _, registry, genesis = _validate_pipeline(args.spec, args.lab)
     _report(diagnostics)
     if spec is None:
         return EXIT_VALIDATION
@@ -238,19 +233,27 @@ def _run_dir(out: str, run_id: str) -> Path:
     return path
 
 
+def _write(path: str, data: bytes, mode: str = "wb") -> None:
+    """One binary write: the same bytes, ``\\n`` line ends, on every platform."""
+    with open(path, mode) as fh:
+        fh.write(data)
+
+
+def _ndjson(dicts) -> bytes:
+    return "".join([canonical_json(d) + "\n" for d in dicts]).encode("utf-8")
+
+
 def _write_run_artifacts(
     run_dir: Path, result, plan, spec_text: str, shash: str, seed: int, append: bool
 ):
-    mode = "a" if append else "w"
-    with open(run_dir / "log.ndjson", mode, encoding="utf-8") as fh:
-        fh.writelines(canonical_json(event.to_dict()) + "\n" for event in result.log)
-    with open(run_dir / "telemetry.ndjson", mode, encoding="utf-8") as fh:
-        fh.writelines(canonical_json(rec.to_dict()) + "\n" for rec in result.telemetry)
-    with open(run_dir / "wire.ndjson", mode, encoding="utf-8") as fh:
-        fh.writelines(canonical_json(frame) + "\n" for frame in result.wire)
-    (run_dir / "plan.json").write_text(plan.serialize() + "\n", encoding="utf-8")
-    (run_dir / "spec.json").write_text(spec_text + "\n", encoding="utf-8")
-    (run_dir / "snapshot.json").write_bytes(snapshot(result.state) + b"\n")
+    base = f"{run_dir}{os.sep}"
+    mode = "ab" if append else "wb"
+    _write(base + "log.ndjson", _ndjson(event.to_dict() for event in result.log), mode)
+    _write(base + "telemetry.ndjson", _ndjson(rec.to_dict() for rec in result.telemetry), mode)
+    _write(base + "wire.ndjson", _ndjson(result.wire), mode)
+    _write(base + "plan.json", (plan.serialize() + "\n").encode("utf-8"))
+    _write(base + "spec.json", (spec_text + "\n").encode("utf-8"))
+    _write(base + "snapshot.json", snapshot(result.state) + b"\n")
     summary = {
         "run_id": result.run_id,
         "status": result.status,
@@ -259,18 +262,16 @@ def _write_run_artifacts(
         "plan_hash": compute_plan_hash(plan),
         "telemetry_count": len(result.telemetry),
     }
-    (run_dir / "result.json").write_text(canonical_json(summary) + "\n", encoding="utf-8")
+    _write(base + "result.json", _ndjson([summary]))
     if result.checkpoint is not None:
-        (run_dir / "checkpoint.json").write_text(
-            canonical_json(result.checkpoint.to_dict()) + "\n", encoding="utf-8"
-        )
-    elif (run_dir / "checkpoint.json").exists():
-        (run_dir / "checkpoint.json").unlink()
+        _write(base + "checkpoint.json", _ndjson([result.checkpoint.to_dict()]))
+    elif os.path.exists(base + "checkpoint.json"):
+        os.unlink(base + "checkpoint.json")
     return summary
 
 
 def cmd_run(args) -> int:
-    spec, diagnostics, lab, registry, genesis = _validate_pipeline(args.spec, args.lab)
+    spec, diagnostics, sim_configs, registry, genesis = _validate_pipeline(args.spec, args.lab)
     _report(diagnostics)
     if spec is None:
         return EXIT_VALIDATION
@@ -280,9 +281,7 @@ def cmd_run(args) -> int:
     except UnschedulableError as exc:
         print(f"unsatisfiable_binding error $: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    fleet = SimFleet.from_lab_config(lab)
-    for device in fleet.devices.values():
-        device.rng.seed(device.config.seed + args.seed)
+    fleet = SimFleet(sim_configs, args.seed)
     spec_text = serialize_spec(spec)
     shash = sha256_text(spec_text)
     run_id = f"run-{shash[:8]}-s{args.seed}"
@@ -302,9 +301,7 @@ def cmd_run(args) -> int:
     summary = _write_run_artifacts(
         run_dir, result, plan, spec_text, shash, args.seed, append=False
     )
-    (run_dir / "telemetry.csv").write_text(
-        store.export_csv(run_id), encoding="utf-8"
-    )
+    _write(f"{run_dir}{os.sep}telemetry.csv", store.export_csv(run_id).encode("utf-8"))
     print(canonical_json(summary))
     if result.uninjected:
         print(
@@ -338,7 +335,7 @@ def _load_run_state(run_dir: Path, genesis):
 
 
 def cmd_state(args) -> int:
-    lab, registry, genesis = _load_lab(args.lab)
+    _, registry, genesis = _load_lab(args.lab)
     if args.run:
         state, _ = _load_run_state(Path(args.run), genesis)
     else:
@@ -398,7 +395,7 @@ def cmd_resume(args) -> int:
     run_dir = Path(args.run_dir)
     if not (run_dir / "checkpoint.json").exists():
         raise _Usage(f"no checkpoint in {run_dir}")
-    lab, registry, genesis = _load_lab(args.lab)
+    sim_configs, registry, genesis = _load_lab(args.lab)
     try:
         checkpoint = Checkpoint.from_dict(
             _read_json(run_dir / "checkpoint.json", "checkpoint")
@@ -440,9 +437,7 @@ def cmd_resume(args) -> int:
         state = apply_event(state, event)
         appended.append(event)
 
-    fleet = SimFleet.from_lab_config(lab)
-    for device in fleet.devices.values():
-        device.rng.seed(device.config.seed + seed)
+    fleet = SimFleet(sim_configs, seed)
     store = TelemetryStore()
     try:
         result = executor_resume(

@@ -13,6 +13,8 @@ import math
 import random
 import re
 import struct
+from collections.abc import Iterable, Mapping
+from types import MappingProxyType
 
 from eaclab.errors import FrameParseError, RangeError, SimFault
 from eaclab.records import field, record
@@ -243,15 +245,15 @@ def decode_operation(capability: str, frame: WireFrame) -> tuple[str, dict]:
     return match.group(1), params
 
 
-@record
+@record(frozen=True)
 class SimDeviceConfig:
     device_id: str
     capability: str
     seed: int = 0
     # concentration (mol/kg) -> conductivity (S/cm), piecewise-linear.
-    conductivity_table: dict[float, float] = field(default_factory=dict)
+    conductivity_table: Mapping[float, float] = field(default_factory=dict)
     # valve port -> concentration of the vial behind it.
-    port_concentrations: dict[int, float] = field(default_factory=dict)
+    port_concentrations: Mapping[int, float] = field(default_factory=dict)
     # first-order thermal ramp parameters.
     temperature_start: float = 293.0
     temperature_setpoint: float = 293.0
@@ -259,6 +261,8 @@ class SimDeviceConfig:
     fault_probability: float = 0.0
 
     def __post_init__(self) -> None:
+        if type(self.seed) is not int:
+            raise TypeError(f"sim seed of {self.device_id} must be an integer, not {self.seed!r}")
         numbers = (
             self.temperature_start,
             self.temperature_setpoint,
@@ -272,6 +276,9 @@ class SimDeviceConfig:
             raise ValueError(f"sim section of {self.device_id} has a non-finite number")
         if self.temperature_tau <= 0:
             raise ValueError(f"temperature_tau must be > 0, not {self.temperature_tau}")
+        # Read-only views of private copies: one config may serve many fleets.
+        for name in ("conductivity_table", "port_concentrations"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @classmethod
     def from_lab_entry(cls, entry: dict) -> "SimDeviceConfig":
@@ -279,7 +286,7 @@ class SimDeviceConfig:
         return cls(
             device_id=entry["device_id"],
             capability=entry["capability"],
-            seed=int(sim.get("seed", 0)),
+            seed=sim.get("seed", 0),
             conductivity_table={
                 float(k): float(v)
                 for k, v in sim.get("conductivity_table", {}).items()
@@ -320,9 +327,9 @@ class SimResult:
 class SimDevice:
     """One deterministic simulated instrument."""
 
-    def __init__(self, config: SimDeviceConfig):
+    def __init__(self, config: SimDeviceConfig, seed: int = 0):
         self.config = config
-        self.rng = random.Random(config.seed)
+        self.rng = random.Random(config.seed + seed)
         self.power_on_time = 0.0
 
     def temperature_at(self, now: float) -> float:
@@ -385,8 +392,9 @@ class SimDevice:
 class SimFleet:
     """The simulated lab: devices plus the shared fluid path between them."""
 
-    def __init__(self, configs: list[SimDeviceConfig]):
-        self.devices = {c.device_id: SimDevice(c) for c in configs}
+    def __init__(self, configs: Iterable[SimDeviceConfig], seed: int = 0):
+        """Each device's generator is seeded with its config's seed + ``seed``."""
+        self.devices = {c.device_id: SimDevice(c, seed) for c in configs}
         self.selected_port: int | None = None
         # Fluid path is a pipeline: valve selections queue up for the pump,
         # dispensed aliquots queue up for the measurement cell.

@@ -288,6 +288,8 @@ def parse_spec(text: str) -> ExperimentSpec:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise SpecSyntaxError("nested too deeply to decode", 1, 1) from exc
     _expect(doc, dict, "$", "document")
     _check_no_unknown(doc, _TOP_FIELDS, "$")
     spec_id = _expect(_require(doc, "spec_id", "$"), str, "$", "spec_id")

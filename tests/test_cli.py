@@ -13,6 +13,7 @@ from eaclab.capabilities import schema_from_dict
 from eaclab.cli import main
 from eaclab.compiler import compile_spec, static_check
 from eaclab.labstate import snapshot
+from eaclab.shims import SimDeviceConfig
 from eaclab.specmodel import expand_sweeps, parse_spec
 
 from conftest import CAMPAIGN_PATH, LAB_PATH, run_main
@@ -587,6 +588,31 @@ def test_run_dir_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, name):
         _usage_error(capsys, ["state", "--lab", LAB, "--run", str(run_dir)])
 
 
+def test_json_nested_too_deeply_fails_closed(tmp_path, capsys):
+    """JSON too deep to decode is a syntax error as a spec and a usage
+    error as a lab, an --inject file or a line of a run's event log."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["validate", str(deep), "--lab", LAB]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("syntax error 1:1: nested too deeply")
+    assert len(captured.err.strip().splitlines()) == 1
+    err = _usage_error(capsys, ["validate", SPEC, "--lab", str(deep)])
+    assert err.startswith(f"usage error: lab config {deep} is invalid: RecursionError")
+    err = _usage_error(
+        capsys, ["run", SPEC, "--lab", LAB, "--out", str(tmp_path), "--inject", str(deep)]
+    )
+    assert err.startswith(f"usage error: --inject file {deep} is nested too deeply")
+    run_dir = _paused_run(tmp_path, capsys)
+    with open(run_dir / "log.ndjson", "a") as fh:
+        fh.write(deep.read_text() + "\n")
+    for argv in (
+        ["state", "--lab", LAB, "--run", str(run_dir)],
+        ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"],
+    ):
+        assert "log.ndjson is damaged: RecursionError" in _usage_error(capsys, argv)
+
+
 def _fresh_process(argv):
     """(exit code, stdout, stderr) of ``python -m eaclab.cli argv``."""
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -635,30 +661,57 @@ def test_lab_is_parsed_once_for_unchanged_bytes(tmp_path, capsys):
     assert (info.misses, info.hits, info.maxsize) == (1, 4, 1)
 
 
+def test_sim_sections_are_parsed_once_with_the_lab(tmp_path, capsys, monkeypatch):
+    """validate, plan, run, a paused run and its resume all take their
+    simulator configs from the memoised lab: one parse per device."""
+    parse = SimDeviceConfig.from_lab_entry.__func__
+    parsed = []
+
+    def counted(cls, entry):
+        parsed.append(entry["device_id"])
+        return parse(cls, entry)
+
+    monkeypatch.setattr(SimDeviceConfig, "from_lab_entry", classmethod(counted))
+    cli._lab_from_bytes.cache_clear()
+    assert main(["validate", SPEC, "--lab", LAB]) == 0
+    assert main(["plan", SPEC, "--lab", LAB]) == 0
+    assert main(["run", SPEC, "--lab", LAB, "--out", str(tmp_path / "clean")]) == 0
+    capsys.readouterr()
+    paused = _paused_run(tmp_path, capsys)
+    assert main(["resume", str(paused), "--lab", LAB, "--clear", "pump_1"]) == 0
+    devices = [entry["device_id"] for entry in json.loads(LAB_PATH.read_text())["devices"]]
+    assert sorted(parsed) == sorted(devices)
+
+
 def test_memoised_lab_cannot_be_changed(tmp_path, capsys):
     """What the memo hands out refuses every change, and commands that
     try nothing leave it as it was."""
     sequence = _mixed_sequence(tmp_path)
     first = [run_main(argv) for argv in sequence]
-    lab, registry, genesis = cli._load_lab(LAB)
+    configs, registry, genesis = cli._load_lab(LAB)
     before = snapshot(genesis)
     with pytest.raises(TypeError):
         registry.register(schema_from_dict("heater", {}))
     with pytest.raises(TypeError):
         registry.register(registry.get("pump"))
     assert "heater" not in registry
+    by_id = {config.device_id: config for config in configs}
     with pytest.raises(TypeError):
-        lab["devices"] = []
+        configs[0] = None
     with pytest.raises(AttributeError):
-        lab["devices"].append({})
+        by_id["pump_1"].seed = 7
+    with pytest.raises(AttributeError):
+        by_id["pstat_1"].conductivity_table = {}
     with pytest.raises(TypeError):
-        lab["devices"][0]["device_id"] = "pump_9"
+        by_id["pstat_1"].conductivity_table[0.5] = 1.0
+    with pytest.raises(TypeError):
+        by_id["valve_1"].port_concentrations[1] = 9.0
     with pytest.raises(TypeError):
         genesis.devices["pump_1"] = None
     with pytest.raises(TypeError):
         genesis.devices["valve_1"].attrs["ports"] = 2.0
     assert [run_main(argv) for argv in sequence] == first
-    assert all(a is b for a, b in zip(cli._load_lab(LAB), (lab, registry, genesis)))
+    assert all(a is b for a, b in zip(cli._load_lab(LAB), (configs, registry, genesis)))
     assert snapshot(genesis) == before
 
 
@@ -679,12 +732,15 @@ def test_each_command_checks_the_spec_once(tmp_path, capsys, monkeypatch, comman
 
 # Damaged `sim` sections of pump_1, and what each one names in the diagnostic.
 BAD_SIM = {
-    "seed": ({"seed": "x"}, "invalid literal for int()"),
+    "seed": ({"seed": "x"}, "sim seed of pump_1 must be an integer, not 'x'"),
+    "float": ({"seed": 1.5}, "must be an integer, not 1.5"),
+    "bool": ({"seed": True}, "must be an integer, not True"),
+    "string": ({"seed": "1"}, "must be an integer, not '1'"),
     "section": ("x", "AttributeError"),
     "table": ({"conductivity_table": [0.43]}, "AttributeError"),
     "port": ({"port_concentrations": {"a": 0.43}}, "invalid literal for int()"),
     "tau": ({"temperature_tau": 0}, "temperature_tau must be > 0"),
-    "overflow": ({"seed": 1e400}, "OverflowError"),
+    "overflow": ({"temperature_tau": 10**400}, "OverflowError"),
     "nan": ({"port_concentrations": {"1": float("nan")}}, "non-finite number"),
 }
 

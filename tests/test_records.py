@@ -16,7 +16,7 @@ from eaclab.executor import RunResult
 from eaclab.labstate import DEVICE_STATUSES, DeviceRecord, LabState
 from eaclab.records import FrozenInstanceError, replace
 from eaclab.scheduler import Assignment, Batch, ExecutionPlan
-from eaclab.shims import SimDeviceConfig
+from eaclab.shims import SimDeviceConfig, SimResult
 from eaclab.telemetry import TelemetryStore
 from eaclab.units import Quantity, known_units
 
@@ -171,11 +171,11 @@ def test_a_filled_cached_property_stays_out_of_equality(plan):
 
 
 def test_mutable_records_are_unhashable_and_assignable():
-    config = SimDeviceConfig("pump_1", "pump")
-    config.seed = 7
-    assert config == SimDeviceConfig("pump_1", "pump", seed=7)
+    result = SimResult(replies=[], telemetry={}, completion_time=0.0)
+    result.completion_time = 7.0
+    assert result == SimResult(replies=[], telemetry={}, completion_time=7.0)
     assert TelemetryStore.__hash__ is None and RunResult.__hash__ is None
     with pytest.raises(TypeError):
-        hash(config)
+        hash(result)
     with pytest.raises(ValueError, match="temperature_tau"):
         SimDeviceConfig("pstat_1", "potentiostat", temperature_tau=0.0)

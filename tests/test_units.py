@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from eaclab.canon import canonical_json, sha256_hex
+from eaclab.canon import canonical_bytes, canonical_json, sha256_hex
 from eaclab.errors import UnitError
 from eaclab.units import (
     Quantity,
@@ -78,6 +78,34 @@ def test_canonical_json_is_sorted_and_compact():
 def test_canonical_json_rejects_nan():
     with pytest.raises(ValueError):
         canonical_json({"x": float("nan")})
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**256)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.just(-0.0)
+    | st.text(),
+    lambda values: st.lists(values, max_size=4)
+    | st.dictionaries(st.text(max_size=6), values, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(JSON_VALUES)
+def test_canonical_json_is_json_dumps_with_the_canonical_options(value):
+    expected = json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    assert canonical_json(value) == expected
+    assert canonical_bytes(value) == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_rejects_every_non_finite_float(bad):
+    for doc in (bad, [1, bad], {"x": {"y": bad}}):
+        with pytest.raises(ValueError):
+            canonical_json(doc)
 
 
 def test_sha256_matches_independent_computation():
