@@ -3,74 +3,57 @@
 Specs are validated against a capability registry, compiled to a workflow
 DAG, scheduled against live lab state, and executed on a simulated device
 fleet with fault handling and full provenance.
-"""
 
-from eaclab.canon import canonical_json, sha256_hex
-from eaclab.capabilities import (
-    CapabilityRegistry,
-    CapabilitySchema,
-    builtin_registry,
-    registry_from_lab_config,
-)
-from eaclab.compiler import WorkflowDAG, compile_spec, static_check
-from eaclab.executor import Checkpoint, FaultEvent, RunResult, execute, resume
-from eaclab.labstate import (
-    DeviceRecord,
-    LabState,
-    StateEvent,
-    apply_event,
-    genesis_from_lab_config,
-    query_eligible,
-    replay,
-    snapshot,
-)
-from eaclab.scheduler import ExecutionPlan, schedule
-from eaclab.shims import SimFleet
-from eaclab.specmodel import (
-    ExperimentSpec,
-    expand_sweeps,
-    parse_spec,
-    serialize_spec,
-    spec_hash,
-)
-from eaclab.telemetry import TelemetryRecord, TelemetryStore
-from eaclab.units import Quantity, canonicalize_units
+``import eaclab`` loads none of the layers: each exported name is imported
+from its module on first access (PEP 562) and then kept in this module, so
+a program, or a command of ``eaclab.cli``, loads only the layers it uses.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapabilityRegistry",
-    "CapabilitySchema",
-    "Checkpoint",
-    "DeviceRecord",
-    "ExecutionPlan",
-    "ExperimentSpec",
-    "FaultEvent",
-    "LabState",
-    "Quantity",
-    "RunResult",
-    "SimFleet",
-    "StateEvent",
-    "TelemetryRecord",
-    "TelemetryStore",
-    "WorkflowDAG",
-    "apply_event",
-    "builtin_registry",
-    "canonical_json",
-    "canonicalize_units",
-    "compile_spec",
-    "execute",
-    "expand_sweeps",
-    "genesis_from_lab_config",
-    "parse_spec",
-    "query_eligible",
-    "registry_from_lab_config",
-    "replay",
-    "resume",
-    "schedule",
-    "serialize_spec",
-    "sha256_hex",
-    "snapshot",
-    "spec_hash",
-    "static_check",
-]
+# Exported names by the module that defines them.
+_EXPORTS = {
+    "canon": ("canonical_json", "sha256_hex"),
+    "capabilities": (
+        "CapabilityRegistry",
+        "CapabilitySchema",
+        "builtin_registry",
+        "registry_from_lab_config",
+    ),
+    "compiler": ("WorkflowDAG", "compile_spec", "static_check"),
+    "executor": ("Checkpoint", "FaultEvent", "RunResult", "execute", "resume"),
+    "labstate": (
+        "DeviceRecord",
+        "LabState",
+        "StateEvent",
+        "apply_event",
+        "genesis_from_lab_config",
+        "query_eligible",
+        "replay",
+        "snapshot",
+    ),
+    "scheduler": ("ExecutionPlan", "schedule"),
+    "shims": ("SimFleet",),
+    "specmodel": ("ExperimentSpec", "expand_sweeps", "parse_spec", "serialize_spec", "spec_hash"),
+    "telemetry": ("TelemetryRecord", "TelemetryStore"),
+    "units": ("Quantity", "canonicalize_units"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

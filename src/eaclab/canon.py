@@ -6,7 +6,6 @@ these helpers so that equal values always serialize to identical bytes.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 # The one encoder of the package; ``json.dumps`` would build it anew per call.
@@ -27,5 +26,10 @@ def sha256_hex(obj: object) -> str:
 
 def sha256_text(text: str) -> str:
     """Digest of an already serialized artifact; ``sha256_text(canonical_json(x))
-    == sha256_hex(x)``, so a caller that writes the text need not encode twice."""
+    == sha256_hex(x)``, so a caller that writes the text need not encode twice.
+
+    ``hashlib`` is imported on the first hash, so a command that hashes
+    nothing (``validate``) never loads it."""
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -27,7 +27,6 @@ from eaclab.errors import (
     StillBlockedError,
     UnschedulableError,
 )
-from eaclab.executor import Checkpoint, execute, resume as executor_resume
 from eaclab.labstate import (
     StateEvent,
     apply_event,
@@ -36,10 +35,12 @@ from eaclab.labstate import (
     snapshot,
 )
 from eaclab.records import replace
-from eaclab.scheduler import ExecutionPlan, plan_hash as compute_plan_hash, schedule
-from eaclab.shims import SimDeviceConfig, SimFleet
+from eaclab.shims import SimDeviceConfig
 from eaclab.specmodel import expand_sweeps, parse_spec, serialize_spec
-from eaclab.telemetry import TelemetryStore
+
+# The scheduler is imported by the commands that plan, and the executor,
+# ``SimFleet`` and telemetry by those that run, so ``validate`` and
+# ``state`` load neither.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -80,21 +81,24 @@ def _read_bytes(path: Path | str) -> bytes:
 
 
 def _read_text(path: Path | str) -> str:
+    """The file's text, decoded from its exact bytes (no newline translation)."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _Usage(f"cannot read {path}: {exc}") from exc
+        return _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _Usage(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _read_json(path: Path | str, what: str):
+def _loads(text: str, path: Path | str, what: str):
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise _Usage(f"{what} {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise _Usage(f"{what} {path} is nested too deeply: {exc}") from exc
+
+
+def _read_json(path: Path | str, what: str):
+    return _loads(_read_text(path), path, what)
 
 
 @functools.lru_cache(maxsize=1)
@@ -212,6 +216,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from eaclab.scheduler import schedule
+
     spec, diagnostics, _, registry, genesis = _validate_pipeline(args.spec, args.lab)
     _report(diagnostics)
     if spec is None:
@@ -244,22 +250,32 @@ def _ndjson(dicts) -> bytes:
 
 
 def _write_run_artifacts(
-    run_dir: Path, result, plan, spec_text: str, shash: str, seed: int, append: bool
+    run_dir: Path, result, plan, spec_text: str, shash: str, seed: int, store,
+    on_disk: dict[str, str] | None = None,
 ):
+    """Write a run's artifacts. A resume passes ``on_disk``, the texts of
+    ``plan.json`` and ``spec.json`` it read: the logs and ``telemetry.csv``
+    are then appended to, and those two files rewritten only if changed."""
+    from eaclab.scheduler import plan_hash
+
     base = f"{run_dir}{os.sep}"
+    append = on_disk is not None
     mode = "ab" if append else "wb"
     _write(base + "log.ndjson", _ndjson(event.to_dict() for event in result.log), mode)
     _write(base + "telemetry.ndjson", _ndjson(rec.to_dict() for rec in result.telemetry), mode)
     _write(base + "wire.ndjson", _ndjson(result.wire), mode)
-    _write(base + "plan.json", (plan.serialize() + "\n").encode("utf-8"))
-    _write(base + "spec.json", (spec_text + "\n").encode("utf-8"))
+    csv_text = store.export_csv(result.run_id, header=not append)
+    _write(base + "telemetry.csv", csv_text.encode("utf-8"), mode)
+    for name, text in (("plan.json", plan.serialize() + "\n"), ("spec.json", spec_text + "\n")):
+        if text != (on_disk or {}).get(name):
+            _write(base + name, text.encode("utf-8"))
     _write(base + "snapshot.json", snapshot(result.state) + b"\n")
     summary = {
         "run_id": result.run_id,
         "status": result.status,
         "seed": seed,
         "spec_hash": shash,
-        "plan_hash": compute_plan_hash(plan),
+        "plan_hash": plan_hash(plan),
         "telemetry_count": len(result.telemetry),
     }
     _write(base + "result.json", _ndjson([summary]))
@@ -271,6 +287,11 @@ def _write_run_artifacts(
 
 
 def cmd_run(args) -> int:
+    from eaclab.executor import execute
+    from eaclab.scheduler import schedule
+    from eaclab.shims import SimFleet
+    from eaclab.telemetry import TelemetryStore
+
     spec, diagnostics, sim_configs, registry, genesis = _validate_pipeline(args.spec, args.lab)
     _report(diagnostics)
     if spec is None:
@@ -298,10 +319,7 @@ def cmd_run(args) -> int:
         store=store,
     )
     run_dir = _run_dir(args.out, run_id)
-    summary = _write_run_artifacts(
-        run_dir, result, plan, spec_text, shash, args.seed, append=False
-    )
-    _write(f"{run_dir}{os.sep}telemetry.csv", store.export_csv(run_id).encode("utf-8"))
+    summary = _write_run_artifacts(run_dir, result, plan, spec_text, shash, args.seed, store)
     print(canonical_json(summary))
     if result.uninjected:
         print(
@@ -370,7 +388,9 @@ def cmd_state(args) -> int:
 
 def _resume_mismatch(checkpoint, summary_plan_hash, plan, dag, state) -> str | None:
     """Why the paused run's plan, spec and log do not belong together, if so."""
-    if compute_plan_hash(plan) != summary_plan_hash:
+    from eaclab.scheduler import plan_hash
+
+    if plan_hash(plan) != summary_plan_hash:
         return "plan.json does not match the plan hash in result.json"
     assigned = [a.node_id for a in plan.assignments]
     if len(assigned) != len(dag.nodes) or set(assigned) != set(dag.nodes):
@@ -392,21 +412,36 @@ def _resume_mismatch(checkpoint, summary_plan_hash, plan, dag, state) -> str | N
 
 
 def cmd_resume(args) -> int:
+    from eaclab.executor import Checkpoint, resume
+    from eaclab.scheduler import ExecutionPlan
+    from eaclab.shims import SimFleet
+    from eaclab.telemetry import TelemetryStore
+
     run_dir = Path(args.run_dir)
     if not (run_dir / "checkpoint.json").exists():
         raise _Usage(f"no checkpoint in {run_dir}")
     sim_configs, registry, genesis = _load_lab(args.lab)
+    plan_path = run_dir / "plan.json"
     try:
         checkpoint = Checkpoint.from_dict(
             _read_json(run_dir / "checkpoint.json", "checkpoint")
         )
         summary = _read_json(run_dir / "result.json", "run summary")
-        seed = int(summary.get("seed", 0))
+        seed = summary.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise _Usage(
+                f"run directory {run_dir} is damaged: "
+                f"seed in result.json must be an integer, not {seed!r}"
+            )
         shash = summary["spec_hash"]
         summary_plan_hash = summary["plan_hash"]
-        # The run continues the plan it was paused under; it is not planned again.
-        plan = ExecutionPlan.from_dict(_read_json(run_dir / "plan.json", "plan"))
-        spec = parse_spec(_read_text(run_dir / "spec.json"))
+        # The run continues the plan it was paused under; it is not planned
+        # again. The texts read are kept, so that unchanged files are not
+        # rewritten.
+        on_disk = {"plan.json": _read_text(plan_path)}
+        plan = ExecutionPlan.from_dict(_loads(on_disk["plan.json"], plan_path, "plan"))
+        on_disk["spec.json"] = _read_text(run_dir / "spec.json")
+        spec = parse_spec(on_disk["spec.json"])
         dag = compile_spec(spec, registry, genesis)
     except _DAMAGE as exc:
         raise _Usage(f"run directory {run_dir} is damaged: {_describe(exc)}") from exc
@@ -440,7 +475,7 @@ def cmd_resume(args) -> int:
     fleet = SimFleet(sim_configs, seed)
     store = TelemetryStore()
     try:
-        result = executor_resume(
+        result = resume(
             checkpoint, plan, dag, state, registry, fleet,
             spec_hash=shash, store=store,
             last_dispatch=last_dispatch,
@@ -455,7 +490,7 @@ def cmd_resume(args) -> int:
     result.log[:0] = appended
     spec_text = serialize_spec(spec)
     summary = _write_run_artifacts(
-        run_dir, result, plan, spec_text, sha256_text(spec_text), seed, append=True
+        run_dir, result, plan, spec_text, sha256_text(spec_text), seed, store, on_disk
     )
     print(canonical_json(summary))
     return EXIT_OK if result.status == "completed" else EXIT_RUNTIME

@@ -81,11 +81,14 @@ class TelemetryStore:
             canonical_json(rec.to_dict()) + "\n" for rec in self.query(run_id)
         )
 
-    def export_csv(self, run_id: str) -> str:
-        """Plot-friendly view: concentration, conductivity, temperature."""
+    def export_csv(self, run_id: str, header: bool = True) -> str:
+        """Plot-friendly view: concentration, conductivity, temperature.
+
+        ``header=False`` gives the rows only, to append to an export."""
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["concentration", "conductivity", "temperature"])
+        if header:
+            writer.writerow(["concentration", "conductivity", "temperature"])
         for rec in self.query(run_id):
             writer.writerow(
                 [

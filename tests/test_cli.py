@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from eaclab import cli, compiler
+from eaclab import cli, compiler, scheduler
 from eaclab.canon import canonical_json
 from eaclab.capabilities import schema_from_dict
 from eaclab.cli import main
 from eaclab.compiler import compile_spec, static_check
 from eaclab.labstate import snapshot
+from eaclab.scheduler import schedule
 from eaclab.shims import SimDeviceConfig
 from eaclab.specmodel import expand_sweeps, parse_spec
 
@@ -148,6 +149,22 @@ def test_fault_pause_and_resume_via_cli(tmp_path, capsys):
     assert got == want
 
 
+@pytest.mark.parametrize("policy", ["fifo", "batched"])
+def test_resumed_run_completes_the_telemetry_csv(tmp_path, capsys, policy):
+    """A paused run's resume appends its rows to ``telemetry.csv``, without a
+    second header, so the CSV equals the fault-free run's."""
+    common = ["--lab", LAB, "--policy", policy]
+    assert main(["run", SPEC, *common, "--out", str(tmp_path / "clean")]) == 0
+    clean_dir = tmp_path / "clean" / json.loads(capsys.readouterr().out)["run_id"]
+    out = tmp_path / "paused"
+    assert main(["run", SPEC, *common, "--out", str(out), "--inject", "timeout@5"]) == 3
+    run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
+    assert main(["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"]) == 0
+    clean_csv = (clean_dir / "telemetry.csv").read_bytes()
+    assert len(clean_csv.splitlines()) == 7
+    assert (run_dir / "telemetry.csv").read_bytes() == clean_csv
+
+
 def test_bad_inject_argument_is_usage_error(tmp_path):
     assert main(
         ["run", SPEC, "--lab", LAB, "--out", str(tmp_path), "--inject", "weird@@"]
@@ -240,6 +257,28 @@ def test_resume_on_damaged_run_dir_is_usage_error(tmp_path, capsys, name, conten
     else:
         (run_dir / name).write_text(content)
     _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+
+
+def _dir_bytes(run_dir):
+    return {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "1"])
+def test_resume_with_a_seed_that_is_not_an_integer_is_usage_error(tmp_path, capsys, seed):
+    """A damaged seed in result.json is refused, as a ``sim`` seed is, and
+    the run directory is left as it was."""
+    run_dir = _paused_run(tmp_path, capsys)
+    path = run_dir / "result.json"
+    summary = json.loads(path.read_text())
+    summary["seed"] = seed
+    path.write_text(json.dumps(summary))
+    before = _dir_bytes(run_dir)
+    err = _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+    assert err == (
+        f"usage error: run directory {run_dir} is damaged: "
+        f"seed in result.json must be an integer, not {seed!r}\n"
+    )
+    assert _dir_bytes(run_dir) == before
 
 
 def test_resume_of_a_checkpoint_for_another_plan_is_rejected(tmp_path, capsys):
@@ -543,10 +582,39 @@ def test_resume_continues_the_persisted_plan(tmp_path, capsys, monkeypatch):
     def no_schedule(*args, **kwargs):
         raise AssertionError("resume must not plan the spec again")
 
-    monkeypatch.setattr(cli, "schedule", no_schedule)
+    monkeypatch.setattr(scheduler, "schedule", no_schedule)
     assert main(["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "completed"
     assert (run_dir / "plan.json").read_text() == plan_text
+
+
+def test_plan_calls_the_scheduler_module_function(capsys, monkeypatch):
+    """The CLI imports ``schedule`` when it plans, so a replacement of
+    ``eaclab.scheduler.schedule`` (a test's, or a tracer's) is the one called."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["policy"])
+        return schedule(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "schedule", counted)
+    assert main(["plan", SPEC, "--lab", LAB, "--policy", "fifo"]) == 0
+    assert calls == ["fifo"]
+
+
+def test_resume_rewrites_neither_plan_nor_spec(tmp_path, capsys, monkeypatch):
+    """Their bytes are those resume has just read and checked."""
+    run_dir = _paused_run(tmp_path, capsys)
+    written = []
+
+    def recorded(path, data, mode="wb"):
+        written.append(os.path.basename(path))
+        return write(path, data, mode)
+
+    write = cli._write
+    monkeypatch.setattr(cli, "_write", recorded)
+    assert main(["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"]) == 0
+    assert written and not {"plan.json", "spec.json"} & set(written)
 
 
 NOT_UTF8 = b"\xff\xfe{}"

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import eaclab
+from conftest import CAMPAIGN_PATH, LAB_PATH
 
 
 def test_every_exported_name_resolves():
@@ -17,6 +20,13 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from eaclab import *", namespace)
     assert set(eaclab.__all__) <= set(namespace)
+    assert len(eaclab.__all__) == 34
+
+
+def test_dir_lists_exported_names_and_others_are_missing():
+    assert set(eaclab.__all__) <= set(dir(eaclab))
+    with pytest.raises(AttributeError, match="has no attribute 'plan_hash'"):
+        eaclab.plan_hash
 
 
 def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -30,6 +40,53 @@ def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.stdout == "[]\n"
 
+
+RUN_ONLY = {"eaclab.executor", "eaclab.scheduler", "eaclab.telemetry", "csv", "hashlib"}
+SPEC_AND_LAB = (str(CAMPAIGN_PATH), "--lab", str(LAB_PATH))
+
+
+def _cold(*args):
+    """(exit code, modules loaded) of a fresh ``python -S -X importtime``
+    process importing eaclab from this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(eaclab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *args], capture_output=True, text=True, env=env
+    )
+    loaded = {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    return proc.returncode, loaded
+
+
+def test_import_of_the_package_loads_no_layer():
+    """Exported names are resolved on first use, not when eaclab is imported."""
+    code, loaded = _cold("-c", "import eaclab")
+    assert code == 0
+    assert "eaclab" in loaded
+    assert sorted(m for m in loaded if m.startswith("eaclab.")) == []
+
+
+def test_import_of_the_cli_and_a_cold_validate_load_no_run_only_module():
+    code, loaded = _cold("-c", "import eaclab.cli")
+    assert code == 0
+    assert "eaclab.compiler" in loaded
+    assert sorted(RUN_ONLY & loaded) == []
+    code, loaded = _cold("-m", "eaclab.cli", "validate", *SPEC_AND_LAB)
+    assert code == 0
+    assert "eaclab.specmodel" in loaded
+    assert sorted(RUN_ONLY & loaded) == []
+
+
+def test_a_cold_plan_loads_the_scheduler_and_a_cold_run_the_executor(tmp_path):
+    code, loaded = _cold("-m", "eaclab.cli", "plan", *SPEC_AND_LAB)
+    assert code == 0
+    assert "eaclab.scheduler" in loaded
+    assert sorted({"eaclab.executor", "eaclab.telemetry", "csv"} & loaded) == []
+    code, loaded = _cold("-m", "eaclab.cli", "run", *SPEC_AND_LAB, "--out", str(tmp_path))
+    assert code == 0
+    assert RUN_ONLY <= loaded
 
 
 def _json_encoding_uses(tree):

@@ -30,7 +30,7 @@ INJECT_KINDS = ("timeout", "error", "noliquid", "implicit")
 RUN_FINGERPRINTS = {
     "clean": "8d9d5ac6d5df264be47f72362874b9b9e2925b0ba44de7d9e9ccf074262ecaa7",
     "recovered": "23b0b6a8779bcdbbe72cdbcf3dca4c8cb14dbbd2b45e2864381c96e6ca99c8ea",
-    "resumed": "699e11a67a2867009509ac9d2b2efa9e7680fa7930559934c5b2fc6633e943e4",
+    "resumed": "a94fadcde4538c86e59eb671c11e71f496263514520f93d87a586b6a0670407a",
     "aborted": "a8427c38237f115a0ab09b5be832d6e245eb78571310abcd138a2a70b47199b8",
 }
 
