@@ -14,9 +14,10 @@ from eaclab.errors import (
     DuplicateCapabilityError,
     UnknownCapabilityError,
     UnknownOperationError,
+    UnitError,
 )
 from eaclab.records import field, record
-from eaclab.units import Quantity, canonicalize_units, unit_dimension
+from eaclab.units import Quantity, canonicalize_units
 
 # Calibration validity window for every built-in device type, in simulated
 # seconds. Short on purpose: desk-scale runs, not annual service cycles.
@@ -191,11 +192,9 @@ class CapabilityRegistry:
                     )
                 continue
             q = params[name]
-            try:
-                if unit_dimension(q.unit) != unit_dimension(pschema.unit):
-                    raise ValueError
+            try:  # raises on an unknown unit or a dimension mismatch
                 value = canonicalize_units(q, pschema.unit).value
-            except Exception:
+            except (UnitError, KeyError):
                 violations.append(
                     Violation(
                         "bad_unit",

@@ -63,6 +63,14 @@ class _Usage(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, its subparsers' included, are one
+    ``usage error:`` line (exit 4) rather than usage text and a message."""
+
+    def error(self, message):
+        raise _Usage(message)
+
+
 # What malformed input documents raise while they are turned into objects;
 # ``RecursionError`` is JSON nested too deeply to decode.
 _DAMAGE = (EacError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
@@ -250,25 +258,25 @@ def _ndjson(dicts) -> bytes:
 
 
 def _write_run_artifacts(
-    run_dir: Path, result, plan, spec_text: str, shash: str, seed: int, store,
-    on_disk: dict[str, str] | None = None,
+    run_dir: Path, result, plan, shash: str, seed: int, store, plan_read: str | None = None
 ):
-    """Write a run's artifacts. A resume passes ``on_disk``, the texts of
-    ``plan.json`` and ``spec.json`` it read: the logs and ``telemetry.csv``
-    are then appended to, and those two files rewritten only if changed."""
+    """Write a run's artifacts but ``spec.json``. A resume passes
+    ``plan_read``, the text of ``plan.json`` it read: the logs and
+    ``telemetry.csv`` are then appended to, and ``plan.json`` rewritten only
+    if changed."""
     from eaclab.scheduler import plan_hash
 
     base = f"{run_dir}{os.sep}"
-    append = on_disk is not None
+    append = plan_read is not None
     mode = "ab" if append else "wb"
     _write(base + "log.ndjson", _ndjson(event.to_dict() for event in result.log), mode)
     _write(base + "telemetry.ndjson", _ndjson(rec.to_dict() for rec in result.telemetry), mode)
     _write(base + "wire.ndjson", _ndjson(result.wire), mode)
     csv_text = store.export_csv(result.run_id, header=not append)
     _write(base + "telemetry.csv", csv_text.encode("utf-8"), mode)
-    for name, text in (("plan.json", plan.serialize() + "\n"), ("spec.json", spec_text + "\n")):
-        if text != (on_disk or {}).get(name):
-            _write(base + name, text.encode("utf-8"))
+    plan_text = plan.serialize() + "\n"
+    if plan_text != plan_read:
+        _write(base + "plan.json", plan_text.encode("utf-8"))
     _write(base + "snapshot.json", snapshot(result.state) + b"\n")
     summary = {
         "run_id": result.run_id,
@@ -319,7 +327,8 @@ def cmd_run(args) -> int:
         store=store,
     )
     run_dir = _run_dir(args.out, run_id)
-    summary = _write_run_artifacts(run_dir, result, plan, spec_text, shash, args.seed, store)
+    _write(f"{run_dir}{os.sep}spec.json", (spec_text + "\n").encode("utf-8"))
+    summary = _write_run_artifacts(run_dir, result, plan, shash, args.seed, store)
     print(canonical_json(summary))
     if result.uninjected:
         print(
@@ -436,12 +445,19 @@ def cmd_resume(args) -> int:
         shash = summary["spec_hash"]
         summary_plan_hash = summary["plan_hash"]
         # The run continues the plan it was paused under; it is not planned
-        # again. The texts read are kept, so that unchanged files are not
-        # rewritten.
-        on_disk = {"plan.json": _read_text(plan_path)}
-        plan = ExecutionPlan.from_dict(_loads(on_disk["plan.json"], plan_path, "plan"))
-        on_disk["spec.json"] = _read_text(run_dir / "spec.json")
-        spec = parse_spec(on_disk["spec.json"])
+        # again. The text read is kept, so that an unchanged plan.json is
+        # not rewritten.
+        plan_read = _read_text(plan_path)
+        plan = ExecutionPlan.from_dict(_loads(plan_read, plan_path, "plan"))
+        # spec.json is the text whose hash the run recorded, plus a newline.
+        spec_text = _read_text(run_dir / "spec.json").removesuffix("\n")
+        spec = parse_spec(spec_text)
+        if sha256_text(spec_text) != shash:
+            print(
+                "checkpoint mismatch: spec.json does not match the spec hash in result.json",
+                file=sys.stderr,
+            )
+            return EXIT_VALIDATION
         dag = compile_spec(spec, registry, genesis)
     except _DAMAGE as exc:
         raise _Usage(f"run directory {run_dir} is damaged: {_describe(exc)}") from exc
@@ -488,10 +504,7 @@ def cmd_resume(args) -> int:
         return EXIT_RUNTIME
 
     result.log[:0] = appended
-    spec_text = serialize_spec(spec)
-    summary = _write_run_artifacts(
-        run_dir, result, plan, spec_text, sha256_text(spec_text), seed, store, on_disk
-    )
+    summary = _write_run_artifacts(run_dir, result, plan, shash, seed, store, plan_read)
     print(canonical_json(summary))
     return EXIT_OK if result.status == "completed" else EXIT_RUNTIME
 
@@ -499,7 +512,7 @@ def cmd_resume(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first ``main`` call and reused after it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eaclab",
         description="Declarative experiment stack: validate, plan, and run "
         "experiment configs against a simulated device fleet.",
@@ -547,15 +560,13 @@ def main(argv: list[str] | None = None) -> int:
     process."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         return args.func(args)
-    except _Usage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except SystemExit:  # --help, printed to stdout
+        return EXIT_OK
+    except (_Usage, OSError) as exc:
+        # One line, even when a path or an argument holds a newline.
+        message = str(exc).replace("\n", "\\n")
+        print(f"usage error: {message}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,8 +19,8 @@ from eaclab.capabilities import CapabilityRegistry, OperationSchema
 from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import LabState
 from eaclab.records import field, record
-from eaclab.specmodel import ExperimentSpec, StepSpec, _dependency_cycle
-from eaclab.units import Quantity, canonicalize_units, to_canonical
+from eaclab.specmodel import ExperimentSpec, _dependency_cycle
+from eaclab.units import Quantity, to_canonical
 
 # est_duration defaults (seconds) for operations the spec gives no clock for.
 _DEFAULT_DURATION = 1.0
@@ -177,26 +177,29 @@ def _canonical_params(params: dict[str, Quantity]) -> dict[str, Quantity]:
 
 
 def _est_duration(capability: str, op: OperationSchema, params: dict[str, Quantity]) -> float:
+    """The operation's clock; ``params`` are canonical (volume m^3, flow m^3/s)."""
     if capability == "pump" and op.name == "dispense":
-        flow = canonicalize_units(params["flow_rate"], "m^3/s").value
-        volume = canonicalize_units(params["volume"], "m^3").value
-        return volume / flow
+        return params["volume"].value / params["flow_rate"].value
     if capability == "valve" and op.name == "set":
         return _VALVE_SET_DURATION
     return _DEFAULT_DURATION
 
 
-def _step_mode(step: StepSpec, op: OperationSchema) -> str | None:
-    """Device-condition compatibility class for state batching."""
-    if "temperature" in step.params:
-        kelvin = to_canonical(step.params["temperature"]).value
-        return f"T{round(kelvin)}"
+def _step_mode(op: OperationSchema, params: dict[str, Quantity], digests: dict) -> str | None:
+    """Device-condition compatibility class for state batching.
+
+    ``params`` are the step's canonical params; ``digests`` maps each
+    configuration already seen, as sorted (name, value, unit) items, to its
+    mode, so equal configurations are hashed once.
+    """
+    if "temperature" in params:
+        return f"T{round(params['temperature'].value)}"
     if op.kind == "configure" or op.configure_via is not None:
-        cfg = {
-            name: to_canonical(q).to_dict()
-            for name, q in sorted(step.params.items())
-        }
-        return "cfg-" + sha256_hex(cfg)[:8]
+        key = tuple(sorted((name, q.value, q.unit) for name, q in params.items()))
+        if key not in digests:
+            cfg = {name: {"value": value, "unit": unit} for name, value, unit in key}
+            digests[key] = "cfg-" + sha256_hex(cfg)[:8]
+        return digests[key]
     return None
 
 
@@ -300,6 +303,7 @@ def compile_spec(
     last_node_of_step: dict[str, str] = {}
     dep_targets: list[tuple[str, str]] = []  # (dependency, first node of dependent)
     last_on_binding: dict[str, list[str]] = {}
+    digests: dict[tuple, str] = {}
 
     def add_node(node: OpNode) -> None:
         nodes[node.node_id] = node
@@ -321,10 +325,10 @@ def compile_spec(
                 )
             )
 
-        mode = _step_mode(step, op)
+        canonical = params = _canonical_params(step.params)
+        mode = _step_mode(op, canonical, digests)
         lowered: list[str] = []  # the step's nodes, in flow order
 
-        params = _canonical_params(step.params)
         if op.configure_via is not None and op.configure_via in schema.operations:
             cfg_schema = schema.operation(op.configure_via)
             cfg_params = {k: v for k, v in params.items() if k in cfg_schema.params}
@@ -375,7 +379,7 @@ def compile_spec(
                 kind=main_kind,
                 params=params,
                 idempotent=op.idempotent,
-                est_duration=_est_duration(binding.capability, op, step.params),
+                est_duration=_est_duration(binding.capability, op, canonical),
                 mode=mode,
             )
         )

@@ -45,7 +45,7 @@ def replace(obj, **changes):
 def _build(cls, frozen):
     names = tuple(cls.__annotations__)
     env = {"_FACTORY": _FACTORY, "_setattr": object.__setattr__}
-    params, body = [], []
+    params, body, items = [], [], []
     for name in names:
         default = cls.__dict__.get(name)
         value = name
@@ -59,7 +59,15 @@ def _build(cls, frozen):
         else:
             env[f"_d_{name}"] = default
             params.append(f"{name}=_d_{name}")
-        body.append(f"_setattr(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
+        items.append(f"{name!r}: {value}")
+        if not frozen:
+            body.append(f"self.{name} = {value}")
+    if frozen and names:
+        # A frozen record gets its fields as one new instance dict, in one
+        # call past the refusing ``__setattr__``. Filling the dict that
+        # ``self.__dict__`` materializes is cheaper still, but CPython
+        # 3.11-3.12 then reads each field of it without specialization.
+        body.append(f"_setattr(self, '__dict__', {{{', '.join(items)}}})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]), env)

@@ -261,13 +261,14 @@ def _run_list_schedule(
     registry: CapabilityRegistry,
     devices: dict[str, str],
     prefer_mode_match: bool,
-) -> list[Assignment]:
+) -> list[tuple[float, str, str, float, float]]:
     """Graham list scheduling: repeatedly dispatch the least ready node.
 
     ``fifo`` takes ready nodes in topological order, ``batched`` by the
     key described at ``_BatchedQueue``. A node's earliest start (the end of
     its last predecessor, or 0) is fixed once it becomes ready. Each device
-    starts free at 0 in its mode in ``state``.
+    starts free at 0 in its mode in ``state``. Returns (start, node_id,
+    device, end, transition) tuples by start, then node_id.
     """
     rank = topo_rank(dag)
     predecessors, successors = dag.predecessor_index, dag.successor_index
@@ -281,44 +282,34 @@ def _run_list_schedule(
     # Predecessor index entries, an edge counted once per edge kind, as the
     # successor loop below decrements once per entry.
     unmet = {nid: len(predecessors[nid]) for nid in rank}
-    done_at: dict[str, float] = {}
-    assignments: list[Assignment] = []
+    earliest = dict.fromkeys(rank, 0.0)  # the latest end of a finished predecessor
+    slots: list[tuple[float, str, str, float, float]] = []
     ready = (
         _BatchedQueue(dag, devices, latency) if prefer_mode_match else _FifoQueue(rank)
     )
-
-    def release(nid: str) -> None:
-        earliest = max((done_at[p] for p in predecessors[nid]), default=0.0)
-        ready.push(nid, earliest)
-
     for nid, count in unmet.items():
         if count == 0:
-            release(nid)
+            ready.push(nid, 0.0)
     while ready:
-        nid, earliest = ready.pop(free, mode)
+        nid, at = ready.pop(free, mode)
         node = dag.nodes[nid]
         device = devices[node.binding]
         cost = latency[node.binding].cost(mode.get(device), node.mode)
-        start = max(earliest, free[device]) + cost
+        start = max(at, free[device]) + cost
         end = start + node.est_duration
-        assignments.append(
-            Assignment(node_id=nid, device_id=device, start=start, end=end, transition=cost)
-        )
-        done_at[nid] = end
+        slots.append((start, nid, device, end, cost))
         free[device] = end
         if node.mode is not None:
             mode[device] = node.mode
         for succ in successors[nid]:
+            if end > earliest[succ]:
+                earliest[succ] = end
             unmet[succ] -= 1
             if unmet[succ] == 0:
-                release(succ)
+                ready.push(succ, earliest[succ])
 
-    assignments.sort(key=lambda a: (a.start, a.node_id))
-    return assignments
-
-
-def _makespan(assignments) -> float:
-    return max((a.end for a in assignments), default=0.0)
+    slots.sort()  # node ids are unique, so (start, node_id) decides
+    return slots
 
 
 def schedule(
@@ -334,21 +325,22 @@ def schedule(
     if not dag.nodes:
         return ExecutionPlan(assignments=(), batches=(), makespan=0.0, policy=policy)
     devices = resolve_bindings(dag, state, registry)
-    fifo = _run_list_schedule(dag, state, registry, devices, prefer_mode_match=False)
-    if policy == "fifo":
-        return ExecutionPlan(
-            assignments=tuple(fifo),
-            batches=(),
-            makespan=_makespan(fifo),
-            policy="fifo",
-        )
-    greedy = _run_list_schedule(dag, state, registry, devices, prefer_mode_match=True)
-    chosen = greedy if _makespan(greedy) <= _makespan(fifo) else fifo
+    chosen = _run_list_schedule(dag, state, registry, devices, prefer_mode_match=False)
+    makespan = max(slot[3] for slot in chosen)
+    batches = ()
+    if policy == "batched":
+        greedy = _run_list_schedule(dag, state, registry, devices, prefer_mode_match=True)
+        greedy_makespan = max(slot[3] for slot in greedy)
+        if greedy_makespan <= makespan:
+            chosen, makespan = greedy, greedy_makespan
+        batches = tuple(batch_compatible(dag, state, devices))
     return ExecutionPlan(
-        assignments=tuple(chosen),
-        batches=tuple(batch_compatible(dag, state, devices)),
-        makespan=_makespan(chosen),
-        policy="batched",
+        assignments=tuple(
+            Assignment(nid, device, start, end, cost) for start, nid, device, end, cost in chosen
+        ),
+        batches=batches,
+        makespan=makespan,
+        policy=policy,
     )
 
 

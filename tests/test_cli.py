@@ -165,6 +165,32 @@ def test_resumed_run_completes_the_telemetry_csv(tmp_path, capsys, policy):
     assert (run_dir / "telemetry.csv").read_bytes() == clean_csv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["run"],
+        ["explode"],
+        ["plan", SPEC, "--policy", "bogus"],
+        ["validate", SPEC, "--bogus"],
+        ["run", SPEC, "--seed", "x"],
+        ["validate", SPEC, "extra"],
+        ["validate", SPEC, "two\nlines"],
+    ],
+)
+def test_command_line_error_is_one_usage_line(capsys, argv):
+    """argparse's usage text is not printed; the error is one line, exit 4."""
+    _usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["plan", "--help"]])
+def test_help_prints_usage_on_stdout(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: eaclab")
+    assert captured.err == ""
+
+
 def test_bad_inject_argument_is_usage_error(tmp_path):
     assert main(
         ["run", SPEC, "--lab", LAB, "--out", str(tmp_path), "--inject", "weird@@"]
@@ -615,6 +641,25 @@ def test_resume_rewrites_neither_plan_nor_spec(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_write", recorded)
     assert main(["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"]) == 0
     assert written and not {"plan.json", "spec.json"} & set(written)
+
+
+def test_resume_of_an_edited_spec_is_rejected(tmp_path, capsys):
+    """An edited spec.json would run under the plan and the telemetry spec
+    hash of the spec it replaced; it is refused and nothing is written."""
+    out = tmp_path / "paused"
+    assert main(["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", "error@20"]) == 3
+    run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
+    assert _faulted_device(run_dir) == "pstat_1"
+    path = run_dir / "spec.json"
+    spec = json.loads(path.read_text())
+    fill = next(step for step in spec["steps"] if step["id"] == "fill#5")
+    assert fill["params"]["volume"]["value"] == 0.7
+    fill["params"]["volume"]["value"] = 0.9
+    path.write_text(canonical_json(spec) + "\n")
+    before = _dir_bytes(run_dir)
+    err = _mismatch(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pstat_1"])
+    assert err == "checkpoint mismatch: spec.json does not match the spec hash in result.json\n"
+    assert _dir_bytes(run_dir) == before
 
 
 NOT_UTF8 = b"\xff\xfe{}"

@@ -1,5 +1,5 @@
 """Exit-code contract under fuzzed argv: every command ends in 0, 2, 3 or 4
-and never in a traceback.
+and never in a traceback, and a usage error (4) is one line on stderr.
 
 Arguments are drawn over the five subcommands and their flags; file
 arguments name a valid spec, malformed JSON, drawn bytes that are not
@@ -164,3 +164,5 @@ def test_every_command_exits_with_a_documented_code(files, data):
     code, _, err = run_main(argv)
     assert code in EXIT_CODES, (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    if code == 4:
+        assert len(err.splitlines()) == 1, (argv, err)

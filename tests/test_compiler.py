@@ -1,8 +1,10 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
+from eaclab import compiler, units
 from eaclab.capabilities import builtin_registry
 from eaclab.compiler import (
     Diagnostic,
@@ -17,6 +19,8 @@ from eaclab.compiler import (
 from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import DeviceRecord, LabState
 from eaclab.specmodel import expand_sweeps, parse_spec
+
+from workloads import campaign_workload
 
 
 def _state(*records):
@@ -331,3 +335,26 @@ def test_mode_assignment_from_temperature(genesis):
     dag = compile_spec(spec, registry, state)
     # 25 degC canonicalizes to 298.15 K and rounds to the T298 class.
     assert dag.nodes["scan"].mode == "T298"
+
+
+def test_compile_converts_each_quantity_once_and_hashes_each_configuration_once(monkeypatch):
+    """At N=48 the campaign has 48 selects (1 param), fills (2) and measures
+    (5, plus a stabilize duration): 9 conversions a point. The measures take
+    6 distinct configurations, one per port's concentration."""
+    spec, registry, genesis = campaign_workload(48)
+    diagnostics = static_check(spec, registry, genesis)
+    counts = Counter()
+    convert, digest = units.canonicalize_units, compiler.sha256_hex
+
+    def counted_convert(*args):
+        counts["conversions"] += 1
+        return convert(*args)
+
+    def counted_digest(obj):
+        counts["digests"] += 1
+        return digest(obj)
+
+    monkeypatch.setattr(units, "canonicalize_units", counted_convert)
+    monkeypatch.setattr(compiler, "sha256_hex", counted_digest)
+    compile_spec(spec, registry, genesis, diagnostics)
+    assert counts == {"conversions": 432, "digests": 6}

@@ -8,6 +8,7 @@ from eaclab.errors import UnschedulableError
 from eaclab.labstate import DeviceRecord
 from eaclab import scheduler
 from eaclab.scheduler import (
+    Assignment,
     ExecutionPlan,
     batch_compatible,
     count_mode_transitions,
@@ -194,3 +195,20 @@ def test_plan_from_dict_rejects_an_unknown_policy(campaign_dag, genesis, registr
     doc["policy"] = "lifo"
     with pytest.raises(ValueError):
         ExecutionPlan.from_dict(doc)
+
+
+def test_a_batched_schedule_builds_the_assignments_of_the_returned_plan_only(monkeypatch):
+    """Both list-schedule passes run; only the chosen one becomes records."""
+    spec, registry, genesis = campaign_workload(48)
+    dag = compile_spec(spec, registry, genesis)
+    built = []
+    init = Assignment.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Assignment, "__init__", counted)
+    plan = schedule(dag, genesis, registry, policy="batched")
+    assert len(built) == len(dag.nodes) == 246
+    assert built == list(plan.assignments)
