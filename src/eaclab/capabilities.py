@@ -1,13 +1,15 @@
 """Per-device-type contracts and the capability registry.
 
 A ``CapabilitySchema`` declares the operations a device type supports,
-their parameter envelopes, the safety envelope, state-transition
+their parameter envelopes and clocks, the safety envelope, state-transition
 latencies, and the calibration validity window. Specs are range-checked
-against these contracts before anything touches a device.
+against these contracts before anything touches a device. Built-in and
+custom device types are written alike, in the lab config's form.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 from eaclab.errors import (
@@ -22,6 +24,9 @@ from eaclab.units import Quantity, canonicalize_units
 # Calibration validity window for every built-in device type, in simulated
 # seconds. Short on purpose: desk-scale runs, not annual service cycles.
 DEFAULT_CALIBRATION_WINDOW_S = 30 * 24 * 3600
+
+# The clock of an operation whose schema declares no ``duration_s``.
+DEFAULT_DURATION_S = 1.0
 
 OPERATION_KINDS = frozenset({"configure", "actuate", "read", "connect", "disconnect"})
 
@@ -47,12 +52,22 @@ class OperationSchema:
     # Name of a companion configure op the compiler must emit before this
     # one, consuming the matching subset of the step's params.
     configure_via: str | None = None
+    # Seconds, or the names of two params whose canonical values divide
+    # to seconds (volume / flow_rate).
+    duration_s: float | tuple[str, str] = DEFAULT_DURATION_S
 
     def __post_init__(self) -> None:
         if self.kind not in OPERATION_KINDS:
             raise ValueError(f"unknown operation kind {self.kind!r}")
         if self.kind == "read" and not self.idempotent:
             raise ValueError("read operations must be idempotent")
+
+    def duration(self, params: dict[str, Quantity]) -> float:
+        """The operation's clock in seconds; ``params`` are canonical."""
+        if isinstance(self.duration_s, tuple):
+            numerator, denominator = self.duration_s
+            return params[numerator].value / params[denominator].value
+        return self.duration_s
 
 
 COMPARATORS = {
@@ -116,6 +131,19 @@ class CapabilitySchema:
     transitions: TransitionLatency = TransitionLatency()
     calibration_window: float = DEFAULT_CALIBRATION_WINDOW_S
 
+    def __post_init__(self) -> None:
+        for op in self.operations.values():
+            where = f"{self.capability}.{op.name}"
+            # Lifecycle nodes carry no params.
+            _check_clock(op, {} if op.name in _LIFECYCLE_OPERATIONS else op.params, where)
+            if op.configure_via is not None:
+                if op.configure_via not in self.operations:
+                    raise ValueError(f"{where}.configure_via names no operation: "
+                                     f"{op.configure_via!r}")
+                # The configure node's clock is evaluated on this step's params.
+                _check_clock(self.operations[op.configure_via], op.params,
+                             f"{where}.configure_via")
+
     def operation(self, name: str) -> OperationSchema:
         try:
             return self.operations[name]
@@ -123,6 +151,21 @@ class CapabilitySchema:
             raise UnknownOperationError(
                 f"{self.capability} has no operation {name!r}"
             ) from None
+
+
+def _check_clock(op: OperationSchema, params: dict[str, ParamSchema], where: str) -> None:
+    """Refuse a ratio clock unless it names two required ``params``, the
+    numerator with ``min`` >= 0 and the denominator with ``min`` > 0, so a
+    range-checked step never gives a negative clock or divides by zero."""
+    if isinstance(op.duration_s, tuple):
+        numerator, denominator = (params.get(name) for name in op.duration_s)
+        if (numerator is None or denominator is None or len(set(op.duration_s)) < 2
+                or numerator.optional or denominator.optional
+                or numerator.min < 0 or denominator.min <= 0):
+            raise ValueError(
+                f"{where}.duration_s {list(op.duration_s)} must name two required "
+                f"params, the first with min >= 0 and the second with min > 0"
+            )
 
 
 @record(frozen=True)
@@ -222,135 +265,101 @@ class CapabilityRegistry:
         )
 
 
-def _lifecycle_ops() -> dict[str, OperationSchema]:
-    return {
-        "connect": OperationSchema("connect", kind="connect", idempotent=True),
-        "disconnect": OperationSchema("disconnect", kind="disconnect", idempotent=True),
-    }
+# The potentiostat's EIS settings, which measure_eis sets through configure.
+_EIS_PARAMS = {
+    "eac": {"unit": "V", "min": 0.001, "max": 1.0},
+    "freq_min": {"unit": "Hz", "min": 1.0, "max": 1e6},
+    "freq_max": {"unit": "Hz", "min": 1.0, "max": 1e6},
+    "n_freq": {"min": 1, "max": 100},
+}
+
+# The five built-in device types, in the lab config's ``capabilities`` form
+# and parsed by ``schema_from_dict`` like any custom capability.
+BUILTIN_CAPABILITIES = {
+    "pump": {"operations": {
+        "dispense": {"params": {"flow_rate": {"unit": "mL/min", "min": 0.1, "max": 10.0},
+                                "volume": {"unit": "mL", "min": 0.01, "max": 50.0}},
+                     "duration_s": ["volume", "flow_rate"]},
+        "stop": {"idempotent": True},
+    }},
+    "valve": {"operations": {
+        "set": {"params": {"dest": {"min": 1, "max": 6}}, "idempotent": True, "duration_s": 2.0},
+    }},
+    "balance": {"operations": {"read": {"kind": "read"}, "tare": {"idempotent": True}}},
+    "relay": {"operations": {
+        "on": {"params": {"channel": {"min": 1, "max": 8}}, "idempotent": True},
+        "off": {"params": {"channel": {"min": 1, "max": 8}}, "idempotent": True},
+    }},
+    "potentiostat": {"operations": {
+        "configure": {"params": _EIS_PARAMS, "kind": "configure", "idempotent": True},
+        # concentration is a sample annotation carried through to telemetry.
+        "measure_eis": {"params": {**_EIS_PARAMS, "concentration": {
+                            "unit": "mol/kg", "min": 0.0, "max": 1000.0, "optional": True}},
+                        "kind": "read", "configure_via": "configure"},
+    }},
+}
+
+# Every capability has these; one may redeclare them. Their nodes carry no
+# parameters, so their clocks must be numbers.
+_LIFECYCLE_OPERATIONS = {
+    "connect": {"kind": "connect", "idempotent": True},
+    "disconnect": {"kind": "disconnect", "idempotent": True},
+}
 
 
-def builtin_registry() -> CapabilityRegistry:
-    """Registry preloaded with the five built-in device types."""
-    registry = CapabilityRegistry()
-
-    registry.register(
-        CapabilitySchema(
-            capability="pump",
-            operations={
-                **_lifecycle_ops(),
-                "dispense": OperationSchema(
-                    "dispense",
-                    params={
-                        "flow_rate": ParamSchema("mL/min", 0.1, 10.0),
-                        "volume": ParamSchema("mL", 0.01, 50.0),
-                    },
-                    kind="actuate",
-                    idempotent=False,
-                ),
-                "stop": OperationSchema("stop", kind="actuate", idempotent=True),
-            },
-        )
-    )
-    registry.register(
-        CapabilitySchema(
-            capability="valve",
-            operations={
-                **_lifecycle_ops(),
-                "set": OperationSchema(
-                    "set",
-                    params={"dest": ParamSchema("", 1, 6)},
-                    kind="actuate",
-                    idempotent=True,
-                ),
-            },
-        )
-    )
-    registry.register(
-        CapabilitySchema(
-            capability="balance",
-            operations={
-                **_lifecycle_ops(),
-                "read": OperationSchema("read", kind="read", idempotent=True),
-                "tare": OperationSchema("tare", kind="actuate", idempotent=True),
-            },
-        )
-    )
-    registry.register(
-        CapabilitySchema(
-            capability="relay",
-            operations={
-                **_lifecycle_ops(),
-                "on": OperationSchema(
-                    "on",
-                    params={"channel": ParamSchema("", 1, 8)},
-                    kind="actuate",
-                    idempotent=True,
-                ),
-                "off": OperationSchema(
-                    "off",
-                    params={"channel": ParamSchema("", 1, 8)},
-                    kind="actuate",
-                    idempotent=True,
-                ),
-            },
-        )
-    )
-    pstat_params = {
-        "eac": ParamSchema("V", 0.001, 1.0),
-        "freq_min": ParamSchema("Hz", 1.0, 1e6),
-        "freq_max": ParamSchema("Hz", 1.0, 1e6),
-        "n_freq": ParamSchema("", 1, 100),
-    }
-    registry.register(
-        CapabilitySchema(
-            capability="potentiostat",
-            operations={
-                **_lifecycle_ops(),
-                "configure": OperationSchema(
-                    "configure", params=dict(pstat_params), kind="configure",
-                    idempotent=True,
-                ),
-                "measure_eis": OperationSchema(
-                    "measure_eis",
-                    params={
-                        **pstat_params,
-                        # Sample annotation carried through to telemetry.
-                        "concentration": ParamSchema("mol/kg", 0.0, 1000.0, optional=True),
-                    },
-                    kind="read",
-                    idempotent=True,
-                    configure_via="configure",
-                ),
-            },
-        )
-    )
-    return registry
+def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
+    """``obj[key]``, which must be a finite JSON number, as a float."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{where}.{key} must be a finite number, not {value!r}")
+    return float(value)
 
 
-def _parse_operation(name: str, obj: dict) -> OperationSchema:
-    params = {
-        pname: ParamSchema(
+def _flag(obj: dict, key: str, where: str, default: bool) -> bool:
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{where}.{key} must be true or false, not {value!r}")
+    return value
+
+
+def _clock(obj: dict, where: str) -> float | tuple[str, str]:
+    value = obj.get("duration_s", DEFAULT_DURATION_S)
+    if isinstance(value, list) and len(value) == 2 and all(isinstance(n, str) for n in value):
+        return tuple(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ValueError(f"{where}.duration_s must be seconds >= 0 or [numerator, "
+                         f"denominator] parameter names, not {value!r}")
+    return float(value)
+
+
+def _parse_operation(name: str, obj: dict, where: str) -> OperationSchema:
+    params = {}
+    for pname, p in obj.get("params", {}).items():
+        at = f"{where}.params.{pname}"
+        params[pname] = ParamSchema(
             unit=p.get("unit", ""),
-            min=float(p["min"]),
-            max=float(p["max"]),
-            optional=bool(p.get("optional", False)),
+            min=_number(p, "min", at),
+            max=_number(p, "max", at),
+            optional=_flag(p, "optional", at, False),
         )
-        for pname, p in obj.get("params", {}).items()
-    }
+    kind = obj.get("kind", "actuate")
     return OperationSchema(
         name=name,
         params=params,
-        kind=obj.get("kind", "actuate"),
-        idempotent=bool(obj.get("idempotent", obj.get("kind") == "read")),
+        kind=kind,
+        idempotent=_flag(obj, "idempotent", where, kind == "read"),
         configure_via=obj.get("configure_via"),
+        duration_s=_clock(obj, where),
     )
 
 
 def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
-    """Build a capability schema from its lab-config JSON form."""
-    operations = {**_lifecycle_ops()}
-    for op_name, op_obj in obj.get("operations", {}).items():
-        operations[op_name] = _parse_operation(op_name, op_obj)
+    """Build a capability schema from its lab-config JSON form; a malformed
+    field is a ValueError that names it, and keys not read are ignored."""
+    operations = {
+        op_name: _parse_operation(op_name, op_obj, f"{name}.{op_name}")
+        for op_name, op_obj in {**_LIFECYCLE_OPERATIONS, **obj.get("operations", {})}.items()
+    }
     safety_obj = obj.get("safety", {})
     conditions = tuple(
         SafetyPredicate(
@@ -361,28 +370,39 @@ def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
         for c in safety_obj.get("conditions", [])
     )
     trans_obj = obj.get("transitions", {})
-    reconfigure = {
-        tuple(key.split("->", 1)): float(value)
-        for key, value in trans_obj.get("reconfigure", {}).items()
-    }
+    where = f"{name}.transitions"
+    latencies = trans_obj.get("reconfigure", {})
+    reconfigure = {}
+    for key in latencies:
+        old, arrow, new = key.partition("->")
+        if not (old and arrow and new):
+            raise ValueError(f"{where}.reconfigure key {key!r} must read '<from>-><to>'")
+        reconfigure[old, new] = _number(latencies, key, f"{where}.reconfigure")
+    window = _number(obj, "calibration_window", name, DEFAULT_CALIBRATION_WINDOW_S)
+    if window <= 0:
+        raise ValueError(f"{name}.calibration_window must be > 0, not {window!r}")
     return CapabilitySchema(
         capability=name,
         operations=operations,
         safety=SafetyEnvelope(conditions=conditions),
         transitions=TransitionLatency(
-            warmup=float(trans_obj.get("warmup", 0.0)),
-            cooldown=float(trans_obj.get("cooldown", 0.0)),
+            warmup=_number(trans_obj, "warmup", where, 0.0),
+            cooldown=_number(trans_obj, "cooldown", where, 0.0),
             reconfigure=reconfigure,
         ),
-        calibration_window=float(
-            obj.get("calibration_window", DEFAULT_CALIBRATION_WINDOW_S)
-        ),
+        calibration_window=window,
     )
+
+
+def builtin_registry() -> CapabilityRegistry:
+    """Registry of the five built-in device types."""
+    return registry_from_lab_config({})
 
 
 def registry_from_lab_config(config: dict) -> CapabilityRegistry:
     """Built-in fleet plus any custom capabilities from a lab config."""
-    registry = builtin_registry()
-    for name, obj in config.get("capabilities", {}).items():
-        registry.register(schema_from_dict(name, obj))
+    registry = CapabilityRegistry()
+    for capabilities in (BUILTIN_CAPABILITIES, config.get("capabilities", {})):
+        for name, obj in capabilities.items():
+            registry.register(schema_from_dict(name, obj))
     return registry

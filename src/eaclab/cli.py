@@ -258,13 +258,14 @@ def _ndjson(dicts) -> bytes:
 
 
 def _write_run_artifacts(
-    run_dir: Path, result, plan, shash: str, seed: int, store, plan_read: str | None = None
+    run_dir: Path, result, plan, shash: str, seed: int, plan_read: str | None = None
 ):
     """Write a run's artifacts but ``spec.json``. A resume passes
     ``plan_read``, the text of ``plan.json`` it read: the logs and
     ``telemetry.csv`` are then appended to, and ``plan.json`` rewritten only
     if changed."""
     from eaclab.scheduler import plan_hash
+    from eaclab.telemetry import export_csv
 
     base = f"{run_dir}{os.sep}"
     append = plan_read is not None
@@ -272,7 +273,7 @@ def _write_run_artifacts(
     _write(base + "log.ndjson", _ndjson(event.to_dict() for event in result.log), mode)
     _write(base + "telemetry.ndjson", _ndjson(rec.to_dict() for rec in result.telemetry), mode)
     _write(base + "wire.ndjson", _ndjson(result.wire), mode)
-    csv_text = store.export_csv(result.run_id, header=not append)
+    csv_text = export_csv(result.telemetry, header=not append)
     _write(base + "telemetry.csv", csv_text.encode("utf-8"), mode)
     plan_text = plan.serialize() + "\n"
     if plan_text != plan_read:
@@ -298,7 +299,6 @@ def cmd_run(args) -> int:
     from eaclab.executor import execute
     from eaclab.scheduler import schedule
     from eaclab.shims import SimFleet
-    from eaclab.telemetry import TelemetryStore
 
     spec, diagnostics, sim_configs, registry, genesis = _validate_pipeline(args.spec, args.lab)
     _report(diagnostics)
@@ -314,7 +314,6 @@ def cmd_run(args) -> int:
     spec_text = serialize_spec(spec)
     shash = sha256_text(spec_text)
     run_id = f"run-{shash[:8]}-s{args.seed}"
-    store = TelemetryStore()
     result = execute(
         plan,
         dag,
@@ -324,11 +323,10 @@ def cmd_run(args) -> int:
         run_id=run_id,
         spec_hash=shash,
         fault_schedule=_parse_inject(args.inject),
-        store=store,
     )
     run_dir = _run_dir(args.out, run_id)
     _write(f"{run_dir}{os.sep}spec.json", (spec_text + "\n").encode("utf-8"))
-    summary = _write_run_artifacts(run_dir, result, plan, shash, args.seed, store)
+    summary = _write_run_artifacts(run_dir, result, plan, shash, args.seed)
     print(canonical_json(summary))
     if result.uninjected:
         print(
@@ -424,7 +422,6 @@ def cmd_resume(args) -> int:
     from eaclab.executor import Checkpoint, resume
     from eaclab.scheduler import ExecutionPlan
     from eaclab.shims import SimFleet
-    from eaclab.telemetry import TelemetryStore
 
     run_dir = Path(args.run_dir)
     if not (run_dir / "checkpoint.json").exists():
@@ -489,12 +486,10 @@ def cmd_resume(args) -> int:
         appended.append(event)
 
     fleet = SimFleet(sim_configs, seed)
-    store = TelemetryStore()
     try:
         result = resume(
             checkpoint, plan, dag, state, registry, fleet,
-            spec_hash=shash, store=store,
-            last_dispatch=last_dispatch,
+            spec_hash=shash, last_dispatch=last_dispatch,
         )
     except CheckpointMismatchError as exc:
         print(f"checkpoint mismatch: {exc}", file=sys.stderr)
@@ -504,7 +499,7 @@ def cmd_resume(args) -> int:
         return EXIT_RUNTIME
 
     result.log[:0] = appended
-    summary = _write_run_artifacts(run_dir, result, plan, shash, seed, store, plan_read)
+    summary = _write_run_artifacts(run_dir, result, plan, shash, seed, plan_read)
     print(canonical_json(summary))
     return EXIT_OK if result.status == "completed" else EXIT_RUNTIME
 

@@ -4,9 +4,11 @@ Lowering rules: each used binding gets one connect node before its first
 operation and one teardown node after its last; operations that declare a
 companion configure op are split into configure + measure nodes;
 stabilization constraints lower to stabilize nodes. Original step
-dependencies become edges between the lowered node groups. Live-state
-checks are not lowered to nodes: the executor checks live state right
-before every dispatch.
+dependencies become edges between the lowered node groups. Every node's
+``est_duration`` is the clock its operation's schema declares, except a
+stabilize node's, which is its declared hold. Live-state checks are not
+lowered to nodes: the executor checks live state right before every
+dispatch.
 """
 
 from __future__ import annotations
@@ -15,16 +17,12 @@ import heapq
 from functools import cached_property
 
 from eaclab.canon import canonical_json, sha256_hex
-from eaclab.capabilities import CapabilityRegistry, OperationSchema
+from eaclab.capabilities import DEFAULT_DURATION_S, CapabilityRegistry, OperationSchema
 from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import LabState
 from eaclab.records import field, record
 from eaclab.specmodel import ExperimentSpec, _dependency_cycle
 from eaclab.units import Quantity, to_canonical
-
-# est_duration defaults (seconds) for operations the spec gives no clock for.
-_DEFAULT_DURATION = 1.0
-_VALVE_SET_DURATION = 2.0
 
 
 @record(frozen=True)
@@ -46,7 +44,7 @@ class OpNode:
     kind: str
     params: dict[str, Quantity] = field(default_factory=dict)
     idempotent: bool = False
-    est_duration: float = _DEFAULT_DURATION
+    est_duration: float = DEFAULT_DURATION_S
     mode: str | None = None
     # Stabilization detail for stabilize nodes: mode/duration_s/signal.
     stab: dict | None = None
@@ -176,15 +174,6 @@ def _canonical_params(params: dict[str, Quantity]) -> dict[str, Quantity]:
     return {name: to_canonical(q) for name, q in params.items()}
 
 
-def _est_duration(capability: str, op: OperationSchema, params: dict[str, Quantity]) -> float:
-    """The operation's clock; ``params`` are canonical (volume m^3, flow m^3/s)."""
-    if capability == "pump" and op.name == "dispense":
-        return params["volume"].value / params["flow_rate"].value
-    if capability == "valve" and op.name == "set":
-        return _VALVE_SET_DURATION
-    return _DEFAULT_DURATION
-
-
 def _step_mode(op: OperationSchema, params: dict[str, Quantity], digests: dict) -> str | None:
     """Device-condition compatibility class for state batching.
 
@@ -299,7 +288,7 @@ def compile_spec(
 
     nodes: dict[str, OpNode] = {}
     edges: list[tuple[str, str, str]] = []
-    used_bindings: list[str] = []
+    used_bindings: dict = {}  # binding -> its CapabilitySchema, in order of first use
     last_node_of_step: dict[str, str] = {}
     dep_targets: list[tuple[str, str]] = []  # (dependency, first node of dependent)
     last_on_binding: dict[str, list[str]] = {}
@@ -313,7 +302,7 @@ def compile_spec(
         schema = registry.get(binding.capability)
         op = schema.operation(step.operation)
         if step.binding not in used_bindings:
-            used_bindings.append(step.binding)
+            used_bindings[step.binding] = schema
             add_node(
                 OpNode(
                     node_id=f"connect:{step.binding}",
@@ -321,7 +310,7 @@ def compile_spec(
                     operation="connect",
                     kind="connect",
                     idempotent=True,
-                    est_duration=_DEFAULT_DURATION,
+                    est_duration=schema.operation("connect").duration({}),
                 )
             )
 
@@ -329,7 +318,7 @@ def compile_spec(
         mode = _step_mode(op, canonical, digests)
         lowered: list[str] = []  # the step's nodes, in flow order
 
-        if op.configure_via is not None and op.configure_via in schema.operations:
+        if op.configure_via is not None:
             cfg_schema = schema.operation(op.configure_via)
             cfg_params = {k: v for k, v in params.items() if k in cfg_schema.params}
             params = {k: v for k, v in params.items() if k not in cfg_schema.params}
@@ -342,7 +331,7 @@ def compile_spec(
                     kind="action",
                     params=cfg_params,
                     idempotent=cfg_schema.idempotent,
-                    est_duration=_DEFAULT_DURATION,
+                    est_duration=cfg_schema.duration(cfg_params),
                     mode=mode,
                 )
             )
@@ -379,7 +368,7 @@ def compile_spec(
                 kind=main_kind,
                 params=params,
                 idempotent=op.idempotent,
-                est_duration=_est_duration(binding.capability, op, canonical),
+                est_duration=op.duration(canonical),
                 mode=mode,
             )
         )
@@ -400,7 +389,7 @@ def compile_spec(
     # added once every step is lowered.
     edges.extend((last_node_of_step[dep], first, "dep") for dep, first in dep_targets)
 
-    for binding_name in used_bindings:
+    for binding_name, schema in used_bindings.items():
         teardown_id = f"teardown:{binding_name}"
         add_node(
             OpNode(
@@ -409,7 +398,7 @@ def compile_spec(
                 operation="disconnect",
                 kind="teardown",
                 idempotent=True,
-                est_duration=_DEFAULT_DURATION,
+                est_duration=schema.operation("disconnect").duration({}),
             )
         )
         for last in last_on_binding[binding_name]:

@@ -21,7 +21,7 @@ from eaclab.labstate import LabState, StateEvent, apply_event
 from eaclab.records import field, record
 from eaclab.scheduler import ExecutionPlan, plan_hash as compute_plan_hash
 from eaclab.shims import SimFleet, WireFrame, encode_operation
-from eaclab.telemetry import TelemetryRecord, TelemetryStore
+from eaclab.telemetry import TelemetryRecord
 from eaclab.units import Quantity, to_canonical
 
 FAULT_KINDS = frozenset(
@@ -204,7 +204,6 @@ class _RunContext:
     spec_hash: str
     plan_hash: str
     fault_schedule: dict[int, str]
-    store: TelemetryStore
     log: list[StateEvent] = field(default_factory=list)
     wire: list[dict] = field(default_factory=list)
     dispatch_count: int = 0
@@ -260,7 +259,6 @@ def execute(
     run_id: str,
     spec_hash: str,
     fault_schedule: dict[int, str] | None = None,
-    store: TelemetryStore | None = None,
 ) -> RunResult:
     """Execute a plan from the start. See ``resume`` for continuation."""
     ctx = _RunContext(
@@ -273,7 +271,6 @@ def execute(
         spec_hash=spec_hash,
         plan_hash=compute_plan_hash(plan),
         fault_schedule=dict(fault_schedule or {}),
-        store=store if store is not None else TelemetryStore(),
     )
     return _run(ctx, skip_through=None)
 
@@ -286,7 +283,6 @@ def resume(
     registry: CapabilityRegistry,
     fleet: SimFleet,
     spec_hash: str,
-    store: TelemetryStore | None = None,
     last_dispatch: int = 0,
 ) -> RunResult:
     """Continue a paused run from the node after its checkpoint.
@@ -332,7 +328,6 @@ def resume(
         spec_hash=spec_hash,
         plan_hash=checkpoint.plan_hash,
         fault_schedule={},
-        store=store if store is not None else TelemetryStore(),
         dispatch_count=last_dispatch,
         last_committed=checkpoint.last_committed_node,
     )
@@ -520,7 +515,6 @@ def _execute_node(ctx, node, assignment, device_id, capability, start: float):
                 spec_hash=ctx.spec_hash,
                 plan_hash=ctx.plan_hash,
             )
-            ctx.store.record(record)
             ctx.telemetry.append(record)
 
     return end

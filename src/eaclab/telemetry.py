@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 
-from eaclab.canon import canonical_json
 from eaclab.errors import NoDataError, ProvenanceError
 from eaclab.records import field, record
 from eaclab.units import Quantity
@@ -20,6 +19,12 @@ class TelemetryRecord:
     fields: dict[str, Quantity]
     spec_hash: str
     plan_hash: str
+
+    def __post_init__(self) -> None:
+        if not self.spec_hash or not self.plan_hash:
+            raise ProvenanceError(
+                f"record for {self.node_id!r} is missing a provenance hash"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -50,10 +55,6 @@ class TelemetryStore:
     _records: list[TelemetryRecord] = field(default_factory=list)
 
     def record(self, rec: TelemetryRecord) -> None:
-        if not rec.spec_hash or not rec.plan_hash:
-            raise ProvenanceError(
-                f"record for {rec.node_id!r} is missing a provenance hash"
-            )
         self._records.append(rec)
 
     def query(self, run_id: str) -> list[TelemetryRecord]:
@@ -76,28 +77,22 @@ class TelemetryStore:
             raise NoDataError(f"no records with field {field_name!r} in run {run_id!r}")
         return {"value": best_value, "at": dict(best.fields)}
 
-    def export_ndjson(self, run_id: str) -> str:
-        return "".join(
-            canonical_json(rec.to_dict()) + "\n" for rec in self.query(run_id)
-        )
 
-    def export_csv(self, run_id: str, header: bool = True) -> str:
-        """Plot-friendly view: concentration, conductivity, temperature.
+_CSV_COLUMNS = ("concentration", "conductivity", "temperature")
 
-        ``header=False`` gives the rows only, to append to an export."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        if header:
-            writer.writerow(["concentration", "conductivity", "temperature"])
-        for rec in self.query(run_id):
-            writer.writerow(
-                [
-                    _field_value(rec, "concentration"),
-                    _field_value(rec, "conductivity"),
-                    _field_value(rec, "temperature"),
-                ]
-            )
-        return buf.getvalue()
+
+def export_csv(records: list[TelemetryRecord], header: bool = True) -> str:
+    """Plot-friendly view of ``records``, one row each: concentration,
+    conductivity, temperature.
+
+    ``header=False`` gives the rows only, to append to an export."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    if header:
+        writer.writerow(_CSV_COLUMNS)
+    for rec in records:
+        writer.writerow([_field_value(rec, name) for name in _CSV_COLUMNS])
+    return buf.getvalue()
 
 
 def _field_value(rec: TelemetryRecord, name: str) -> str:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 from pathlib import Path
@@ -14,6 +15,88 @@ from eaclab.specmodel import expand_sweeps, parse_spec
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LAB_PATH = REPO_ROOT / "configs" / "reference_lab.json"
 CAMPAIGN_PATH = REPO_ROOT / "configs" / "li2so4_campaign.json"
+
+
+# A custom capability with a ratio clock, and edits of it that a lab config
+# must be refused for: (path, value, what the one-line error says).
+TCELL = {
+    "operations": {
+        "scan": {
+            "params": {
+                "temperature": {"unit": "K", "min": 250, "max": 400},
+                "rate": {"unit": "Hz", "min": 0.5, "max": 5},
+            },
+            "kind": "read",
+            "duration_s": ["temperature", "rate"],
+        },
+    },
+    "transitions": {"warmup": 20, "cooldown": 45, "reconfigure": {"T298->T310": 12}},
+}
+_SCAN = ("operations", "scan")
+_TEMPERATURE = (*_SCAN, "params", "temperature")
+_RATE = (*_SCAN, "params", "rate")
+_RATIO = "tcell.scan.duration_s ['temperature', 'rate'] must name two required params"
+BAD_TCELL = {
+    "idempotent": ((*_SCAN, "idempotent"), "false",
+                   "tcell.scan.idempotent must be true or false, not 'false'"),
+    "optional": ((*_TEMPERATURE, "optional"), "false",
+                 "tcell.scan.params.temperature.optional must be true or false"),
+    "configure_via": ((*_SCAN, "configure_via"), "heat",
+                      "tcell.scan.configure_via names no operation: 'heat'"),
+    "reconfigure": (("transitions", "reconfigure"), {"T298": 30},
+                    "tcell.transitions.reconfigure key 'T298' must read"),
+    "window": (("calibration_window",), -5, "tcell.calibration_window must be > 0"),
+    "window_nan": (("calibration_window",), float("nan"),
+                   "tcell.calibration_window must be a finite number"),
+    "min_nan": ((*_TEMPERATURE, "min"), float("nan"),
+                "tcell.scan.params.temperature.min must be a finite number"),
+    "max_inf": ((*_TEMPERATURE, "max"), float("inf"),
+                "tcell.scan.params.temperature.max must be a finite number"),
+    "warmup_nan": (("transitions", "warmup"), float("nan"),
+                   "tcell.transitions.warmup must be a finite number"),
+    "cooldown_text": (("transitions", "cooldown"), "45",
+                      "tcell.transitions.cooldown must be a finite number"),
+    "latency_nan": (("transitions", "reconfigure", "T298->T310"), float("nan"),
+                    "tcell.transitions.reconfigure.T298->T310 must be a finite number"),
+    "clock_nan": ((*_SCAN, "duration_s"), float("nan"), "tcell.scan.duration_s must be seconds"),
+    "clock_negative": ((*_SCAN, "duration_s"), -1, "tcell.scan.duration_s must be seconds"),
+    "clock_shape": ((*_SCAN, "duration_s"), ["rate"], "tcell.scan.duration_s must be seconds"),
+    "clock_twice": ((*_SCAN, "duration_s"), ["rate", "rate"],
+                    "tcell.scan.duration_s ['rate', 'rate'] must name two required params"),
+    "clock_unknown": ((*_SCAN, "duration_s"), ["rate", "ghost"],
+                      "tcell.scan.duration_s ['rate', 'ghost'] must name two required params"),
+    "clock_optional": ((*_RATE, "optional"), True, _RATIO),
+    "clock_zero_divisor": ((*_RATE, "min"), 0, _RATIO),
+    "clock_negative_numerator": ((*_TEMPERATURE, "min"), -1, _RATIO),
+    # Lifecycle nodes carry no params, so their clocks cannot be ratios.
+    "clock_connect": (("operations", "connect"),
+                      {"kind": "connect", "duration_s": ["temperature", "rate"]},
+                      "tcell.connect.duration_s ['temperature', 'rate'] must name"),
+    # A configure node's clock is evaluated on the params of the step it
+    # configures, which here has no rate.
+    "clock_configure": (
+        ("operations",),
+        {
+            "scan": {"params": {"temperature": {"unit": "K", "min": 250, "max": 400}},
+                     "kind": "read", "configure_via": "warm"},
+            "warm": {"params": {"temperature": {"unit": "K", "min": 250, "max": 400},
+                                "rate": {"unit": "Hz", "min": 0.5, "max": 5}},
+                     "kind": "configure", "duration_s": ["temperature", "rate"]},
+        },
+        "tcell.scan.configure_via.duration_s ['temperature', 'rate'] must name",
+    ),
+}
+
+
+def with_edit(obj: dict, path: tuple, value) -> dict:
+    """A deep copy of ``obj`` with the value at ``path`` set to ``value``."""
+    edited = copy.deepcopy(obj)
+    *parents, key = path
+    target = edited
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    return edited
 
 
 def run_main(argv):

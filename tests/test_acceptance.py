@@ -43,7 +43,6 @@ def _campaign_run(lab, policy="batched", fault_schedule=None, state=None):
     spec = expand_sweeps(parse_spec(CAMPAIGN_PATH.read_text()))
     dag = compile_spec(spec, registry, genesis)
     plan = schedule(dag, genesis, registry, policy=policy)
-    store = TelemetryStore()
     result = execute(
         plan,
         dag,
@@ -53,8 +52,10 @@ def _campaign_run(lab, policy="batched", fault_schedule=None, state=None):
         run_id="run-acc",
         spec_hash=spec_hash(spec),
         fault_schedule=fault_schedule,
-        store=store,
     )
+    store = TelemetryStore()
+    for rec in result.telemetry:
+        store.record(rec)
     return result, plan, dag, spec, registry, genesis, store
 
 
@@ -247,7 +248,6 @@ def test_criterion_6_deterministic_fault_handling(lab_config):
     resumed = resume(
         paused.checkpoint, plan, dag, state, registry,
         SimFleet.from_lab_config(lab_config), spec_hash=spec_hash(spec),
-        store=TelemetryStore(),
     )
     assert resumed.status == "completed"
     combined = paused.telemetry + resumed.telemetry
@@ -294,7 +294,7 @@ def test_criterion_7_implicit_failure_gating(lab_config):
     )
     result = execute(
         plan, dag, stale, registry, SimFleet.from_lab_config(lab_config),
-        run_id="run-stale", spec_hash=spec_hash(spec), store=TelemetryStore(),
+        run_id="run-stale", spec_hash=spec_hash(spec),
     )
     assert result.status == "aborted"
     assert result.fault.kind == "implicit_violation"

@@ -10,6 +10,7 @@ from eaclab.capabilities import (
     SafetyPredicate,
     TransitionLatency,
     builtin_registry,
+    registry_from_lab_config,
     schema_from_dict,
 )
 from eaclab.errors import (
@@ -18,6 +19,8 @@ from eaclab.errors import (
     UnknownOperationError,
 )
 from eaclab.units import Quantity, canonicalize_units
+
+from conftest import BAD_TCELL, TCELL, with_edit
 
 
 def test_builtin_fleet_names():
@@ -179,3 +182,35 @@ def test_read_operations_must_be_idempotent():
         OperationSchema("peek", kind="read", idempotent=False)
     with pytest.raises(ValueError):
         ParamSchema("", min=2, max=1)
+
+
+def test_operation_clocks():
+    registry = builtin_registry()
+    canonical = {"volume": Quantity(7e-7, "m^3"), "flow_rate": Quantity(4e-6 / 60, "m^3/s")}
+    assert registry.get("pump").operation("dispense").duration_s == ("volume", "flow_rate")
+    assert registry.get("pump").operation("dispense").duration(canonical) == 7e-7 / (4e-6 / 60)
+    assert registry.get("valve").operation("set").duration({}) == 2.0
+    assert registry.get("relay").operation("on").duration({}) == 1.0  # the default
+    assert registry.get("balance").operation("connect").duration({}) == 1.0
+
+
+def test_builtin_redeclared_in_a_lab_is_a_duplicate():
+    with pytest.raises(DuplicateCapabilityError):
+        registry_from_lab_config({"capabilities": {"valve": {}}})
+
+
+def test_custom_capability_clocks_and_reconfigure():
+    schema = schema_from_dict("tcell", TCELL)
+    scan = schema.operation("scan")
+    assert scan.duration_s == ("temperature", "rate")
+    canonical = {"temperature": Quantity(300.0, "K"), "rate": Quantity(2.0, "Hz")}
+    assert scan.duration(canonical) == 150.0
+    assert schema.transitions.reconfigure == {("T298", "T310"): 12.0}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_TCELL))
+def test_malformed_capability_is_refused_naming_the_field(damage):
+    path, value, named = BAD_TCELL[damage]
+    with pytest.raises(ValueError) as refused:
+        schema_from_dict("tcell", with_edit(TCELL, path, value))
+    assert named in str(refused.value)

@@ -17,7 +17,7 @@ from eaclab.scheduler import schedule
 from eaclab.shims import SimDeviceConfig
 from eaclab.specmodel import expand_sweeps, parse_spec
 
-from conftest import CAMPAIGN_PATH, LAB_PATH, run_main
+from conftest import BAD_TCELL, CAMPAIGN_PATH, LAB_PATH, TCELL, run_main, with_edit
 
 LAB = str(LAB_PATH)
 SPEC = str(CAMPAIGN_PATH)
@@ -417,6 +417,66 @@ def test_unread_capability_keys_change_no_output(tmp_path, capsys):
     assert outcomes[0] == outcomes[1]
     assert [code for code, _ in outcomes[0][:3]] == [0, 0, 0]
     assert outcomes[0][3]
+
+
+def _lab_with_capabilities(tmp_path, capabilities, devices=()):
+    lab = json.loads(LAB_PATH.read_text())
+    lab["capabilities"] = capabilities
+    lab["devices"] += [{"device_id": d, "capability": c} for d, c in devices]
+    lab_path = tmp_path / "lab.json"
+    lab_path.write_text(json.dumps(lab))
+    return str(lab_path)
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_TCELL))
+def test_malformed_capability_fails_closed(tmp_path, capsys, damage):
+    path, value, named = BAD_TCELL[damage]
+    lab = _lab_with_capabilities(tmp_path, {"tcell": with_edit(TCELL, path, value)})
+    err = _usage_error(capsys, ["validate", SPEC, "--lab", lab])
+    assert err.startswith(f"usage error: lab config {lab} is invalid: ValueError: ")
+    assert named in err
+
+
+def test_lab_that_redeclares_a_builtin_capability_fails_closed(tmp_path, capsys):
+    lab = _lab_with_capabilities(tmp_path, {"tcell": TCELL, "pump": {}})
+    err = _usage_error(capsys, ["validate", SPEC, "--lab", lab])
+    assert err.startswith(f"usage error: lab config {lab} is invalid: DuplicateCapabilityError")
+
+
+# A custom doser whose operations declare their clocks: a fixed one, a
+# ratio of two params (12 / 4 Hz = 3 s), its configure op's and its connect's.
+DOSER = {
+    "operations": {
+        "connect": {"kind": "connect", "idempotent": True, "duration_s": 0.5},
+        "prime": {"duration_s": 7.5},
+        "tune": {"params": {"rate": {"unit": "Hz", "min": 0.5, "max": 10}},
+                 "kind": "configure", "idempotent": True, "duration_s": 0.25},
+        "dose": {"params": {"amount": {"min": 0, "max": 100},
+                            "rate": {"unit": "Hz", "min": 0.5, "max": 10}},
+                 "configure_via": "tune", "duration_s": ["amount", "rate"]},
+    }
+}
+DOSER_CLOCKS = {"connect:d": 0.5, "prime": 7.5, "dose:cfg": 0.25, "dose": 3.0,
+                "teardown:d": 1.0}
+
+
+@pytest.mark.parametrize("policy", ["fifo", "batched"])
+def test_plan_takes_each_node_clock_from_its_operation_schema(tmp_path, capsys, policy):
+    lab = _lab_with_capabilities(tmp_path, {"doser": DOSER}, [("doser_1", "doser")])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "spec_id": "dose",
+        "version": "1.0.0",
+        "resources": [{"name": "d", "capability": "doser"}],
+        "steps": [
+            {"id": "prime", "binding": "d", "op": "prime"},
+            {"id": "dose", "binding": "d", "op": "dose", "depends_on": ["prime"],
+             "params": {"amount": {"value": 12}, "rate": {"value": 4, "unit": "Hz"}}},
+        ],
+    }))
+    assert main(["plan", str(spec), "--lab", lab, "--policy", policy]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert {a["node_id"]: a["end"] - a["start"] for a in plan["assignments"]} == DOSER_CLOCKS
 
 
 def _dispatch_indices(run_dir):

@@ -23,7 +23,6 @@ from eaclab.labstate import StateEvent, apply_event, genesis_from_lab_config, re
 from eaclab.scheduler import plan_hash, schedule
 from eaclab.shims import SimDevice, SimDeviceConfig, SimFleet
 from eaclab.specmodel import expand_sweeps, parse_spec, spec_hash
-from eaclab.telemetry import TelemetryStore
 
 from conftest import CAMPAIGN_PATH
 
@@ -48,7 +47,6 @@ def _execute(lab_config, plan, dag, genesis, registry, spec, fault_schedule=None
         run_id="run-t",
         spec_hash=spec_hash(spec),
         fault_schedule=fault_schedule,
-        store=TelemetryStore(),
     )
 
 
@@ -220,7 +218,6 @@ def test_resume_after_clearing_matches_baseline(lab_config):
     resumed = resume(
         paused.checkpoint, plan, dag, state, registry,
         SimFleet.from_lab_config(lab_config), spec_hash=spec_hash(spec),
-        store=TelemetryStore(),
     )
     assert resumed.status == "completed"
     combined = paused.telemetry + resumed.telemetry

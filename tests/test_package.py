@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import eaclab
+from eaclab.capabilities import BUILTIN_CAPABILITIES
 from conftest import CAMPAIGN_PATH, LAB_PATH
 
 
@@ -115,3 +116,21 @@ def test_only_canon_encodes_json():
     }
     assert uses.pop("canon.py") == ["JSONEncoder"]
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_only_capabilities_and_shims_name_a_builtin_capability():
+    """What a built-in device type is lives in ``capabilities``' literal, and
+    its wire codec and simulator in ``shims``: no other module may branch
+    on, or otherwise spell, a built-in capability's name."""
+    package = Path(eaclab.__file__).parent
+    names = set(BUILTIN_CAPABILITIES)
+    found = {
+        path.name: sorted(
+            {node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in names}
+        )
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("capabilities.py", "shims.py")
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from eaclab.canon import canonical_json
 from eaclab.errors import NoDataError, ProvenanceError
-from eaclab.telemetry import TelemetryRecord, TelemetryStore
+from eaclab.telemetry import TelemetryRecord, TelemetryStore, export_csv
 from eaclab.units import Quantity
 
 
@@ -23,10 +24,10 @@ def _record(node_id: str, conductivity: float, concentration: float, run_id="r1"
 
 
 def test_missing_provenance_rejected():
-    store = TelemetryStore()
-    bad = TelemetryRecord("r", "n", "d", 0.0, {}, spec_hash="", plan_hash="p")
     with pytest.raises(ProvenanceError):
-        store.record(bad)
+        TelemetryRecord("r", "n", "d", 0.0, {}, spec_hash="", plan_hash="p")
+    with pytest.raises(ProvenanceError):
+        TelemetryRecord("r", "n", "d", 0.0, {}, spec_hash="s", plan_hash="")
 
 
 def test_query_preserves_insertion_order():
@@ -61,17 +62,13 @@ def test_report_argmax_empty_raises():
 
 
 def test_ndjson_round_trip():
-    store = TelemetryStore()
     rec = _record("m0", 0.05, 1.5)
-    store.record(rec)
-    lines = store.export_ndjson("r1").strip().splitlines()
+    lines = canonical_json(rec.to_dict()).splitlines()
     assert len(lines) == 1
     assert TelemetryRecord.from_dict(json.loads(lines[0])) == rec
 
 
 def test_csv_export_columns():
-    store = TelemetryStore()
-    store.record(_record("m0", 0.05, 1.5))
-    lines = store.export_csv("r1").strip().splitlines()
+    lines = export_csv([_record("m0", 0.05, 1.5)]).strip().splitlines()
     assert lines[0] == "concentration,conductivity,temperature"
     assert lines[1].split(",")[:2] == ["1.5", "0.05"]
