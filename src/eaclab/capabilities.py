@@ -19,7 +19,7 @@ from eaclab.errors import (
     UnitError,
 )
 from eaclab.records import field, record
-from eaclab.units import Quantity, canonicalize_units
+from eaclab.units import Quantity, canonicalize_units, known_units
 
 # Calibration validity window for every built-in device type, in simulated
 # seconds. Short on purpose: desk-scale runs, not annual service cycles.
@@ -336,8 +336,11 @@ def _parse_operation(name: str, obj: dict, where: str) -> OperationSchema:
     params = {}
     for pname, p in obj.get("params", {}).items():
         at = f"{where}.params.{pname}"
+        unit = p.get("unit", "")
+        if not isinstance(unit, str) or unit not in known_units():
+            raise ValueError(f"{at}.unit must name a unit of the unit table, not {unit!r}")
         params[pname] = ParamSchema(
-            unit=p.get("unit", ""),
+            unit=unit,
             min=_number(p, "min", at),
             max=_number(p, "max", at),
             optional=_flag(p, "optional", at, False),

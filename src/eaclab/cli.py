@@ -295,6 +295,26 @@ def _write_run_artifacts(
     return summary
 
 
+def _report_run(result, summary: dict) -> int:
+    """Print a run's summary, then on stderr the injections nothing carried
+    and the fault that stopped it; the exit code of ``run`` and ``resume``."""
+    print(canonical_json(summary))
+    if result.uninjected:
+        print(
+            "nothing injected at dispatch "
+            + ", ".join(str(i) for i in result.uninjected)
+            + ": no operation dispatch carries that index",
+            file=sys.stderr,
+        )
+    if result.fault is not None:
+        print(
+            f"fault {result.fault.kind} at {result.fault.node_id}: "
+            f"{result.fault.detail}",
+            file=sys.stderr,
+        )
+    return EXIT_OK if result.status == "completed" else EXIT_RUNTIME
+
+
 def cmd_run(args) -> int:
     from eaclab.executor import execute
     from eaclab.scheduler import schedule
@@ -326,22 +346,7 @@ def cmd_run(args) -> int:
     )
     run_dir = _run_dir(args.out, run_id)
     _write(f"{run_dir}{os.sep}spec.json", (spec_text + "\n").encode("utf-8"))
-    summary = _write_run_artifacts(run_dir, result, plan, shash, args.seed)
-    print(canonical_json(summary))
-    if result.uninjected:
-        print(
-            "nothing injected at dispatch "
-            + ", ".join(str(i) for i in result.uninjected)
-            + ": no operation dispatch carries that index",
-            file=sys.stderr,
-        )
-    if result.fault is not None:
-        print(
-            f"fault {result.fault.kind} at {result.fault.node_id}: "
-            f"{result.fault.detail}",
-            file=sys.stderr,
-        )
-    return EXIT_OK if result.status == "completed" else EXIT_RUNTIME
+    return _report_run(result, _write_run_artifacts(run_dir, result, plan, shash, args.seed))
 
 
 def _load_run_state(run_dir: Path, genesis):
@@ -499,9 +504,7 @@ def cmd_resume(args) -> int:
         return EXIT_RUNTIME
 
     result.log[:0] = appended
-    summary = _write_run_artifacts(run_dir, result, plan, shash, seed, plan_read)
-    print(canonical_json(summary))
-    return EXIT_OK if result.status == "completed" else EXIT_RUNTIME
+    return _report_run(result, _write_run_artifacts(run_dir, result, plan, shash, seed, plan_read))
 
 
 @functools.cache

@@ -162,7 +162,7 @@ def handle_fault(fault: FaultEvent, node) -> str:
     return "abort"  # implicit_violation
 
 
-def stabilize_wait(node, start: float, device, setpoint: float | None = None) -> float:
+def stabilize_wait(node, start: float, device) -> float:
     """Elapsed seconds for a stabilize node.
 
     fixed_delay waits exactly the declared duration. setpoint_then_hold
@@ -170,11 +170,11 @@ def stabilize_wait(node, start: float, device, setpoint: float | None = None) ->
     signal has stayed within the relative band for the hold duration, and
     raises StabilizationTimeoutError at the cap.
     """
-    stab = node.stab or {"mode": "fixed_delay", "duration_s": node.est_duration}
+    stab = node.stab
     if stab["mode"] == "fixed_delay":
         return float(stab["duration_s"])
     hold = float(stab["duration_s"])
-    target = setpoint if setpoint is not None else device.config.temperature_setpoint
+    target = device.config.temperature_setpoint
     band = abs(target) * STABILIZE_REL_TOL
     in_band_since: float | None = None
     t = 0.0
@@ -196,7 +196,6 @@ def stabilize_wait(node, start: float, device, setpoint: float | None = None) ->
 @record
 class _RunContext:
     run_id: str
-    plan: ExecutionPlan
     dag: WorkflowDAG
     state: LabState
     registry: CapabilityRegistry
@@ -263,7 +262,6 @@ def execute(
     """Execute a plan from the start. See ``resume`` for continuation."""
     ctx = _RunContext(
         run_id=run_id,
-        plan=plan,
         dag=dag,
         state=state,
         registry=registry,
@@ -272,7 +270,7 @@ def execute(
         plan_hash=compute_plan_hash(plan),
         fault_schedule=dict(fault_schedule or {}),
     )
-    return _run(ctx, skip_through=None)
+    return _run(ctx, _dispatch_order(plan, dag), skip_through=None)
 
 
 def resume(
@@ -320,7 +318,6 @@ def resume(
             raise StillBlockedError(f"{blocked.kind}: {blocked.detail}")
     ctx = _RunContext(
         run_id=checkpoint.run_id,
-        plan=plan,
         dag=dag,
         state=state,
         registry=registry,
@@ -331,11 +328,10 @@ def resume(
         dispatch_count=last_dispatch,
         last_committed=checkpoint.last_committed_node,
     )
-    return _run(ctx, skip_through=checkpoint.last_committed_node)
+    return _run(ctx, order, skip_through=checkpoint.last_committed_node)
 
 
-def _run(ctx: _RunContext, skip_through: str | None) -> RunResult:
-    order = _dispatch_order(ctx.plan, ctx.dag)
+def _run(ctx: _RunContext, order: list, skip_through: str | None) -> RunResult:
     predecessors = ctx.dag.predecessor_index
     done_at: dict[str, float] = {}
     device_free: dict[str, float] = {}
@@ -351,28 +347,47 @@ def _run(ctx: _RunContext, skip_through: str | None) -> RunResult:
         if silent:
             # Committed prefix: rebuild simulator state without logging.
             end = _silent_replay(ctx, node, device_id, capability, start)
-            done_at[node.node_id] = end
-            device_free[device_id] = end
-            if node.node_id == skip_through:
-                silent = False
-            continue
+            silent = node.node_id != skip_through
+        else:
+            end = _execute_node(ctx, node, device_id, capability, start)
+            if isinstance(end, RunResult):
+                return end
+            ctx.last_committed = node.node_id
+        done_at[node.node_id] = end
+        device_free[device_id] = end
 
-        outcome = _execute_node(ctx, node, assignment, device_id, capability, start)
-        if isinstance(outcome, RunResult):
-            return outcome
-        done_at[node.node_id] = outcome
-        device_free[device_id] = outcome
-        ctx.last_committed = node.node_id
+    return _result(ctx, "completed")
 
+
+def _result(ctx: _RunContext, status: str, fault: FaultEvent | None = None) -> RunResult:
+    """The run as it stands; only a paused run carries a checkpoint."""
+    checkpoint = None
+    if status == "paused":
+        checkpoint = Checkpoint(
+            run_id=ctx.run_id,
+            last_committed_node=ctx.last_committed,
+            state_epoch=ctx.state.epoch,
+            plan_hash=ctx.plan_hash,
+        )
     return RunResult(
         run_id=ctx.run_id,
-        status="completed",
+        status=status,
         telemetry=ctx.telemetry,
         log=ctx.log,
         wire=ctx.wire,
         state=ctx.state,
+        checkpoint=checkpoint,
+        fault=fault,
         uninjected=tuple(sorted(ctx.fault_schedule)),
     )
+
+
+def _track_session(ctx: _RunContext, node, device_id: str) -> None:
+    """Keep ``ctx.connected``, the devices with an open session, in open order."""
+    if node.kind == "connect" and device_id not in ctx.connected:
+        ctx.connected.append(device_id)
+    elif node.kind == "teardown" and device_id in ctx.connected:
+        ctx.connected.remove(device_id)
 
 
 def _silent_replay(ctx, node, device_id, capability, start: float) -> float:
@@ -381,10 +396,7 @@ def _silent_replay(ctx, node, device_id, capability, start: float) -> float:
         return start + elapsed
     frame = encode_operation(capability, node.operation, node.params, device_id)
     result = ctx.fleet.step(device_id, frame, start)
-    if node.kind == "connect" and device_id not in ctx.connected:
-        ctx.connected.append(device_id)
-    if node.kind == "teardown" and device_id in ctx.connected:
-        ctx.connected.remove(device_id)
+    _track_session(ctx, node, device_id)
     return max(result.completion_time, start + node.est_duration)
 
 
@@ -405,52 +417,39 @@ def _precheck_and_log(ctx, node, device_id, capability, time: float) -> FaultEve
     return fault
 
 
-def _execute_node(ctx, node, assignment, device_id, capability, start: float):
+def _dispatch(ctx, node, device_id: str, time: float, frame: WireFrame | None = None) -> int:
+    """Log the next dispatch index, with the frame sent if there is one."""
+    ctx.dispatch_count += 1
+    payload = {"node_id": node.node_id, "op": node.operation, "index": ctx.dispatch_count}
+    if frame is not None:
+        payload["frame"] = frame.hex()
+    ctx.emit("dispatch", device_id, time, payload)
+    if frame is not None:
+        ctx.dump_frame(frame, time)
+    return ctx.dispatch_count
+
+
+def _execute_node(ctx, node, device_id, capability, start: float):
     """Run one node; returns its end time, or a RunResult on pause/abort."""
     fault = _precheck_and_log(ctx, node, device_id, capability, start)
     if fault is not None:
-        return _dispose(ctx, fault, node, start)
+        return _stop(ctx, fault, handle_fault(fault, node), start)
 
     if node.kind == "stabilize":
         try:
             elapsed = stabilize_wait(node, start, ctx.fleet.devices[device_id])
         except StabilizationTimeoutError as exc:
-            fault = FaultEvent(
-                "device_error", device_id, node.node_id, str(exc)
-            )
-            ctx.emit("fault", device_id, start, _fault_payload(fault, "pause"))
-            return _paused(ctx, fault, start)
-        ctx.dispatch_count += 1
-        ctx.emit(
-            "dispatch",
-            device_id,
-            start,
-            {"node_id": node.node_id, "op": "stabilize", "index": ctx.dispatch_count},
-        )
+            fault = FaultEvent("device_error", device_id, node.node_id, str(exc))
+            return _stop(ctx, fault, "pause", start)
+        _dispatch(ctx, node, device_id, start)
         end = start + elapsed
-        ctx.emit(
-            "telemetry", device_id, end, {"stabilize_elapsed": elapsed}
-        )
+        ctx.emit("telemetry", device_id, end, {"stabilize_elapsed": elapsed})
         return end
 
     frame = encode_operation(capability, node.operation, node.params, device_id)
     attempts = 0
     while True:
-        ctx.dispatch_count += 1
-        index = ctx.dispatch_count
-        ctx.emit(
-            "dispatch",
-            device_id,
-            start,
-            {
-                "node_id": node.node_id,
-                "op": node.operation,
-                "frame": frame.hex(),
-                "index": index,
-            },
-        )
-        ctx.dump_frame(frame, start)
-
+        index = _dispatch(ctx, node, device_id, start, frame)
         injected = ctx.fault_schedule.pop(index, None)
         try:
             if injected is not None:
@@ -462,19 +461,14 @@ def _execute_node(ctx, node, assignment, device_id, capability, start: float):
                 device_id,
                 node.node_id,
                 exc.detail or str(exc),
-                predicate="calibration_lapsed"
-                if exc.kind == "implicit_violation"
-                else None,
+                predicate="calibration_lapsed" if exc.kind == "implicit_violation" else None,
             )
             disposition = handle_fault(fault, node)
             if disposition == "recover" and attempts < _RETRY_BUDGET:
                 attempts += 1
                 ctx.emit("fault", device_id, start, _fault_payload(fault, "recover"))
                 continue
-            if disposition == "recover":
-                disposition = "pause"  # retry budget exhausted
-            ctx.emit("fault", device_id, start, _fault_payload(fault, disposition))
-            return _dispose_known(ctx, fault, disposition, start)
+            return _stop(ctx, fault, disposition, start)
         break
 
     for reply in result.replies:
@@ -482,15 +476,10 @@ def _execute_node(ctx, node, assignment, device_id, capability, start: float):
 
     end = max(result.completion_time, start + node.est_duration)
 
+    _track_session(ctx, node, device_id)
     if node.kind == "connect":
-        if device_id not in ctx.connected:
-            ctx.connected.append(device_id)
-        ctx.emit(
-            "transition", device_id, end, {"to": "busy", "holder": ctx.run_id}
-        )
+        ctx.emit("transition", device_id, end, {"to": "busy", "holder": ctx.run_id})
     elif node.kind == "teardown":
-        if device_id in ctx.connected:
-            ctx.connected.remove(device_id)
         ctx.emit("transition", device_id, end, {"to": "idle"})
 
     if result.telemetry:
@@ -530,79 +519,26 @@ def _fault_payload(fault: FaultEvent, disposition: str) -> dict:
     }
 
 
-def _dispose(ctx, fault: FaultEvent, node, time: float):
-    disposition = handle_fault(fault, node)
+def _stop(ctx, fault: FaultEvent, disposition: str, time: float) -> RunResult:
+    """End the run on a fault: log it, and on abort close every open
+    connection, newest first. A fault that stops the run is not retried in
+    place, so ``recover`` pauses."""
     if disposition == "recover":
-        disposition = "pause"  # precheck failures are not retried in place
+        disposition = "pause"
     ctx.emit("fault", fault.device_id, time, _fault_payload(fault, disposition))
-    return _dispose_known(ctx, fault, disposition, time)
-
-
-def _dispose_known(ctx, fault: FaultEvent, disposition: str, time: float):
-    if disposition == "abort":
-        return _aborted(ctx, fault, time)
-    return _paused(ctx, fault, time)
-
-
-def _paused(ctx, fault: FaultEvent, time: float) -> RunResult:
-    checkpoint = Checkpoint(
-        run_id=ctx.run_id,
-        last_committed_node=ctx.last_committed,
-        state_epoch=ctx.state.epoch,
-        plan_hash=ctx.plan_hash,
-    )
-    return RunResult(
-        run_id=ctx.run_id,
-        status="paused",
-        telemetry=ctx.telemetry,
-        log=ctx.log,
-        wire=ctx.wire,
-        state=ctx.state,
-        checkpoint=checkpoint,
-        fault=fault,
-        uninjected=tuple(sorted(ctx.fault_schedule)),
-    )
-
-
-def _aborted(ctx, fault: FaultEvent, time: float) -> RunResult:
-    # Teardown guarantee: every opened connection is closed, newest first.
+    if disposition != "abort":
+        return _result(ctx, "paused", fault)
     for device_id in reversed(ctx.connected):
-        node = _teardown_stub(device_id)
-        _precheck_and_log(ctx, node, device_id, "", time)
-        frame = encode_operation("", "disconnect", {}, device_id)
-        ctx.dispatch_count += 1
-        ctx.emit(
-            "dispatch",
-            device_id,
-            time,
-            {
-                "node_id": node.node_id,
-                "op": "disconnect",
-                "frame": frame.hex(),
-                "index": ctx.dispatch_count,
-            },
+        node = OpNode(
+            node_id=f"abort-teardown:{device_id}",
+            binding="",
+            operation="disconnect",
+            kind="teardown",
+            idempotent=True,
+            est_duration=0.0,
         )
-        ctx.dump_frame(frame, time)
+        _precheck_and_log(ctx, node, device_id, "", time)
+        _dispatch(ctx, node, device_id, time, encode_operation("", "disconnect", {}, device_id))
         ctx.emit("transition", device_id, time, {"to": "idle"})
     ctx.connected.clear()
-    return RunResult(
-        run_id=ctx.run_id,
-        status="aborted",
-        telemetry=ctx.telemetry,
-        log=ctx.log,
-        wire=ctx.wire,
-        state=ctx.state,
-        fault=fault,
-        uninjected=tuple(sorted(ctx.fault_schedule)),
-    )
-
-
-def _teardown_stub(device_id: str) -> OpNode:
-    return OpNode(
-        node_id=f"abort-teardown:{device_id}",
-        binding="",
-        operation="disconnect",
-        kind="teardown",
-        idempotent=True,
-        est_duration=0.0,
-    )
+    return _result(ctx, "aborted", fault)

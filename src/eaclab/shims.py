@@ -258,7 +258,6 @@ class SimDeviceConfig:
     temperature_start: float = 293.0
     temperature_setpoint: float = 293.0
     temperature_tau: float = 30.0
-    fault_probability: float = 0.0
 
     def __post_init__(self) -> None:
         if type(self.seed) is not int:
@@ -267,7 +266,6 @@ class SimDeviceConfig:
             self.temperature_start,
             self.temperature_setpoint,
             self.temperature_tau,
-            self.fault_probability,
             *self.conductivity_table,
             *self.conductivity_table.values(),
             *self.port_concentrations.values(),
@@ -298,7 +296,6 @@ class SimDeviceConfig:
             temperature_start=float(sim.get("temperature_start", 293.0)),
             temperature_setpoint=float(sim.get("temperature_setpoint", 293.0)),
             temperature_tau=float(sim.get("temperature_tau", 30.0)),
-            fault_probability=float(sim.get("fault_probability", 0.0)),
         )
 
 
@@ -341,8 +338,6 @@ class SimDevice:
 
     def step(self, frame: WireFrame, now: float, fleet: "SimFleet") -> SimResult:
         cfg = self.config
-        if cfg.fault_probability > 0 and self.rng.random() < cfg.fault_probability:
-            raise SimFault("device_error", f"{cfg.device_id} stochastic fault")
         operation, params = decode_operation(cfg.capability, frame)
         telemetry: dict[str, float] = {}
         completion = now

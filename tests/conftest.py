@@ -52,6 +52,10 @@ BAD_TCELL = {
                 "tcell.scan.params.temperature.min must be a finite number"),
     "max_inf": ((*_TEMPERATURE, "max"), float("inf"),
                 "tcell.scan.params.temperature.max must be a finite number"),
+    "unit_unknown": ((*_TEMPERATURE, "unit"), "furlong",
+                     "tcell.scan.params.temperature.unit must name a unit of the unit table"),
+    "unit_type": ((*_TEMPERATURE, "unit"), 5,
+                  "tcell.scan.params.temperature.unit must name a unit of the unit table, not 5"),
     "warmup_nan": (("transitions", "warmup"), float("nan"),
                    "tcell.transitions.warmup must be a finite number"),
     "cooldown_text": (("transitions", "cooldown"), "45",

@@ -328,6 +328,43 @@ def test_resume_clear_of_unknown_device_is_usage_error(tmp_path, capsys):
     _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_9"])
 
 
+def _lab_with_sim(tmp_path, device_id, **sim):
+    """The reference lab with ``sim`` keys of one device set, as a file."""
+    lab = json.loads(LAB_PATH.read_text())
+    entry = next(d for d in lab["devices"] if d["device_id"] == device_id)
+    entry["sim"] = {**entry.get("sim", {}), **sim}
+    path = tmp_path / f"lab-{device_id}.json"
+    path.write_text(json.dumps(lab))
+    return str(path)
+
+
+def test_resume_that_stops_again_names_the_fault(tmp_path, capsys):
+    """A resume that pauses again says why, in the line ``run`` prints: on a
+    lab whose cell never warms, the first stabilize wait times out."""
+    out = tmp_path / "paused"
+    assert main(["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", "timeout@5"]) == 3
+    run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
+    cold = _lab_with_sim(tmp_path, "pstat_1", temperature_tau=1e9)
+    code = main(["resume", str(run_dir), "--lab", cold, "--clear", "pump_1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["status"] == "paused"
+    assert captured.err.startswith("fault device_error at measure#0:stab: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_fault_probability_is_an_unread_sim_key(tmp_path, capsys):
+    """The simulator has no stochastic faults: a lab that still sets
+    ``fault_probability`` runs the campaign to the reference lab's bytes."""
+    lab = _lab_with_sim(tmp_path, "pump_1", fault_probability=0.3)
+    run_dirs = []
+    for name, lab_path in (("reference", LAB), ("knob", lab)):
+        out = tmp_path / name
+        assert main(["run", SPEC, "--lab", lab_path, "--out", str(out)]) == 0
+        run_dirs.append(_dir_bytes(out / json.loads(capsys.readouterr().out)["run_id"]))
+    assert run_dirs[0] == run_dirs[1]
+
+
 @pytest.mark.parametrize("target", ["missing", "file", "empty_dir"])
 def test_state_of_a_run_without_event_log_is_usage_error(tmp_path, capsys, target):
     run = {"missing": tmp_path / "nope", "file": CAMPAIGN_PATH, "empty_dir": tmp_path}[target]

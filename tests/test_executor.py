@@ -15,7 +15,9 @@ from eaclab.errors import (
 from eaclab.executor import (
     STABILIZE_REL_TOL,
     Checkpoint,
+    FaultEvent,
     execute,
+    handle_fault,
     resume,
     stabilize_wait,
 )
@@ -432,3 +434,64 @@ def test_stabilization_timeout():
     device = _thermal_device(293.0, 400.0, 1e9)
     with pytest.raises(StabilizationTimeoutError):
         stabilize_wait(_stab_node("setpoint_then_hold", 5.0), 0.0, device)
+
+
+_STATUS_OF = {"recover": "completed", "pause": "paused", "abort": "aborted"}
+
+
+@pytest.mark.parametrize("kind", ["comm_timeout", "device_error", "no_liquid_detected",
+                                  "implicit_violation"])
+def test_every_fault_end_follows_the_rules(lab_config, kind):
+    """Each fault kind at each operation dispatch index of the reference
+    campaign ends as ``handle_fault`` says: ``recover`` retries once and
+    completes, a pause checkpoints, an abort leaves no device busy, and a
+    paused run resumed after a clear has the fault-free run's telemetry."""
+    registry, genesis, spec, dag, plan = _campaign_setup(lab_config)
+    clean = _execute(lab_config, plan, dag, genesis, registry, spec)
+    operations = [
+        e.payload["index"] for e in clean.log
+        if e.kind == "dispatch" and "frame" in e.payload
+    ]
+    outcomes = set()
+    for index in operations:
+        result = _execute(lab_config, plan, dag, genesis, registry, spec, {index: kind})
+        (logged,) = [e for e in result.log if e.kind == "fault"]
+        payload = logged.payload
+        fault = FaultEvent(payload["kind"], logged.device_id, payload["node_id"],
+                           payload["detail"], payload["predicate"])
+        node = dag.nodes[fault.node_id]
+        disposition = handle_fault(fault, node)
+        assert payload["disposition"] == disposition
+        assert result.status == _STATUS_OF[disposition]
+        outcomes.add(disposition)
+        if disposition == "recover":
+            retried = [e for e in result.log
+                       if e.kind == "dispatch" and e.payload["node_id"] == node.node_id]
+            assert len(retried) == 2
+            assert result.fault is None and result.checkpoint is None
+            continue
+        assert result.fault == fault
+        if disposition == "abort":
+            assert result.checkpoint is None
+            assert all(r.status != "busy" for r in result.state.devices.values())
+            continue
+        assert result.checkpoint is not None
+        state = result.state
+        clear = StateEvent(state.next_seq, state.clock, fault.device_id, "transition",
+                           {"to": "idle"})
+        resumed = resume(
+            result.checkpoint, plan, dag, apply_event(state, clear), registry,
+            SimFleet.from_lab_config(lab_config), spec_hash=spec_hash(spec),
+            last_dispatch=max(_dispatch_indices(result)),
+        )
+        assert resumed.status == "completed"
+        combined = result.telemetry + resumed.telemetry
+        assert [(r.node_id, r.time, r.fields) for r in combined] == [
+            (r.node_id, r.time, r.fields) for r in clean.telemetry
+        ]
+    assert outcomes == {
+        "comm_timeout": {"recover", "pause"},
+        "device_error": {"pause"},
+        "no_liquid_detected": {"pause"},
+        "implicit_violation": {"abort"},
+    }[kind]

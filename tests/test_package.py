@@ -134,3 +134,33 @@ def test_only_capabilities_and_shims_name_a_builtin_capability():
         if path.name not in ("capabilities.py", "shims.py")
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _owners(tree, matches):
+    """Names of the innermost functions enclosing each node ``matches`` accepts."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if matches(node):
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_executor_builds_results_and_logs_dispatches_in_one_place_each():
+    """A run ends through ``_result``, the one ``RunResult(...)`` call, and
+    every dispatch (operation, stabilize wait, abort teardown) is numbered
+    and logged by ``_dispatch``, the one place the ``"dispatch"`` kind is
+    spelled."""
+    path = Path(eaclab.__file__).parent / "executor.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    results = _owners(tree, lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name) and node.func.id == "RunResult")
+    dispatches = _owners(tree, lambda node: isinstance(node, ast.Constant)
+                         and node.value == "dispatch")
+    assert (results, dispatches) == (["_result"], ["_dispatch"])
