@@ -19,7 +19,7 @@ from eaclab.errors import (
     UnitError,
 )
 from eaclab.records import field, record
-from eaclab.units import Quantity, canonicalize_units, known_units
+from eaclab.units import Quantity, canonicalize_units, known_units, unit_dimension
 
 # Calibration validity window for every built-in device type, in simulated
 # seconds. Short on purpose: desk-scale runs, not annual service cycles.
@@ -153,10 +153,18 @@ class CapabilitySchema:
             ) from None
 
 
+# The (numerator, denominator) dimensions whose canonical values divide to
+# seconds: m^3 / (m^3/s), s / 1 and 1 / Hz.
+_CLOCK_DIMENSIONS = frozenset({
+    ("volume", "flow"), ("time", "dimensionless"), ("dimensionless", "frequency"),
+})
+
+
 def _check_clock(op: OperationSchema, params: dict[str, ParamSchema], where: str) -> None:
     """Refuse a ratio clock unless it names two required ``params``, the
     numerator with ``min`` >= 0 and the denominator with ``min`` > 0, so a
-    range-checked step never gives a negative clock or divides by zero."""
+    range-checked step never gives a negative clock or divides by zero, and
+    unless their units divide to a time."""
     if isinstance(op.duration_s, tuple):
         numerator, denominator = (params.get(name) for name in op.duration_s)
         if (numerator is None or denominator is None or len(set(op.duration_s)) < 2
@@ -165,6 +173,13 @@ def _check_clock(op: OperationSchema, params: dict[str, ParamSchema], where: str
             raise ValueError(
                 f"{where}.duration_s {list(op.duration_s)} must name two required "
                 f"params, the first with min >= 0 and the second with min > 0"
+            )
+        dimensions = (unit_dimension(numerator.unit), unit_dimension(denominator.unit))
+        if dimensions not in _CLOCK_DIMENSIONS:
+            raise ValueError(
+                f"{where}.duration_s {list(op.duration_s)} must divide to a time "
+                f"(volume/flow, time/dimensionless or dimensionless/frequency), "
+                f"not {dimensions[0]}/{dimensions[1]}"
             )
 
 

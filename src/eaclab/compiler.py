@@ -21,7 +21,7 @@ from eaclab.capabilities import DEFAULT_DURATION_S, CapabilityRegistry, Operatio
 from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import LabState
 from eaclab.records import field, record
-from eaclab.specmodel import ExperimentSpec, _dependency_cycle
+from eaclab.specmodel import ExperimentSpec
 from eaclab.units import Quantity, to_canonical
 
 
@@ -174,6 +174,13 @@ def _canonical_params(params: dict[str, Quantity]) -> dict[str, Quantity]:
     return {name: to_canonical(q) for name, q in params.items()}
 
 
+def _configuration(capability: str, operation: str, params: dict[str, Quantity]) -> tuple:
+    """A step configuration as a key: equal keys give equal checks and nodes,
+    since every message and node formats canonical values, in which ``-0.0``
+    is ``0.0`` and an int is a float."""
+    return capability, operation, tuple([(name, q.value, q.unit) for name, q in params.items()])
+
+
 def _step_mode(op: OperationSchema, params: dict[str, Quantity], digests: dict) -> str | None:
     """Device-condition compatibility class for state batching.
 
@@ -192,21 +199,41 @@ def _step_mode(op: OperationSchema, params: dict[str, Quantity], digests: dict) 
     return None
 
 
+def _problems(
+    registry: CapabilityRegistry, capability: str, operation: str, params: dict[str, Quantity]
+) -> list[tuple[str, str]]:
+    """(code, message) of every static error of one step configuration."""
+    schema = registry.get(capability)
+    if operation not in schema.operations:
+        return [("unknown_operation", f"{capability} has no operation {operation!r}")]
+    report = registry.check_param_ranges(capability, operation, params)
+    problems = [(violation.code, violation.message) for violation in report.violations]
+    for predicate in schema.safety.conditions:
+        if predicate.field not in params:
+            continue
+        commanded = to_canonical(params[predicate.field]).value
+        threshold = to_canonical(predicate.threshold).value
+        if not predicate.holds(commanded, threshold):
+            problems.append((
+                "safety_violation",
+                f"{predicate.field} {predicate.comparator} {threshold:g} violated "
+                f"by commanded value {commanded:g}",
+            ))
+    return problems
+
+
 def static_check(
     spec: ExperimentSpec, registry: CapabilityRegistry, state: LabState
 ) -> list[Diagnostic]:
-    """All statically decidable violations; empty list means compilable."""
-    diagnostics: list[Diagnostic] = []
-    cycle = _dependency_cycle(spec.steps)
-    if cycle:
-        diagnostics.append(
-            Diagnostic(
-                "dependency_cycle", "error", cycle[0],
-                "dependency cycle: " + " -> ".join(cycle),
-            )
-        )
+    """All statically decidable violations; empty list means compilable.
 
-    checked_bindings: set[str] = set()
+    A sweep repeats few configurations over many steps, so each distinct
+    configuration is checked once per call and its problems are reported
+    at every step that has it. Dependency cycles are not looked for here:
+    ``parse_spec`` refuses them.
+    """
+    diagnostics: list[Diagnostic] = []
+    registered: dict[str, str] = {}  # binding -> its capability, when registered
     for binding in spec.resources:
         if binding.capability not in registry:
             diagnostics.append(
@@ -215,8 +242,8 @@ def static_check(
                     f"capability {binding.capability!r} is not registered",
                 )
             )
-            checked_bindings.add(binding.binding_name)
             continue
+        registered[binding.binding_name] = binding.capability
         candidates = [
             d for d in sorted(state.devices)
             if state.devices[d].capability == binding.capability
@@ -230,39 +257,16 @@ def static_check(
                 )
             )
 
+    problems: dict[tuple, list[tuple[str, str]]] = {}
     for step in spec.steps:
-        binding = spec.binding(step.binding)
-        if binding.capability not in registry:
+        capability = registered.get(step.binding)
+        if capability is None:
             continue  # already diagnosed at the binding
-        schema = registry.get(binding.capability)
-        if step.operation not in schema.operations:
-            diagnostics.append(
-                Diagnostic(
-                    "unknown_operation", "error", step.step_id,
-                    f"{binding.capability} has no operation {step.operation!r}",
-                )
-            )
-            continue
-        report = registry.check_param_ranges(
-            binding.capability, step.operation, step.params
-        )
-        for violation in report.violations:
-            diagnostics.append(
-                Diagnostic(violation.code, "error", step.step_id, violation.message)
-            )
-        for predicate in schema.safety.conditions:
-            if predicate.field not in step.params:
-                continue
-            commanded = to_canonical(step.params[predicate.field]).value
-            threshold = to_canonical(predicate.threshold).value
-            if not predicate.holds(commanded, threshold):
-                diagnostics.append(
-                    Diagnostic(
-                        "safety_violation", "error", step.step_id,
-                        f"{predicate.field} {predicate.comparator} {threshold:g} violated "
-                        f"by commanded value {commanded:g}",
-                    )
-                )
+        key = _configuration(capability, step.operation, step.params)
+        if key not in problems:
+            problems[key] = _problems(registry, capability, step.operation, step.params)
+        for code, message in problems[key]:
+            diagnostics.append(Diagnostic(code, "error", step.step_id, message))
     return diagnostics
 
 
@@ -293,6 +297,7 @@ def compile_spec(
     dep_targets: list[tuple[str, str]] = []  # (dependency, first node of dependent)
     last_on_binding: dict[str, list[str]] = {}
     digests: dict[tuple, str] = {}
+    lowered_configurations: dict[tuple, tuple] = {}  # configuration -> (canonical params, mode)
 
     def add_node(node: OpNode) -> None:
         nodes[node.node_id] = node
@@ -314,8 +319,12 @@ def compile_spec(
                 )
             )
 
-        canonical = params = _canonical_params(step.params)
-        mode = _step_mode(op, canonical, digests)
+        key = _configuration(binding.capability, step.operation, step.params)
+        if key not in lowered_configurations:
+            canonical = _canonical_params(step.params)
+            lowered_configurations[key] = canonical, _step_mode(op, canonical, digests)
+        canonical, mode = lowered_configurations[key]
+        params = canonical
         lowered: list[str] = []  # the step's nodes, in flow order
 
         if op.configure_via is not None:

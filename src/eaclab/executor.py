@@ -188,9 +188,7 @@ def stabilize_wait(node, start: float, device) -> float:
         else:
             in_band_since = None
         t += 1.0
-    raise StabilizationTimeoutError(
-        f"{node.node_id}: signal never held its band within {STABILIZE_CAP_S:.0f}s"
-    )
+    raise StabilizationTimeoutError(f"signal never held its band within {STABILIZE_CAP_S:.0f}s")
 
 
 @record

@@ -375,11 +375,12 @@ def _swept_params(step: StepSpec, combo: tuple) -> dict[str, Quantity]:
 def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
     """Replace every repeat clause with concrete per-value steps.
 
-    Instance ids are ``<step_id>#<k>`` with k enumerating the cartesian
-    product of the sweep lists in row-major order (first listed parameter
-    outermost). Dependencies between two steps swept with identical shapes
-    pair up index-wise; otherwise every instance of the dependency is kept
-    as a predecessor. Idempotent: a spec without repeat clauses is returned
+    ``spec`` is a validated spec, as ``parse_spec`` returns. Instance ids
+    are ``<step_id>#<k>`` with k enumerating the cartesian product of the
+    sweep lists in row-major order (first listed parameter outermost).
+    Dependencies between two steps swept with identical shapes pair up
+    index-wise; otherwise every instance of the dependency is kept as a
+    predecessor. Idempotent: a spec without repeat clauses is returned
     unchanged.
     """
     if all(s.repeat is None for s in spec.steps):
@@ -399,15 +400,15 @@ def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
                 f"{step.step_id}#{k}" for k in range(math.prod(shape))
             ]
 
-    def depends_on(step: StepSpec, instance_id: str) -> tuple[str, ...]:
-        base_id, _, suffix = instance_id.partition("#")
+    def depends_on(step: StepSpec, k: int | None) -> tuple[str, ...]:
+        """Dependencies of the step's k-th instance (None: not swept)."""
         deps: list[str] = []
         for dep in step.depends_on:
-            dep_shape = shapes.get(dep)
+            dep_shape = shapes[dep]
             if dep_shape is None:
                 deps.append(dep)
-            elif suffix and shapes.get(base_id) == dep_shape:
-                deps.append(f"{dep}#{suffix}")
+            elif k is not None and shapes[step.step_id] == dep_shape:
+                deps.append(instances[dep][k])
             else:
                 deps.extend(instances[dep])
         return tuple(deps)
@@ -415,7 +416,7 @@ def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
     new_steps: list[StepSpec] = []
     for step in spec.steps:
         if step.repeat is None:
-            deps = depends_on(step, step.step_id)
+            deps = depends_on(step, None)
             new_steps.append(step if deps == step.depends_on else replace(step, depends_on=deps))
             continue
         for pname in step.repeat:
@@ -425,8 +426,8 @@ def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
                 raise ExpansionError(
                     f"sweep over unknown parameter {pname!r} in step {step.step_id!r}"
                 )
-        for instance_id, combo in zip(
-            instances[step.step_id], itertools.product(*step.repeat.values())
+        for k, (instance_id, combo) in enumerate(
+            zip(instances[step.step_id], itertools.product(*step.repeat.values()))
         ):
             new_steps.append(
                 StepSpec(
@@ -434,11 +435,19 @@ def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
                     binding=step.binding,
                     operation=step.operation,
                     params=_swept_params(step, combo),
-                    depends_on=depends_on(step, instance_id),
+                    depends_on=depends_on(step, k),
                     stabilization=step.stabilization,
                 )
             )
 
-    expanded = replace(spec, steps=tuple(new_steps))
-    validate_spec(expanded)
-    return expanded
+    # Of validate_spec's rules, an expansion can break only unique step ids:
+    # its bindings are the template's, which exist; every dependency is an
+    # instance of a template step; and with unique ids each expanded edge
+    # projects onto the template edge it was made from, so a cycle in the
+    # expansion would project onto one in the template, which has none.
+    step_ids: set[str] = set()
+    for step in new_steps:
+        if step.step_id in step_ids:
+            raise SpecSchemaError("duplicate_id", step.step_id, "duplicate step id")
+        step_ids.add(step.step_id)
+    return replace(spec, steps=tuple(new_steps))

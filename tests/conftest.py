@@ -17,25 +17,28 @@ LAB_PATH = REPO_ROOT / "configs" / "reference_lab.json"
 CAMPAIGN_PATH = REPO_ROOT / "configs" / "li2so4_campaign.json"
 
 
-# A custom capability with a ratio clock, and edits of it that a lab config
-# must be refused for: (path, value, what the one-line error says).
+# A custom capability with a ratio clock (a count of samples over a rate),
+# and edits of it that a lab config must be refused for: (path, value, what
+# the one-line error says).
 TCELL = {
     "operations": {
         "scan": {
             "params": {
                 "temperature": {"unit": "K", "min": 250, "max": 400},
+                "samples": {"min": 0, "max": 1000},
                 "rate": {"unit": "Hz", "min": 0.5, "max": 5},
             },
             "kind": "read",
-            "duration_s": ["temperature", "rate"],
+            "duration_s": ["samples", "rate"],
         },
     },
     "transitions": {"warmup": 20, "cooldown": 45, "reconfigure": {"T298->T310": 12}},
 }
 _SCAN = ("operations", "scan")
 _TEMPERATURE = (*_SCAN, "params", "temperature")
+_SAMPLES = (*_SCAN, "params", "samples")
 _RATE = (*_SCAN, "params", "rate")
-_RATIO = "tcell.scan.duration_s ['temperature', 'rate'] must name two required params"
+_RATIO = "tcell.scan.duration_s ['samples', 'rate'] must name two required params"
 BAD_TCELL = {
     "idempotent": ((*_SCAN, "idempotent"), "false",
                    "tcell.scan.idempotent must be true or false, not 'false'"),
@@ -71,7 +74,12 @@ BAD_TCELL = {
                       "tcell.scan.duration_s ['rate', 'ghost'] must name two required params"),
     "clock_optional": ((*_RATE, "optional"), True, _RATIO),
     "clock_zero_divisor": ((*_RATE, "min"), 0, _RATIO),
-    "clock_negative_numerator": ((*_TEMPERATURE, "min"), -1, _RATIO),
+    "clock_negative_numerator": ((*_SAMPLES, "min"), -1, _RATIO),
+    # K / Hz is not a time.
+    "clock_dimension": ((*_SCAN, "duration_s"), ["temperature", "rate"],
+                        "tcell.scan.duration_s ['temperature', 'rate'] must divide to a time "
+                        "(volume/flow, time/dimensionless or dimensionless/frequency), "
+                        "not temperature/frequency"),
     # Lifecycle nodes carry no params, so their clocks cannot be ratios.
     "clock_connect": (("operations", "connect"),
                       {"kind": "connect", "duration_s": ["temperature", "rate"]},

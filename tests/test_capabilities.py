@@ -202,8 +202,8 @@ def test_builtin_redeclared_in_a_lab_is_a_duplicate():
 def test_custom_capability_clocks_and_reconfigure():
     schema = schema_from_dict("tcell", TCELL)
     scan = schema.operation("scan")
-    assert scan.duration_s == ("temperature", "rate")
-    canonical = {"temperature": Quantity(300.0, "K"), "rate": Quantity(2.0, "Hz")}
+    assert scan.duration_s == ("samples", "rate")
+    canonical = {"samples": Quantity(300.0), "rate": Quantity(2.0, "Hz")}
     assert scan.duration(canonical) == 150.0
     assert schema.transitions.reconfigure == {("T298", "T310"): 12.0}
 

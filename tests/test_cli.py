@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from eaclab import cli, compiler, scheduler
+from eaclab import cli, compiler, scheduler, specmodel
 from eaclab.canon import canonical_json
 from eaclab.capabilities import schema_from_dict
 from eaclab.cli import main
@@ -25,6 +25,23 @@ SPEC = str(CAMPAIGN_PATH)
 
 def test_validate_ok(capsys):
     assert main(["validate", SPEC, "--lab", LAB]) == 0
+
+
+def test_validate_searches_for_dependency_cycles_once(monkeypatch):
+    """On the template, in ``parse_spec``: neither the expansion nor the
+    static check searches again."""
+    calls = []
+    search = specmodel._dependency_cycle
+
+    def counted_search(steps):
+        calls.append(len(steps))
+        return search(steps)
+
+    monkeypatch.setattr(specmodel, "_dependency_cycle", counted_search)
+    # Counted too if the compiler imports the search again.
+    monkeypatch.setattr(compiler, "_dependency_cycle", counted_search, raising=False)
+    assert run_main(["validate", SPEC, "--lab", LAB]) == (0, "", "")
+    assert calls == [3]
 
 
 def test_validate_rejects_bad_spec(tmp_path, capsys):
@@ -349,8 +366,12 @@ def test_resume_that_stops_again_names_the_fault(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert json.loads(captured.out)["status"] == "paused"
-    assert captured.err.startswith("fault device_error at measure#0:stab: ")
-    assert len(captured.err.splitlines()) == 1
+    detail = "signal never held its band within 600s"
+    assert captured.err == f"fault device_error at measure#0:stab: {detail}\n"
+    logged = [json.loads(line) for line in (run_dir / "log.ndjson").read_text().splitlines()]
+    faults = [event["payload"] for event in logged if event["kind"] == "fault"]
+    assert faults[-1]["node_id"] == "measure#0:stab"
+    assert faults[-1]["detail"] == detail
 
 
 def test_fault_probability_is_an_unread_sim_key(tmp_path, capsys):

@@ -3,9 +3,10 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eaclab import compiler, units
-from eaclab.capabilities import builtin_registry
+from eaclab.capabilities import CapabilityRegistry, builtin_registry, registry_from_lab_config
 from eaclab.compiler import (
     Diagnostic,
     WorkflowDAG,
@@ -17,10 +18,11 @@ from eaclab.compiler import (
     validate_dag,
 )
 from eaclab.errors import CompileError, CycleError
-from eaclab.labstate import DeviceRecord, LabState
+from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
 from eaclab.specmodel import expand_sweeps, parse_spec
 
-from workloads import campaign_workload
+from conftest import LAB_PATH
+from workloads import campaign_workload, lowered_params_per_step, static_check_per_step
 
 
 def _state(*records):
@@ -339,8 +341,10 @@ def test_mode_assignment_from_temperature(genesis):
 
 def test_compile_converts_each_quantity_once_and_hashes_each_configuration_once(monkeypatch):
     """At N=48 the campaign has 48 selects (1 param), fills (2) and measures
-    (5, plus a stabilize duration): 9 conversions a point. The measures take
-    6 distinct configurations, one per port's concentration."""
+    (5, plus a stabilize duration), but each sweep takes only 6 distinct
+    configurations, and a configuration's params are converted once: 6 * (1
+    + 2 + 5) conversions, and one per stabilize duration, 48. The measures'
+    6 configurations, one per port's concentration, are hashed once each."""
     spec, registry, genesis = campaign_workload(48)
     diagnostics = static_check(spec, registry, genesis)
     counts = Counter()
@@ -357,4 +361,121 @@ def test_compile_converts_each_quantity_once_and_hashes_each_configuration_once(
     monkeypatch.setattr(units, "canonicalize_units", counted_convert)
     monkeypatch.setattr(compiler, "sha256_hex", counted_digest)
     compile_spec(spec, registry, genesis, diagnostics)
-    assert counts == {"conversions": 432, "digests": 6}
+    assert counts == {"conversions": 96, "digests": 6}
+
+
+def test_static_check_checks_each_configuration_once(monkeypatch):
+    """At N=48 the campaign_scale spec has 144 steps but 13 configurations:
+    6 ports, one 0.7 mL fill and 6 concentrations."""
+    spec, registry, genesis = campaign_workload(48, fill_ml=0.7)
+    calls = Counter()
+    check = CapabilityRegistry.check_param_ranges
+
+    def counted_check(self, capability, op, params):
+        calls[capability, op] += 1
+        return check(self, capability, op, params)
+
+    monkeypatch.setattr(CapabilityRegistry, "check_param_ranges", counted_check)
+    assert static_check(spec, registry, genesis) == []
+    assert len(spec.steps) == 144
+    assert calls == {("valve", "set"): 6, ("pump", "dispense"): 1,
+                     ("potentiostat", "measure_eis"): 6}
+
+
+# A custom capability with a configure-gated operation, a temperature mode
+# and safety thresholds inside its ranges, for the draws below.
+OVEN = {
+    "operations": {
+        "tune": {"params": {"gain": {"min": -1, "max": 1}}, "kind": "configure",
+                 "idempotent": True},
+        "bake": {"params": {"gain": {"min": -1, "max": 1},
+                            "hold": {"unit": "s", "min": 0, "max": 60},
+                            "cycles": {"min": 1, "max": 10}},
+                 "configure_via": "tune", "duration_s": ["hold", "cycles"]},
+        "heat": {"params": {"temperature": {"unit": "K", "min": 250, "max": 500},
+                            "hold": {"unit": "s", "min": 0, "max": 60, "optional": True}}},
+    },
+    "safety": {"conditions": [
+        {"field": "temperature", "comparator": "<=", "threshold": {"value": 450, "unit": "K"}},
+        {"field": "gain", "comparator": ">=", "threshold": {"value": -0.5}},
+    ]},
+}
+_OVEN_LAB = json.loads(LAB_PATH.read_text())
+_OVEN_LAB["capabilities"] = {"oven": OVEN}
+_OVEN_LAB["devices"].append({"device_id": "oven_1", "capability": "oven"})
+OVEN_REGISTRY = registry_from_lab_config(_OVEN_LAB)
+OVEN_GENESIS = genesis_from_lab_config(_OVEN_LAB)
+# binding -> (capability, the operations a draw picks from, one unknown)
+DRAWN_BINDINGS = {
+    "pump": ("pump", ["dispense", "stop"]),
+    "valve": ("valve", ["set"]),
+    "stat": ("potentiostat", ["measure_eis", "configure"]),
+    "oven": ("oven", ["tune", "bake", "heat"]),
+    "ghost": ("warp_drive", ["go"]),
+}
+# Ints and floats, both zeros, values in and out of every range above.
+DRAWN_VALUES = [0, 0.0, -0.0, 1, 1.0, 0.5, 2.5, 6, 10, 25, 60, 298.15, 450, 500, 600, -1]
+DRAWN_UNITS = ["", "s", "K", "degC", "mL", "mL/min", "Hz", "V", "mol/kg"]
+
+
+def _drawn_quantity(draw, pschema, damaged: bool):
+    """A value of ``pschema``'s range in its unit; in a damaged spec, with
+    odds of 1 in 4 any drawn value and with odds of 1 in 4 any drawn unit."""
+    values = DRAWN_VALUES
+    if pschema is not None and not (damaged and not draw(st.integers(0, 3))):
+        values = [pschema.min, pschema.max, (pschema.min + pschema.max) / 2]
+        values += [0, 0.0, -0.0] if pschema.min <= 0 <= pschema.max else []
+    value = draw(st.sampled_from(values))
+    if pschema is None or (damaged and not draw(st.integers(0, 3))):
+        return value, draw(st.sampled_from(DRAWN_UNITS))
+    return value, pschema.unit
+
+
+def _drawn_step(draw, index: int, damaged: bool) -> dict:
+    """A step, swept or not; a damaged spec's steps may also name unknown
+    capabilities and operations, miss params and have unknown ones."""
+    bindings = sorted(DRAWN_BINDINGS) if damaged else sorted(set(DRAWN_BINDINGS) - {"ghost"})
+    binding = draw(st.sampled_from(bindings))
+    capability, operations = DRAWN_BINDINGS[binding]
+    op = draw(st.sampled_from(operations + ["levitate"] if damaged else operations))
+    schemas = {}
+    if capability in OVEN_REGISTRY and op in OVEN_REGISTRY.get(capability).operations:
+        schemas = dict(OVEN_REGISTRY.get(capability).operation(op).params)
+    names = [name for name in schemas if not (damaged and not draw(st.integers(0, 5)))]
+    if damaged and not draw(st.integers(0, 3)):
+        names.append("bogus")
+    params = {}
+    for name in names:
+        value, unit = _drawn_quantity(draw, schemas.get(name), damaged)
+        params[name] = {"value": value, "unit": unit}
+    step = {"id": f"s{index}", "binding": binding, "op": op, "params": params,
+            "depends_on": [f"s{i}" for i in range(index) if draw(st.booleans())]}
+    if names and draw(st.booleans()):
+        name = draw(st.sampled_from(names))
+        sweep = []
+        for _ in range(draw(st.integers(1, 4))):
+            value, unit = _drawn_quantity(draw, schemas.get(name), damaged)
+            sweep.append(draw(st.sampled_from([value, {"value": value, "unit": unit}])))
+        step["repeat"] = {name: sweep}
+    return step
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_checks_and_lowering_once_per_configuration_match_each_step_alone(data):
+    """Checking and lowering each distinct configuration once gives every
+    step the diagnostics and nodes it gets when checked and lowered alone."""
+    damaged = data.draw(st.booleans())
+    steps = [_drawn_step(data.draw, i, damaged) for i in range(data.draw(st.integers(1, 4)))]
+    doc = {"spec_id": "drawn", "version": "1.0.0", "steps": steps,
+           "resources": [{"name": name, "capability": capability}
+                         for name, (capability, _) in sorted(DRAWN_BINDINGS.items())
+                         if any(step["binding"] == name for step in steps)]}
+    spec = expand_sweeps(parse_spec(json.dumps(doc)))
+    diagnostics = static_check(spec, OVEN_REGISTRY, OVEN_GENESIS)
+    assert diagnostics == static_check_per_step(spec, OVEN_REGISTRY, OVEN_GENESIS)
+    if diagnostics:
+        return
+    nodes = compile_spec(spec, OVEN_REGISTRY, OVEN_GENESIS, diagnostics).to_dict()["nodes"]
+    for node_id, fields in lowered_params_per_step(spec, OVEN_REGISTRY).items():
+        assert {name: nodes[node_id][name] for name in fields} == fields

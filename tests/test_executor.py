@@ -432,7 +432,7 @@ def test_setpoint_then_hold_first_crossing_oracle():
 
 def test_stabilization_timeout():
     device = _thermal_device(293.0, 400.0, 1e9)
-    with pytest.raises(StabilizationTimeoutError):
+    with pytest.raises(StabilizationTimeoutError, match="^signal never held its band within 600s$"):
         stabilize_wait(_stab_node("setpoint_then_hold", 5.0), 0.0, device)
 
 

@@ -1,11 +1,15 @@
 import itertools
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from eaclab.errors import ExpansionError, SpecSchemaError, SpecSyntaxError
+from eaclab.records import replace
 from eaclab.specmodel import (
+    StepSpec,
     expand_sweeps,
     parse_spec,
     serialize_spec,
@@ -149,6 +153,86 @@ def test_cycle_detection_matches_reachability_oracle(seed):
         assert err.value.code == "dependency_cycle"
     else:
         parse_spec(json.dumps(doc))
+
+
+def _expand_and_validate(spec):
+    """(id, dependencies) of every instance, by the expansion rules, after a
+    full ``validate_spec`` of the expansion, which raises as it would."""
+    shapes = {s.step_id: s.repeat and tuple(map(len, s.repeat.values())) for s in spec.steps}
+    instances = {
+        s.step_id: [f"{s.step_id}#{k}" for k in range(math.prod(shapes[s.step_id]))]
+        if s.repeat else [s.step_id]
+        for s in spec.steps
+    }
+    steps = []
+    for s in spec.steps:
+        for k, instance_id in enumerate(instances[s.step_id]):
+            deps = []
+            for dep in s.depends_on:
+                paired = s.repeat and shapes[dep] == shapes[s.step_id]
+                deps += [instances[dep][k]] if paired else instances[dep]
+            steps.append(StepSpec(instance_id, s.binding, s.operation, depends_on=tuple(deps)))
+    validate_spec(replace(spec, steps=tuple(steps)))
+    return [(step.step_id, step.depends_on) for step in steps]
+
+
+# Ids a swept step's instances may collide with, or look like without
+# being one (an index past the sweep, or a suffix that is not an index).
+_LOOKALIKES = ["{}#0", "{}#1", "{}#2", "{}#7", "{}#x", "{}#0#0"]
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_expansion_breaks_only_unique_ids(seed):
+    """Swept step graphs whose literal ids collide with instance ids:
+    ``expand_sweeps`` raises exactly when a full validation of its expansion
+    would, with the same code, locus and message, and otherwise returns an
+    expansion that passes ``validate_spec``."""
+    rng = random.Random(seed)
+    doc, has_cycle = _random_dep_graph(seed, n=6, extra_edges=seed % 5)
+    if has_cycle:
+        return
+    steps = doc["steps"]
+    for step in steps:
+        if rng.random() < 0.5:
+            step["repeat"] = {
+                f"k{j}": [{"value": v} for v in range(rng.randint(1, 3))]
+                for j in range(rng.randint(1, 2))
+            }
+    renames = {}
+    for step in rng.sample(steps, rng.randint(0, 3)):
+        renames[step["id"]] = rng.choice(_LOOKALIKES).format(rng.choice(steps)["id"])
+    for step in steps:
+        step["id"] = renames.get(step["id"], step["id"])
+        step["depends_on"] = [renames.get(dep, dep) for dep in step["depends_on"]]
+    try:
+        spec = parse_spec(json.dumps(doc))
+    except SpecSchemaError:
+        return  # two steps renamed alike
+    try:
+        expected = _expand_and_validate(spec)
+    except SpecSchemaError as err:
+        with pytest.raises(SpecSchemaError) as raised:
+            expand_sweeps(spec)
+        assert (raised.value.code, raised.value.locus, str(raised.value)) == (
+            err.code, err.locus, str(err))
+        assert err.code == "duplicate_id"
+        return
+    expanded = expand_sweeps(spec)
+    validate_spec(expanded)
+    assert [(step.step_id, step.depends_on) for step in expanded.steps] == expected
+
+
+def test_a_literal_id_like_an_instance_id_pairs_by_its_own_step():
+    """``fill#7`` is a step of its own, not an instance of ``fill``: it is not
+    swept, so it depends on every instance of ``dose``."""
+    doc = _doc()
+    doc["steps"][0]["repeat"] = {"volume": [1, 2]}
+    doc["steps"] += [
+        {"id": "dose", "binding": "p", "op": "stop", "repeat": {"k": [{"value": 1}, {"value": 2}]}},
+        {"id": "fill#7", "binding": "p", "op": "stop", "depends_on": ["dose"]},
+    ]
+    expanded = expand_sweeps(parse_spec(json.dumps(doc)))
+    assert expanded.step("fill#7").depends_on == ("dose#0", "dose#1")
 
 
 def test_serialize_round_trip_and_hash_stability():

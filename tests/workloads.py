@@ -4,10 +4,12 @@ import json
 import random
 from pathlib import Path
 
+from eaclab.canon import sha256_hex
 from eaclab.capabilities import registry_from_lab_config
-from eaclab.compiler import OpNode, WorkflowDAG
+from eaclab.compiler import Diagnostic, OpNode, WorkflowDAG
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
 from eaclab.specmodel import expand_sweeps, parse_spec
+from eaclab.units import to_canonical
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -56,12 +58,14 @@ def payoff_workload():
     return spec, registry, state
 
 
-def campaign_workload(n: int):
+def campaign_workload(n: int, fill_ml: float | None = None):
     """The Li2SO4 campaign with its three sweeps lengthened to ``n`` points.
 
     Ports cycle 1..6 and fill volumes cycle through 0.5..1.0 mL, so
     fills of different lengths share the pump and the batched policy has
-    real choices to make. Returns (expanded spec, registry, genesis).
+    real choices to make; with ``fill_ml`` every fill has that volume, as
+    in the benchmark's campaign_scale. Returns (expanded spec, registry,
+    genesis).
     """
     lab = json.loads((CONFIGS / "reference_lab.json").read_text())
     doc = json.loads((CONFIGS / "li2so4_campaign.json").read_text())
@@ -69,7 +73,8 @@ def campaign_workload(n: int):
     select, fill, measure = doc["steps"]
     ports = [i % 6 + 1 for i in range(n)]
     select["repeat"] = {"dest": ports}
-    fill["repeat"] = {"volume": [round(0.5 + 0.1 * ((5 * i) % 6), 1) for i in range(n)]}
+    fill["repeat"] = {"volume": [fill_ml if fill_ml is not None
+                                 else round(0.5 + 0.1 * ((5 * i) % 6), 1) for i in range(n)]}
     measure["repeat"] = {"concentration": [0.43 * p for p in ports]}
     spec = expand_sweeps(parse_spec(json.dumps(doc)))
     return spec, registry_from_lab_config(lab), genesis_from_lab_config(lab)
@@ -222,3 +227,87 @@ def contraction_acyclic(dag: WorkflowDAG, groups: dict[str, int]) -> bool:
     return all(seen.get(v, 0) == 2 or dfs(v) for v in sorted(nodes))
 
 
+
+
+def static_check_per_step(spec, registry, state) -> list[Diagnostic]:
+    """The static check with every step checked on its own: the reference
+    ``compiler.static_check``, which checks each distinct configuration
+    once, is tested against. ``spec`` is parsed, so it has no cycle."""
+    diagnostics: list[Diagnostic] = []
+    for binding in spec.resources:
+        if binding.capability not in registry:
+            diagnostics.append(Diagnostic(
+                "unknown_capability", "error", binding.binding_name,
+                f"capability {binding.capability!r} is not registered",
+            ))
+            continue
+        if not any(
+            record.capability == binding.capability
+            and (binding.selector is None or device_id == binding.selector)
+            for device_id, record in state.devices.items()
+        ):
+            diagnostics.append(Diagnostic(
+                "unsatisfiable_binding", "error", binding.binding_name,
+                f"no device provides capability {binding.capability!r}",
+            ))
+    for step in spec.steps:
+        binding = spec.binding(step.binding)
+        if binding.capability not in registry:
+            continue
+        schema = registry.get(binding.capability)
+        if step.operation not in schema.operations:
+            diagnostics.append(Diagnostic(
+                "unknown_operation", "error", step.step_id,
+                f"{binding.capability} has no operation {step.operation!r}",
+            ))
+            continue
+        report = registry.check_param_ranges(binding.capability, step.operation, step.params)
+        for violation in report.violations:
+            diagnostics.append(Diagnostic(violation.code, "error", step.step_id, violation.message))
+        for predicate in schema.safety.conditions:
+            if predicate.field not in step.params:
+                continue
+            commanded = to_canonical(step.params[predicate.field]).value
+            threshold = to_canonical(predicate.threshold).value
+            if not predicate.holds(commanded, threshold):
+                diagnostics.append(Diagnostic(
+                    "safety_violation", "error", step.step_id,
+                    f"{predicate.field} {predicate.comparator} {threshold:g} violated "
+                    f"by commanded value {commanded:g}",
+                ))
+    return diagnostics
+
+
+def lowered_params_per_step(spec, registry) -> dict[str, dict]:
+    """``params``, ``mode`` and ``est_duration``, in ``OpNode.to_dict`` form,
+    of every configure and main node of a clean spec, with each step's
+    params converted on their own: the reference for the nodes
+    ``compiler.compile_spec`` lowers once per distinct configuration."""
+    lowered: dict[str, dict] = {}
+    for step in spec.steps:
+        schema = registry.get(spec.binding(step.binding).capability)
+        op = schema.operation(step.operation)
+        canonical = {name: to_canonical(q) for name, q in step.params.items()}
+        if "temperature" in canonical:
+            mode = f"T{round(canonical['temperature'].value)}"
+        elif op.kind == "configure" or op.configure_via is not None:
+            cfg = {name: q.to_dict() for name, q in sorted(canonical.items())}
+            mode = "cfg-" + sha256_hex(cfg)[:8]
+        else:
+            mode = None
+        main = canonical
+        if op.configure_via is not None:
+            cfg_schema = schema.operation(op.configure_via)
+            cfg = {k: q for k, q in canonical.items() if k in cfg_schema.params}
+            main = {k: q for k, q in canonical.items() if k not in cfg_schema.params}
+            lowered[f"{step.step_id}:cfg"] = {
+                "params": {k: q.to_dict() for k, q in sorted(cfg.items())},
+                "mode": mode,
+                "est_duration": cfg_schema.duration(cfg),
+            }
+        lowered[step.step_id] = {
+            "params": {k: q.to_dict() for k, q in sorted(main.items())},
+            "mode": mode,
+            "est_duration": op.duration(canonical),
+        }
+    return lowered
