@@ -35,7 +35,7 @@ _EXPORTS = {
     "scheduler": ("ExecutionPlan", "schedule"),
     "shims": ("SimFleet",),
     "specmodel": ("ExperimentSpec", "expand_sweeps", "parse_spec", "serialize_spec", "spec_hash"),
-    "telemetry": ("TelemetryRecord", "TelemetryStore"),
+    "telemetry": ("TelemetryRecord",),
     "units": ("Quantity", "canonicalize_units"),
 }
 

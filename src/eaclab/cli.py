@@ -36,7 +36,7 @@ from eaclab.labstate import (
 )
 from eaclab.records import replace
 from eaclab.shims import SimDeviceConfig
-from eaclab.specmodel import expand_sweeps, parse_spec, serialize_spec
+from eaclab.specmodel import check_sweeps, expand_sweeps, parse_spec, serialize_spec
 
 # The scheduler is imported by the commands that plan, and the executor,
 # ``SimFleet`` and telemetry by those that run, so ``validate`` and
@@ -189,15 +189,18 @@ def _spec_text(data: bytes) -> str:
 
 
 def _validate_pipeline(spec_path: str, lab_path: str | None):
-    """Parse, expand, and statically check a spec.
+    """Parse a spec, check its sweeps and statically check it at its template.
 
     Returns (spec, diagnostics, sim_configs, registry, genesis). The spec is
-    None when the spec has errors, and the diagnostics are then its errors.
+    the template, with its sweeps: a command that compiles it expands it.
+    It is None when the spec has errors, and the diagnostics are then its
+    errors.
     """
     sim_configs, registry, genesis = _load_lab(lab_path)
     data = _read_bytes(spec_path)
     try:
-        spec = expand_sweeps(parse_spec(_spec_text(data)))
+        spec = parse_spec(_spec_text(data))
+        check_sweeps(spec)
     except SpecSyntaxError as exc:
         error = Diagnostic("syntax", "error", f"{exc.line}:{exc.column}", str(exc))
         return None, [error], sim_configs, registry, genesis
@@ -230,7 +233,7 @@ def cmd_plan(args) -> int:
     _report(diagnostics)
     if spec is None:
         return EXIT_VALIDATION
-    dag = compile_spec(spec, registry, genesis, diagnostics)
+    dag = compile_spec(expand_sweeps(spec), registry, genesis, diagnostics)
     try:
         plan = schedule(dag, genesis, registry, policy=args.policy)
     except UnschedulableError as exc:
@@ -324,6 +327,7 @@ def cmd_run(args) -> int:
     _report(diagnostics)
     if spec is None:
         return EXIT_VALIDATION
+    spec = expand_sweeps(spec)
     dag = compile_spec(spec, registry, genesis, diagnostics)
     try:
         plan = schedule(dag, genesis, registry, policy=args.policy)

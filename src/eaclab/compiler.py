@@ -21,7 +21,7 @@ from eaclab.capabilities import DEFAULT_DURATION_S, CapabilityRegistry, Operatio
 from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import LabState
 from eaclab.records import field, record
-from eaclab.specmodel import ExperimentSpec
+from eaclab.specmodel import ExperimentSpec, instance_ids
 from eaclab.units import Quantity, to_canonical
 
 
@@ -227,10 +227,14 @@ def static_check(
 ) -> list[Diagnostic]:
     """All statically decidable violations; empty list means compilable.
 
-    A sweep repeats few configurations over many steps, so each distinct
-    configuration is checked once per call and its problems are reported
-    at every step that has it. Dependency cycles are not looked for here:
-    ``parse_spec`` refuses them.
+    ``spec`` may keep its sweeps, once they have passed ``check_sweeps``:
+    the diagnostics are then those of its expansion, each problem of a
+    swept step reported at every instance ``step#k`` that has it, in
+    expansion order, without building the instances. A sweep repeats few
+    configurations over many steps, so each distinct configuration is
+    checked once per call and its problems are reported at every step that
+    has it. Dependency cycles are not looked for here: ``parse_spec``
+    refuses them.
     """
     diagnostics: list[Diagnostic] = []
     registered: dict[str, str] = {}  # binding -> its capability, when registered
@@ -258,15 +262,27 @@ def static_check(
             )
 
     problems: dict[tuple, list[tuple[str, str]]] = {}
+
+    def problems_of(capability: str, operation: str, params: dict[str, Quantity]) -> list:
+        key = _configuration(capability, operation, params)
+        if key not in problems:
+            problems[key] = _problems(registry, capability, operation, params)
+        return problems[key]
+
     for step in spec.steps:
         capability = registered.get(step.binding)
         if capability is None:
             continue  # already diagnosed at the binding
-        key = _configuration(capability, step.operation, step.params)
-        if key not in problems:
-            problems[key] = _problems(registry, capability, step.operation, step.params)
-        for code, message in problems[key]:
-            diagnostics.append(Diagnostic(code, "error", step.step_id, message))
+        if step.repeat is None:
+            for code, message in problems_of(capability, step.operation, step.params):
+                diagnostics.append(Diagnostic(code, "error", step.step_id, message))
+            continue
+        distinct, which = step.sweep
+        found = [problems_of(capability, step.operation, params) for params in distinct]
+        if any(found):
+            for step_id, index in zip(instance_ids(step), which):
+                for code, message in found[index]:
+                    diagnostics.append(Diagnostic(code, "error", step_id, message))
     return diagnostics
 
 

@@ -126,7 +126,3 @@ class SimFault(EacError):
 
 class ProvenanceError(EacError):
     """Telemetry record missing its spec or plan hash."""
-
-
-class NoDataError(EacError):
-    """Query over an empty record set."""

@@ -111,11 +111,6 @@ class LabState:
     epoch: int = 0
     next_seq: int = 0
 
-    def with_device(self, record: DeviceRecord) -> "LabState":
-        devices = dict(self.devices)
-        devices[record.device_id] = record
-        return replace(self, devices=devices)
-
 
 def genesis_from_lab_config(config: dict) -> LabState:
     """Build the genesis state from a lab-config document."""

@@ -424,21 +424,3 @@ def batch_compatible(
             )
         )
     return batches
-
-
-def count_mode_transitions(
-    plan: ExecutionPlan, dag: WorkflowDAG, state: LabState
-) -> int:
-    """Number of device mode switches a plan incurs (initial switch included)."""
-    current: dict[str, str | None] = {}
-    transitions = 0
-    for a in sorted(plan.assignments, key=lambda a: (a.start, a.node_id)):
-        node = dag.nodes[a.node_id]
-        if node.mode is None:
-            continue
-        prev = current.get(a.device_id, state.devices[a.device_id].mode
-                           if a.device_id in state.devices else None)
-        if prev != node.mode:
-            transitions += 1
-        current[a.device_id] = node.mode
-    return transitions

@@ -12,6 +12,7 @@ import itertools
 import json
 import math
 import re
+from functools import cached_property
 
 from eaclab.canon import canonical_json, sha256_hex
 from eaclab.errors import (
@@ -52,6 +53,53 @@ class StepSpec:
     depends_on: tuple[str, ...] = ()
     stabilization: StabilizationConstraint | None = None
     repeat: dict[str, tuple] | None = None
+
+    @cached_property
+    def sweep(self) -> tuple[list[dict[str, Quantity]], list[int]]:
+        """The distinct params of a swept step's instances, and for each
+        instance in expansion order the index of its params.
+
+        Instances whose swept values give the same quantities, to the type
+        and sign of each value, share one dict and its quantities; every
+        unswept param is the template's own quantity. Computed once per
+        step, so that the check of a template and its expansion share it;
+        the lists and dicts must not be modified. The step's sweeps must
+        have passed ``check_sweeps``.
+        """
+        columns: list[tuple[list[Quantity], list[int]]] = []  # per swept param
+        for pname, values in self.repeat.items():  # type: ignore[union-attr]
+            quantities: list[Quantity] = []
+            seen: dict = {}  # a value's key -> the index of its quantity
+            indices = []
+            for value in values:
+                # A number becomes a float in the template's unit, so 1 and 1.0
+                # give one quantity; 0.0 and -0.0 are equal but print apart. A
+                # quantity keeps its value's type.
+                if isinstance(value, dict):
+                    key = (repr(value["value"]), value.get("unit", ""))
+                else:
+                    key = value if value else repr(float(value))
+                index = seen.get(key)
+                if index is None:
+                    index = seen[key] = len(quantities)
+                    quantities.append(
+                        Quantity.from_dict(value) if isinstance(value, dict)
+                        else Quantity(float(value), self.params[pname].unit)
+                    )
+                indices.append(index)
+            columns.append((quantities, indices))
+        distinct: list[dict[str, Quantity]] = []
+        combos: dict[tuple[int, ...], int] = {}
+        which: list[int] = []
+        for combo in itertools.product(*(indices for _, indices in columns)):
+            index = combos.get(combo)
+            if index is None:
+                index = combos[combo] = len(distinct)
+                distinct.append(_swept_params(self, [
+                    quantities[i] for (quantities, _), i in zip(columns, combo)
+                ]))
+            which.append(index)
+        return distinct, which
 
 
 @record(frozen=True)
@@ -223,31 +271,33 @@ def _parse_step(obj, index: int) -> StepSpec:
 
 
 def _dependency_cycle(steps: tuple[StepSpec, ...]) -> list[str] | None:
-    """Return one cycle (as a list of step ids) if the dependency relation has one."""
+    """Return one cycle (as a list of step ids) if the dependency relation has one.
+
+    A depth-first search from each step in id order, following dependencies
+    in listed order. It keeps its own stack, so a chain of any length is
+    searched without recursion.
+    """
     adjacency = {s.step_id: s.depends_on for s in steps}
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {sid: WHITE for sid in adjacency}
-    stack: list[str] = []
-
-    def visit(sid: str) -> list[str] | None:
-        color[sid] = GREY
-        stack.append(sid)
-        for dep in adjacency[sid]:
-            if color[dep] == GREY:
-                return stack[stack.index(dep):] + [dep]
-            if color[dep] == WHITE:
-                found = visit(dep)
-                if found:
-                    return found
-        stack.pop()
-        color[sid] = BLACK
-        return None
-
-    for sid in sorted(adjacency):
-        if color[sid] == WHITE:
-            found = visit(sid)
-            if found:
-                return found
+    color = dict.fromkeys(adjacency, WHITE)
+    for root in sorted(adjacency):
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        path = [root]
+        pending = [iter(adjacency[root])]  # the unvisited dependencies along the path
+        while pending:
+            for dep in pending[-1]:
+                if color[dep] == GREY:
+                    return path[path.index(dep):] + [dep]
+                if color[dep] == WHITE:
+                    color[dep] = GREY
+                    path.append(dep)
+                    pending.append(iter(adjacency[dep]))
+                    break
+            else:
+                pending.pop()
+                color[path.pop()] = BLACK
     return None
 
 
@@ -362,43 +412,83 @@ def spec_hash(spec: ExperimentSpec) -> str:
     return sha256_hex(spec_to_dict(spec))
 
 
-def _swept_params(step: StepSpec, combo: tuple) -> dict[str, Quantity]:
+def instance_ids(step: StepSpec) -> list[str]:
+    """The ids a step expands to: ``<step_id>#<k>`` for each combination of
+    a swept step's values, in row-major order, and its own id otherwise."""
+    if step.repeat is None:
+        return [step.step_id]
+    count = math.prod(len(values) for values in step.repeat.values())
+    return [f"{step.step_id}#{k}" for k in range(count)]
+
+
+def check_sweeps(spec: ExperimentSpec) -> None:
+    """Raise what expanding the sweeps of ``spec``, a validated spec, raises.
+
+    Step by step: ``ExpansionError`` if the step sweeps a param it does not
+    declare, unless every value of that sweep is a quantity, and
+    ``UnitError`` at its first instance with a number that is not finite.
+    Then ``duplicate_id`` at the first instance id that repeats, in
+    expansion order.
+
+    Of validate_spec's rules, an expansion can break only unique step ids:
+    its bindings are the template's, which exist; every dependency is an
+    instance of a template step; and with unique ids each expanded edge
+    projects onto the template edge it was made from, so a cycle in the
+    expansion would project onto one in the template, which has none.
+    """
+    for step in spec.steps:
+        if step.repeat is None:
+            continue
+        for pname, values in step.repeat.items():
+            if pname not in step.params and not all(isinstance(v, dict) for v in values):
+                raise ExpansionError(
+                    f"sweep over unknown parameter {pname!r} in step {step.step_id!r}"
+                )
+        numbers = [v for values in step.repeat.values() for v in values if not isinstance(v, dict)]
+        if not all(map(math.isfinite, numbers)):
+            for combo in itertools.product(*step.repeat.values()):
+                for value in combo:
+                    if not isinstance(value, dict):
+                        Quantity(float(value))  # raises UnitError if not finite
+    # Every instance id holds a '#' after its template's id, and template
+    # ids are unique, so two ids can be equal only if a template id has one.
+    if not any("#" in step.step_id for step in spec.steps):
+        return
+    step_ids: set[str] = set()
+    for step in spec.steps:
+        for step_id in instance_ids(step):
+            if step_id in step_ids:
+                raise SpecSchemaError("duplicate_id", step_id, "duplicate step id")
+            step_ids.add(step_id)
+
+
+def _swept_params(step: StepSpec, quantities: list[Quantity]) -> dict[str, Quantity]:
     params = dict(step.params)
-    for pname, value in zip(step.repeat, combo):  # type: ignore[union-attr]
-        if isinstance(value, dict):
-            params[pname] = Quantity.from_dict(value)
-        else:
-            params[pname] = Quantity(float(value), params[pname].unit)
+    params.update(zip(step.repeat, quantities))  # type: ignore[arg-type]
     return params
 
 
 def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
     """Replace every repeat clause with concrete per-value steps.
 
-    ``spec`` is a validated spec, as ``parse_spec`` returns. Instance ids
-    are ``<step_id>#<k>`` with k enumerating the cartesian product of the
-    sweep lists in row-major order (first listed parameter outermost).
+    ``spec`` is a validated spec, as ``parse_spec`` returns; it raises what
+    ``check_sweeps`` raises. Instance ids are those of ``instance_ids``.
     Dependencies between two steps swept with identical shapes pair up
     index-wise; otherwise every instance of the dependency is kept as a
-    predecessor. Idempotent: a spec without repeat clauses is returned
-    unchanged.
+    predecessor. Instances with equal swept values share their params
+    (``StepSpec.sweep``). Idempotent: a spec without repeat clauses is
+    returned unchanged.
     """
     if all(s.repeat is None for s in spec.steps):
         return spec
+    check_sweeps(spec)
 
     # Instance ids first: a step may depend on a swept step listed after it.
-    instances: dict[str, list[str]] = {}
-    shapes: dict[str, tuple[int, ...] | None] = {}
-    for step in spec.steps:
-        if step.repeat is None:
-            shapes[step.step_id] = None
-            instances[step.step_id] = [step.step_id]
-        else:
-            shape = tuple(len(v) for v in step.repeat.values())
-            shapes[step.step_id] = shape
-            instances[step.step_id] = [
-                f"{step.step_id}#{k}" for k in range(math.prod(shape))
-            ]
+    instances = {step.step_id: instance_ids(step) for step in spec.steps}
+    shapes = {
+        step.step_id: None if step.repeat is None else tuple(map(len, step.repeat.values()))
+        for step in spec.steps
+    }
 
     def depends_on(step: StepSpec, k: int | None) -> tuple[str, ...]:
         """Dependencies of the step's k-th instance (None: not swept)."""
@@ -419,35 +509,16 @@ def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
             deps = depends_on(step, None)
             new_steps.append(step if deps == step.depends_on else replace(step, depends_on=deps))
             continue
-        for pname in step.repeat:
-            if pname not in step.params and not all(
-                isinstance(v, dict) for v in step.repeat[pname]
-            ):
-                raise ExpansionError(
-                    f"sweep over unknown parameter {pname!r} in step {step.step_id!r}"
-                )
-        for k, (instance_id, combo) in enumerate(
-            zip(instances[step.step_id], itertools.product(*step.repeat.values()))
-        ):
+        distinct, which = step.sweep
+        for k, (instance_id, index) in enumerate(zip(instances[step.step_id], which)):
             new_steps.append(
                 StepSpec(
                     step_id=instance_id,
                     binding=step.binding,
                     operation=step.operation,
-                    params=_swept_params(step, combo),
+                    params=distinct[index],
                     depends_on=depends_on(step, k),
                     stabilization=step.stabilization,
                 )
             )
-
-    # Of validate_spec's rules, an expansion can break only unique step ids:
-    # its bindings are the template's, which exist; every dependency is an
-    # instance of a template step; and with unique ids each expanded edge
-    # projects onto the template edge it was made from, so a cycle in the
-    # expansion would project onto one in the template, which has none.
-    step_ids: set[str] = set()
-    for step in new_steps:
-        if step.step_id in step_ids:
-            raise SpecSchemaError("duplicate_id", step.step_id, "duplicate step id")
-        step_ids.add(step.step_id)
     return replace(spec, steps=tuple(new_steps))

@@ -5,8 +5,8 @@ from __future__ import annotations
 import csv
 import io
 
-from eaclab.errors import NoDataError, ProvenanceError
-from eaclab.records import field, record
+from eaclab.errors import ProvenanceError
+from eaclab.records import record
 from eaclab.units import Quantity
 
 
@@ -48,34 +48,6 @@ class TelemetryRecord:
             spec_hash=obj["spec_hash"],
             plan_hash=obj["plan_hash"],
         )
-
-
-@record
-class TelemetryStore:
-    _records: list[TelemetryRecord] = field(default_factory=list)
-
-    def record(self, rec: TelemetryRecord) -> None:
-        self._records.append(rec)
-
-    def query(self, run_id: str) -> list[TelemetryRecord]:
-        return [r for r in self._records if r.run_id == run_id]
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def report_argmax(self, run_id: str, field_name: str) -> dict:
-        """Record maximizing a field; ties go to the earliest record."""
-        best: TelemetryRecord | None = None
-        best_value = float("-inf")
-        for rec in self.query(run_id):
-            if field_name not in rec.fields:
-                continue
-            value = rec.fields[field_name].value
-            if value > best_value:
-                best, best_value = rec, value
-        if best is None:
-            raise NoDataError(f"no records with field {field_name!r} in run {run_id!r}")
-        return {"value": best_value, "at": dict(best.fields)}
 
 
 _CSV_COLUMNS = ("concentration", "conductivity", "temperature")

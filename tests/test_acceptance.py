@@ -22,13 +22,19 @@ from eaclab.labstate import (
     replay,
     snapshot,
 )
-from eaclab.scheduler import count_mode_transitions, plan_hash, resolve_bindings, schedule
+from eaclab.scheduler import plan_hash, resolve_bindings, schedule
 from eaclab.shims import SimFleet, encode_pump_dispense, encode_relay, encode_valve_set
 from eaclab.specmodel import expand_sweeps, parse_spec, spec_hash
-from eaclab.telemetry import TelemetryStore
 
 from conftest import CAMPAIGN_PATH, LAB_PATH
-from workloads import brute_force_makespan, payoff_workload, random_dag
+from workloads import (
+    TelemetryStore,
+    brute_force_makespan,
+    count_mode_transitions,
+    payoff_workload,
+    random_dag,
+    with_device,
+)
 
 
 def _report(number: int, name: str, started: float, budget: float):
@@ -289,8 +295,8 @@ def test_criterion_7_implicit_failure_gating(lab_config):
     )
     dag = compile_spec(spec, registry, genesis)
     plan = schedule(dag, genesis, registry)
-    stale = genesis.with_device(
-        replace(genesis.devices["pstat_1"], last_calibrated=-2_600_000.0)
+    stale = with_device(
+        genesis, replace(genesis.devices["pstat_1"], last_calibrated=-2_600_000.0)
     )
     result = execute(
         plan, dag, stale, registry, SimFleet.from_lab_config(lab_config),

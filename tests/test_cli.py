@@ -9,7 +9,7 @@ import pytest
 
 from eaclab import cli, compiler, scheduler, specmodel
 from eaclab.canon import canonical_json
-from eaclab.capabilities import schema_from_dict
+from eaclab.capabilities import CapabilityRegistry, schema_from_dict
 from eaclab.cli import main
 from eaclab.compiler import compile_spec, static_check
 from eaclab.labstate import snapshot
@@ -18,6 +18,7 @@ from eaclab.shims import SimDeviceConfig
 from eaclab.specmodel import expand_sweeps, parse_spec
 
 from conftest import BAD_TCELL, CAMPAIGN_PATH, LAB_PATH, TCELL, run_main, with_edit
+from workloads import campaign_doc
 
 LAB = str(LAB_PATH)
 SPEC = str(CAMPAIGN_PATH)
@@ -42,6 +43,36 @@ def test_validate_searches_for_dependency_cycles_once(monkeypatch):
     monkeypatch.setattr(compiler, "_dependency_cycle", counted_search, raising=False)
     assert run_main(["validate", SPEC, "--lab", LAB]) == (0, "", "")
     assert calls == [3]
+
+
+def _chain_doc(n: int, closed: bool = False) -> dict:
+    """``s00000`` depends on ``s00001``, which depends on ``s00002``, and so
+    on: a chain ``n`` steps deep, which ``closed`` turns into a cycle."""
+    ids = [f"s{i:05d}" for i in range(n)]
+    after = ids[1:] + (ids[:1] if closed else [None])
+    return {"spec_id": "chain", "version": "1.0.0",
+            "resources": [{"name": "p", "capability": "pump"}],
+            "steps": [{"id": sid, "binding": "p", "op": "stop",
+                       "depends_on": [dep] if dep else []} for sid, dep in zip(ids, after)]}
+
+
+def test_a_deep_dependency_chain_is_checked_and_planned(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_chain_doc(5000)))
+    assert run_main(["validate", str(path), "--lab", LAB]) == (0, "", "")
+    code, out, _ = run_main(["plan", str(path), "--lab", LAB])
+    assert code == 0
+    assert len(json.loads(out)["assignments"]) == 5002  # and connect, teardown
+
+
+@pytest.mark.parametrize("command", ["validate", "plan"])
+def test_a_deep_dependency_cycle_is_one_diagnostic(tmp_path, command):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_chain_doc(5000, closed=True)))
+    cycle = " -> ".join(f"s{i:05d}" for i in [*range(5000), 0])
+    assert run_main([command, str(path), "--lab", LAB]) == (
+        2, "", f"dependency_cycle error s00000: dependency_cycle at s00000: "
+               f"dependency cycle: {cycle}\n")
 
 
 def test_validate_rejects_bad_spec(tmp_path, capsys):
@@ -944,6 +975,56 @@ def test_memoised_lab_cannot_be_changed(tmp_path, capsys):
     assert [run_main(argv) for argv in sequence] == first
     assert all(a is b for a, b in zip(cli._load_lab(LAB), (configs, registry, genesis)))
     assert snapshot(genesis) == before
+
+
+def _count_expansions(monkeypatch) -> list:
+    calls = []
+
+    def counted(spec):
+        calls.append(len(spec.steps))
+        return expand_sweeps(spec)
+
+    monkeypatch.setattr(cli, "expand_sweeps", counted)
+    monkeypatch.setattr(specmodel, "expand_sweeps", counted)
+    return calls
+
+
+def test_validate_checks_a_sweep_at_its_template(tmp_path, monkeypatch):
+    """campaign_scale's spec: three swept steps, 144 instances, checked as 13
+    configurations without building one instance step."""
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(campaign_doc(48, fill_ml=0.7)))
+    expansions = _count_expansions(monkeypatch)
+    checks = []
+    check = CapabilityRegistry.check_param_ranges
+
+    def counted_check(self, capability, op, params):
+        checks.append((capability, op))
+        return check(self, capability, op, params)
+
+    monkeypatch.setattr(CapabilityRegistry, "check_param_ranges", counted_check)
+    assert run_main(["validate", str(path), "--lab", LAB]) == (0, "", "")
+    assert expansions == []
+    assert len(checks) == 13
+
+
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_plan_and_run_expand_the_sweeps_once(tmp_path, monkeypatch, command):
+    """The check of the template and the expansion share the swept params:
+    the reference campaign's 18 instances have 13 distinct swept values."""
+    expansions = _count_expansions(monkeypatch)
+    builds = []
+    build = specmodel._swept_params
+
+    def counted_build(step, quantities):
+        builds.append(step.step_id)
+        return build(step, quantities)
+
+    monkeypatch.setattr(specmodel, "_swept_params", counted_build)
+    extra = ["--out", str(tmp_path)] if command == "run" else []
+    assert run_main([command, SPEC, "--lab", LAB, *extra])[0] == 0
+    assert expansions == [3]
+    assert len(builds) == 13
 
 
 @pytest.mark.parametrize("command", ["validate", "plan", "run"])

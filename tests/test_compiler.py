@@ -17,12 +17,17 @@ from eaclab.compiler import (
     topo_order,
     validate_dag,
 )
-from eaclab.errors import CompileError, CycleError
+from eaclab.errors import CompileError, CycleError, EacError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
-from eaclab.specmodel import expand_sweeps, parse_spec
+from eaclab.specmodel import check_sweeps, expand_sweeps, parse_spec
 
 from conftest import LAB_PATH
-from workloads import campaign_workload, lowered_params_per_step, static_check_per_step
+from workloads import (
+    campaign_workload,
+    lowered_params_per_step,
+    static_check_per_step,
+    with_device,
+)
 
 
 def _state(*records):
@@ -234,7 +239,7 @@ def test_static_safety_predicate(genesis):
             },
         )
     )
-    state = genesis.with_device(DeviceRecord("heat_1", "heater"))
+    state = with_device(genesis, DeviceRecord("heat_1", "heater"))
     spec = parse_spec(
         json.dumps(
             {
@@ -316,7 +321,7 @@ def test_mode_assignment_from_temperature(genesis):
             },
         )
     )
-    state = genesis.with_device(DeviceRecord("reader_1", "reader"))
+    state = with_device(genesis, DeviceRecord("reader_1", "reader"))
     spec = parse_spec(
         json.dumps(
             {
@@ -479,3 +484,60 @@ def test_checks_and_lowering_once_per_configuration_match_each_step_alone(data):
     nodes = compile_spec(spec, OVEN_REGISTRY, OVEN_GENESIS, diagnostics).to_dict()["nodes"]
     for node_id, fields in lowered_params_per_step(spec, OVEN_REGISTRY).items():
         assert {name: nodes[node_id][name] for name in fields} == fields
+
+
+NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+# Suffixes that make a step's id look like an instance id of another step.
+LOOKALIKE_SUFFIXES = ["#0", "#1", "#x", "#0#0"]
+
+
+def _error(exc: Exception) -> tuple:
+    return type(exc), getattr(exc, "code", None), getattr(exc, "locus", None), str(exc)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_the_template_check_matches_the_check_of_the_expansion(data):
+    """``validate`` checks a spec's sweeps and then the spec at its template,
+    without expanding it. That gives the diagnostics of the expansion, each
+    step checked alone, or raises what the expansion raises. Beyond the
+    draws above, a step may sweep one more param, declared or not, with
+    numbers, non-finite ones too, or with quantities only (an undeclared
+    param swept with numbers is an error, with quantities a new param), and
+    ids may look like instance ids of other steps."""
+    damaged = data.draw(st.booleans())
+    steps = [_drawn_step(data.draw, i, damaged) for i in range(data.draw(st.integers(1, 4)))]
+    for step in steps:
+        if data.draw(st.booleans()):
+            name = data.draw(st.sampled_from(sorted(step["params"]) + ["extra"]))
+            quantities = data.draw(st.booleans())
+            values = DRAWN_VALUES if quantities else DRAWN_VALUES + NON_FINITE
+            step.setdefault("repeat", {})[name] = [
+                {"value": value, "unit": data.draw(st.sampled_from(DRAWN_UNITS))}
+                if quantities else value
+                for value in data.draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))
+            ]
+    renames: dict[str, str] = {}
+    for step in steps:
+        if data.draw(st.booleans()):
+            lookalike = data.draw(st.sampled_from(steps))["id"] + data.draw(
+                st.sampled_from(LOOKALIKE_SUFFIXES))
+            if lookalike not in {s["id"] for s in steps} | set(renames.values()):
+                renames[step["id"]] = lookalike
+    for step in steps:
+        step["id"] = renames.get(step["id"], step["id"])
+        step["depends_on"] = [renames.get(dep, dep) for dep in step["depends_on"]]
+    doc = {"spec_id": "drawn", "version": "1.0.0", "steps": steps,
+           "resources": [{"name": name, "capability": capability}
+                         for name, (capability, _) in sorted(DRAWN_BINDINGS.items())
+                         if any(step["binding"] == name for step in steps)]}
+    template = parse_spec(json.dumps(doc))
+    try:
+        expected = static_check_per_step(expand_sweeps(template), OVEN_REGISTRY, OVEN_GENESIS)
+    except EacError as err:
+        with pytest.raises(EacError) as raised:
+            check_sweeps(template)
+        assert _error(raised.value) == _error(err)
+        return
+    check_sweeps(template)
+    assert static_check(template, OVEN_REGISTRY, OVEN_GENESIS) == expected

@@ -27,6 +27,7 @@ from eaclab.shims import SimDevice, SimDeviceConfig, SimFleet
 from eaclab.specmodel import expand_sweeps, parse_spec, spec_hash
 
 from conftest import CAMPAIGN_PATH
+from workloads import with_device
 
 
 def _campaign_setup(lab_config, policy="batched"):
@@ -377,8 +378,8 @@ def test_calibration_lapse_aborts_before_actuation(lab_config):
     # last calibration turns out to predate the 30-day window.
     from eaclab.records import replace
 
-    stale = genesis.with_device(
-        replace(genesis.devices["pstat_1"], last_calibrated=-2_600_000.0)
+    stale = with_device(
+        genesis, replace(genesis.devices["pstat_1"], last_calibrated=-2_600_000.0)
     )
     result = _execute(lab, plan, dag, stale, registry, spec)
     assert result.status == "aborted"

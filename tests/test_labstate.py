@@ -17,6 +17,8 @@ from eaclab.labstate import (
 )
 from eaclab.units import Quantity
 
+from workloads import with_device
+
 # Independent restatement of the legal moves: self-loops, any -> fault,
 # plus the explicit edge list.
 _EDGE_ORACLE = {
@@ -134,8 +136,8 @@ def test_query_eligible_filters(genesis, registry):
     assert query_eligible(genesis, "valve", {"min_ports": 6}, registry) == ["valve_1"]
     assert query_eligible(genesis, "valve", {"min_ports": 8}, registry) == []
     assert query_eligible(genesis, "valve", {"ports": 6}, registry) == ["valve_1"]
-    busy = genesis.with_device(
-        DeviceRecord("pump_1", "pump", status="busy", holder="r")
+    busy = with_device(
+        genesis, DeviceRecord("pump_1", "pump", status="busy", holder="r")
     )
     assert query_eligible(busy, "pump", None, registry) == ["pump_2"]
 

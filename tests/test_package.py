@@ -21,7 +21,7 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from eaclab import *", namespace)
     assert set(eaclab.__all__) <= set(namespace)
-    assert len(eaclab.__all__) == 34
+    assert len(eaclab.__all__) == 33
 
 
 def test_dir_lists_exported_names_and_others_are_missing():

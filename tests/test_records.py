@@ -17,8 +17,9 @@ from eaclab.labstate import DEVICE_STATUSES, DeviceRecord, LabState
 from eaclab.records import FrozenInstanceError, replace
 from eaclab.scheduler import Assignment, Batch, ExecutionPlan
 from eaclab.shims import SimDeviceConfig, SimResult
-from eaclab.telemetry import TelemetryStore
 from eaclab.units import Quantity, known_units
+
+from workloads import TelemetryStore
 
 
 def factory():

@@ -11,7 +11,6 @@ from eaclab.scheduler import (
     Assignment,
     ExecutionPlan,
     batch_compatible,
-    count_mode_transitions,
     plan_hash,
     resolve_bindings,
     schedule,
@@ -22,8 +21,10 @@ from workloads import (
     brute_force_makespan,
     campaign_workload,
     contraction_acyclic,
+    count_mode_transitions,
     payoff_workload,
     random_dag,
+    with_device,
 )
 
 
@@ -87,9 +88,9 @@ def test_fifo_follows_topological_order(campaign_dag, genesis, registry):
 def test_resolve_bindings_deterministic_and_load_balanced(campaign_dag, genesis, registry):
     devices = resolve_bindings(campaign_dag, genesis, registry)
     assert devices == {"pump": "pump_1", "valve": "valve_1", "stat": "pstat_1"}
-    faulted = genesis.with_device(DeviceRecord("pump_1", "pump", status="fault"))
+    faulted = with_device(genesis, DeviceRecord("pump_1", "pump", status="fault"))
     assert resolve_bindings(campaign_dag, faulted, registry)["pump"] == "pump_2"
-    faulted = faulted.with_device(DeviceRecord("pump_2", "pump", status="fault"))
+    faulted = with_device(faulted, DeviceRecord("pump_2", "pump", status="fault"))
     with pytest.raises(UnschedulableError):
         resolve_bindings(campaign_dag, faulted, registry)
 

@@ -6,16 +6,23 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from eaclab.errors import ExpansionError, SpecSchemaError, SpecSyntaxError
+from eaclab import specmodel
+from eaclab.canon import canonical_json
+from eaclab.errors import ExpansionError, SpecSchemaError, SpecSyntaxError, UnitError
 from eaclab.records import replace
 from eaclab.specmodel import (
     StepSpec,
+    _dependency_cycle,
+    check_sweeps,
     expand_sweeps,
     parse_spec,
     serialize_spec,
     spec_hash,
     validate_spec,
 )
+from eaclab.units import Quantity
+
+from workloads import campaign_doc, dependency_cycle_recursive
 
 MINIMAL = {
     "spec_id": "t",
@@ -155,6 +162,36 @@ def test_cycle_detection_matches_reachability_oracle(seed):
         parse_spec(json.dumps(doc))
 
 
+@given(st.data())
+def test_the_cycle_search_finds_the_cycle_the_recursive_search_finds(data):
+    """Drawn dependency graphs, self-loops and cycles included: the search
+    with its own stack returns what the recursive one returns."""
+    ids = [f"s{i}" for i in range(data.draw(st.integers(1, 9)))]
+    steps = tuple(
+        StepSpec(sid, "p", "stop", depends_on=tuple(data.draw(
+            st.lists(st.sampled_from(ids), max_size=4, unique=True))))
+        for sid in data.draw(st.permutations(ids))
+    )
+    assert _dependency_cycle(steps) == dependency_cycle_recursive(steps)
+
+
+def _chain(n: int) -> tuple[StepSpec, ...]:
+    """Step ``s{i}`` depends on ``s{i+1}``: a chain ``n`` steps deep."""
+    return tuple(
+        StepSpec(f"s{i:05d}", "p", "stop", depends_on=(f"s{i + 1:05d}",) if i + 1 < n else ())
+        for i in range(n)
+    )
+
+
+def test_the_cycle_search_has_no_depth_limit():
+    chain = _chain(20_000)
+    assert _dependency_cycle(chain) is None
+    closed = chain[:-1] + (replace(chain[-1], depends_on=("s00000",)),)
+    assert _dependency_cycle(closed) == [f"s{i:05d}" for i in range(20_000)] + ["s00000"]
+    with pytest.raises(RecursionError):
+        dependency_cycle_recursive(chain)
+
+
 def _expand_and_validate(spec):
     """(id, dependencies) of every instance, by the expansion rules, after a
     full ``validate_spec`` of the expansion, which raises as it would."""
@@ -271,6 +308,33 @@ def test_expansion_idempotent():
     assert expand_sweeps(once) is once
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("sweeps, renamed, error", [
+    # Step by step, an undeclared param, then a number that is not finite...
+    ([{"volume": [1, NAN]}, {"pressure": [1]}], None, (UnitError, "non-finite value nan")),
+    ([{"pressure": [1]}, {"volume": [NAN]}], None,
+     (ExpansionError, "sweep over unknown parameter 'pressure' in step 'fill'")),
+    # ... at the first instance that has one, in row-major order ...
+    ([{"flow_rate": [1, INF], "volume": [NAN, 2]}], None, (UnitError, "non-finite value nan")),
+    ([{"flow_rate": [1, -INF], "volume": [2, 3]}], None, (UnitError, "non-finite value -inf")),
+    # ... and only then ids.
+    ([{"volume": [2, INF]}], "fill#1", (UnitError, "non-finite value inf")),
+    ([{"volume": [1, 2]}], "fill#1", (SpecSchemaError, "duplicate_id at fill#1: duplicate step id")),
+])
+def test_check_sweeps_raises_what_the_expansion_raises(sweeps, renamed, error):
+    doc = _doc()
+    doc["steps"].append(dict(doc["steps"][0], id=renamed or "again"))
+    for step, repeat in zip(doc["steps"], sweeps):
+        step["repeat"] = repeat
+    template = parse_spec(json.dumps(doc))
+    for check in (check_sweeps, expand_sweeps):
+        with pytest.raises(error[0]) as raised:
+            check(template)
+        assert str(raised.value) == error[1]
+
+
 def test_unknown_sweep_param_raises():
     doc = _doc()
     doc["steps"][0]["repeat"] = {"pressure": [1, 2]}
@@ -334,3 +398,44 @@ def test_quantity_valued_sweep_entries_set_units():
     expanded = expand_sweeps(parse_spec(json.dumps(doc)))
     assert expanded.step("fill#0").params["volume"].value == 500
     assert expanded.step("fill#0").params["volume"].unit == "mL"
+
+
+def test_expansion_builds_each_swept_configuration_once(monkeypatch):
+    """campaign_scale's 144 instances have 13 distinct swept values (6
+    ports, one 0.7 mL fill, 6 concentrations): 13 param dicts, each shared
+    by the instances that have its values."""
+    calls = []
+    build = specmodel._swept_params
+
+    def counted_build(step, quantities):
+        calls.append(step.step_id)
+        return build(step, quantities)
+
+    monkeypatch.setattr(specmodel, "_swept_params", counted_build)
+    expanded = expand_sweeps(parse_spec(json.dumps(campaign_doc(48, fill_ml=0.7))))
+    assert len(expanded.steps) == 144
+    assert len(calls) == 13
+    assert len({id(step.params) for step in expanded.steps}) == 13
+
+
+def test_instances_share_params_only_when_they_print_alike():
+    """1 and 1.0 become one float quantity, but -0.0 is not 0.0, and a
+    quantity keeps its value's type: every instance's params serialize as
+    when built for that instance alone."""
+    sweep = [1, 1.0, 0, 0.0, -0.0, 2, {"value": 1, "unit": "mL"}, {"value": 1.0, "unit": "mL"},
+             {"value": -0.0, "unit": "mL"}, {"value": 0, "unit": "mL"}, {"value": 1}, 1]
+    doc = _doc()
+    doc["steps"][0]["repeat"] = {"volume": sweep, "scale": [{"value": 2}, {"value": 2.0}]}
+    template = parse_spec(json.dumps(doc))
+    expanded = expand_sweeps(template)
+    combos = list(itertools.product(sweep, [{"value": 2}, {"value": 2.0}]))
+    assert len(expanded.steps) == len(combos)
+    unit = template.steps[0].params["volume"].unit
+    for step, (volume, scale) in zip(expanded.steps, combos):
+        alone = dict(template.steps[0].params)
+        alone["volume"] = (Quantity.from_dict(volume) if isinstance(volume, dict)
+                           else Quantity(float(volume), unit))
+        alone["scale"] = Quantity.from_dict(scale)
+        assert canonical_json({n: q.to_dict() for n, q in step.params.items()}) == canonical_json(
+            {n: q.to_dict() for n, q in alone.items()})
+        assert list(step.params) == list(alone)

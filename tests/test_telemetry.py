@@ -3,9 +3,11 @@ import json
 import pytest
 
 from eaclab.canon import canonical_json
-from eaclab.errors import NoDataError, ProvenanceError
-from eaclab.telemetry import TelemetryRecord, TelemetryStore, export_csv
+from eaclab.errors import ProvenanceError
+from eaclab.telemetry import TelemetryRecord, export_csv
 from eaclab.units import Quantity
+
+from workloads import NoDataError, TelemetryStore
 
 
 def _record(node_id: str, conductivity: float, concentration: float, run_id="r1"):

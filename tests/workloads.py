@@ -1,4 +1,5 @@
-"""Constructed workloads shared by the scheduler and acceptance tests."""
+"""Constructed workloads shared by the scheduler and acceptance tests, and
+the test-only helpers and reference oracles the program does not ship."""
 
 import json
 import random
@@ -7,8 +8,11 @@ from pathlib import Path
 from eaclab.canon import sha256_hex
 from eaclab.capabilities import registry_from_lab_config
 from eaclab.compiler import Diagnostic, OpNode, WorkflowDAG
+from eaclab.errors import EacError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
+from eaclab.records import field, record, replace
 from eaclab.specmodel import expand_sweeps, parse_spec
+from eaclab.telemetry import TelemetryRecord
 from eaclab.units import to_canonical
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -58,16 +62,15 @@ def payoff_workload():
     return spec, registry, state
 
 
-def campaign_workload(n: int, fill_ml: float | None = None):
-    """The Li2SO4 campaign with its three sweeps lengthened to ``n`` points.
+def campaign_doc(n: int, fill_ml: float | None = None) -> dict:
+    """The Li2SO4 campaign document with its three sweeps lengthened to
+    ``n`` points.
 
     Ports cycle 1..6 and fill volumes cycle through 0.5..1.0 mL, so
     fills of different lengths share the pump and the batched policy has
     real choices to make; with ``fill_ml`` every fill has that volume, as
-    in the benchmark's campaign_scale. Returns (expanded spec, registry,
-    genesis).
+    in the benchmark's campaign_scale.
     """
-    lab = json.loads((CONFIGS / "reference_lab.json").read_text())
     doc = json.loads((CONFIGS / "li2so4_campaign.json").read_text())
     doc["spec_id"] = f"campaign-{n}"
     select, fill, measure = doc["steps"]
@@ -76,8 +79,70 @@ def campaign_workload(n: int, fill_ml: float | None = None):
     fill["repeat"] = {"volume": [fill_ml if fill_ml is not None
                                  else round(0.5 + 0.1 * ((5 * i) % 6), 1) for i in range(n)]}
     measure["repeat"] = {"concentration": [0.43 * p for p in ports]}
-    spec = expand_sweeps(parse_spec(json.dumps(doc)))
+    return doc
+
+
+def campaign_workload(n: int, fill_ml: float | None = None):
+    """``campaign_doc(n, fill_ml)``, parsed and expanded, with the reference
+    lab. Returns (expanded spec, registry, genesis)."""
+    lab = json.loads((CONFIGS / "reference_lab.json").read_text())
+    spec = expand_sweeps(parse_spec(json.dumps(campaign_doc(n, fill_ml))))
     return spec, registry_from_lab_config(lab), genesis_from_lab_config(lab)
+
+
+def with_device(state: LabState, device: DeviceRecord) -> LabState:
+    """``state`` with ``device`` added, or replacing the record of its id."""
+    return replace(state, devices={**state.devices, device.device_id: device})
+
+
+class NoDataError(EacError):
+    """Query over an empty record set."""
+
+
+@record
+class TelemetryStore:
+    """Telemetry records kept in memory, for tests that query a run's records."""
+
+    _records: list[TelemetryRecord] = field(default_factory=list)
+
+    def record(self, rec: TelemetryRecord) -> None:
+        self._records.append(rec)
+
+    def query(self, run_id: str) -> list[TelemetryRecord]:
+        return [r for r in self._records if r.run_id == run_id]
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def report_argmax(self, run_id: str, field_name: str) -> dict:
+        """Record maximizing a field; ties go to the earliest record."""
+        best: TelemetryRecord | None = None
+        best_value = float("-inf")
+        for rec in self.query(run_id):
+            if field_name not in rec.fields:
+                continue
+            value = rec.fields[field_name].value
+            if value > best_value:
+                best, best_value = rec, value
+        if best is None:
+            raise NoDataError(f"no records with field {field_name!r} in run {run_id!r}")
+        return {"value": best_value, "at": dict(best.fields)}
+
+
+def count_mode_transitions(plan, dag: WorkflowDAG, state: LabState) -> int:
+    """Number of device mode switches a plan incurs (initial switch included)."""
+    current: dict[str, str | None] = {}
+    transitions = 0
+    for a in sorted(plan.assignments, key=lambda a: (a.start, a.node_id)):
+        node = dag.nodes[a.node_id]
+        if node.mode is None:
+            continue
+        prev = current.get(a.device_id, state.devices[a.device_id].mode
+                           if a.device_id in state.devices else None)
+        if prev != node.mode:
+            transitions += 1
+        current[a.device_id] = node.mode
+    return transitions
 
 
 def random_dag(seed: int):
@@ -227,6 +292,35 @@ def contraction_acyclic(dag: WorkflowDAG, groups: dict[str, int]) -> bool:
     return all(seen.get(v, 0) == 2 or dfs(v) for v in sorted(nodes))
 
 
+def dependency_cycle_recursive(steps) -> list[str] | None:
+    """One cycle of the steps' dependency relation, found by a recursive
+    depth-first search: the reference ``specmodel._dependency_cycle``, which
+    keeps its own stack, is tested against. Recursion limits the depth."""
+    adjacency = {s.step_id: s.depends_on for s in steps}
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {sid: WHITE for sid in adjacency}
+    stack: list[str] = []
+
+    def visit(sid: str) -> list[str] | None:
+        color[sid] = GREY
+        stack.append(sid)
+        for dep in adjacency[sid]:
+            if color[dep] == GREY:
+                return stack[stack.index(dep):] + [dep]
+            if color[dep] == WHITE:
+                found = visit(dep)
+                if found:
+                    return found
+        stack.pop()
+        color[sid] = BLACK
+        return None
+
+    for sid in sorted(adjacency):
+        if color[sid] == WHITE:
+            found = visit(sid)
+            if found:
+                return found
+    return None
 
 
 def static_check_per_step(spec, registry, state) -> list[Diagnostic]:
