@@ -7,13 +7,25 @@ these helpers so that equal values always serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
-# The one encoder of the package; ``json.dumps`` would build it anew per call.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
 
+if c_make_encoder is None:  # an interpreter without the ``_json`` accelerator
 
-def canonical_json(obj: object) -> str:
-    return _ENCODER.encode(obj)
+    def canonical_json(obj: object) -> str:
+        return _ENCODER.encode(obj)
+
+else:
+    # The C encoder ``json.dumps`` builds anew per call, built once: the same
+    # bytes and errors, but without circular-reference markers, since nothing
+    # eaclab encodes is cyclic.
+    _encode = c_make_encoder(
+        None, _ENCODER.default, encode_basestring_ascii, None, ":", ",", True, False, False
+    )
+
+    def canonical_json(obj: object) -> str:
+        return "".join(_encode(obj, 0))
 
 
 def canonical_bytes(obj: object) -> bytes:

@@ -209,13 +209,7 @@ class _RunContext:
     telemetry: list[TelemetryRecord] = field(default_factory=list)
 
     def emit(self, kind: str, device_id: str, time: float, payload: dict) -> None:
-        event = StateEvent(
-            seq=self.state.next_seq,
-            time=time,
-            device_id=device_id,
-            kind=kind,
-            payload=payload,
-        )
+        event = StateEvent(self.state.next_seq, time, device_id, kind, payload)
         self.state = apply_event(self.state, event)
         self.log.append(event)
 

@@ -156,7 +156,7 @@ def apply_event(state: LabState, event: StateEvent) -> LabState:
             observed = dict(record.observed)
             for name, value in event.payload.items():
                 if isinstance(value, dict) and "value" in value:
-                    observed[name] = Quantity.from_dict(value)
+                    observed[name] = Quantity(value["value"], value.get("unit", ""))
                 elif isinstance(value, (int, float)) and not isinstance(value, bool):
                     observed[name] = Quantity(float(value))
             changed = replace(record, observed=observed)
@@ -180,12 +180,9 @@ def apply_event(state: LabState, event: StateEvent) -> LabState:
         devices = dict(devices)
         devices[changed.device_id] = changed
 
-    return LabState(
-        devices=devices,
-        clock=max(state.clock, event.time),
-        epoch=state.epoch + 1,
-        next_seq=state.next_seq + 1,
-    )
+    # ``max(state.clock, event.time)``, which keeps the first of equals.
+    clock = event.time if event.time > state.clock else state.clock
+    return LabState(devices, clock, state.epoch + 1, state.next_seq + 1)
 
 
 def replay(genesis: LabState, events) -> LabState:

@@ -36,9 +36,10 @@ def record(cls=None, *, frozen=False):
 
 def replace(obj, **changes):
     """A copy of record ``obj`` with ``changes``, made by its ``__init__``."""
+    values = obj.__dict__
     for name in obj._fields:
         if name not in changes:
-            changes[name] = getattr(obj, name)
+            changes[name] = values[name]
     return obj.__class__(**changes)
 
 

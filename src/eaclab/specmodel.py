@@ -124,13 +124,13 @@ class ExperimentSpec:
 
 
 def _reject_duplicate_keys(pairs):
-    seen = set()
-    out = {}
-    for key, value in pairs:
-        if key in seen:
-            raise SpecSchemaError("duplicate_key", key, f"duplicate key {key!r}")
-        seen.add(key)
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SpecSchemaError("duplicate_key", key, f"duplicate key {key!r}")
+            seen.add(key)
     return out
 
 
@@ -154,7 +154,7 @@ def _expect(value, types, locus: str, what: str):
 
 def _parse_quantity(obj, locus: str) -> Quantity:
     _expect(obj, dict, locus, "quantity")
-    _check_no_unknown(obj, frozenset({"value", "unit"}), locus)
+    _check_no_unknown(obj, _QUANTITY_FIELDS, locus)
     value = _require(obj, "value", locus)
     _expect(value, (int, float), locus, "quantity value")
     if isinstance(value, bool):
@@ -162,11 +162,14 @@ def _parse_quantity(obj, locus: str) -> Quantity:
     unit = obj.get("unit", "")
     _expect(unit, str, locus, "quantity unit")
     try:
-        return Quantity(value=float(value), unit=unit)
+        return Quantity(float(value), unit)
+    except OverflowError:  # an integer too large for a float
+        raise SpecSchemaError("bad_value", locus, "quantity value is too large for a float") from None
     except UnitError as exc:
         raise SpecSchemaError("bad_unit", locus, str(exc)) from exc
 
 
+_QUANTITY_FIELDS = frozenset({"value", "unit"})
 _TOP_FIELDS = frozenset({"spec_id", "version", "resources", "steps", "metadata"})
 _RESOURCE_FIELDS = frozenset({"name", "capability", "selector", "constraints"})
 _STEP_FIELDS = frozenset(
@@ -258,6 +261,13 @@ def _parse_step(obj, index: int) -> StepSpec:
                     raise SpecSchemaError(
                         "bad_type", locus, f"sweep {pname!r} value has wrong type"
                     )
+                elif isinstance(value, int):
+                    try:
+                        float(value)
+                    except OverflowError:
+                        raise SpecSchemaError(
+                            "bad_value", locus, f"sweep {pname!r} value is too large for a float"
+                        ) from None
             repeat[pname] = tuple(values)
     return StepSpec(
         step_id=step_id,

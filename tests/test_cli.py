@@ -85,6 +85,28 @@ def test_validate_rejects_bad_spec(tmp_path, capsys):
     assert "out_of_range" in err
 
 
+REFERENCE = json.loads(CAMPAIGN_PATH.read_text())
+_SELECT = next(i for i, step in enumerate(REFERENCE["steps"]) if step["id"] == "select")
+HUGE = {
+    "value": (("steps", _SELECT, "params", "dest", "value"), 10**400,
+              "bad_value error steps[select].params.dest: bad_value at steps[select].params.dest: "
+              "quantity value is too large for a float\n"),
+    "sweep": (("steps", _SELECT, "repeat", "dest", 1), 2 * 10**400,
+              "bad_value error steps[select]: bad_value at steps[select]: "
+              "sweep 'dest' value is too large for a float\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "plan", "run"])
+@pytest.mark.parametrize("where", sorted(HUGE))
+def test_an_integer_too_large_for_a_float_is_a_diagnostic(tmp_path, command, where):
+    path, value, line = HUGE[where]
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(with_edit(REFERENCE, path, value)))
+    out = ["--out", str(tmp_path / "runs")] if command == "run" else []
+    assert run_main([command, str(spec), "--lab", LAB, *out]) == (2, "", line)
+
+
 def test_validate_reports_syntax_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -2,10 +2,11 @@
 and never in a traceback, and a usage error (4) is one line on stderr.
 
 Arguments are drawn over the five subcommands and their flags; file
-arguments name a valid spec, malformed JSON, drawn bytes that are not
-UTF-8, a missing path, a directory, a lab with a damaged ``sim`` section,
-or a run directory (completed, paused, or damaged in one of several ways,
-some of them non-UTF-8 bytes).
+arguments name a valid spec, malformed JSON, a spec holding an integer too
+large for a float, drawn bytes that are not UTF-8, a missing path, a
+directory, a lab with a damaged ``sim`` section, or a run directory
+(completed, paused, or damaged in one of several ways, some of them
+non-UTF-8 bytes).
 Every example runs in this one process, so the parser that ``main`` builds
 on its first call serves all of them.
 """
@@ -44,6 +45,12 @@ SIM_DAMAGE = {
     "sim-overflow": {"seed": 1e400},
     "sim-nan": {"temperature_setpoint": float("nan")},
 }
+# Reference campaigns whose `select` step (the first) holds an integer too
+# large for a float: (field of the step, its new value).
+HUGE = {
+    "huge-value": ("params", {"dest": {"value": 10**400}}),
+    "huge-sweep": ("repeat", {"dest": [1, 2 * 10**400]}),
+}
 # File contents that are not UTF-8: 0xfe never occurs in UTF-8 text.
 RAW_BYTES = st.builds(
     lambda head, tail: head + b"\xfe" + tail, st.binary(max_size=32), st.binary(max_size=32)
@@ -63,6 +70,11 @@ def files(tmp_path_factory):
         "out": str(base / "runs"),
     }
     (base / "malformed.json").write_text('{"spec_id": ')
+    for key, (name, value) in HUGE.items():
+        spec = json.loads(CAMPAIGN_PATH.read_text())
+        spec["steps"][0][name] = value
+        paths[key] = str(base / f"{key}.json")
+        (base / f"{key}.json").write_text(json.dumps(spec))
     for key, sim in SIM_DAMAGE.items():
         lab = json.loads(LAB_PATH.read_text())
         lab["devices"][0]["sim"] = sim
@@ -96,7 +108,7 @@ def files(tmp_path_factory):
     return paths
 
 
-INPUTS = ("spec", "malformed", "raw", "missing", "directory")
+INPUTS = ("spec", "malformed", "raw", "missing", "directory", *HUGE)
 RUN_DIRS = ("completed", "paused", "missing", "spec", *(f"damaged-{k}" for k in DAMAGE))
 # --lab is left out an eighth of the time (a usage error without EAC_LAB);
 # "sim" names one of the SIM_DAMAGE labs.

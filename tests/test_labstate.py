@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from eaclab.errors import IllegalTransitionError, SequenceGapError
 from eaclab.labstate import (
@@ -76,6 +77,20 @@ def test_clock_is_monotone():
     state = apply_event(_state(), StateEvent(0, 9.0, "d", "dispatch"))
     state = apply_event(state, StateEvent(1, 4.0, "d", "dispatch"))
     assert state.clock == 9.0
+
+
+@given(st.lists(st.sampled_from([0, 0.0, -0.0, 5, 5.0]) | st.integers(-2, 9)
+                | st.floats(-2, 9), min_size=1, max_size=6))
+def test_the_clock_is_max_of_the_clock_and_the_event_time(times):
+    """To the type and sign: of equal times the clock keeps the earlier, as
+    ``max`` does, since ``5`` and ``5.0`` (or ``0.0`` and ``-0.0``) print
+    apart in a snapshot."""
+    state = _state()
+    expected = state.clock
+    for seq, time in enumerate(times):
+        state = apply_event(state, StateEvent(seq, time, "d", "dispatch"))
+        expected = max(expected, time)
+        assert repr(state.clock) == repr(expected)
 
 
 def test_illegal_transition_rejected():

@@ -8,7 +8,7 @@ import pytest
 
 import eaclab
 from eaclab.capabilities import BUILTIN_CAPABILITIES
-from conftest import CAMPAIGN_PATH, LAB_PATH
+from conftest import CAMPAIGN_PATH, LAB_PATH, run_main
 
 
 def test_every_exported_name_resolves():
@@ -116,6 +116,28 @@ def test_only_canon_encodes_json():
     }
     assert uses.pop("canon.py") == ["JSONEncoder"]
     assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_a_run_builds_no_json_encoder(tmp_path, monkeypatch):
+    """``canon`` builds its C encoder once, at import; ``json.dumps`` and
+    ``JSONEncoder.encode`` build one per call."""
+    import json.encoder
+
+    import eaclab.executor  # everything a run imports, before the count starts
+
+    built = []
+    make = json.encoder.c_make_encoder
+
+    def counted(*args):
+        built.append(args)
+        return make(*args)
+
+    monkeypatch.setattr(json.encoder, "c_make_encoder", counted)
+    code, _, _ = run_main(["run", *SPEC_AND_LAB, "--out", str(tmp_path)])
+    assert code == 0
+    assert len(built) == 0
+    json.dumps({"counted": True})
+    assert len(built) == 1
 
 
 def test_only_capabilities_and_shims_name_a_builtin_capability():

@@ -1,9 +1,14 @@
+import contextlib
+import importlib
 import json
+import json.encoder
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
+import eaclab.canon as canon_module
 from eaclab.canon import canonical_bytes, canonical_json, sha256_hex
 from eaclab.errors import UnitError
 from eaclab.units import (
@@ -80,25 +85,47 @@ def test_canonical_json_rejects_nan():
         canonical_json({"x": float("nan")})
 
 
+# Strings that escape: non-ASCII, control characters, a lone surrogate.
+ESCAPED = st.sampled_from(["é", "\u2028", "\U0001f9ea", "\x00\x1f\x7f", '"\\/', "\ud800"])
 JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=2**64, max_value=2**256)
+    | st.integers(max_value=-(2**64))
     | st.floats(allow_nan=False, allow_infinity=False)
-    | st.just(-0.0)
-    | st.text(),
+    | st.sampled_from([-0.0, 1e308, -1e308, 5e-324])
+    | st.text()
+    | ESCAPED,
     lambda values: st.lists(values, max_size=4)
-    | st.dictionaries(st.text(max_size=6), values, max_size=4),
+    | st.dictionaries(st.text(max_size=6) | ESCAPED, values, max_size=4),
     max_leaves=24,
 )
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
-@given(JSON_VALUES)
-def test_canonical_json_is_json_dumps_with_the_canonical_options(value):
-    expected = json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    assert canonical_json(value) == expected
-    assert canonical_bytes(value) == expected.encode("utf-8")
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _assert_encodes_as_json_dumps(value, bad, without_c=contextlib.nullcontext):
+    """``canon`` gives ``json.dumps``' bytes for ``value``, and with the
+    non-finite ``bad`` in it refuses it with ``json.dumps``' ValueError (the
+    pure-Python encoder appends the value to the same message)."""
+    expected = _dumps(value)
+    doc = {"x": [value, {"y": bad}]}
+    with pytest.raises(ValueError) as refused:
+        _dumps(doc)
+    with without_c():
+        assert canon_module.canonical_json(value) == expected
+        assert canon_module.canonical_bytes(value) == expected.encode("utf-8")
+        with pytest.raises(ValueError, match="^" + re.escape(str(refused.value))):
+            canon_module.canonical_json(doc)
+
+
+@given(JSON_VALUES, NON_FINITE)
+def test_canonical_json_is_json_dumps_with_the_canonical_options(value, bad):
+    _assert_encodes_as_json_dumps(value, bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -106,6 +133,40 @@ def test_canonical_json_rejects_every_non_finite_float(bad):
     for doc in (bad, [1, bad], {"x": {"y": bad}}):
         with pytest.raises(ValueError):
             canonical_json(doc)
+
+
+def test_canonical_json_refuses_unsortable_keys_as_json_dumps_does():
+    with pytest.raises(TypeError) as expected:
+        _dumps({1: 0, "a": 0})
+    with pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}$"):
+        canonical_json({1: 0, "a": 0})
+
+
+def test_the_encoder_without_the_c_accelerator_gives_the_same_bytes(monkeypatch):
+    """On an interpreter without ``_json``, ``c_make_encoder`` is None when
+    ``canon`` is imported, and ``canon`` encodes through ``JSONEncoder``'s
+    pure-Python path, which reads that name on every call; ``json.dumps``,
+    the reference, keeps the C encoder."""
+
+    @contextlib.contextmanager
+    def without_c():
+        with monkeypatch.context() as patch:
+            patch.setattr(json.encoder, "c_make_encoder", None)
+            yield
+
+    with without_c():
+        importlib.reload(canon_module)
+    try:
+        assert "_ENCODER" in canon_module.canonical_json.__code__.co_names
+
+        @given(JSON_VALUES, NON_FINITE)
+        def encodes_as_json_dumps(value, bad):
+            _assert_encodes_as_json_dumps(value, bad, without_c)
+
+        encodes_as_json_dumps()
+    finally:
+        importlib.reload(canon_module)
+    assert "_encode" in canon_module.canonical_json.__code__.co_names
 
 
 def test_sha256_matches_independent_computation():
