@@ -118,7 +118,8 @@ def _lab_from_bytes(data: bytes):
     command with the same bytes gets the same objects: the configs are a
     tuple of frozen ``SimDeviceConfig``s, one per device, whose tables are
     mapping proxies; the registry refuses ``register``; and the genesis
-    state's device table and records hold mapping proxies. Parsing every
+    state's device table, and each record's ``observed`` and ``attrs``,
+    are mapping proxies. Parsing every
     device's ``sim`` section here makes a bad one fail every command, not
     only ``run``, and gives ``run`` and ``resume`` their fleet's configs.
     """
@@ -129,7 +130,6 @@ def _lab_from_bytes(data: bytes):
     devices = {
         device_id: replace(
             record,
-            desired=MappingProxyType(record.desired),
             observed=MappingProxyType(record.observed),
             attrs=MappingProxyType(record.attrs),
         )
@@ -204,10 +204,9 @@ def _validate_pipeline(spec_path: str, lab_path: str | None):
     except SpecSyntaxError as exc:
         error = Diagnostic("syntax", "error", f"{exc.line}:{exc.column}", str(exc))
         return None, [error], sim_configs, registry, genesis
-    except (SpecSchemaError, EacError) as exc:
-        code = getattr(exc, "code", "bad_value")
-        locus = getattr(exc, "locus", "$")
-        return None, [Diagnostic(code, "error", locus, str(exc))], sim_configs, registry, genesis
+    except SpecSchemaError as exc:
+        error = Diagnostic(exc.code, "error", exc.locus, str(exc))
+        return None, [error], sim_configs, registry, genesis
     diagnostics = static_check(spec, registry, genesis)
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
@@ -323,6 +322,9 @@ def cmd_run(args) -> int:
     from eaclab.scheduler import schedule
     from eaclab.shims import SimFleet
 
+    # The seed goes into the run id, and so into a directory name.
+    if not -2**63 <= args.seed < 2**63:
+        raise _Usage(f"--seed must lie in the signed 64-bit range {-2**63}..{2**63 - 1}")
     spec, diagnostics, sim_configs, registry, genesis = _validate_pipeline(args.spec, args.lab)
     _report(diagnostics)
     if spec is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from functools import cached_property
 
-from eaclab.canon import canonical_json, sha256_hex
+from eaclab.canon import sha256_hex
 from eaclab.capabilities import DEFAULT_DURATION_S, CapabilityRegistry, OperationSchema
 from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import LabState
@@ -49,19 +49,6 @@ class OpNode:
     # Stabilization detail for stabilize nodes: mode/duration_s/signal.
     stab: dict | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "binding": self.binding,
-            "operation": self.operation,
-            "kind": self.kind,
-            "params": {k: q.to_dict() for k, q in sorted(self.params.items())},
-            "idempotent": self.idempotent,
-            "est_duration": self.est_duration,
-            "mode": self.mode,
-            "stab": self.stab,
-        }
-
 
 @record(frozen=True)
 class WorkflowDAG:
@@ -73,7 +60,7 @@ class WorkflowDAG:
 
     # The adjacency indexes and the topological order below are computed on
     # first use and cached on the instance; they are derived from the
-    # fields, so to_dict, equality and dag_hash never see them.
+    # fields, so equality never sees them.
 
     @cached_property
     def successor_index(self) -> dict[str, tuple[str, ...]]:
@@ -110,27 +97,12 @@ class WorkflowDAG:
     def predecessors(self, node_id: str) -> list[str]:
         return list(self.predecessor_index.get(node_id, ()))
 
-    def to_dict(self) -> dict:
-        return {
-            "nodes": {nid: node.to_dict() for nid, node in sorted(self.nodes.items())},
-            "edges": sorted([list(e) for e in self.edges]),
-            "roots": sorted(self.roots),
-            "bindings": {name: obj for name, obj in sorted(self.bindings.items())},
-        }
-
-    def serialize(self) -> str:
-        return canonical_json(self.to_dict())
-
 
 def _adjacency(nodes, pairs) -> dict[str, tuple[str, ...]]:
     index: dict[str, list[str]] = {nid: [] for nid in nodes}
     for key, value in pairs:
         index.setdefault(key, []).append(value)
     return {key: tuple(sorted(values)) for key, values in index.items()}
-
-
-def dag_hash(dag: WorkflowDAG) -> str:
-    return sha256_hex(dag.to_dict())
 
 
 def validate_dag(dag: WorkflowDAG) -> None:
@@ -446,7 +418,13 @@ def compile_spec(
 
 
 def render_tree(dag: WorkflowDAG) -> str:
-    """Human-readable indented rendering in topological order."""
+    """Human-readable rendering in topological order, one line per node.
+
+    Each line starts with the node's depth, the number of edges on the
+    longest path from a root to it, written as a number rather than as
+    indentation, so the text grows linearly in the number of nodes however
+    deep the DAG is.
+    """
     depth: dict[str, int] = {}
     lines = []
     predecessors = dag.predecessor_index
@@ -454,5 +432,5 @@ def render_tree(dag: WorkflowDAG) -> str:
         preds = predecessors[nid]
         depth[nid] = 0 if not preds else max(depth[p] for p in preds) + 1
         node = dag.nodes[nid]
-        lines.append("  " * depth[nid] + f"{nid} [{node.kind}] {node.binding}.{node.operation}")
+        lines.append(f"{depth[nid]} {nid} [{node.kind}] {node.binding}.{node.operation}")
     return "\n".join(lines)

@@ -55,10 +55,6 @@ class SpecSchemaError(EacError):
         self.locus = locus
 
 
-class ExpansionError(EacError):
-    """Sweep expansion referenced an unknown parameter."""
-
-
 class UnitError(EacError):
     """Unknown unit or dimensionally incompatible conversion."""
 

@@ -1,4 +1,4 @@
-"""Centralized lab state: desired/observed device records and event sourcing.
+"""Centralized lab state: device records and event sourcing.
 
 All mutation flows through ``apply_event``; the state itself is immutable,
 so replaying a run log over the genesis state always reproduces the final
@@ -43,7 +43,6 @@ class DeviceRecord:
     device_id: str
     capability: str
     status: str = "idle"
-    desired: dict[str, Quantity] = field(default_factory=dict)
     observed: dict[str, Quantity] = field(default_factory=dict)
     holder: str | None = None
     last_calibrated: float = 0.0
@@ -63,7 +62,6 @@ class DeviceRecord:
             "device_id": self.device_id,
             "capability": self.capability,
             "status": self.status,
-            "desired": {k: q.to_dict() for k, q in sorted(self.desired.items())},
             "observed": {k: q.to_dict() for k, q in sorted(self.observed.items())},
             "holder": self.holder,
             "last_calibrated": self.last_calibrated,

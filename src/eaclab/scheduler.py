@@ -4,7 +4,8 @@ Two policies ship in-tree: ``fifo`` processes nodes in deterministic
 topological order; ``batched`` prefers ready nodes whose mode matches the
 target device's current mode, amortizing reconfiguration latency, and
 falls back to the FIFO ordering whenever that would finish sooner (so a
-batched plan never loses to FIFO).
+batched plan never loses to FIFO). Under both policies the plan lists its
+batches, each device's maximal runs of nodes in one mode, as it runs them.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ class ExecutionPlan:
     batches: tuple[Batch, ...]
     makespan: float
     policy: str
-    # Always "ok" and None; both stay in plan.json and the plan hash.
-    status: str = "ok"
-    pending_recovery: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -72,8 +70,6 @@ class ExecutionPlan:
             "batches": [b.to_dict() for b in self.batches],
             "makespan": self.makespan,
             "policy": self.policy,
-            "status": self.status,
-            "pending_recovery": self.pending_recovery,
         }
 
     @classmethod
@@ -98,8 +94,6 @@ class ExecutionPlan:
             ),
             makespan=float(obj["makespan"]),
             policy=obj["policy"],
-            status=obj["status"],
-            pending_recovery=obj["pending_recovery"],
         )
 
     # The plan is frozen, so its canonical text is computed on first use and
@@ -327,100 +321,45 @@ def schedule(
     devices = resolve_bindings(dag, state, registry)
     chosen = _run_list_schedule(dag, state, registry, devices, prefer_mode_match=False)
     makespan = max(slot[3] for slot in chosen)
-    batches = ()
     if policy == "batched":
         greedy = _run_list_schedule(dag, state, registry, devices, prefer_mode_match=True)
         greedy_makespan = max(slot[3] for slot in greedy)
         if greedy_makespan <= makespan:
             chosen, makespan = greedy, greedy_makespan
-        batches = tuple(batch_compatible(dag, state, devices))
     return ExecutionPlan(
         assignments=tuple(
             Assignment(nid, device, start, end, cost) for start, nid, device, end, cost in chosen
         ),
-        batches=batches,
+        batches=batch_compatible(dag, chosen),
         makespan=makespan,
         policy=policy,
     )
 
 
-def _closes_cycle(
-    dag: WorkflowDAG,
-    rank: dict[str, int],
-    membership: dict[str, int],
-    members: list[list[str]],
-    gid: int,
-    nid: str,
-) -> bool:
-    """True iff adding ``nid`` to group ``gid`` makes the contraction cyclic.
-
-    The contraction of the current groups is acyclic, so merging ``nid``
-    into group g closes a cycle exactly when g reaches ``nid`` through some
-    vertex outside g (a direct edge only becomes a self-loop), or ``nid``
-    reaches g. ``nid`` is visited in topological order after every grouped
-    node, and its successors are later still and ungrouped, so it cannot
-    reach g; for the same reason an ungrouped node later than ``nid`` cannot
-    reach ``nid`` and the search skips it.
-    """
-    successors = dag.successor_index
-    limit = rank[nid]
-    seen_groups = {gid}
-    seen: set[str] = set()
-    stack = [s for m in members[gid] for s in successors[m] if s != nid]
-    while stack:
-        node = stack.pop()
-        if node == nid:
-            return True
-        group = membership.get(node)
-        if group is None:
-            if node not in seen and rank[node] < limit:
-                seen.add(node)
-                stack.extend(successors[node])
-        elif group not in seen_groups:
-            seen_groups.add(group)
-            stack.extend(s for m in members[group] for s in successors[m])
-    return False
-
-
 def batch_compatible(
-    dag: WorkflowDAG, state: LabState, devices: dict[str, str] | None = None
-) -> list[Batch]:
-    """Partition mode-bearing nodes into maximal same-device same-mode groups.
+    dag: WorkflowDAG, slots: list[tuple[float, str, str, float, float]]
+) -> tuple[Batch, ...]:
+    """The batches of a plan: each device's maximal runs of one mode.
 
-    Greedy over the topological order; a node joins the open group for its
-    (binding, mode) key only if the contracted graph stays acyclic.
+    ``slots`` are the plan's (start, node_id, device, end, transition)
+    tuples in plan order, by start, then node_id. A batch is a run of a
+    device's consecutive mode-bearing nodes that share one mode. A node
+    without a mode neither joins nor ends a batch, as the device keeps its
+    mode across it. Batches are numbered in the plan order of their first
+    members.
     """
-    rank = topo_rank(dag)
-    groups: list[list[str]] = []
-    group_key: list[tuple[str, str]] = []
-    open_group: dict[tuple[str, str], int] = {}
-    membership: dict[str, int] = {}
-    for nid in rank:
-        node = dag.nodes[nid]
-        if node.mode is None:
+    batches: list[tuple[str, str, list[str]]] = []
+    latest: dict[str, tuple[str, str, list[str]]] = {}  # device -> its latest batch
+    for _, nid, device, _, _ in slots:
+        mode = dag.nodes[nid].mode
+        if mode is None:
             continue
-        key = (node.binding, node.mode)
-        if key in open_group:
-            gid = open_group[key]
-            if not _closes_cycle(dag, rank, membership, groups, gid, nid):
-                groups[gid].append(nid)
-                membership[nid] = gid
-                continue
-        gid = len(groups)
-        groups.append([nid])
-        group_key.append(key)
-        open_group[key] = gid
-        membership[nid] = gid
-    batches = []
-    for gid, members in enumerate(groups):
-        binding, mode = group_key[gid]
-        device = devices.get(binding, binding) if devices else binding
-        batches.append(
-            Batch(
-                batch_id=f"b{gid}",
-                device_id=device,
-                mode=mode,
-                members=tuple(members),
-            )
-        )
-    return batches
+        batch = latest.get(device)
+        if batch is None or batch[1] != mode:
+            batch = latest[device] = (device, mode, [])
+            batches.append(batch)
+        batch[2].append(nid)
+    return tuple(
+        Batch(f"b{i}", device, mode, tuple(members))
+        for i, (device, mode, members) in enumerate(batches)
+    )

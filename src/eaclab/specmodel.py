@@ -15,12 +15,7 @@ import re
 from functools import cached_property
 
 from eaclab.canon import canonical_json, sha256_hex
-from eaclab.errors import (
-    ExpansionError,
-    SpecSchemaError,
-    SpecSyntaxError,
-    UnitError,
-)
+from eaclab.errors import SpecSchemaError, SpecSyntaxError, UnitError
 from eaclab.records import field, record, replace
 from eaclab.units import Quantity, to_canonical
 
@@ -162,9 +157,13 @@ def _parse_quantity(obj, locus: str) -> Quantity:
     unit = obj.get("unit", "")
     _expect(unit, str, locus, "quantity unit")
     try:
-        return Quantity(float(value), unit)
+        value = float(value)
     except OverflowError:  # an integer too large for a float
         raise SpecSchemaError("bad_value", locus, "quantity value is too large for a float") from None
+    if not math.isfinite(value):
+        raise SpecSchemaError("bad_value", locus, f"quantity value {value!r} is not finite")
+    try:
+        return Quantity(value, unit)
     except UnitError as exc:
         raise SpecSchemaError("bad_unit", locus, str(exc)) from exc
 
@@ -191,6 +190,11 @@ def _parse_resource(obj, index: int) -> ResourceBinding:
         _expect(selector, str, locus, "selector")
     constraints = obj.get("constraints", {})
     _expect(constraints, dict, locus, "constraints")
+    for key, value in constraints.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SpecSchemaError("bad_type", locus, f"constraint {key!r} is not a number")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SpecSchemaError("bad_value", locus, f"constraint {key!r} is not finite")
     return ResourceBinding(
         binding_name=name,
         capability=capability,
@@ -434,11 +438,12 @@ def instance_ids(step: StepSpec) -> list[str]:
 def check_sweeps(spec: ExperimentSpec) -> None:
     """Raise what expanding the sweeps of ``spec``, a validated spec, raises.
 
-    Step by step: ``ExpansionError`` if the step sweeps a param it does not
-    declare, unless every value of that sweep is a quantity, and
-    ``UnitError`` at its first instance with a number that is not finite.
-    Then ``duplicate_id`` at the first instance id that repeats, in
-    expansion order.
+    Each is a ``SpecSchemaError``. Step by step, at ``steps[<id>]``:
+    ``unknown_sweep_param`` if the step sweeps a param it does not declare,
+    unless every value of that sweep is a quantity, and ``bad_value`` at
+    its first instance with a number that is not finite. Then
+    ``duplicate_id`` at the first instance id that repeats, in expansion
+    order.
 
     Of validate_spec's rules, an expansion can break only unique step ids:
     its bindings are the template's, which exist; every dependency is an
@@ -449,17 +454,20 @@ def check_sweeps(spec: ExperimentSpec) -> None:
     for step in spec.steps:
         if step.repeat is None:
             continue
+        locus = f"steps[{step.step_id}]"
         for pname, values in step.repeat.items():
             if pname not in step.params and not all(isinstance(v, dict) for v in values):
-                raise ExpansionError(
-                    f"sweep over unknown parameter {pname!r} in step {step.step_id!r}"
+                raise SpecSchemaError(
+                    "unknown_sweep_param", locus, f"sweep over unknown parameter {pname!r}"
                 )
         numbers = [v for values in step.repeat.values() for v in values if not isinstance(v, dict)]
         if not all(map(math.isfinite, numbers)):
             for combo in itertools.product(*step.repeat.values()):
-                for value in combo:
-                    if not isinstance(value, dict):
-                        Quantity(float(value))  # raises UnitError if not finite
+                for pname, value in zip(step.repeat, combo):
+                    if not isinstance(value, dict) and not math.isfinite(value):
+                        raise SpecSchemaError(
+                            "bad_value", locus, f"sweep {pname!r} value {value!r} is not finite"
+                        )
     # Every instance id holds a '#' after its template's id, and template
     # ids are unique, so two ids can be equal only if a template id has one.
     if not any("#" in step.step_id for step in spec.steps):

@@ -65,6 +65,20 @@ def test_a_deep_dependency_chain_is_checked_and_planned(tmp_path):
     assert len(json.loads(out)["assignments"]) == 5002  # and connect, teardown
 
 
+def test_the_plan_tree_of_a_deep_chain_has_a_constant_size_per_node(tmp_path):
+    """Each node's depth is written as a number, not as indentation."""
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(_chain_doc(2000)))
+    code, _, err = run_main(["plan", str(path), "--lab", LAB])
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 2002
+    assert lines[0] == "0 connect:p [connect] p.connect"
+    assert lines[1] == "1 s01999 [action] p.stop"
+    assert lines[-1] == "2001 teardown:p [teardown] p.disconnect"
+    assert len(err.encode("utf-8")) <= 40 * len(lines)
+
+
 @pytest.mark.parametrize("command", ["validate", "plan"])
 def test_a_deep_dependency_cycle_is_one_diagnostic(tmp_path, command):
     path = tmp_path / "cycle.json"
@@ -105,6 +119,57 @@ def test_an_integer_too_large_for_a_float_is_a_diagnostic(tmp_path, command, whe
     spec.write_text(json.dumps(with_edit(REFERENCE, path, value)))
     out = ["--out", str(tmp_path / "runs")] if command == "run" else []
     assert run_main([command, str(spec), "--lab", LAB, *out]) == (2, "", line)
+
+
+_VALVE = next(i for i, binding in enumerate(REFERENCE["resources"]) if binding["name"] == "valve")
+NAN = float("nan")
+MALFORMED = {
+    "constraint-text": (("resources", _VALVE, "constraints", "min_ports"), "6",
+                        "bad_type error resources[1]: bad_type at resources[1]: "
+                        "constraint 'min_ports' is not a number\n"),
+    "constraint-bool": (("resources", _VALVE, "constraints", "min_ports"), True,
+                        "bad_type error resources[1]: bad_type at resources[1]: "
+                        "constraint 'min_ports' is not a number\n"),
+    "constraint-nan": (("resources", _VALVE, "constraints", "min_ports"), NAN,
+                       "bad_value error resources[1]: bad_value at resources[1]: "
+                       "constraint 'min_ports' is not finite\n"),
+    "value-nan": (("steps", _SELECT, "params", "dest", "value"), NAN,
+                  "bad_value error steps[select].params.dest: bad_value at steps[select].params.dest: "
+                  "quantity value nan is not finite\n"),
+    "sweep-nan": (("steps", _SELECT, "repeat", "dest", 1), NAN,
+                  "bad_value error steps[select]: bad_value at steps[select]: "
+                  "sweep 'dest' value nan is not finite\n"),
+    "sweep-unknown": (("steps", _SELECT, "repeat"), {"port": [1, 2]},
+                      "unknown_sweep_param error steps[select]: unknown_sweep_param at steps[select]: "
+                      "sweep over unknown parameter 'port'\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "plan", "run"])
+@pytest.mark.parametrize("where", sorted(MALFORMED))
+def test_a_malformed_number_or_sweep_is_one_diagnostic(tmp_path, command, where):
+    path, value, line = MALFORMED[where]
+    spec = tmp_path / "malformed.json"
+    spec.write_text(json.dumps(with_edit(REFERENCE, path, value)))
+    out = ["--out", str(tmp_path / "runs")] if command == "run" else []
+    assert run_main([command, str(spec), "--lab", LAB, *out]) == (2, "", line)
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("seed", [2**63, -2**63 - 1, 10**400], ids=["2**63", "-2**63-1", "10**400"])
+def test_a_seed_beyond_64_bits_is_refused_before_the_run(tmp_path, seed):
+    out = tmp_path / "runs"
+    assert run_main(["run", SPEC, "--lab", LAB, f"--seed={seed}", "--out", str(out)]) == (
+        4, "", "usage error: --seed must lie in the signed 64-bit range "
+               "-9223372036854775808..9223372036854775807\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -2**63])
+def test_a_seed_at_either_end_of_64_bits_runs(tmp_path, seed):
+    code, out, _ = run_main(["run", SPEC, "--lab", LAB, f"--seed={seed}", "--out", str(tmp_path)])
+    assert code == 0
+    assert json.loads(out)["run_id"].endswith(f"-s{seed}")
 
 
 def test_validate_reports_syntax_error(tmp_path, capsys):
@@ -734,6 +799,18 @@ def test_resume_of_a_plan_that_result_json_does_not_name_is_rejected(tmp_path, c
     (run_dir / "plan.json").write_text(json.dumps(plan))
     err = _mismatch(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
     assert "result.json" in err
+
+
+def test_resume_of_a_plan_with_the_keys_an_older_eaclab_wrote_is_rejected(tmp_path, capsys):
+    """A plan.json that still holds ``status`` and ``pending_recovery``, with
+    hashes that name it, is not the plan it reads back as."""
+    run_dir = _paused_run(tmp_path, capsys)
+    plan = json.loads((run_dir / "plan.json").read_text())
+    _rehash(run_dir, {**plan, "status": "ok", "pending_recovery": None})
+    before = (run_dir / "plan.json").read_bytes()
+    err = _mismatch(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+    assert err == "checkpoint mismatch: plan.json does not match the plan hash in result.json\n"
+    assert (run_dir / "plan.json").read_bytes() == before
 
 
 @pytest.mark.parametrize("edit", ["pre_node", "missing_node", "wrong_capability"])

@@ -2,11 +2,12 @@
 and never in a traceback, and a usage error (4) is one line on stderr.
 
 Arguments are drawn over the five subcommands and their flags; file
-arguments name a valid spec, malformed JSON, a spec holding an integer too
-large for a float, drawn bytes that are not UTF-8, a missing path, a
-directory, a lab with a damaged ``sim`` section, or a run directory
-(completed, paused, or damaged in one of several ways, some of them
-non-UTF-8 bytes).
+arguments name a valid spec, malformed JSON, a spec holding a value it
+refuses (an integer too large for a float, a number that is not finite, a
+sweep over an undeclared param, a constraint that is not a number), drawn
+bytes that are not UTF-8, a missing path, a directory, a lab with a
+damaged ``sim`` section, or a run directory (completed, paused, or damaged
+in one of several ways, some of them non-UTF-8 bytes).
 Every example runs in this one process, so the parser that ``main`` builds
 on its first call serves all of them.
 """
@@ -18,7 +19,7 @@ import shutil
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from conftest import CAMPAIGN_PATH, LAB_PATH, run_main
+from conftest import CAMPAIGN_PATH, LAB_PATH, run_main, with_edit
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -45,11 +46,16 @@ SIM_DAMAGE = {
     "sim-overflow": {"seed": 1e400},
     "sim-nan": {"temperature_setpoint": float("nan")},
 }
-# Reference campaigns whose `select` step (the first) holds an integer too
-# large for a float: (field of the step, its new value).
-HUGE = {
-    "huge-value": ("params", {"dest": {"value": 10**400}}),
-    "huge-sweep": ("repeat", {"dest": [1, 2 * 10**400]}),
+# Reference campaigns with one value a validation failure: (path to the
+# value, its new value). `select` is the first step, `valve` the second
+# binding.
+EDITED = {
+    "huge-value": (("steps", 0, "params"), {"dest": {"value": 10**400}}),
+    "huge-sweep": (("steps", 0, "repeat"), {"dest": [1, 2 * 10**400]}),
+    "nan-value": (("steps", 0, "params"), {"dest": {"value": float("nan")}}),
+    "nan-sweep": (("steps", 0, "repeat"), {"dest": [1, float("inf")]}),
+    "unknown-sweep": (("steps", 0, "repeat"), {"port": [1, 2]}),
+    "text-constraint": (("resources", 1, "constraints"), {"min_ports": "6"}),
 }
 # File contents that are not UTF-8: 0xfe never occurs in UTF-8 text.
 RAW_BYTES = st.builds(
@@ -70,9 +76,8 @@ def files(tmp_path_factory):
         "out": str(base / "runs"),
     }
     (base / "malformed.json").write_text('{"spec_id": ')
-    for key, (name, value) in HUGE.items():
-        spec = json.loads(CAMPAIGN_PATH.read_text())
-        spec["steps"][0][name] = value
+    for key, (path, value) in EDITED.items():
+        spec = with_edit(json.loads(CAMPAIGN_PATH.read_text()), path, value)
         paths[key] = str(base / f"{key}.json")
         (base / f"{key}.json").write_text(json.dumps(spec))
     for key, sim in SIM_DAMAGE.items():
@@ -108,14 +113,14 @@ def files(tmp_path_factory):
     return paths
 
 
-INPUTS = ("spec", "malformed", "raw", "missing", "directory", *HUGE)
+INPUTS = ("spec", "malformed", "raw", "missing", "directory", *EDITED)
 RUN_DIRS = ("completed", "paused", "missing", "spec", *(f"damaged-{k}" for k in DAMAGE))
 # --lab is left out an eighth of the time (a usage error without EAC_LAB);
 # "sim" names one of the SIM_DAMAGE labs.
 LABS = st.sampled_from(["lab", "lab", "lab", "malformed", "raw", "missing", "sim", None])
 FLAG_VALUES = {
     "--policy": st.sampled_from(["fifo", "batched", "lifo"]),
-    "--seed": st.sampled_from(["0", "3", "-1", "x"]),
+    "--seed": st.sampled_from(["0", "3", "-1", "x", str(2**63), "1" + "0" * 400]),
     "--inject": st.sampled_from(
         ["timeout@5", "implicit@20", "error@14,noliquid@9", "weird@@", "timeout@x",
          "=inject", "=malformed", "=raw", "=missing"]

@@ -11,7 +11,6 @@ from eaclab.compiler import (
     Diagnostic,
     WorkflowDAG,
     compile_spec,
-    dag_hash,
     render_tree,
     static_check,
     topo_order,
@@ -86,8 +85,8 @@ def test_node_count_formula(campaign_spec, campaign_dag):
 def test_compile_is_deterministic(campaign_spec, registry, genesis):
     a = compile_spec(campaign_spec, registry, genesis)
     b = compile_spec(campaign_spec, registry, genesis)
-    assert dag_hash(a) == dag_hash(b)
-    assert a.serialize() == b.serialize()
+    assert a == b
+    assert list(a.nodes) == list(b.nodes)
 
 
 def test_every_edge_is_forward_in_topo_order(campaign_dag):
@@ -143,7 +142,6 @@ def test_step_order_does_not_change_the_dag(campaign_text, campaign_dag, registr
     doc["steps"] = [doc["steps"][i] for i in order]
     dag = compile_spec(expand_sweeps(parse_spec(json.dumps(doc))), registry, genesis)
     assert dag == campaign_dag
-    assert dag_hash(dag) == dag_hash(campaign_dag)
 
 
 def test_compile_spec_takes_the_callers_static_check(campaign_spec, campaign_dag, registry, genesis):
@@ -286,16 +284,15 @@ def test_validate_dag_rejects_cycles_and_dangling_edges():
 def test_cached_indexes_stay_out_of_identity(campaign_spec, registry, genesis):
     dag = compile_spec(campaign_spec, registry, genesis)
     fresh = compile_spec(campaign_spec, registry, genesis)
-    before = dag.to_dict()
+    assert dag == fresh
     order = topo_order(dag)
     order.reverse()  # callers get their own list
     assert topo_order(dag) == topo_order(fresh)
     for nid, node in dag.nodes.items():
         assert dag.successors(nid) == sorted(d for s, d, _ in dag.edges if s == nid)
         assert dag.predecessors(nid) == sorted(s for s, d, _ in dag.edges if d == nid)
-    assert dag.to_dict() == before
     assert dag == fresh
-    assert dag_hash(dag) == dag_hash(fresh)
+    assert "predecessor_index" in dag.__dict__ and "predecessor_index" not in fresh.__dict__
 
 
 def test_render_tree_mentions_every_node(campaign_dag):
@@ -481,9 +478,9 @@ def test_checks_and_lowering_once_per_configuration_match_each_step_alone(data):
     assert diagnostics == static_check_per_step(spec, OVEN_REGISTRY, OVEN_GENESIS)
     if diagnostics:
         return
-    nodes = compile_spec(spec, OVEN_REGISTRY, OVEN_GENESIS, diagnostics).to_dict()["nodes"]
+    nodes = compile_spec(spec, OVEN_REGISTRY, OVEN_GENESIS, diagnostics).nodes
     for node_id, fields in lowered_params_per_step(spec, OVEN_REGISTRY).items():
-        assert {name: nodes[node_id][name] for name in fields} == fields
+        assert {name: getattr(nodes[node_id], name) for name in fields} == fields
 
 
 NON_FINITE = [float("nan"), float("inf"), -float("inf")]

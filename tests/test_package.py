@@ -30,6 +30,24 @@ def test_dir_lists_exported_names_and_others_are_missing():
         eaclab.plan_hash
 
 
+def test_every_benchmark_span_names_a_function_of_the_program():
+    """``perfbench/spans.py`` wraps the program's functions by name, so a
+    renamed or deleted one breaks a traced benchmark run."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.SPANS
+    for home, attr, _ in spans.SPANS:
+        target = importlib.import_module(f"eaclab.{home}")
+        for name in attr.split("."):
+            target = getattr(target, name)
+        assert callable(target), (home, attr)
+
+
 def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     """A cold command pays for every module ``import eaclab.cli`` loads; the
     records are built without ``dataclasses``, which would bring ``inspect``."""

@@ -21,8 +21,8 @@ from eaclab.scheduler import plan_hash, schedule
 from workloads import campaign_workload, random_dag
 
 PLAN_FINGERPRINTS = {
-    "random_dag": "89ddd07bca326a79c147a490510a8487b9951314e692eb8d744a06191ed64989",
-    "campaign": "0c74af0c2ed9732a95b91834be0a4d76ee87ff39670de0b1e7f4db46b11a6c21",
+    "random_dag": "be5879fbd4a11a5c0213639b81f8879a51376816d13495f750985944def28015",
+    "campaign": "6df3ec92162ba4056e340a28f7e0e0ff24f38b4f4713a1a042fe7785dad1e60a",
 }
 
 

@@ -36,7 +36,6 @@ TWINS = {
             ("device_id", str),
             ("capability", str),
             ("status", str, "idle"),
-            ("desired", dict, factory()),
             ("observed", dict, factory()),
             ("holder", str, None),
             ("last_calibrated", float, 0.0),
@@ -52,8 +51,6 @@ TWINS = {
             ("batches", tuple),
             ("makespan", float),
             ("policy", str),
-            ("status", str, "ok"),
-            ("pending_recovery", str, None),
         ],
         frozen=True,
     ),
@@ -76,7 +73,6 @@ def device_records(draw):
         device_id=draw(NAMES),
         capability=draw(NAMES),
         status=status,
-        desired=draw(st.dictionaries(NAMES, QUANTITIES, max_size=2)),
         observed=draw(st.dictionaries(NAMES, QUANTITIES, max_size=2)),
         holder=draw(NAMES) if status == "busy" else None,
         last_calibrated=draw(FLOATS),
@@ -94,8 +90,6 @@ PLANS = st.builds(
     ).map(tuple),
     FLOATS,
     st.sampled_from(["fifo", "batched"]),
-    st.sampled_from(["ok"]),
-    st.none() | NAMES,
 )
 RECORDS = st.one_of(QUANTITIES, device_records(), PLANS)
 
@@ -153,7 +147,7 @@ def test_replace_runs_post_init(record):
 
 def test_each_instance_gets_its_own_default_factory_value():
     a, b = DeviceRecord("a", "pump"), DeviceRecord("b", "pump")
-    for name in ("desired", "observed", "attrs"):
+    for name in ("observed", "attrs"):
         assert getattr(a, name) == {} and getattr(a, name) is not getattr(b, name)
     assert LabState().devices is not LabState().devices
     assert TelemetryStore()._records is not TelemetryStore()._records

@@ -28,10 +28,10 @@ SPEC = str(CAMPAIGN_PATH)
 INJECT_KINDS = ("timeout", "error", "noliquid", "implicit")
 
 RUN_FINGERPRINTS = {
-    "clean": "8d9d5ac6d5df264be47f72362874b9b9e2925b0ba44de7d9e9ccf074262ecaa7",
-    "recovered": "23b0b6a8779bcdbbe72cdbcf3dca4c8cb14dbbd2b45e2864381c96e6ca99c8ea",
-    "resumed": "a94fadcde4538c86e59eb671c11e71f496263514520f93d87a586b6a0670407a",
-    "aborted": "a8427c38237f115a0ab09b5be832d6e245eb78571310abcd138a2a70b47199b8",
+    "clean": "28a5cf61d5aef8439e99349895f9954641cfa7d74dd3adefebbdadd1f1ae35c7",
+    "recovered": "ee5975e53c2ea14334246b079ca77685d90a452c4f5cd7e04eea24f8fc4dbdd3",
+    "resumed": "2b94f5b0dd07705278f6ac67250ec0db8b25966317676b1c8491a531d6a39fd8",
+    "aborted": "a473a810e3013721218ae9d9366623ddffc68c124e7768a459131b1f59231165",
 }
 
 

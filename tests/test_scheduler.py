@@ -6,11 +6,10 @@ from eaclab.capabilities import builtin_registry
 from eaclab.compiler import compile_spec, topo_order
 from eaclab.errors import UnschedulableError
 from eaclab.labstate import DeviceRecord
-from eaclab import scheduler
 from eaclab.scheduler import (
+    POLICIES,
     Assignment,
     ExecutionPlan,
-    batch_compatible,
     plan_hash,
     resolve_bindings,
     schedule,
@@ -20,7 +19,6 @@ from eaclab.specmodel import parse_spec
 from workloads import (
     brute_force_makespan,
     campaign_workload,
-    contraction_acyclic,
     count_mode_transitions,
     payoff_workload,
     random_dag,
@@ -121,30 +119,52 @@ def test_payoff_transition_counts_and_makespan_gap():
 def test_batch_grouping_on_payoff():
     spec, registry, state = payoff_workload()
     dag = compile_spec(spec, registry, state)
-    batches = batch_compatible(dag, state, {"r": "reader_1"})
+    batches = schedule(dag, state, registry, policy="batched").batches
     by_mode = {b.mode: set(b.members) for b in batches}
     assert by_mode == {"T298": {"j1", "j2", "j4"}, "T310": {"j3"}}
 
 
-def test_incremental_batching_check_matches_oracle(monkeypatch):
-    """Every join decision of batch_compatible agrees with a full DFS."""
-    original = scheduler._closes_cycle
-    outcomes = []
-
-    def checked(dag, rank, membership, members, gid, nid):
-        closes = original(dag, rank, membership, members, gid, nid)
-        assert closes == (not contraction_acyclic(dag, {**membership, nid: gid})), nid
-        outcomes.append(closes)
-        return closes
-
-    monkeypatch.setattr(scheduler, "_closes_cycle", checked)
+def _batch_workloads():
     for seed in range(300):
-        dag, state, _ = random_dag(seed)
-        batch_compatible(dag, state)
-    for n in (1, 5, 12):
+        yield random_dag(seed)
+    for n in (1, 6, 24, 48):
         spec, registry, state = campaign_workload(n)
-        batch_compatible(compile_spec(spec, registry, state), state)
-    assert True in outcomes and False in outcomes
+        yield compile_spec(spec, registry, state), state, registry
+
+
+def test_batches_are_each_devices_runs_of_one_mode_in_plan_order():
+    """The batches partition the plan's mode-bearing nodes into each
+    device's maximal runs of one mode, in plan order (start, then node id),
+    and every batch in a new mode is one mode transition of the plan."""
+    for dag, state, registry in _batch_workloads():
+        for policy in POLICIES:
+            plan = schedule(dag, state, registry, policy=policy)
+            device_of = {a.node_id: a.device_id for a in plan.assignments}
+            runs: dict[str, list[str]] = {}  # device -> its mode-bearing nodes in plan order
+            for a in sorted(plan.assignments, key=lambda a: (a.start, a.node_id)):
+                if dag.nodes[a.node_id].mode is not None:
+                    runs.setdefault(a.device_id, []).append(a.node_id)
+            batches: dict[str, list] = {}  # device -> its batches
+            for batch in plan.batches:
+                assert {device_of[nid] for nid in batch.members} == {batch.device_id}
+                assert {dag.nodes[nid].mode for nid in batch.members} == {batch.mode}
+                batches.setdefault(batch.device_id, []).append(batch)
+            transitions = 0
+            for device, nodes in runs.items():
+                own = sorted(batches.pop(device), key=lambda b: nodes.index(b.members[0]))
+                assert [nid for batch in own for nid in batch.members] == nodes
+                modes = [b.mode for b in own]
+                assert all(a != b for a, b in zip(modes, modes[1:])), modes
+                transitions += sum(a != b for a, b in zip([state.devices[device].mode, *modes], modes))
+            assert batches == {}
+            assert transitions == count_mode_transitions(plan, dag, state)
+
+
+def test_each_eis_configuration_runs_in_one_batch_with_its_measurement(campaign_dag, genesis, registry):
+    for policy in POLICIES:
+        plan = schedule(campaign_dag, genesis, registry, policy=policy)
+        members = {batch.members for batch in plan.batches}
+        assert {(f"measure#{k}:cfg", f"measure#{k}") for k in range(6)} <= members
 
 
 @pytest.mark.parametrize("seed", range(60))

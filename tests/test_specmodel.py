@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from eaclab import specmodel
 from eaclab.canon import canonical_json
-from eaclab.errors import ExpansionError, SpecSchemaError, SpecSyntaxError, UnitError
+from eaclab.errors import SpecSchemaError, SpecSyntaxError
 from eaclab.records import replace
 from eaclab.specmodel import (
     StepSpec,
@@ -81,6 +81,39 @@ def test_schema_errors(mutate, code):
     with pytest.raises(SpecSchemaError) as err:
         parse_spec(json.dumps(doc))
     assert err.value.code == code
+
+
+@pytest.mark.parametrize(
+    "where, value, code",
+    [
+        ("params", float("nan"), "bad_value"),
+        ("params", -float("inf"), "bad_value"),
+        ("min_ports", "6", "bad_type"),
+        ("min_ports", True, "bad_type"),
+        ("min_ports", None, "bad_type"),
+        ("min_ports", [6], "bad_type"),
+        ("min_ports", float("nan"), "bad_value"),
+        ("ports", float("inf"), "bad_value"),
+    ],
+)
+def test_a_number_that_is_not_a_finite_number_is_a_schema_error(where, value, code):
+    """A quantity value, at its param, or a binding constraint, at its binding."""
+    doc = _doc()
+    if where == "params":
+        doc["steps"][0]["params"]["x"] = {"value": value}
+        locus = "steps[fill].params.x"
+    else:
+        doc["resources"][0]["constraints"] = {where: value}
+        locus = "resources[0]"
+    with pytest.raises(SpecSchemaError) as err:
+        parse_spec(json.dumps(doc))
+    assert (err.value.code, err.value.locus) == (code, locus)
+
+
+def test_a_constraint_may_be_any_finite_number():
+    doc = _doc()
+    doc["resources"][0]["constraints"] = {"min_ports": 6, "ports": 6.5, "depth": -1, "big": 10**400}
+    assert parse_spec(json.dumps(doc)).resources[0].constraints == doc["resources"][0]["constraints"]
 
 
 def test_duplicate_json_key_rejected():
@@ -313,14 +346,18 @@ NAN, INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize("sweeps, renamed, error", [
     # Step by step, an undeclared param, then a number that is not finite...
-    ([{"volume": [1, NAN]}, {"pressure": [1]}], None, (UnitError, "non-finite value nan")),
+    ([{"volume": [1, NAN]}, {"pressure": [1]}], None,
+     (SpecSchemaError, "bad_value at steps[fill]: sweep 'volume' value nan is not finite")),
     ([{"pressure": [1]}, {"volume": [NAN]}], None,
-     (ExpansionError, "sweep over unknown parameter 'pressure' in step 'fill'")),
+     (SpecSchemaError, "unknown_sweep_param at steps[fill]: sweep over unknown parameter 'pressure'")),
     # ... at the first instance that has one, in row-major order ...
-    ([{"flow_rate": [1, INF], "volume": [NAN, 2]}], None, (UnitError, "non-finite value nan")),
-    ([{"flow_rate": [1, -INF], "volume": [2, 3]}], None, (UnitError, "non-finite value -inf")),
+    ([{"flow_rate": [1, INF], "volume": [NAN, 2]}], None,
+     (SpecSchemaError, "bad_value at steps[fill]: sweep 'volume' value nan is not finite")),
+    ([{"flow_rate": [1, -INF], "volume": [2, 3]}], None,
+     (SpecSchemaError, "bad_value at steps[fill]: sweep 'flow_rate' value -inf is not finite")),
     # ... and only then ids.
-    ([{"volume": [2, INF]}], "fill#1", (UnitError, "non-finite value inf")),
+    ([{"volume": [2, INF]}], "fill#1",
+     (SpecSchemaError, "bad_value at steps[fill]: sweep 'volume' value inf is not finite")),
     ([{"volume": [1, 2]}], "fill#1", (SpecSchemaError, "duplicate_id at fill#1: duplicate step id")),
 ])
 def test_check_sweeps_raises_what_the_expansion_raises(sweeps, renamed, error):
@@ -338,8 +375,9 @@ def test_check_sweeps_raises_what_the_expansion_raises(sweeps, renamed, error):
 def test_unknown_sweep_param_raises():
     doc = _doc()
     doc["steps"][0]["repeat"] = {"pressure": [1, 2]}
-    with pytest.raises(ExpansionError):
+    with pytest.raises(SpecSchemaError) as err:
         expand_sweeps(parse_spec(json.dumps(doc)))
+    assert (err.value.code, err.value.locus) == ("unknown_sweep_param", "steps[fill]")
 
 
 @pytest.mark.parametrize(
@@ -351,6 +389,7 @@ def test_unknown_sweep_param_raises():
         ({"v": 1}, "unknown_field"),
         ({"unit": "mL"}, "missing_field"),
         ({"value": 1, "unit": "furlong"}, "bad_unit"),
+        ({"value": float("nan"), "unit": "mL"}, "bad_value"),
     ],
 )
 def test_malformed_sweep_value_is_a_schema_error(value, code):

@@ -259,39 +259,6 @@ def brute_force_makespan(dag, state, registry, devices) -> float:
     return best[0]
 
 
-def contraction_acyclic(dag: WorkflowDAG, groups: dict[str, int]) -> bool:
-    """True iff contracting each group to a supernode leaves the graph acyclic.
-
-    Rebuilds the contracted graph and runs a DFS over all of it: the
-    reference the scheduler's incremental batching check is tested against.
-    """
-    def rep(nid: str) -> str:
-        return f"g{groups[nid]}" if nid in groups else nid
-
-    adjacency: dict[str, set[str]] = {}
-    for src, dst, _ in dag.edges:
-        a, b = rep(src), rep(dst)
-        if a != b:
-            adjacency.setdefault(a, set()).add(b)
-    seen: dict[str, int] = {}
-
-    def dfs(v: str) -> bool:
-        seen[v] = 1
-        for w in adjacency.get(v, ()):
-            status = seen.get(w, 0)
-            if status == 1:
-                return False
-            if status == 0 and not dfs(w):
-                return False
-        seen[v] = 2
-        return True
-
-    nodes = set(adjacency)
-    for targets in adjacency.values():
-        nodes |= targets
-    return all(seen.get(v, 0) == 2 or dfs(v) for v in sorted(nodes))
-
-
 def dependency_cycle_recursive(steps) -> list[str] | None:
     """One cycle of the steps' dependency relation, found by a recursive
     depth-first search: the reference ``specmodel._dependency_cycle``, which
@@ -373,8 +340,8 @@ def static_check_per_step(spec, registry, state) -> list[Diagnostic]:
 
 
 def lowered_params_per_step(spec, registry) -> dict[str, dict]:
-    """``params``, ``mode`` and ``est_duration``, in ``OpNode.to_dict`` form,
-    of every configure and main node of a clean spec, with each step's
+    """``params``, ``mode`` and ``est_duration``, as ``OpNode`` fields, of
+    every configure and main node of a clean spec, with each step's
     params converted on their own: the reference for the nodes
     ``compiler.compile_spec`` lowers once per distinct configuration."""
     lowered: dict[str, dict] = {}
@@ -395,12 +362,12 @@ def lowered_params_per_step(spec, registry) -> dict[str, dict]:
             cfg = {k: q for k, q in canonical.items() if k in cfg_schema.params}
             main = {k: q for k, q in canonical.items() if k not in cfg_schema.params}
             lowered[f"{step.step_id}:cfg"] = {
-                "params": {k: q.to_dict() for k, q in sorted(cfg.items())},
+                "params": cfg,
                 "mode": mode,
                 "est_duration": cfg_schema.duration(cfg),
             }
         lowered[step.step_id] = {
-            "params": {k: q.to_dict() for k, q in sorted(main.items())},
+            "params": main,
             "mode": mode,
             "est_duration": op.duration(canonical),
         }
