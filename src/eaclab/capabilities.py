@@ -19,7 +19,7 @@ from eaclab.errors import (
     UnitError,
 )
 from eaclab.records import field, record
-from eaclab.units import Quantity, canonicalize_units, known_units, unit_dimension
+from eaclab.units import Quantity, canonicalize_units, known_units, to_canonical, unit_dimension
 
 # Calibration validity window for every built-in device type, in simulated
 # seconds. Short on purpose: desk-scale runs, not annual service cycles.
@@ -99,6 +99,19 @@ class SafetyPredicate:
 @record(frozen=True)
 class SafetyEnvelope:
     conditions: tuple[SafetyPredicate, ...] = ()
+
+    def violations(self, values: dict[str, Quantity]):
+        """(predicate, value, threshold) of each condition that ``values``
+        break, value and threshold in canonical units; a condition on a
+        field ``values`` lacks is not checked."""
+        for predicate in self.conditions:
+            quantity = values.get(predicate.field)
+            if quantity is None:
+                continue
+            value = to_canonical(quantity).value
+            threshold = to_canonical(predicate.threshold).value
+            if not predicate.holds(value, threshold):
+                yield predicate, value, threshold
 
 
 @record(frozen=True)
@@ -229,9 +242,6 @@ class CapabilityRegistry:
     def __contains__(self, capability: str) -> bool:
         return capability in self._schemas
 
-    def names(self) -> list[str]:
-        return sorted(self._schemas)
-
     def check_param_ranges(
         self, capability: str, op: str, params: dict[str, Quantity]
     ) -> ValidationReport:
@@ -322,7 +332,7 @@ _LIFECYCLE_OPERATIONS = {
 }
 
 
-def _number(obj: dict, key: str, where: str, default: float | None = None) -> float:
+def finite_number(obj: dict, key: str, where: str, default: float | None = None) -> float:
     """``obj[key]``, which must be a finite JSON number, as a float."""
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -356,8 +366,8 @@ def _parse_operation(name: str, obj: dict, where: str) -> OperationSchema:
             raise ValueError(f"{at}.unit must name a unit of the unit table, not {unit!r}")
         params[pname] = ParamSchema(
             unit=unit,
-            min=_number(p, "min", at),
-            max=_number(p, "max", at),
+            min=finite_number(p, "min", at),
+            max=finite_number(p, "max", at),
             optional=_flag(p, "optional", at, False),
         )
     kind = obj.get("kind", "actuate")
@@ -395,8 +405,8 @@ def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
         old, arrow, new = key.partition("->")
         if not (old and arrow and new):
             raise ValueError(f"{where}.reconfigure key {key!r} must read '<from>-><to>'")
-        reconfigure[old, new] = _number(latencies, key, f"{where}.reconfigure")
-    window = _number(obj, "calibration_window", name, DEFAULT_CALIBRATION_WINDOW_S)
+        reconfigure[old, new] = finite_number(latencies, key, f"{where}.reconfigure")
+    window = finite_number(obj, "calibration_window", name, DEFAULT_CALIBRATION_WINDOW_S)
     if window <= 0:
         raise ValueError(f"{name}.calibration_window must be > 0, not {window!r}")
     return CapabilitySchema(
@@ -404,8 +414,8 @@ def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
         operations=operations,
         safety=SafetyEnvelope(conditions=conditions),
         transitions=TransitionLatency(
-            warmup=_number(trans_obj, "warmup", where, 0.0),
-            cooldown=_number(trans_obj, "cooldown", where, 0.0),
+            warmup=finite_number(trans_obj, "warmup", where, 0.0),
+            cooldown=finite_number(trans_obj, "cooldown", where, 0.0),
             reconfigure=reconfigure,
         ),
         calibration_window=window,

@@ -54,7 +54,6 @@ class OpNode:
 class WorkflowDAG:
     nodes: dict[str, OpNode]
     edges: tuple[tuple[str, str, str], ...]
-    roots: tuple[str, ...]
     # binding name -> {capability, selector, constraints}
     bindings: dict[str, dict] = field(default_factory=dict)
 
@@ -110,19 +109,10 @@ def validate_dag(dag: WorkflowDAG) -> None:
     for src, dst, _ in dag.edges:
         if src not in dag.nodes or dst not in dag.nodes:
             raise CompileError(f"edge endpoint missing: {src} -> {dst}")
-    topo_rank(dag)  # raises CycleError on a cycle
-    successors = dag.successor_index
-    reachable = set(dag.roots)
-    frontier = list(dag.roots)
-    while frontier:
-        node = frontier.pop()
-        for succ in successors.get(node, ()):
-            if succ not in reachable:
-                reachable.add(succ)
-                frontier.append(succ)
-    unreachable = set(dag.nodes) - reachable
-    if unreachable:
-        raise CompileError(f"unreachable nodes: {sorted(unreachable)}")
+    # Raises CycleError on a cycle. An acyclic graph needs no reachability
+    # check: walking back along predecessors from any node ends at a node
+    # that has none.
+    topo_rank(dag)
 
 
 def topo_rank(dag: WorkflowDAG) -> dict[str, int]:
@@ -180,17 +170,12 @@ def _problems(
         return [("unknown_operation", f"{capability} has no operation {operation!r}")]
     report = registry.check_param_ranges(capability, operation, params)
     problems = [(violation.code, violation.message) for violation in report.violations]
-    for predicate in schema.safety.conditions:
-        if predicate.field not in params:
-            continue
-        commanded = to_canonical(params[predicate.field]).value
-        threshold = to_canonical(predicate.threshold).value
-        if not predicate.holds(commanded, threshold):
-            problems.append((
-                "safety_violation",
-                f"{predicate.field} {predicate.comparator} {threshold:g} violated "
-                f"by commanded value {commanded:g}",
-            ))
+    for predicate, commanded, threshold in schema.safety.violations(params):
+        problems.append((
+            "safety_violation",
+            f"{predicate.field} {predicate.comparator} {threshold:g} violated "
+            f"by commanded value {commanded:g}",
+        ))
     return problems
 
 
@@ -402,8 +387,6 @@ def compile_spec(
             edges.append((last, teardown_id, "teardown"))
 
     unique_edges = tuple(sorted(set(edges)))
-    has_pred = {dst for _, dst, _ in unique_edges}
-    roots = tuple(sorted(nid for nid in nodes if nid not in has_pred))
     bindings = {
         name: {
             "capability": spec.binding(name).capability,
@@ -412,7 +395,7 @@ def compile_spec(
         }
         for name in used_bindings
     }
-    dag = WorkflowDAG(nodes=nodes, edges=unique_edges, roots=roots, bindings=bindings)
+    dag = WorkflowDAG(nodes=nodes, edges=unique_edges, bindings=bindings)
     validate_dag(dag)
     return dag
 

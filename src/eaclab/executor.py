@@ -17,12 +17,12 @@ from eaclab.errors import (
     StabilizationTimeoutError,
     StillBlockedError,
 )
-from eaclab.labstate import LabState, StateEvent, apply_event
+from eaclab.labstate import LabState, StateEvent, apply_event, gate
 from eaclab.records import field, record
 from eaclab.scheduler import ExecutionPlan, plan_hash as compute_plan_hash
 from eaclab.shims import SimFleet, WireFrame, encode_operation
 from eaclab.telemetry import TelemetryRecord
-from eaclab.units import Quantity, to_canonical
+from eaclab.units import Quantity
 
 FAULT_KINDS = frozenset(
     {"device_error", "comm_timeout", "no_liquid_detected", "implicit_violation"}
@@ -106,7 +106,7 @@ def runtime_precheck(
     run_id: str,
     capability: str,
 ) -> FaultEvent | None:
-    """Live-state gate run immediately before every dispatch.
+    """The live-state gate, run immediately before every dispatch.
 
     Lifecycle operations (connect/disconnect/teardown) are exempt from
     calibration and safety checks so that teardown is always executable.
@@ -114,41 +114,13 @@ def runtime_precheck(
     record = state.devices.get(device_id)
     if record is None:
         return FaultEvent("device_error", device_id, node.node_id, "unknown device")
-    if record.holder not in (None, run_id):
-        return FaultEvent(
-            "device_error", device_id, node.node_id,
-            f"occupied by {record.holder}",
-        )
-    if record.status == "fault":
-        return FaultEvent("device_error", device_id, node.node_id, "device faulted")
-    if record.status == "offline":
-        return FaultEvent("device_error", device_id, node.node_id, "device offline")
-    if node.kind in ("connect", "teardown"):
+    lifecycle = node.kind in ("connect", "teardown")
+    blocked = gate(record, state.clock, run_id, None if lifecycle else registry.get(capability))
+    if blocked is None:
         return None
-    if capability in registry:
-        schema = registry.get(capability)
-        age = state.clock - record.last_calibrated
-        if age > schema.calibration_window:
-            return FaultEvent(
-                "implicit_violation", device_id, node.node_id,
-                f"calibration age {age:.0f}s exceeds window "
-                f"{schema.calibration_window:.0f}s",
-                predicate="calibration_lapsed",
-            )
-        for pred in schema.safety.conditions:
-            observed = record.observed.get(pred.field)
-            if observed is None:
-                continue
-            value = to_canonical(observed).value
-            threshold = to_canonical(pred.threshold).value
-            if not pred.holds(value, threshold):
-                return FaultEvent(
-                    "implicit_violation", device_id, node.node_id,
-                    f"observed {pred.field}={value:g} violates "
-                    f"{pred.comparator} {threshold:g}",
-                    predicate=f"safety:{pred.field}",
-                )
-    return None
+    predicate, detail = blocked
+    kind = "device_error" if predicate is None else "implicit_violation"
+    return FaultEvent(kind, device_id, node.node_id, detail, predicate=predicate)
 
 
 def handle_fault(fault: FaultEvent, node) -> str:
@@ -231,7 +203,7 @@ def _dispatch_order(plan: ExecutionPlan, dag: WorkflowDAG) -> list:
 
 
 def _node_capability(dag: WorkflowDAG, node) -> str:
-    return dag.bindings.get(node.binding, {}).get("capability", node.binding)
+    return dag.bindings[node.binding]["capability"]
 
 
 def _quantify(values: dict[str, float]) -> dict[str, Quantity]:
@@ -387,9 +359,9 @@ def _silent_replay(ctx, node, device_id, capability, start: float) -> float:
         elapsed = stabilize_wait(node, start, ctx.fleet.devices[device_id])
         return start + elapsed
     frame = encode_operation(capability, node.operation, node.params, device_id)
-    result = ctx.fleet.step(device_id, frame, start)
+    ctx.fleet.step(device_id, frame, start)
     _track_session(ctx, node, device_id)
-    return max(result.completion_time, start + node.est_duration)
+    return start + node.est_duration
 
 
 def _precheck_and_log(ctx, node, device_id, capability, time: float) -> FaultEvent | None:
@@ -466,7 +438,7 @@ def _execute_node(ctx, node, device_id, capability, start: float):
     for reply in result.replies:
         ctx.dump_frame(reply, start)
 
-    end = max(result.completion_time, start + node.est_duration)
+    end = start + node.est_duration
 
     _track_session(ctx, node, device_id)
     if node.kind == "connect":

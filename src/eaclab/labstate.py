@@ -8,7 +8,7 @@ snapshot byte for byte.
 from __future__ import annotations
 
 from eaclab.canon import canonical_bytes
-from eaclab.capabilities import CapabilityRegistry
+from eaclab.capabilities import CapabilityRegistry, CapabilitySchema, finite_number
 from eaclab.errors import IllegalTransitionError, SequenceGapError, SpecSchemaError
 from eaclab.records import field, record, replace
 from eaclab.units import Quantity
@@ -117,17 +117,18 @@ def genesis_from_lab_config(config: dict) -> LabState:
         device_id = entry["device_id"]
         if device_id in devices:
             raise SpecSchemaError("duplicate_id", device_id, "duplicate device_id")
+        attrs = entry.get("attrs", {})
         devices[device_id] = DeviceRecord(
             device_id=device_id,
             capability=entry["capability"],
             status=entry.get("status", "idle"),
-            last_calibrated=float(entry.get("last_calibrated", 0.0)),
+            last_calibrated=finite_number(entry, "last_calibrated", device_id, 0.0),
             mode=entry.get("mode"),
             observed={
                 k: Quantity.from_dict(v)
                 for k, v in entry.get("observed", {}).items()
             },
-            attrs={k: float(v) for k, v in entry.get("attrs", {}).items()},
+            attrs={k: finite_number(attrs, k, f"{device_id}.attrs") for k in attrs},
         )
     return LabState(devices=devices)
 
@@ -190,27 +191,56 @@ def replay(genesis: LabState, events) -> LabState:
     return state
 
 
+def gate(
+    record: DeviceRecord, clock: float, run_id: str | None, schema: CapabilitySchema | None
+) -> tuple[str | None, str] | None:
+    """The live-state gate: why ``record``'s device may not take a node at
+    ``clock`` for run ``run_id``, or None if it may.
+
+    The device must be idle or held by the run. Its calibration age must
+    be within the schema's window, and its observed values must satisfy
+    the schema's safety envelope; ``schema`` is None for a lifecycle node
+    (connect or teardown), which is exempt from both. The reason is
+    (predicate, detail), with predicate None when the device is not free,
+    else ``calibration_lapsed`` or ``safety:<field>``.
+    """
+    if record.holder not in (None, run_id):
+        return None, f"occupied by {record.holder}"
+    if record.holder is None and record.status != "idle":
+        return None, "device faulted" if record.status == "fault" else f"device {record.status}"
+    if schema is None:
+        return None
+    age = clock - record.last_calibrated
+    if age > schema.calibration_window:
+        return "calibration_lapsed", (
+            f"calibration age {age:.0f}s exceeds window {schema.calibration_window:.0f}s"
+        )
+    for predicate, value, threshold in schema.safety.violations(record.observed):
+        return f"safety:{predicate.field}", (
+            f"observed {predicate.field}={value:g} violates {predicate.comparator} {threshold:g}"
+        )
+    return None
+
+
 def query_eligible(
     state: LabState,
     capability: str,
-    constraints: dict | None = None,
-    registry: CapabilityRegistry | None = None,
+    constraints: dict | None,
+    registry: CapabilityRegistry,
 ) -> list[str]:
-    """Idle devices of a capability, in calibration, satisfying constraints.
+    """Devices of a capability that satisfy constraints and pass the gate
+    at the state's clock, with no run holding them, sorted by device_id.
 
     Constraint keys of the form ``min_<attr>`` require attrs[attr] >= value;
-    any other key requires exact attribute equality. Result is sorted by
-    device_id.
+    any other key requires exact attribute equality.
     """
-    window = None
-    if registry is not None and capability in registry:
-        window = registry.get(capability).calibration_window
+    schema = registry.get(capability)
     eligible = []
     for device_id in sorted(state.devices):
         record = state.devices[device_id]
-        if record.capability != capability or record.status != "idle":
+        if record.capability != capability:
             continue
-        if window is not None and state.clock - record.last_calibrated > window:
+        if gate(record, state.clock, None, schema) is not None:
             continue
         if constraints and not _constraints_ok(record, constraints):
             continue

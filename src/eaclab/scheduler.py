@@ -14,7 +14,7 @@ import heapq
 from functools import cached_property
 
 from eaclab.canon import canonical_json, sha256_text
-from eaclab.capabilities import CapabilityRegistry, TransitionLatency
+from eaclab.capabilities import CapabilityRegistry
 from eaclab.compiler import WorkflowDAG, topo_rank, validate_dag
 from eaclab.errors import UnschedulableError
 from eaclab.labstate import LabState, query_eligible
@@ -126,11 +126,9 @@ def resolve_bindings(
     load: dict[str, int] = {}
     resolved: dict[str, str] = {}
     for binding in order:
-        info = dag.bindings.get(binding, {})
-        capability = info.get("capability", binding)
-        candidates = query_eligible(
-            state, capability, info.get("constraints") or None, registry
-        )
+        info = dag.bindings[binding]
+        capability = info["capability"]
+        candidates = query_eligible(state, capability, info.get("constraints"), registry)
         selector = info.get("selector")
         if selector is not None:
             candidates = [d for d in candidates if d == selector]
@@ -142,15 +140,6 @@ def resolve_bindings(
         resolved[binding] = candidates[0]
         load[candidates[0]] = load.get(candidates[0], 0) + 1
     return resolved
-
-
-def _latency_for(
-    dag: WorkflowDAG, binding: str, registry: CapabilityRegistry
-) -> TransitionLatency:
-    capability = dag.bindings.get(binding, {}).get("capability")
-    if capability is not None and capability in registry:
-        return registry.get(capability).transitions
-    return TransitionLatency()
 
 
 class _FifoQueue:
@@ -271,7 +260,10 @@ def _run_list_schedule(
         device: state.devices[device].mode if device in state.devices else None
         for device in free
     }
-    latency = {binding: _latency_for(dag, binding, registry) for binding in devices}
+    latency = {
+        binding: registry.get(dag.bindings[binding]["capability"]).transitions
+        for binding in devices
+    }
 
     # Predecessor index entries, an edge counted once per edge kind, as the
     # successor loop below decrements once per entry.

@@ -318,11 +318,11 @@ def interpolate_conductivity(table: dict[float, float], concentration: float) ->
 class SimResult:
     replies: list[WireFrame]
     telemetry: dict[str, float]
-    completion_time: float
 
 
 class SimDevice:
-    """One deterministic simulated instrument."""
+    """One deterministic simulated instrument. It keeps no clock: a node
+    ends when its operation's declared clock says."""
 
     def __init__(self, config: SimDeviceConfig, seed: int = 0):
         self.config = config
@@ -340,15 +340,11 @@ class SimDevice:
         cfg = self.config
         operation, params = decode_operation(cfg.capability, frame)
         telemetry: dict[str, float] = {}
-        completion = now
         replies = [WireFrame(cfg.device_id, b"OK\r", "from_device")]
 
         if operation == "connect":
             self.power_on_time = now
-        elif operation == "disconnect":
-            pass  # completes at once, like connect
         elif cfg.capability == "pump" and operation == "dispense":
-            completion = now + params["volume"] / params["flow_rate"] * 60.0
             if not fleet.selection_queue:
                 raise SimFault("no_liquid_detected", "no source selected before dispense")
             fleet.cell_queue.append(fleet.selection_queue.pop(0))
@@ -357,7 +353,6 @@ class SimDevice:
             port = int(params["dest"])
             fleet.selected_port = port
             fleet.selection_queue.append(cfg.port_concentrations.get(port))
-            completion = now + 2.0
             telemetry["dest"] = float(port)
         elif cfg.capability == "balance" and operation == "read":
             mass = 10.0 + 5.0 * self.rng.random()
@@ -365,7 +360,6 @@ class SimDevice:
             replies.append(WireFrame(cfg.device_id, line.encode(), "from_device"))
             telemetry.update(parse_balance_line(line))
             telemetry["stable"] = float(telemetry.pop("stable"))
-            completion = now + 1.0
         elif cfg.capability == "potentiostat" and operation == "measure_eis":
             if not fleet.cell_queue:
                 raise SimFault("device_error", "measurement cell is empty")
@@ -377,11 +371,8 @@ class SimDevice:
             )
             telemetry["concentration"] = concentration
             telemetry["temperature"] = self.temperature_at(now)
-            completion = now + 1.0
-        else:
-            completion = now + 1.0
 
-        return SimResult(replies=replies, telemetry=telemetry, completion_time=completion)
+        return SimResult(replies=replies, telemetry=telemetry)
 
 
 class SimFleet:

@@ -111,6 +111,39 @@ def with_edit(obj: dict, path: tuple, value) -> dict:
     return edited
 
 
+# TCELL with a safety envelope, checked against commanded and observed
+# temperatures, a one-step spec that scans on it, and the reference lab
+# with it and the given device entries.
+SAFE_TCELL = {
+    **TCELL,
+    "safety": {"conditions": [
+        {"field": "temperature", "comparator": "<=", "threshold": {"value": 360, "unit": "K"}},
+    ]},
+}
+SCAN_SPEC = {
+    "spec_id": "one-scan",
+    "version": "1.0.0",
+    "resources": [{"name": "a", "capability": "tcell"}],
+    "steps": [{
+        "id": "s0",
+        "binding": "a",
+        "op": "scan",
+        "params": {
+            "temperature": {"value": 300, "unit": "K"},
+            "samples": {"value": 10},
+            "rate": {"value": 5, "unit": "Hz"},
+        },
+    }],
+}
+
+
+def tcell_lab(*devices: dict) -> dict:
+    lab = json.loads(LAB_PATH.read_text())
+    lab["capabilities"] = {"tcell": copy.deepcopy(SAFE_TCELL)}
+    lab["devices"] += devices
+    return lab
+
+
 def run_main(argv):
     """``eaclab.cli.main(argv)`` in this process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

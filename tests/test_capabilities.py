@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eaclab.capabilities import (
+    BUILTIN_CAPABILITIES,
     DEFAULT_CALIBRATION_WINDOW_S,
     CapabilityRegistry,
     CapabilitySchema,
@@ -25,7 +26,10 @@ from conftest import BAD_TCELL, TCELL, with_edit
 
 def test_builtin_fleet_names():
     registry = builtin_registry()
-    assert registry.names() == ["balance", "potentiostat", "pump", "relay", "valve"]
+    names = ["balance", "potentiostat", "pump", "relay", "valve"]
+    # builtin_registry registers the literal's entries, and it has these five.
+    assert sorted(BUILTIN_CAPABILITIES) == names
+    assert [registry.get(name).capability for name in names] == names
 
 
 def test_calibration_window_constant():

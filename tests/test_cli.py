@@ -17,7 +17,9 @@ from eaclab.scheduler import schedule
 from eaclab.shims import SimDeviceConfig
 from eaclab.specmodel import expand_sweeps, parse_spec
 
-from conftest import BAD_TCELL, CAMPAIGN_PATH, LAB_PATH, TCELL, run_main, with_edit
+from conftest import (
+    BAD_TCELL, CAMPAIGN_PATH, LAB_PATH, SCAN_SPEC, TCELL, run_main, tcell_lab, with_edit,
+)
 from workloads import campaign_doc
 
 LAB = str(LAB_PATH)
@@ -1168,3 +1170,92 @@ def test_bad_sim_section_fails_every_command_closed(tmp_path, capsys, damage):
         assert err.startswith(f"usage error: lab config {lab_path} is invalid: ")
         assert named in err
     assert os.listdir(tmp_path) == ["lab.json"]
+
+
+def _lab_with_device(tmp_path, device_id, **fields):
+    """The reference lab with fields of one device set, as a file."""
+    lab = json.loads(LAB_PATH.read_text())
+    next(d for d in lab["devices"] if d["device_id"] == device_id).update(fields)
+    path = tmp_path / "lab.json"
+    path.write_text(json.dumps(lab))
+    return str(path)
+
+
+# Device fields that are not finite JSON numbers: (device, field, value,
+# what the one-line error says).
+BAD_DEVICE = {
+    "attr_text": ("valve_1", "attrs", {"ports": "6"},
+                  "valve_1.attrs.ports must be a finite number, not '6'"),
+    "attr_bool": ("valve_1", "attrs", {"ports": True},
+                  "valve_1.attrs.ports must be a finite number, not True"),
+    "attr_nan": ("valve_1", "attrs", {"ports": float("nan")},
+                 "valve_1.attrs.ports must be a finite number, not nan"),
+    "calibrated_text": ("pstat_1", "last_calibrated", "0",
+                        "pstat_1.last_calibrated must be a finite number, not '0'"),
+    "calibrated_bool": ("pstat_1", "last_calibrated", False,
+                        "pstat_1.last_calibrated must be a finite number, not False"),
+    "calibrated_null": ("pstat_1", "last_calibrated", None,
+                        "pstat_1.last_calibrated must be a finite number, not None"),
+    "calibrated_inf": ("pstat_1", "last_calibrated", float("-inf"),
+                       "pstat_1.last_calibrated must be a finite number, not -inf"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_DEVICE))
+def test_bad_device_field_fails_every_command_closed(tmp_path, capsys, damage):
+    device_id, key, value, named = BAD_DEVICE[damage]
+    lab_path = _lab_with_device(tmp_path, device_id, **{key: value})
+    for command, extra in (("validate", []), ("plan", []), ("run", ["--out", str(tmp_path)])):
+        err = _usage_error(capsys, [command, SPEC, "--lab", lab_path, *extra])
+        assert err == f"usage error: lab config {lab_path} is invalid: ValueError: {named}\n"
+    assert os.listdir(tmp_path) == ["lab.json"]
+
+
+_HOT_TCELL = {"device_id": "tcell_1", "capability": "tcell",
+              "observed": {"temperature": {"value": 370, "unit": "K"}}}
+
+
+def _scan_files(tmp_path, *devices):
+    lab_path, spec_path = tmp_path / "lab.json", tmp_path / "spec.json"
+    lab_path.write_text(json.dumps(tcell_lab(*devices)))
+    spec_path.write_text(json.dumps(SCAN_SPEC))
+    return str(lab_path), str(spec_path)
+
+
+def test_a_device_observed_unsafe_is_not_planned(tmp_path, capsys):
+    """Planning asks the gate every dispatch asks: a cell observed above its
+    safety limit is not eligible, so ``plan`` and ``run`` refuse the spec
+    before anything is sent."""
+    lab, spec = _scan_files(tmp_path, _HOT_TCELL)
+    for command, extra in (("plan", []), ("run", ["--out", str(tmp_path / "runs")])):
+        assert main([command, spec, "--lab", lab, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "unsatisfiable_binding error $: no eligible device for binding 'a' (tcell)\n"
+        )
+    assert sorted(os.listdir(tmp_path)) == ["lab.json", "spec.json"]
+
+
+def test_a_safe_device_is_planned_beside_an_unsafe_one(tmp_path, capsys):
+    lab, spec = _scan_files(tmp_path, _HOT_TCELL, {"device_id": "tcell_2", "capability": "tcell"})
+    assert main(["plan", spec, "--lab", lab]) == 0
+    plan = json.loads(capsys.readouterr().out)
+    assert {a["device_id"] for a in plan["assignments"]} == {"tcell_2"}
+    assert main(["run", spec, "--lab", lab, "--out", str(tmp_path / "runs")]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "completed"
+
+
+@pytest.mark.parametrize("status", ["warming", "cooling"])
+def test_resume_onto_a_device_that_is_not_idle_pauses_with_one_line(tmp_path, capsys, status):
+    """The pause comes before the potentiostat is first used; on a lab where
+    it is warming or cooling, the resume stops at its connect."""
+    out = tmp_path / "paused"
+    assert main(["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", "error@1"]) == 3
+    run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
+    lab = _lab_with_device(tmp_path, "pstat_1", status=status)
+    code = main(["resume", str(run_dir), "--lab", lab, "--clear", "pump_1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["status"] == "paused"
+    assert captured.err == f"fault device_error at connect:stat: device {status}\n"

@@ -266,17 +266,13 @@ def test_validate_dag_rejects_cycles_and_dangling_edges():
         "a": OpNode("a", "b1", "x", "action"),
         "b": OpNode("b", "b1", "x", "action"),
     }
-    cyclic = WorkflowDAG(
-        nodes=nodes,
-        edges=(("a", "b", "flow"), ("b", "a", "flow")),
-        roots=("a",),
-    )
+    cyclic = WorkflowDAG(nodes=nodes, edges=(("a", "b", "flow"), ("b", "a", "flow")))
     for _ in range(2):  # the cached failure raises on every call
         with pytest.raises(CycleError):
             topo_order(cyclic)
         with pytest.raises(CycleError):
             validate_dag(cyclic)
-    dangling = WorkflowDAG(nodes=nodes, edges=(("a", "ghost", "flow"),), roots=("a",))
+    dangling = WorkflowDAG(nodes=nodes, edges=(("a", "ghost", "flow"),))
     with pytest.raises(CompileError):
         validate_dag(dangling)
 

@@ -26,7 +26,7 @@ from eaclab.scheduler import plan_hash, schedule
 from eaclab.shims import SimDevice, SimDeviceConfig, SimFleet
 from eaclab.specmodel import expand_sweeps, parse_spec, spec_hash
 
-from conftest import CAMPAIGN_PATH
+from conftest import CAMPAIGN_PATH, SCAN_SPEC, tcell_lab
 from workloads import with_device
 
 
@@ -391,6 +391,60 @@ def test_calibration_lapse_aborts_before_actuation(lab_config):
     # Only lifecycle frames reached the wire: connect then abort teardown.
     assert frames == [b"HELLO\r", b"BYE\r"]
     assert result.state.devices["pstat_1"].status == "idle"
+
+
+def test_an_unsafe_observed_value_aborts_before_actuation():
+    """The observed-safety branch of the dispatch gate: a cell that has
+    grown too hot since planning stops at its first operation."""
+    lab = tcell_lab({"device_id": "tcell_1", "capability": "tcell"})
+    registry = registry_from_lab_config(lab)
+    genesis = genesis_from_lab_config(lab)
+    spec = parse_spec(json.dumps(SCAN_SPEC))
+    dag = compile_spec(spec, registry, genesis)
+    plan = schedule(dag, genesis, registry)
+    from eaclab.records import replace
+    from eaclab.units import Quantity
+
+    hot = with_device(genesis, replace(
+        genesis.devices["tcell_1"], observed={"temperature": Quantity(370.0, "K")}
+    ))
+    result = _execute(lab, plan, dag, hot, registry, spec)
+    assert result.status == "aborted"
+    assert (result.fault.kind, result.fault.predicate) == ("implicit_violation", "safety:temperature")
+    assert result.fault.node_id == "s0"
+    assert result.fault.detail == "observed temperature=370 violates <= 360"
+    frames = [bytes.fromhex(f["hex"]) for f in result.wire if f["direction"] == "to_device"]
+    assert frames == [b"HELLO\r", b"BYE\r"]
+    assert result.state.devices["tcell_1"].status == "idle"
+
+
+def test_a_clock_under_one_second_is_the_clock_of_the_run():
+    """A node ends when its declared clock says, however short: each of
+    two 0.25 s pulses is dispatched at its planned start."""
+    lab = {
+        "devices": [{"device_id": "zap_1", "capability": "zapper"}],
+        "capabilities": {"zapper": {"operations": {"pulse": {"duration_s": 0.25}}}},
+    }
+    registry = registry_from_lab_config(lab)
+    genesis = genesis_from_lab_config(lab)
+    spec = parse_spec(json.dumps({
+        "spec_id": "pulses",
+        "version": "1.0.0",
+        "resources": [{"name": "z", "capability": "zapper"}],
+        "steps": [
+            {"id": "p0", "binding": "z", "op": "pulse", "params": {}},
+            {"id": "p1", "binding": "z", "op": "pulse", "params": {}, "depends_on": ["p0"]},
+        ],
+    }))
+    dag = compile_spec(spec, registry, genesis)
+    plan = schedule(dag, genesis, registry)
+    durations = {a.node_id: a.end - a.start for a in plan.assignments}
+    assert durations["p0"] == durations["p1"] == 0.25
+    result = _execute(lab, plan, dag, genesis, registry, spec)
+    assert result.status == "completed"
+    dispatched = {e.payload["node_id"]: e.time for e in result.log if e.kind == "dispatch"}
+    assert dispatched == {a.node_id: a.start for a in plan.assignments}
+    assert result.state.clock == plan.makespan
 
 
 def _thermal_device(start, setpoint, tau):

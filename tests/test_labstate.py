@@ -3,7 +3,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from eaclab.capabilities import registry_from_lab_config
+from eaclab.compiler import OpNode
 from eaclab.errors import IllegalTransitionError, SequenceGapError
+from eaclab.executor import runtime_precheck
 from eaclab.labstate import (
     DEVICE_STATUSES,
     DeviceRecord,
@@ -18,6 +21,7 @@ from eaclab.labstate import (
 )
 from eaclab.units import Quantity
 
+from conftest import SAFE_TCELL
 from workloads import with_device
 
 # Independent restatement of the legal moves: self-loops, any -> fault,
@@ -155,6 +159,37 @@ def test_query_eligible_filters(genesis, registry):
         genesis, DeviceRecord("pump_1", "pump", status="busy", holder="r")
     )
     assert query_eligible(busy, "pump", None, registry) == ["pump_2"]
+
+
+_GATED = registry_from_lab_config(
+    {"capabilities": {"tcell": {**SAFE_TCELL, "calibration_window": 100}}}
+)
+
+
+@given(
+    status=st.sampled_from(sorted(DEVICE_STATUSES)),
+    last_calibrated=st.floats(-300, 300),
+    clock=st.floats(0, 300),
+    temperature=st.none() | st.tuples(st.floats(300, 420), st.sampled_from(["K", "degC"])),
+)
+def test_planning_and_dispatch_ask_the_same_gate(status, last_calibrated, clock, temperature):
+    """A device is eligible to plan on exactly when a run that holds no
+    device may dispatch an operation to it: status, holder, calibration
+    age and observed safety are one rule."""
+    observed = {}
+    if temperature is not None:
+        value, unit = temperature
+        observed["temperature"] = Quantity(value if unit == "K" else value - 273.15, unit)
+    record = DeviceRecord(
+        "tcell_1", "tcell", status=status,
+        holder="another-run" if status == "busy" else None,
+        last_calibrated=last_calibrated, observed=observed,
+    )
+    state = LabState(devices={"tcell_1": record}, clock=clock)
+    node = OpNode("s0", "a", "scan", "measure")
+    listed = query_eligible(state, "tcell", None, _GATED) == ["tcell_1"]
+    fault = runtime_precheck(node, "tcell_1", state, _GATED, "run-x", "tcell")
+    assert listed == (fault is None)
 
 
 def test_query_eligible_respects_calibration_window(genesis, registry):

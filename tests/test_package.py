@@ -204,3 +204,41 @@ def test_executor_builds_results_and_logs_dispatches_in_one_place_each():
     dispatches = _owners(tree, lambda node: isinstance(node, ast.Constant)
                          and node.value == "dispatch")
     assert (results, dispatches) == (["_result"], ["_dispatch"])
+
+
+def _owners_in_package(matches):
+    """(module file, innermost function) of every node ``matches`` accepts
+    in the package's modules."""
+    return {
+        (path.name, owner)
+        for path in sorted(Path(eaclab.__file__).parent.glob("*.py"))
+        for owner in _owners(ast.parse(path.read_text(encoding="utf-8")), matches)
+    }
+
+
+def test_only_the_gate_compares_a_calibration():
+    """The calibration rule is written once, in ``labstate.gate``, which
+    planning (``query_eligible``) and every dispatch (``runtime_precheck``)
+    ask: no other comparison reads a window or a calibration time."""
+    names = {"calibration_window", "last_calibrated"}
+
+    def compares_calibration(node):
+        return isinstance(node, ast.Compare) and any(
+            (isinstance(n, ast.Attribute) and n.attr in names)
+            or (isinstance(n, ast.Name) and n.id in names)
+            for n in ast.walk(node)
+        )
+
+    assert _owners_in_package(compares_calibration) == {("labstate.py", "gate")}
+
+
+def test_only_the_safety_envelope_applies_the_safety_comparator():
+    """``SafetyEnvelope.violations`` is the one caller of
+    ``SafetyPredicate.holds``; the static check applies it to commanded
+    values and the gate to observed ones."""
+
+    def calls_holds(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "holds")
+
+    assert _owners_in_package(calls_holds) == {("capabilities.py", "violations")}

@@ -140,13 +140,10 @@ def _fleet(lab_config) -> SimFleet:
     return SimFleet.from_lab_config(lab_config)
 
 
-def test_dispense_duration(lab_config):
-    fleet = _fleet(lab_config)
-    fleet.step("valve_1", encode_valve_set(1, "valve_1"), 0.0)
-    frame = encode_pump_dispense(4.0, 0.7, "pump_1")
-    result = fleet.step("pump_1", frame, 0.0)
-    # 0.7 mL at 4 mL/min takes 10.5 s.
-    assert result.completion_time == pytest.approx(10.5)
+def test_dispense_duration(campaign_dag):
+    # The campaign fills 0.7 mL at 4 mL/min, which takes 10.5 s.
+    for k in range(6):
+        assert campaign_dag.nodes[f"fill#{k}"].est_duration == pytest.approx(10.5)
 
 
 def test_fluid_path_queues(lab_config):

@@ -188,12 +188,9 @@ def random_dag(seed: int):
             i = rng.randrange(j)
             if rng.random() < 0.3:
                 edges.add((ids[i], ids[j], "flow"))
-    has_pred = {dst for _, dst, _ in edges}
-    roots = tuple(sorted(nid for nid in ids if nid not in has_pred))
     dag = WorkflowDAG(
         nodes=nodes,
         edges=tuple(sorted(edges)),
-        roots=roots,
         bindings={f"b{i}": {"capability": "work"} for i in range(n_bindings)},
     )
     return dag, state, registry
