@@ -113,6 +113,21 @@ class SafetyEnvelope:
             if not predicate.holds(value, threshold):
                 yield predicate, value, threshold
 
+    def refuse_other_dimensions(self, units: dict[str, str], where: str) -> None:
+        """Raise ValueError if a field named in ``units`` (field -> unit)
+        has another dimension than its condition's threshold."""
+        for predicate in self.conditions:
+            unit = units.get(predicate.field)
+            if unit is None:
+                continue
+            dimension = unit_dimension(unit)
+            threshold = predicate.threshold.unit
+            if dimension != unit_dimension(threshold):
+                raise ValueError(
+                    f"{where}.{predicate.field} in {unit!r} ({dimension}) cannot be compared "
+                    f"with its safety threshold in {threshold!r} ({unit_dimension(threshold)})"
+                )
+
 
 @record(frozen=True)
 class TransitionLatency:
@@ -340,6 +355,13 @@ def finite_number(obj: dict, key: str, where: str, default: float | None = None)
     return float(value)
 
 
+def finite_quantity(obj: dict, where: str) -> Quantity:
+    """A lab's ``{"value", "unit"}`` object, whose value must be a finite
+    JSON number (not a boolean)."""
+    finite_number(obj, "value", where)
+    return Quantity.from_dict(obj)
+
+
 def _flag(obj: dict, key: str, where: str, default: bool) -> bool:
     value = obj.get(key, default)
     if not isinstance(value, bool):
@@ -388,15 +410,18 @@ def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
         op_name: _parse_operation(op_name, op_obj, f"{name}.{op_name}")
         for op_name, op_obj in {**_LIFECYCLE_OPERATIONS, **obj.get("operations", {})}.items()
     }
-    safety_obj = obj.get("safety", {})
-    conditions = tuple(
+    safety = SafetyEnvelope(conditions=tuple(
         SafetyPredicate(
             field=c["field"],
             comparator=c["comparator"],
-            threshold=Quantity.from_dict(c["threshold"]),
+            threshold=finite_quantity(c["threshold"], f"{name}.safety.{c['field']}.threshold"),
         )
-        for c in safety_obj.get("conditions", [])
-    )
+        for c in obj.get("safety", {}).get("conditions", [])
+    ))
+    for op_name, operation in operations.items():
+        safety.refuse_other_dimensions(
+            {pname: p.unit for pname, p in operation.params.items()}, f"{name}.{op_name}.params"
+        )
     trans_obj = obj.get("transitions", {})
     where = f"{name}.transitions"
     latencies = trans_obj.get("reconfigure", {})
@@ -412,7 +437,7 @@ def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
     return CapabilitySchema(
         capability=name,
         operations=operations,
-        safety=SafetyEnvelope(conditions=conditions),
+        safety=safety,
         transitions=TransitionLatency(
             warmup=finite_number(trans_obj, "warmup", where, 0.0),
             cooldown=finite_number(trans_obj, "cooldown", where, 0.0),

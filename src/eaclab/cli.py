@@ -122,19 +122,24 @@ def _lab_from_bytes(data: bytes):
     are mapping proxies. Parsing every
     device's ``sim`` section here makes a bad one fail every command, not
     only ``run``, and gives ``run`` and ``resume`` their fleet's configs.
+    An observed value of another dimension than its capability's safety
+    threshold fails every command the same way.
     """
     lab = json.loads(data.decode("utf-8"))
     registry = registry_from_lab_config(lab).freeze()
     genesis = genesis_from_lab_config(lab)
     configs = tuple(SimDeviceConfig.from_lab_entry(entry) for entry in lab.get("devices", []))
-    devices = {
-        device_id: replace(
+    devices = {}
+    for device_id, record in genesis.devices.items():
+        if record.capability in registry:
+            registry.get(record.capability).safety.refuse_other_dimensions(
+                {name: q.unit for name, q in record.observed.items()}, f"{device_id}.observed"
+            )
+        devices[device_id] = replace(
             record,
             observed=MappingProxyType(record.observed),
             attrs=MappingProxyType(record.attrs),
         )
-        for device_id, record in genesis.devices.items()
-    }
     return configs, registry, replace(genesis, devices=MappingProxyType(devices))
 
 

@@ -8,7 +8,7 @@ snapshot byte for byte.
 from __future__ import annotations
 
 from eaclab.canon import canonical_bytes
-from eaclab.capabilities import CapabilityRegistry, CapabilitySchema, finite_number
+from eaclab.capabilities import CapabilityRegistry, CapabilitySchema, finite_number, finite_quantity
 from eaclab.errors import IllegalTransitionError, SequenceGapError, SpecSchemaError
 from eaclab.records import field, record, replace
 from eaclab.units import Quantity
@@ -125,7 +125,7 @@ def genesis_from_lab_config(config: dict) -> LabState:
             last_calibrated=finite_number(entry, "last_calibrated", device_id, 0.0),
             mode=entry.get("mode"),
             observed={
-                k: Quantity.from_dict(v)
+                k: finite_quantity(v, f"{device_id}.observed.{k}")
                 for k, v in entry.get("observed", {}).items()
             },
             attrs={k: finite_number(attrs, k, f"{device_id}.attrs") for k in attrs},

@@ -6,9 +6,13 @@ markers, and add what the standard library's ``@dataclass`` would: an
 ``__init__`` that calls ``__post_init__`` when the class defines one,
 ``__repr__``, and ``__eq__`` over the field tuple. Frozen records also
 hash that tuple and refuse assignment; mutable ones are unhashable. Only
-``__init__`` is compiled, once per class, so importing a module of
-records stays cheap. ``replace`` copies a record through its
-``__init__``, so ``__post_init__`` checks every copy.
+``__init__`` is compiled, at the class's first instance: until then the
+class has a stub that compiles it, puts it in its own place and calls
+it, so every later instance runs the compiled code alone. A command
+compiles only the records it makes: ``import eaclab.cli`` defines 22
+and compiles 2, the two that serve as class-level defaults.
+``replace`` copies a record through its ``__init__``, so
+``__post_init__`` checks every copy.
 """
 
 from operator import attrgetter
@@ -71,7 +75,18 @@ def _build(cls, frozen):
         body.append(f"_setattr(self, '__dict__', {{{', '.join(items)}}})")
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]), env)
+    source = f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body or ["pass"])
+
+    def __init__(self, *args, **kwargs):
+        # The first instance compiles the real ``__init__`` and puts it in
+        # place of this stub, unless something else has replaced the stub.
+        if "__init__" not in env:
+            exec(source, env)
+            env["__init__"].__qualname__ = __init__.__qualname__
+        if cls.__dict__["__init__"] is __init__:
+            cls.__init__ = env["__init__"]
+        env["__init__"](self, *args, **kwargs)
+
     if len(names) > 1:
         values = attrgetter(*names)
     else:
@@ -90,7 +105,7 @@ def _build(cls, frozen):
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
-    for method in (env["__init__"], __eq__, __hash__, __repr__):
+    for method in (__init__, __eq__, __hash__, __repr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
     if frozen:

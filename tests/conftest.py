@@ -39,6 +39,13 @@ _TEMPERATURE = (*_SCAN, "params", "temperature")
 _SAMPLES = (*_SCAN, "params", "samples")
 _RATE = (*_SCAN, "params", "rate")
 _RATIO = "tcell.scan.duration_s ['samples', 'rate'] must name two required params"
+
+
+def _safety(threshold: dict) -> dict:
+    """A safety section bounding the temperature by ``threshold``."""
+    return {"conditions": [{"field": "temperature", "comparator": "<=", "threshold": threshold}]}
+
+
 BAD_TCELL = {
     "idempotent": ((*_SCAN, "idempotent"), "false",
                    "tcell.scan.idempotent must be true or false, not 'false'"),
@@ -80,6 +87,12 @@ BAD_TCELL = {
                         "tcell.scan.duration_s ['temperature', 'rate'] must divide to a time "
                         "(volume/flow, time/dimensionless or dimensionless/frequency), "
                         "not temperature/frequency"),
+    "threshold_bool": (("safety",), _safety({"value": True, "unit": "K"}),
+                       "tcell.safety.temperature.threshold.value must be a finite number, not True"),
+    # The scan's temperature is in K, so a threshold in mL cannot bound it.
+    "threshold_dimension": (("safety",), _safety({"value": 360, "unit": "mL"}),
+                            "tcell.scan.params.temperature in 'K' (temperature) cannot be "
+                            "compared with its safety threshold in 'mL' (volume)"),
     # Lifecycle nodes carry no params, so their clocks cannot be ratios.
     "clock_connect": (("operations", "connect"),
                       {"kind": "connect", "duration_s": ["temperature", "rate"]},
@@ -114,12 +127,7 @@ def with_edit(obj: dict, path: tuple, value) -> dict:
 # TCELL with a safety envelope, checked against commanded and observed
 # temperatures, a one-step spec that scans on it, and the reference lab
 # with it and the given device entries.
-SAFE_TCELL = {
-    **TCELL,
-    "safety": {"conditions": [
-        {"field": "temperature", "comparator": "<=", "threshold": {"value": 360, "unit": "K"}},
-    ]},
-}
+SAFE_TCELL = {**TCELL, "safety": _safety({"value": 360, "unit": "K"})}
 SCAN_SPEC = {
     "spec_id": "one-scan",
     "version": "1.0.0",

@@ -1196,6 +1196,8 @@ BAD_DEVICE = {
                         "pstat_1.last_calibrated must be a finite number, not False"),
     "calibrated_null": ("pstat_1", "last_calibrated", None,
                         "pstat_1.last_calibrated must be a finite number, not None"),
+    "observed_bool": ("pstat_1", "observed", {"temperature": {"value": True, "unit": "K"}},
+                      "pstat_1.observed.temperature.value must be a finite number, not True"),
     "calibrated_inf": ("pstat_1", "last_calibrated", float("-inf"),
                        "pstat_1.last_calibrated must be a finite number, not -inf"),
 }
@@ -1233,6 +1235,20 @@ def test_a_device_observed_unsafe_is_not_planned(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == (
             "unsatisfiable_binding error $: no eligible device for binding 'a' (tcell)\n"
+        )
+    assert sorted(os.listdir(tmp_path)) == ["lab.json", "spec.json"]
+
+
+def test_an_observed_value_the_threshold_cannot_bound_fails_every_command_closed(tmp_path, capsys):
+    """370 mL is not a temperature: the lab is refused, not planned on as
+    3.7e-4 below a 360 K limit."""
+    lab, spec = _scan_files(tmp_path, {**_HOT_TCELL, "observed": {
+        "temperature": {"value": 370, "unit": "mL"}}})
+    for command, extra in (("validate", []), ("plan", []), ("run", ["--out", str(tmp_path)])):
+        err = _usage_error(capsys, [command, spec, "--lab", lab, *extra])
+        assert err == (
+            f"usage error: lab config {lab} is invalid: ValueError: tcell_1.observed.temperature "
+            "in 'mL' (volume) cannot be compared with its safety threshold in 'K' (temperature)\n"
         )
     assert sorted(os.listdir(tmp_path)) == ["lab.json", "spec.json"]
 

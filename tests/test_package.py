@@ -8,6 +8,7 @@ import pytest
 
 import eaclab
 from eaclab.capabilities import BUILTIN_CAPABILITIES
+from eaclab.records import field, record, replace
 from conftest import CAMPAIGN_PATH, LAB_PATH, run_main
 
 
@@ -106,6 +107,127 @@ def test_a_cold_plan_loads_the_scheduler_and_a_cold_run_the_executor(tmp_path):
     code, loaded = _cold("-m", "eaclab.cli", "run", *SPEC_AND_LAB, "--out", str(tmp_path))
     assert code == 0
     assert RUN_ONLY <= loaded
+
+
+# Counts the record ``__init__``s a process compiles and prints the count as
+# the last line of stderr; with arguments it runs ``eaclab.cli`` on them.
+_COUNT_INIT_COMPILES = """
+import atexit, runpy, sys
+compiled = []
+def hook(event, args):
+    source = args[0] if event == "compile" else None
+    if isinstance(source, (str, bytes)) and source[:17] in ("def __init__(self", b"def __init__(self"):
+        compiled.append(source)
+sys.addaudithook(hook)
+atexit.register(lambda: print(len(compiled), file=sys.__stderr__))
+if len(sys.argv) > 1:
+    sys.argv[0] = "eaclab"
+    runpy.run_module("eaclab.cli", run_name="__main__")
+else:
+    import eaclab.cli
+"""
+
+
+@pytest.mark.parametrize("command, compiled", [
+    ((), 2),  # the class-level defaults SafetyEnvelope() and TransitionLatency()
+    (("validate", *SPEC_AND_LAB), 14),
+    (("plan", *SPEC_AND_LAB), 19),
+    (("run", *SPEC_AND_LAB, "--out"), 25),
+])
+def test_a_cold_command_compiles_only_the_records_it_makes(tmp_path, command, compiled):
+    """A record's ``__init__`` is compiled at the class's first instance, so
+    importing the CLI compiles 2 of its 22 record classes."""
+    if command[-1:] == ("--out",):
+        command += (str(tmp_path),)
+    env = {**os.environ, "PYTHONPATH": str(Path(eaclab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _COUNT_INIT_COMPILES, *command],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == str(compiled)
+
+
+def _fresh_record(frozen):
+    """A new record class, whose ``__init__`` no instance has compiled yet."""
+
+    @record(frozen=frozen)
+    class Probe:
+        a: int
+        b: str = "b"
+        c: list = field(default_factory=list)
+
+        def __post_init__(self):
+            if self.a < 0:
+                raise ValueError(f"a={self.a} must be >= 0")
+
+    return Probe
+
+
+def _made(cls, args, kwargs):
+    try:
+        made = cls(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return repr(made), vars(made)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+@pytest.mark.parametrize("args, kwargs", [
+    ((1,), {}),
+    ((1, "x", [2]), {}),
+    ((1,), {"c": [3], "b": "y"}),
+    ((), {"a": 1}),
+    ((), {}),  # missing a
+    ((1,), {"d": 2}),  # unknown keyword
+    ((1, "x", [], 4), {}),  # too many
+    ((1,), {"a": 2}),  # a twice
+    ((-1,), {}),  # __post_init__ raises
+])
+def test_a_first_instance_is_made_like_a_later_one(frozen, args, kwargs):
+    warm = _fresh_record(frozen)
+    warm(0)
+    assert _made(_fresh_record(frozen), args, kwargs) == _made(warm, args, kwargs)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_a_class_works_after_its_first_instance_fails(frozen):
+    Probe = _fresh_record(frozen)
+    with pytest.raises(ValueError, match="a=-1 must be >= 0"):
+        Probe(-1)
+    first, second = Probe(1), Probe(2, c=[5])
+    assert Probe.__init__.__qualname__.endswith("Probe.__init__")
+    assert Probe.__init__.__code__.co_varnames[:4] == ("self", "a", "b", "c")
+    assert (first.c, second.c) == ([], [5])
+    assert Probe(1).c is not first.c
+    with pytest.raises(ValueError, match="a=-2 must be >= 0"):
+        Probe(-2)
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_replace_on_a_first_instance(frozen):
+    Probe = _fresh_record(frozen)
+    first = Probe(1, c=[1])
+    assert replace(first, b="y") == Probe(1, "y", [1])
+    with pytest.raises(ValueError, match="a=-1 must be >= 0"):
+        replace(first, a=-1)
+
+
+def test_an_init_replaced_before_the_first_instance_stays_in_place():
+    """A wrapper set over the class's ``__init__`` before its first instance
+    (say, a test counting instances) sees every instance."""
+    Probe = _fresh_record(False)
+    init = Probe.__init__
+    seen = []
+
+    def counted(self, *args, **kwargs):
+        seen.append(args)
+        init(self, *args, **kwargs)
+
+    Probe.__init__ = counted
+    assert [Probe(1).a, Probe(2).a] == [1, 2]
+    assert seen == [(1,), (2,)]
+    assert Probe.__init__ is counted
 
 
 def _json_encoding_uses(tree):
