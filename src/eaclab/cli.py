@@ -8,13 +8,12 @@ codes: 0 success, 2 validation error, 3 runtime fault (paused/aborted),
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
-from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from eaclab.canon import canonical_json, sha256_text
 from eaclab.capabilities import registry_from_lab_config
@@ -60,15 +59,7 @@ _INJECT_ALIASES = {
 
 
 class _Usage(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """A parser whose errors, its subparsers' included, are one
-    ``usage error:`` line (exit 4) rather than usage text and a message."""
-
-    def error(self, message):
-        raise _Usage(message)
+    """A usage error: ``main`` prints it as one ``usage error:`` line, exit 4."""
 
 
 # What malformed input documents raise while they are turned into objects;
@@ -81,14 +72,15 @@ def _describe(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}".splitlines()[0]
 
 
-def _read_bytes(path: Path | str) -> bytes:
+def _read_bytes(path: str) -> bytes:
     try:
-        return Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise _Usage(f"cannot read {path}: {exc}") from exc
 
 
-def _read_text(path: Path | str) -> str:
+def _read_text(path: str) -> str:
     """The file's text, decoded from its exact bytes (no newline translation)."""
     try:
         return _read_bytes(path).decode("utf-8")
@@ -96,7 +88,7 @@ def _read_text(path: Path | str) -> str:
         raise _Usage(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _loads(text: str, path: Path | str, what: str):
+def _loads(text: str, path: str, what: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -105,7 +97,7 @@ def _loads(text: str, path: Path | str, what: str):
         raise _Usage(f"{what} {path} is nested too deeply: {exc}") from exc
 
 
-def _read_json(path: Path | str, what: str):
+def _read_json(path: str, what: str):
     return _loads(_read_text(path), path, what)
 
 
@@ -122,8 +114,9 @@ def _lab_from_bytes(data: bytes):
     are mapping proxies. Parsing every
     device's ``sim`` section here makes a bad one fail every command, not
     only ``run``, and gives ``run`` and ``resume`` their fleet's configs.
-    An observed value of another dimension than its capability's safety
-    threshold fails every command the same way.
+    A device of a capability the registry does not hold, or an observed
+    value of another dimension than its capability's safety threshold,
+    fails every command the same way.
     """
     lab = json.loads(data.decode("utf-8"))
     registry = registry_from_lab_config(lab).freeze()
@@ -131,10 +124,13 @@ def _lab_from_bytes(data: bytes):
     configs = tuple(SimDeviceConfig.from_lab_entry(entry) for entry in lab.get("devices", []))
     devices = {}
     for device_id, record in genesis.devices.items():
-        if record.capability in registry:
-            registry.get(record.capability).safety.refuse_other_dimensions(
-                {name: q.unit for name, q in record.observed.items()}, f"{device_id}.observed"
+        if record.capability not in registry:
+            raise ValueError(
+                f"{device_id}.capability names no registered capability: {record.capability!r}"
             )
+        registry.get(record.capability).safety.refuse_other_dimensions(
+            {name: q.unit for name, q in record.observed.items()}, f"{device_id}.observed"
+        )
         devices[device_id] = replace(
             record,
             observed=MappingProxyType(record.observed),
@@ -248,9 +244,9 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _run_dir(out: str, run_id: str) -> Path:
-    path = Path(out) / run_id
-    path.mkdir(parents=True, exist_ok=True)
+def _run_dir(out: str, run_id: str) -> str:
+    path = os.path.join(out, run_id)
+    os.makedirs(path, exist_ok=True)
     return path
 
 
@@ -265,7 +261,7 @@ def _ndjson(dicts) -> bytes:
 
 
 def _write_run_artifacts(
-    run_dir: Path, result, plan, shash: str, seed: int, plan_read: str | None = None
+    run_dir: str, result, plan, shash: str, seed: int, plan_read: str | None = None
 ):
     """Write a run's artifacts but ``spec.json``. A resume passes
     ``plan_read``, the text of ``plan.json`` it read: the logs and
@@ -306,13 +302,18 @@ def _report_run(result, summary: dict) -> int:
     """Print a run's summary, then on stderr the injections nothing carried
     and the fault that stopped it; the exit code of ``run`` and ``resume``."""
     print(canonical_json(summary))
-    if result.uninjected:
-        print(
-            "nothing injected at dispatch "
-            + ", ".join(str(i) for i in result.uninjected)
-            + ": no operation dispatch carries that index",
-            file=sys.stderr,
-        )
+    last = float("inf")  # a completed run reached every dispatch it had
+    if result.status != "completed":
+        last = max((e.payload["index"] for e in result.log if e.kind == "dispatch"), default=0)
+    for indices, reason in (
+        ([i for i in result.uninjected if i <= last], "no operation dispatch carries that index"),
+        ([i for i in result.uninjected if i > last], f"the run stopped at dispatch {last}"),
+    ):
+        if indices:
+            print(
+                f"nothing injected at dispatch {', '.join(map(str, indices))}: {reason}",
+                file=sys.stderr,
+            )
     if result.fault is not None:
         print(
             f"fault {result.fault.kind} at {result.fault.node_id}: "
@@ -360,9 +361,9 @@ def cmd_run(args) -> int:
     return _report_run(result, _write_run_artifacts(run_dir, result, plan, shash, args.seed))
 
 
-def _load_run_state(run_dir: Path, genesis):
-    log_path = run_dir / "log.ndjson"
-    if not log_path.is_file():
+def _load_run_state(run_dir: str, genesis):
+    log_path = os.path.join(run_dir, "log.ndjson")
+    if not os.path.isfile(log_path):
         raise _Usage(f"no event log in {run_dir}")
     try:
         events = [
@@ -378,17 +379,12 @@ def _load_run_state(run_dir: Path, genesis):
 def cmd_state(args) -> int:
     _, registry, genesis = _load_lab(args.lab)
     if args.run:
-        state, _ = _load_run_state(Path(args.run), genesis)
+        state, _ = _load_run_state(args.run, genesis)
     else:
         state = genesis
     table = []
     for device_id in sorted(state.devices):
         record = state.devices[device_id]
-        window = (
-            registry.get(record.capability).calibration_window
-            if record.capability in registry
-            else None
-        )
         table.append(
             {
                 "device_id": device_id,
@@ -396,7 +392,7 @@ def cmd_state(args) -> int:
                 "status": record.status,
                 "holder": record.holder,
                 "calibration_age_s": state.clock - record.last_calibrated,
-                "calibration_window_s": window,
+                "calibration_window_s": registry.get(record.capability).calibration_window,
             }
         )
     print(canonical_json(table))
@@ -439,16 +435,15 @@ def cmd_resume(args) -> int:
     from eaclab.scheduler import ExecutionPlan
     from eaclab.shims import SimFleet
 
-    run_dir = Path(args.run_dir)
-    if not (run_dir / "checkpoint.json").exists():
+    run_dir = args.run_dir
+    checkpoint_path = os.path.join(run_dir, "checkpoint.json")
+    if not os.path.exists(checkpoint_path):
         raise _Usage(f"no checkpoint in {run_dir}")
     sim_configs, registry, genesis = _load_lab(args.lab)
-    plan_path = run_dir / "plan.json"
+    plan_path = os.path.join(run_dir, "plan.json")
     try:
-        checkpoint = Checkpoint.from_dict(
-            _read_json(run_dir / "checkpoint.json", "checkpoint")
-        )
-        summary = _read_json(run_dir / "result.json", "run summary")
+        checkpoint = Checkpoint.from_dict(_read_json(checkpoint_path, "checkpoint"))
+        summary = _read_json(os.path.join(run_dir, "result.json"), "run summary")
         seed = summary.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise _Usage(
@@ -463,7 +458,7 @@ def cmd_resume(args) -> int:
         plan_read = _read_text(plan_path)
         plan = ExecutionPlan.from_dict(_loads(plan_read, plan_path, "plan"))
         # spec.json is the text whose hash the run recorded, plus a newline.
-        spec_text = _read_text(run_dir / "spec.json").removesuffix("\n")
+        spec_text = _read_text(os.path.join(run_dir, "spec.json")).removesuffix("\n")
         spec = parse_spec(spec_text)
         if sha256_text(spec_text) != shash:
             print(
@@ -518,60 +513,136 @@ def cmd_resume(args) -> int:
     return _report_run(result, _write_run_artifacts(run_dir, result, plan, shash, seed, plan_read))
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and reused after it."""
-    parser = _Parser(
-        prog="eaclab",
-        description="Declarative experiment stack: validate, plan, and run "
-        "experiment configs against a simulated device fleet.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# A negative number is a positional argument (or a value), not an option.
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    p = sub.add_parser("validate", help="statically check a spec")
-    p.add_argument("spec")
-    p.add_argument("--lab", default=None)
-    p.set_defaults(func=cmd_validate)
+_LAB = {"--lab": (None, str, "lab config file; the default is $EAC_LAB")}
+_POLICY = {"--policy": ("batched", ("fifo", "batched"), "scheduling policy")}
 
-    p = sub.add_parser("plan", help="compile and schedule a spec")
-    p.add_argument("spec")
-    p.add_argument("--lab", default=None)
-    p.add_argument("--policy", choices=("fifo", "batched"), default="batched")
-    p.set_defaults(func=cmd_plan)
+# The command line. Each command has its handler, a summary, the name of
+# its one positional argument (None for none) and its options. An option
+# maps to its default, its type (``str`` or ``int``) or tuple of choices,
+# and its help.
+COMMANDS = {
+    "validate": (cmd_validate, "statically check a spec", "spec", _LAB),
+    "plan": (cmd_plan, "compile and schedule a spec", "spec", {**_LAB, **_POLICY}),
+    "run": (cmd_run, "execute a spec in simulation", "spec", {
+        **_LAB,
+        **_POLICY,
+        "--seed": (0, int, "simulator seed, also part of the run id"),
+        "--inject": (None, str, "fault schedule: kind@index[,kind@index...] or a JSON file"),
+        "--out": ("runs", str, "directory that receives the run directory"),
+    }),
+    "state": (cmd_state, "print the device table", None, {
+        **_LAB, "--run": (None, str, "run directory whose event log to replay"),
+    }),
+    "resume": (cmd_resume, "continue a paused run", "run_dir", {
+        **_LAB, "--clear": (None, str, "device id whose fault an operator has cleared"),
+    }),
+}
 
-    p = sub.add_parser("run", help="execute a spec in simulation")
-    p.add_argument("spec")
-    p.add_argument("--lab", default=None)
-    p.add_argument("--policy", choices=("fifo", "batched"), default="batched")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--inject", default=None,
-                   help="fault schedule: kind@index[,kind@index...] or JSON file")
-    p.add_argument("--out", default="runs")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("state", help="print the device table")
-    p.add_argument("--lab", default=None)
-    p.add_argument("--run", default=None, help="run directory to replay")
-    p.set_defaults(func=cmd_state)
+def _choices(names) -> str:
+    return ", ".join(map(repr, names))
 
-    p = sub.add_parser("resume", help="continue a paused run")
-    p.add_argument("run_dir")
-    p.add_argument("--lab", default=None)
-    p.add_argument("--clear", default=None,
-                   help="device id whose fault an operator has cleared")
-    p.set_defaults(func=cmd_resume)
 
-    return parser
+def _help(command: str | None) -> str:
+    """The usage text of one command, or of the program when None."""
+    if command is None:
+        lines = [
+            f"usage: eaclab {{{','.join(COMMANDS)}}} ...",
+            "",
+            "Declarative experiment stack: validate, plan, and run experiment",
+            "configs against a simulated device fleet.",
+            "",
+            "commands:",
+            *(f"  {name:<10}{summary}" for name, (_, summary, _, _) in COMMANDS.items()),
+            "",
+            "eaclab COMMAND --help lists the command's options.",
+        ]
+        return "\n".join(lines)
+    _, summary, positional, options = COMMANDS[command]
+    forms = {
+        name: f"{name} {{{','.join(kind)}}}" if isinstance(kind, tuple)
+        else f"{name} {name[2:].upper()}"
+        for name, (_, kind, _) in options.items()
+    }
+    usage = ["usage: eaclab", command, *([positional.upper()] if positional else [])]
+    usage += [f"[{form}]" for form in forms.values()]
+    lines = [" ".join(usage), "", summary, "", "options:"]
+    for name, (default, _, text) in options.items():
+        default = "" if default is None else f" (default: {default})"
+        lines.append(f"  {forms[name]:<26}{text}{default}")
+    return "\n".join(lines)
+
+
+def parse_args(argv: list[str]):
+    """The handler and arguments of a command line, read by ``COMMANDS``, or
+    None when the line asks for help, which is then printed.
+
+    An option's value is the next argument, whatever it is, or the text
+    after ``=``. Any other argument that starts with ``-`` is an unknown
+    option, unless it is ``-`` or a negative number; every argument after
+    ``--`` is positional. ``-h`` or ``--help`` anywhere asks for help, that
+    of the command when one leads the line.
+    """
+    if "-h" in argv or "--help" in argv:
+        print(_help(argv[0] if argv[0] in COMMANDS else None))
+        return None
+    if not argv:
+        raise _Usage("the following arguments are required: command")
+    command, *rest = argv
+    if command not in COMMANDS:
+        raise _Usage(
+            f"argument command: invalid choice: {command!r} (choose from {_choices(COMMANDS)})"
+        )
+    handler, _, positional, options = COMMANDS[command]
+    values = {name[2:]: default for name, (default, _, _) in options.items()}
+    positionals = []
+    args = iter(rest)
+    for arg in args:
+        if arg == "--":
+            positionals += args
+            break
+        name, eq, value = arg.partition("=")
+        if name not in options:
+            if arg[:1] == "-" and arg != "-" and not _NEGATIVE_NUMBER.match(arg):
+                raise _Usage(f"unrecognized arguments: {arg}")
+            positionals.append(arg)
+            continue
+        if not eq:
+            value = next(args, None)
+            if value is None:
+                raise _Usage(f"argument {name}: expected one argument")
+        kind = options[name][1]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _Usage(f"argument {name}: invalid int value: {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise _Usage(
+                f"argument {name}: invalid choice: {value!r} (choose from {_choices(kind)})"
+            )
+        values[name[2:]] = value
+    if positional is not None:
+        if not positionals:
+            raise _Usage(f"the following arguments are required: {positional}")
+        values[positional] = positionals.pop(0)
+    if positionals:
+        raise _Usage(f"unrecognized arguments: {' '.join(positionals)}")
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code; callable repeatedly in one
-    process."""
+    process. ``argv`` defaults to ``sys.argv[1:]``."""
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit:  # --help, printed to stdout
-        return EXIT_OK
+        parsed = parse_args(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            return EXIT_OK
+        handler, args = parsed
+        return handler(args)
     except (_Usage, OSError) as exc:
         # One line, even when a path or an argument holds a newline.
         message = str(exc).replace("\n", "\\n")

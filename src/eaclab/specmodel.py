@@ -129,6 +129,11 @@ def _reject_duplicate_keys(pairs):
     return out
 
 
+# The decoder ``json.loads(text, object_pairs_hook=...)`` builds anew per
+# call, built once.
+_DECODER = json.JSONDecoder(object_pairs_hook=_reject_duplicate_keys)
+
+
 def _require(obj: dict, key: str, locus: str):
     if key not in obj:
         raise SpecSchemaError("missing_field", locus, f"missing required field {key!r}")
@@ -349,7 +354,9 @@ def validate_spec(spec: ExperimentSpec) -> None:
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse and fully validate a spec document."""
     try:
-        doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        if text.startswith("\ufeff"):  # ``json.loads`` checks this; ``decode`` does not
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError as exc:

@@ -174,6 +174,20 @@ def test_a_seed_at_either_end_of_64_bits_runs(tmp_path, seed):
     assert json.loads(out)["run_id"].endswith(f"-s{seed}")
 
 
+def test_a_spec_that_starts_with_a_byte_order_mark_keeps_its_diagnostic(tmp_path, capsys):
+    """``parse_spec`` decodes with one decoder built at import, whose
+    ``decode`` does not make ``json.loads``' check for a leading BOM."""
+    spec = tmp_path / "bom.json"
+    spec.write_bytes(b"\xef\xbb\xbf" + CAMPAIGN_PATH.read_bytes())
+    for command in ("validate", "plan"):
+        assert main([command, str(spec), "--lab", LAB]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "syntax error 1:1: Unexpected UTF-8 BOM (decode using utf-8-sig) (line 1, column 1)\n"
+        )
+
+
 def test_validate_reports_syntax_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -316,7 +330,7 @@ def test_resumed_run_completes_the_telemetry_csv(tmp_path, capsys, policy):
     ],
 )
 def test_command_line_error_is_one_usage_line(capsys, argv):
-    """argparse's usage text is not printed; the error is one line, exit 4."""
+    """No usage text is printed: the error is one line, exit 4."""
     _usage_error(capsys, argv)
 
 
@@ -365,6 +379,14 @@ def test_inject_file_schedules_a_fault(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "paused"
 
 
+def _node_at(run_dir, index):
+    for line in (run_dir / "log.ndjson").read_text().splitlines():
+        event = json.loads(line)
+        if event["kind"] == "dispatch" and event["payload"]["index"] == index:
+            return event["payload"]["node_id"]
+    raise AssertionError(f"no dispatch {index}")
+
+
 def _stabilize_index(run_dir):
     for line in (run_dir / "log.ndjson").read_text().splitlines():
         event = json.loads(line)
@@ -386,6 +408,28 @@ def test_inject_without_target_says_so_on_stderr(tmp_path, capsys):
     assert captured.err == (
         f"nothing injected at dispatch {wait}, 999: "
         "no operation dispatch carries that index\n"
+    )
+
+
+def test_an_injection_past_the_dispatch_a_run_stopped_at_says_so(tmp_path, capsys):
+    """A paused run never reaches its later dispatches, which a full run
+    makes: their line says the run stopped, not that no dispatch carries
+    the index. A stabilize wait before the pause keeps its own line."""
+    _, clean_dir, _ = _run_clean(tmp_path, capsys)
+    wait = _stabilize_index(clean_dir)
+    out = tmp_path / "stopped"
+    code = main(
+        ["run", SPEC, "--lab", LAB, "--out", str(out),
+         "--inject", f"error@{wait},error@{wait + 1},error@{wait + 4},error@999"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.out)["status"] == "paused"
+    assert captured.err == (
+        f"nothing injected at dispatch {wait}: no operation dispatch carries that index\n"
+        f"nothing injected at dispatch {wait + 4}, 999: the run stopped at dispatch {wait + 1}\n"
+        f"fault device_error at {_node_at(clean_dir, wait + 1)}: "
+        f"injected at dispatch {wait + 1}\n"
     )
 
 
@@ -691,8 +735,7 @@ def _mixed_sequence(tmp_path):
 
 
 def test_main_is_repeatable_in_one_process(tmp_path, capsys):
-    """The parser built on the first call serves every later call alike."""
-    cli.build_parser.cache_clear()
+    """Every call reads its command line alike, whatever calls came before."""
     sequence = _mixed_sequence(tmp_path)
     passes = []
     for _ in range(2):
@@ -705,7 +748,6 @@ def test_main_is_repeatable_in_one_process(tmp_path, capsys):
     assert passes[0] == passes[1]
     assert [code for code, _, _ in passes[0]] == [4, 4, 0, 2, 0, 3, 0]
     assert passes[0][2][1].startswith("usage: eaclab")
-    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_forward_dependency_gives_a_sound_plan(tmp_path, capsys, registry, genesis):
@@ -1173,16 +1215,22 @@ def test_bad_sim_section_fails_every_command_closed(tmp_path, capsys, damage):
 
 
 def _lab_with_device(tmp_path, device_id, **fields):
-    """The reference lab with fields of one device set, as a file."""
+    """The reference lab with fields of one device set, as a file; a device
+    the lab does not hold is added."""
     lab = json.loads(LAB_PATH.read_text())
-    next(d for d in lab["devices"] if d["device_id"] == device_id).update(fields)
+    device = next((d for d in lab["devices"] if d["device_id"] == device_id), None)
+    if device is None:
+        device = {"device_id": device_id}
+        lab["devices"].append(device)
+    device.update(fields)
     path = tmp_path / "lab.json"
     path.write_text(json.dumps(lab))
     return str(path)
 
 
-# Device fields that are not finite JSON numbers: (device, field, value,
-# what the one-line error says).
+# Device fields a lab is refused for: numbers that are not finite JSON
+# numbers, and capabilities the lab does not register. (device, field,
+# value, what the one-line error says.)
 BAD_DEVICE = {
     "attr_text": ("valve_1", "attrs", {"ports": "6"},
                   "valve_1.attrs.ports must be a finite number, not '6'"),
@@ -1200,6 +1248,10 @@ BAD_DEVICE = {
                       "pstat_1.observed.temperature.value must be a finite number, not True"),
     "calibrated_inf": ("pstat_1", "last_calibrated", float("-inf"),
                        "pstat_1.last_calibrated must be a finite number, not -inf"),
+    "capability_unknown": ("ghost_1", "capability", "ghost",
+                           "ghost_1.capability names no registered capability: 'ghost'"),
+    "capability_misspelt": ("pstat_1", "capability", "potentostat",
+                            "pstat_1.capability names no registered capability: 'potentostat'"),
 }
 
 

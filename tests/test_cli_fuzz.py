@@ -8,8 +8,8 @@ sweep over an undeclared param, a constraint that is not a number), drawn
 bytes that are not UTF-8, a missing path, a directory, a lab with a
 damaged ``sim`` section, or a run directory (completed, paused, or damaged
 in one of several ways, some of them non-UTF-8 bytes).
-Every example runs in this one process, so the parser that ``main`` builds
-on its first call serves all of them.
+Every example runs in this one process, so one imported ``main`` reads all
+of them.
 """
 
 import itertools

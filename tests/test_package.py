@@ -62,6 +62,10 @@ def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 RUN_ONLY = {"eaclab.executor", "eaclab.scheduler", "eaclab.telemetry", "csv", "hashlib"}
+# Modules no command loads: the command line is read by ``cli.COMMANDS``,
+# not ``argparse`` (which brings ``gettext`` and ``locale``), and paths are
+# joined by ``os.path``. ``jsonschema`` is a test dependency only.
+NEVER_LOADED = {"argparse", "gettext", "locale", "pathlib", "jsonschema"}
 SPEC_AND_LAB = (str(CAMPAIGN_PATH), "--lab", str(LAB_PATH))
 
 
@@ -97,6 +101,7 @@ def test_import_of_the_cli_and_a_cold_validate_load_no_run_only_module():
     assert code == 0
     assert "eaclab.specmodel" in loaded
     assert sorted(RUN_ONLY & loaded) == []
+    assert sorted(NEVER_LOADED & loaded) == []
 
 
 def test_a_cold_plan_loads_the_scheduler_and_a_cold_run_the_executor(tmp_path):
@@ -104,9 +109,11 @@ def test_a_cold_plan_loads_the_scheduler_and_a_cold_run_the_executor(tmp_path):
     assert code == 0
     assert "eaclab.scheduler" in loaded
     assert sorted({"eaclab.executor", "eaclab.telemetry", "csv"} & loaded) == []
+    assert sorted(NEVER_LOADED & loaded) == []
     code, loaded = _cold("-m", "eaclab.cli", "run", *SPEC_AND_LAB, "--out", str(tmp_path))
     assert code == 0
     assert RUN_ONLY <= loaded
+    assert sorted(NEVER_LOADED & loaded) == []
 
 
 # Counts the record ``__init__``s a process compiles and prints the count as

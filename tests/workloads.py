@@ -1,6 +1,7 @@
 """Constructed workloads shared by the scheduler and acceptance tests, and
 the test-only helpers and reference oracles the program does not ship."""
 
+import argparse
 import json
 import random
 from pathlib import Path
@@ -369,3 +370,56 @@ def lowered_params_per_step(spec, registry) -> dict[str, dict]:
             "est_duration": op.duration(canonical),
         }
     return lowered
+
+
+class ReferenceUsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors, its subparsers' included, raise
+    ``ReferenceUsageError`` rather than print usage text and exit."""
+
+    def error(self, message):
+        raise ReferenceUsageError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``argparse`` parser ``eaclab.cli`` read its command line with
+    before ``cli.COMMANDS``: the reference its table is checked against."""
+    parser = _Parser(
+        prog="eaclab",
+        description="Declarative experiment stack: validate, plan, and run "
+        "experiment configs against a simulated device fleet.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="statically check a spec")
+    p.add_argument("spec")
+    p.add_argument("--lab", default=None)
+
+    p = sub.add_parser("plan", help="compile and schedule a spec")
+    p.add_argument("spec")
+    p.add_argument("--lab", default=None)
+    p.add_argument("--policy", choices=("fifo", "batched"), default="batched")
+
+    p = sub.add_parser("run", help="execute a spec in simulation")
+    p.add_argument("spec")
+    p.add_argument("--lab", default=None)
+    p.add_argument("--policy", choices=("fifo", "batched"), default="batched")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--inject", default=None,
+                   help="fault schedule: kind@index[,kind@index...] or JSON file")
+    p.add_argument("--out", default="runs")
+
+    p = sub.add_parser("state", help="print the device table")
+    p.add_argument("--lab", default=None)
+    p.add_argument("--run", default=None, help="run directory to replay")
+
+    p = sub.add_parser("resume", help="continue a paused run")
+    p.add_argument("run_dir")
+    p.add_argument("--lab", default=None)
+    p.add_argument("--clear", default=None,
+                   help="device id whose fault an operator has cleared")
+
+    return parser
