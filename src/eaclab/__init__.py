@@ -21,7 +21,7 @@ _EXPORTS = {
         "registry_from_lab_config",
     ),
     "compiler": ("WorkflowDAG", "compile_spec", "static_check"),
-    "executor": ("Checkpoint", "FaultEvent", "RunResult", "execute", "resume"),
+    "executor": ("FaultEvent", "RunResult", "execute", "resume"),
     "labstate": (
         "DeviceRecord",
         "LabState",
@@ -32,7 +32,7 @@ _EXPORTS = {
         "replay",
         "snapshot",
     ),
-    "scheduler": ("ExecutionPlan", "schedule"),
+    "scheduler": ("Checkpoint", "ExecutionPlan", "schedule"),
     "shims": ("SimFleet",),
     "specmodel": ("ExperimentSpec", "expand_sweeps", "parse_spec", "serialize_spec", "spec_hash"),
     "telemetry": ("TelemetryRecord",),

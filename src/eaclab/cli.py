@@ -19,7 +19,6 @@ from eaclab.canon import canonical_json, sha256_text
 from eaclab.capabilities import registry_from_lab_config
 from eaclab.compiler import Diagnostic, compile_spec, render_tree, static_check
 from eaclab.errors import (
-    CheckpointMismatchError,
     EacError,
     SpecSchemaError,
     SpecSyntaxError,
@@ -27,6 +26,7 @@ from eaclab.errors import (
     UnschedulableError,
 )
 from eaclab.labstate import (
+    SimDeviceConfig,
     StateEvent,
     apply_event,
     genesis_from_lab_config,
@@ -34,12 +34,12 @@ from eaclab.labstate import (
     snapshot,
 )
 from eaclab.records import replace
-from eaclab.shims import SimDeviceConfig
 from eaclab.specmodel import check_sweeps, expand_sweeps, parse_spec, serialize_spec
 
-# The scheduler is imported by the commands that plan, and the executor,
-# ``SimFleet`` and telemetry by those that run, so ``validate`` and
-# ``state`` load neither.
+# The scheduler is imported by the commands that plan or read a run
+# directory, and the executor, ``SimFleet`` and telemetry only by those
+# that run, once every check has passed: ``validate`` loads none of them,
+# and ``state`` or a refused ``resume`` loads no part of the simulator.
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -60,6 +60,11 @@ _INJECT_ALIASES = {
 
 class _Usage(Exception):
     """A usage error: ``main`` prints it as one ``usage error:`` line, exit 4."""
+
+
+class _Mismatch(Exception):
+    """Run-directory files that disagree with each other or with the lab:
+    ``main`` prints it as one ``checkpoint mismatch:`` line, exit 2."""
 
 
 # What malformed input documents raise while they are turned into objects;
@@ -260,34 +265,24 @@ def _ndjson(dicts) -> bytes:
     return "".join([canonical_json(d) + "\n" for d in dicts]).encode("utf-8")
 
 
-def _write_run_artifacts(
-    run_dir: str, result, plan, shash: str, seed: int, plan_read: str | None = None
-):
-    """Write a run's artifacts but ``spec.json``. A resume passes
-    ``plan_read``, the text of ``plan.json`` it read: the logs and
-    ``telemetry.csv`` are then appended to, and ``plan.json`` rewritten only
-    if changed."""
-    from eaclab.scheduler import plan_hash
+def _write_run_artifacts(run_dir: str, result, head: dict, mode: str = "wb") -> dict:
+    """Write a run's logs, ``telemetry.csv``, snapshot, summary and
+    checkpoint, and return the summary. ``head`` holds the summary's keys
+    that a resume keeps; a resume (``mode`` ``"ab"``) appends to the logs
+    and ``telemetry.csv``."""
     from eaclab.telemetry import export_csv
 
     base = f"{run_dir}{os.sep}"
-    append = plan_read is not None
-    mode = "ab" if append else "wb"
     _write(base + "log.ndjson", _ndjson(event.to_dict() for event in result.log), mode)
     _write(base + "telemetry.ndjson", _ndjson(rec.to_dict() for rec in result.telemetry), mode)
     _write(base + "wire.ndjson", _ndjson(result.wire), mode)
-    csv_text = export_csv(result.telemetry, header=not append)
+    csv_text = export_csv(result.telemetry, header=mode == "wb")
     _write(base + "telemetry.csv", csv_text.encode("utf-8"), mode)
-    plan_text = plan.serialize() + "\n"
-    if plan_text != plan_read:
-        _write(base + "plan.json", plan_text.encode("utf-8"))
     _write(base + "snapshot.json", snapshot(result.state) + b"\n")
     summary = {
         "run_id": result.run_id,
         "status": result.status,
-        "seed": seed,
-        "spec_hash": shash,
-        "plan_hash": plan_hash(plan),
+        **head,
         "telemetry_count": len(result.telemetry),
     }
     _write(base + "result.json", _ndjson([summary]))
@@ -325,7 +320,7 @@ def _report_run(result, summary: dict) -> int:
 
 def cmd_run(args) -> int:
     from eaclab.executor import execute
-    from eaclab.scheduler import schedule
+    from eaclab.scheduler import plan_hash, schedule
     from eaclab.shims import SimFleet
 
     # The seed goes into the run id, and so into a directory name.
@@ -358,30 +353,101 @@ def cmd_run(args) -> int:
     )
     run_dir = _run_dir(args.out, run_id)
     _write(f"{run_dir}{os.sep}spec.json", (spec_text + "\n").encode("utf-8"))
-    return _report_run(result, _write_run_artifacts(run_dir, result, plan, shash, args.seed))
+    _write(f"{run_dir}{os.sep}plan.json", (plan.serialize() + "\n").encode("utf-8"))
+    head = {"seed": args.seed, "spec_hash": shash, "plan_hash": plan_hash(plan)}
+    return _report_run(result, _write_run_artifacts(run_dir, result, head))
 
 
-def _load_run_state(run_dir: str, genesis):
-    log_path = os.path.join(run_dir, "log.ndjson")
+def _read_run(run_dir: str, lab, paused: bool):
+    """Read the run directory ``run_dir`` and check that its files hold
+    together and fit ``lab``: the one reader of a run directory, shared by
+    ``state --run`` and ``resume``, whose ``paused`` asks for a checkpoint.
+
+    The checks are made in the order README's "Faults and resume" lists,
+    before anything is written or the executor is loaded. A damaged file
+    is a usage error (exit 4), files that disagree a checkpoint mismatch
+    (exit 2). Returns the state the log replays to, the highest dispatch
+    index it logs, the summary's keys a resume keeps, the checkpoint (None
+    when there is none), the plan, and the DAG compiled from ``spec.json``.
+    """
+    from eaclab.scheduler import Checkpoint, ExecutionPlan, plan_hash
+
+    _, registry, genesis = lab
+    path = functools.partial(os.path.join, run_dir)
+    if paused and not os.path.exists(path("checkpoint.json")):
+        raise _Usage(f"no checkpoint in {run_dir}")
+    log_path = path("log.ndjson")
     if not os.path.isfile(log_path):
         raise _Usage(f"no event log in {run_dir}")
     try:
-        events = [
-            StateEvent.from_dict(json.loads(line))
-            for line in _read_text(log_path).splitlines()
-            if line.strip()
-        ]
-        return replay(genesis, events), events
+        lines = _read_text(log_path).splitlines()
+        events = [StateEvent.from_dict(json.loads(line)) for line in lines if line.strip()]
+        state = replay(genesis, events)
+        # A resumed run continues the run's dispatch numbering.
+        last_dispatch = max(
+            (int(e.payload["index"]) for e in events if e.kind == "dispatch"), default=0
+        )
     except _DAMAGE as exc:
         raise _Usage(f"event log {log_path} is damaged: {_describe(exc)}") from exc
 
+    def damaged(why: str) -> _Usage:
+        return _Usage(f"run directory {run_dir} is damaged: {why}")
+
+    try:
+        summary = _read_json(path("result.json"), "run summary")
+        seed = summary.get("seed", 0)
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise damaged(f"seed in result.json must be an integer, not {seed!r}")
+        head = {"seed": seed, "spec_hash": summary["spec_hash"], "plan_hash": summary["plan_hash"]}
+        checkpoint = None
+        if os.path.exists(path("checkpoint.json")):
+            doc = _read_json(path("checkpoint.json"), "checkpoint")
+            checkpoint = Checkpoint(
+                doc["run_id"], doc["last_committed_node"], doc["state_epoch"], doc["plan_hash"]
+            )
+        plan = ExecutionPlan.from_dict(_read_json(path("plan.json"), "plan"))
+        # spec.json is the text whose hash the run recorded, plus a newline.
+        spec_text = _read_text(path("spec.json")).removesuffix("\n")
+        spec = parse_spec(spec_text)
+        if sha256_text(spec_text) != head["spec_hash"]:
+            raise _Mismatch("spec.json does not match the spec hash in result.json")
+        dag = compile_spec(spec, registry, genesis)
+    except _DAMAGE as exc:
+        raise damaged(_describe(exc)) from exc
+
+    if plan_hash(plan) != head["plan_hash"]:
+        raise _Mismatch("plan.json does not match the plan hash in result.json")
+    assigned = [a.node_id for a in plan.assignments]
+    if len(assigned) != len(dag.nodes) or set(assigned) != set(dag.nodes):
+        raise _Mismatch("plan.json does not assign exactly the nodes compiled from spec.json")
+    for a in plan.assignments:
+        capability = dag.bindings[dag.nodes[a.node_id].binding]["capability"]
+        record = state.devices.get(a.device_id)
+        if record is None or record.capability != capability:
+            raise _Mismatch(
+                f"plan.json assigns {a.node_id} to {a.device_id!r}, "
+                f"which is not a {capability} of the lab"
+            )
+    if checkpoint is not None:
+        if checkpoint.plan_hash != head["plan_hash"]:
+            raise _Mismatch("checkpoint.json does not match the plan hash in result.json")
+        if checkpoint.last_committed_node not in (None, *assigned):
+            raise _Mismatch(
+                f"checkpoint.json names {checkpoint.last_committed_node!r}, "
+                "which plan.json does not assign"
+            )
+        if checkpoint.state_epoch != state.epoch:
+            raise _Mismatch(
+                f"checkpoint is at state epoch {checkpoint.state_epoch}, "
+                f"log.ndjson replays to epoch {state.epoch}"
+            )
+    return state, last_dispatch, head, checkpoint, plan, dag
+
 
 def cmd_state(args) -> int:
-    _, registry, genesis = _load_lab(args.lab)
-    if args.run:
-        state, _ = _load_run_state(args.run, genesis)
-    else:
-        state = genesis
+    lab = _load_lab(args.lab)
+    registry = lab[1]
+    state = _read_run(args.run, lab, paused=False)[0] if args.run else lab[2]
     table = []
     for device_id in sorted(state.devices):
         record = state.devices[device_id]
@@ -405,82 +471,13 @@ def cmd_state(args) -> int:
     return EXIT_OK
 
 
-def _resume_mismatch(checkpoint, summary_plan_hash, plan, dag, state) -> str | None:
-    """Why the paused run's plan, spec and log do not belong together, if so."""
-    from eaclab.scheduler import plan_hash
-
-    if plan_hash(plan) != summary_plan_hash:
-        return "plan.json does not match the plan hash in result.json"
-    assigned = [a.node_id for a in plan.assignments]
-    if len(assigned) != len(dag.nodes) or set(assigned) != set(dag.nodes):
-        return "plan.json does not assign exactly the nodes compiled from spec.json"
-    for a in plan.assignments:
-        capability = dag.bindings[dag.nodes[a.node_id].binding]["capability"]
-        record = state.devices.get(a.device_id)
-        if record is None or record.capability != capability:
-            return (
-                f"plan.json assigns {a.node_id} to {a.device_id!r}, "
-                f"which is not a {capability} of the lab"
-            )
-    if checkpoint.state_epoch != state.epoch:
-        return (
-            f"checkpoint is at state epoch {checkpoint.state_epoch}, "
-            f"log.ndjson replays to epoch {state.epoch}"
-        )
-    return None
-
-
 def cmd_resume(args) -> int:
-    from eaclab.executor import Checkpoint, resume
-    from eaclab.scheduler import ExecutionPlan
+    lab = _load_lab(args.lab)
+    sim_configs, registry, _ = lab
+    state, last_dispatch, head, checkpoint, plan, dag = _read_run(args.run_dir, lab, paused=True)
+    # Only a run directory that passed every check loads the executor.
+    from eaclab.executor import resume
     from eaclab.shims import SimFleet
-
-    run_dir = args.run_dir
-    checkpoint_path = os.path.join(run_dir, "checkpoint.json")
-    if not os.path.exists(checkpoint_path):
-        raise _Usage(f"no checkpoint in {run_dir}")
-    sim_configs, registry, genesis = _load_lab(args.lab)
-    plan_path = os.path.join(run_dir, "plan.json")
-    try:
-        checkpoint = Checkpoint.from_dict(_read_json(checkpoint_path, "checkpoint"))
-        summary = _read_json(os.path.join(run_dir, "result.json"), "run summary")
-        seed = summary.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise _Usage(
-                f"run directory {run_dir} is damaged: "
-                f"seed in result.json must be an integer, not {seed!r}"
-            )
-        shash = summary["spec_hash"]
-        summary_plan_hash = summary["plan_hash"]
-        # The run continues the plan it was paused under; it is not planned
-        # again. The text read is kept, so that an unchanged plan.json is
-        # not rewritten.
-        plan_read = _read_text(plan_path)
-        plan = ExecutionPlan.from_dict(_loads(plan_read, plan_path, "plan"))
-        # spec.json is the text whose hash the run recorded, plus a newline.
-        spec_text = _read_text(os.path.join(run_dir, "spec.json")).removesuffix("\n")
-        spec = parse_spec(spec_text)
-        if sha256_text(spec_text) != shash:
-            print(
-                "checkpoint mismatch: spec.json does not match the spec hash in result.json",
-                file=sys.stderr,
-            )
-            return EXIT_VALIDATION
-        dag = compile_spec(spec, registry, genesis)
-    except _DAMAGE as exc:
-        raise _Usage(f"run directory {run_dir} is damaged: {_describe(exc)}") from exc
-    state, events = _load_run_state(run_dir, genesis)
-    try:
-        # Dispatch indices of the resumed part continue the run's numbering.
-        last_dispatch = max(
-            (int(e.payload["index"]) for e in events if e.kind == "dispatch"), default=0
-        )
-    except _DAMAGE as exc:
-        raise _Usage(f"event log in {run_dir} is damaged: {_describe(exc)}") from exc
-    mismatch = _resume_mismatch(checkpoint, summary_plan_hash, plan, dag, state)
-    if mismatch is not None:
-        print(f"checkpoint mismatch: {mismatch}", file=sys.stderr)
-        return EXIT_VALIDATION
 
     appended: list[StateEvent] = []
     if args.clear:
@@ -496,21 +493,18 @@ def cmd_resume(args) -> int:
         state = apply_event(state, event)
         appended.append(event)
 
-    fleet = SimFleet(sim_configs, seed)
+    fleet = SimFleet(sim_configs, head["seed"])
     try:
         result = resume(
             checkpoint, plan, dag, state, registry, fleet,
-            spec_hash=shash, last_dispatch=last_dispatch,
+            spec_hash=head["spec_hash"], last_dispatch=last_dispatch,
         )
-    except CheckpointMismatchError as exc:
-        print(f"checkpoint mismatch: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except StillBlockedError as exc:
         print(f"still blocked: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
     result.log[:0] = appended
-    return _report_run(result, _write_run_artifacts(run_dir, result, plan, shash, seed, plan_read))
+    return _report_run(result, _write_run_artifacts(args.run_dir, result, head, "ab"))
 
 
 # A negative number is a positional argument (or a value), not an option.
@@ -643,6 +637,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         handler, args = parsed
         return handler(args)
+    except _Mismatch as exc:
+        print(f"checkpoint mismatch: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (_Usage, OSError) as exc:
         # One line, even when a path or an argument holds a newline.
         message = str(exc).replace("\n", "\\n")

@@ -91,10 +91,6 @@ class UnschedulableError(EacError):
     """No eligible device exists for a binding that must be placed."""
 
 
-class CheckpointMismatchError(EacError):
-    """Checkpoint's plan hash does not match the supplied plan."""
-
-
 class StillBlockedError(EacError):
     """Resume attempted while the blocking condition persists."""
 

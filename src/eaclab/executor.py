@@ -11,15 +11,10 @@ from __future__ import annotations
 
 from eaclab.capabilities import CapabilityRegistry
 from eaclab.compiler import OpNode, WorkflowDAG, topo_rank
-from eaclab.errors import (
-    CheckpointMismatchError,
-    SimFault,
-    StabilizationTimeoutError,
-    StillBlockedError,
-)
+from eaclab.errors import SimFault, StabilizationTimeoutError, StillBlockedError
 from eaclab.labstate import LabState, StateEvent, apply_event, gate
 from eaclab.records import field, record
-from eaclab.scheduler import ExecutionPlan, plan_hash as compute_plan_hash
+from eaclab.scheduler import Checkpoint, ExecutionPlan, plan_hash as compute_plan_hash
 from eaclab.shims import SimFleet, WireFrame, encode_operation
 from eaclab.telemetry import TelemetryRecord
 from eaclab.units import Quantity
@@ -56,31 +51,6 @@ class FaultEvent:
             raise ValueError(f"unknown fault kind {self.kind!r}")
         if self.kind == "implicit_violation" and not self.predicate:
             raise ValueError("implicit_violation must name its predicate")
-
-
-@record(frozen=True)
-class Checkpoint:
-    run_id: str
-    last_committed_node: str | None
-    state_epoch: int
-    plan_hash: str
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "last_committed_node": self.last_committed_node,
-            "state_epoch": self.state_epoch,
-            "plan_hash": self.plan_hash,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Checkpoint":
-        return cls(
-            run_id=obj["run_id"],
-            last_committed_node=obj["last_committed_node"],
-            state_epoch=obj["state_epoch"],
-            plan_hash=obj["plan_hash"],
-        )
 
 
 @record
@@ -249,17 +219,17 @@ def resume(
 ) -> RunResult:
     """Continue a paused run from the node after its checkpoint.
 
-    Committed nodes are replayed silently through the simulator (same
-    frames, same seeds) to rebuild device state without re-logging, then
-    execution proceeds normally. Dispatch indices continue after
+    The caller has checked that the checkpoint, plan, DAG and state belong
+    together: ``plan`` is the plan whose hash the checkpoint names, it
+    assigns exactly the nodes of ``dag``, the checkpoint's node is one of
+    them, and ``state`` is at the checkpoint's epoch (plus any operator
+    events). ``eaclab.cli`` makes these checks when it reads the run
+    directory. Committed nodes are replayed silently through the simulator
+    (same frames, same seeds) to rebuild device state without re-logging,
+    then execution proceeds normally. Dispatch indices continue after
     ``last_dispatch``, the highest index the run has logged so far.
-    Raises CheckpointMismatchError if the plan hash differs and
-    StillBlockedError if the blocking condition is still present.
+    Raises StillBlockedError if the blocking condition is still present.
     """
-    if compute_plan_hash(plan) != checkpoint.plan_hash:
-        raise CheckpointMismatchError(
-            "plan does not match the checkpointed plan hash"
-        )
     order = _dispatch_order(plan, dag)
     committed: set[str] = set()
     if checkpoint.last_committed_node is not None:
@@ -267,10 +237,6 @@ def resume(
             committed.add(a.node_id)
             if a.node_id == checkpoint.last_committed_node:
                 break
-        else:
-            raise CheckpointMismatchError(
-                f"checkpoint node {checkpoint.last_committed_node!r} not in plan"
-            )
     a = next((a for a in order if a.node_id not in committed), None)
     if a is not None:
         node = dag.nodes[a.node_id]

@@ -1,4 +1,5 @@
-"""Centralized lab state: device records and event sourcing.
+"""Centralized lab state: device records and event sourcing, built from a
+lab config with each device's simulator section.
 
 All mutation flows through ``apply_event``; the state itself is immutable,
 so replaying a run log over the genesis state always reproduces the final
@@ -6,6 +7,10 @@ snapshot byte for byte.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from eaclab.canon import canonical_bytes
 from eaclab.capabilities import CapabilityRegistry, CapabilitySchema, finite_number, finite_quantity
@@ -131,6 +136,64 @@ def genesis_from_lab_config(config: dict) -> LabState:
             attrs={k: finite_number(attrs, k, f"{device_id}.attrs") for k in attrs},
         )
     return LabState(devices=devices)
+
+
+@record(frozen=True)
+class SimDeviceConfig:
+    """A lab device's ``sim`` section, which ``shims.SimDevice`` runs. It is
+    read with the rest of the lab, so that a command checks it without
+    loading the simulator."""
+
+    device_id: str
+    capability: str
+    seed: int = 0
+    # concentration (mol/kg) -> conductivity (S/cm), piecewise-linear.
+    conductivity_table: Mapping[float, float] = field(default_factory=dict)
+    # valve port -> concentration of the vial behind it.
+    port_concentrations: Mapping[int, float] = field(default_factory=dict)
+    # first-order thermal ramp parameters.
+    temperature_start: float = 293.0
+    temperature_setpoint: float = 293.0
+    temperature_tau: float = 30.0
+
+    def __post_init__(self) -> None:
+        if type(self.seed) is not int:
+            raise TypeError(f"sim seed of {self.device_id} must be an integer, not {self.seed!r}")
+        numbers = (
+            self.temperature_start,
+            self.temperature_setpoint,
+            self.temperature_tau,
+            *self.conductivity_table,
+            *self.conductivity_table.values(),
+            *self.port_concentrations.values(),
+        )
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValueError(f"sim section of {self.device_id} has a non-finite number")
+        if self.temperature_tau <= 0:
+            raise ValueError(f"temperature_tau must be > 0, not {self.temperature_tau}")
+        # Read-only views of private copies: one config may serve many fleets.
+        for name in ("conductivity_table", "port_concentrations"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
+    @classmethod
+    def from_lab_entry(cls, entry: dict) -> "SimDeviceConfig":
+        sim = entry.get("sim", {})
+        return cls(
+            device_id=entry["device_id"],
+            capability=entry["capability"],
+            seed=sim.get("seed", 0),
+            conductivity_table={
+                float(k): float(v)
+                for k, v in sim.get("conductivity_table", {}).items()
+            },
+            port_concentrations={
+                int(k): float(v)
+                for k, v in sim.get("port_concentrations", {}).items()
+            },
+            temperature_start=float(sim.get("temperature_start", 293.0)),
+            temperature_setpoint=float(sim.get("temperature_setpoint", 293.0)),
+            temperature_tau=float(sim.get("temperature_tau", 30.0)),
+        )
 
 
 def apply_event(state: LabState, event: StateEvent) -> LabState:

@@ -111,6 +111,25 @@ def plan_hash(plan: ExecutionPlan) -> str:
     return sha256_text(plan.serialize())
 
 
+@record(frozen=True)
+class Checkpoint:
+    """Where a paused run stopped: the last node it committed, the state
+    epoch of its log, and the hash of the plan it was paused under."""
+
+    run_id: str
+    last_committed_node: str | None
+    state_epoch: int
+    plan_hash: str
+
+    def to_dict(self) -> dict:
+        return {
+            "run_id": self.run_id,
+            "last_committed_node": self.last_committed_node,
+            "state_epoch": self.state_epoch,
+            "plan_hash": self.plan_hash,
+        }
+
+
 def resolve_bindings(
     dag: WorkflowDAG,
     state: LabState,

@@ -13,11 +13,11 @@ import math
 import random
 import re
 import struct
-from collections.abc import Iterable, Mapping
-from types import MappingProxyType
+from collections.abc import Iterable
 
 from eaclab.errors import FrameParseError, RangeError, SimFault
-from eaclab.records import field, record
+from eaclab.labstate import SimDeviceConfig
+from eaclab.records import record
 from eaclab.units import Quantity, canonicalize_units
 
 PUMP_DISPENSE_PREFIX = bytes([0xE9, 0x0E, 0x08])
@@ -243,60 +243,6 @@ def decode_operation(capability: str, frame: WireFrame) -> tuple[str, dict]:
         name, value = token.split("=", 1)
         params[name] = float(value.split(":")[0])
     return match.group(1), params
-
-
-@record(frozen=True)
-class SimDeviceConfig:
-    device_id: str
-    capability: str
-    seed: int = 0
-    # concentration (mol/kg) -> conductivity (S/cm), piecewise-linear.
-    conductivity_table: Mapping[float, float] = field(default_factory=dict)
-    # valve port -> concentration of the vial behind it.
-    port_concentrations: Mapping[int, float] = field(default_factory=dict)
-    # first-order thermal ramp parameters.
-    temperature_start: float = 293.0
-    temperature_setpoint: float = 293.0
-    temperature_tau: float = 30.0
-
-    def __post_init__(self) -> None:
-        if type(self.seed) is not int:
-            raise TypeError(f"sim seed of {self.device_id} must be an integer, not {self.seed!r}")
-        numbers = (
-            self.temperature_start,
-            self.temperature_setpoint,
-            self.temperature_tau,
-            *self.conductivity_table,
-            *self.conductivity_table.values(),
-            *self.port_concentrations.values(),
-        )
-        if not all(math.isfinite(x) for x in numbers):
-            raise ValueError(f"sim section of {self.device_id} has a non-finite number")
-        if self.temperature_tau <= 0:
-            raise ValueError(f"temperature_tau must be > 0, not {self.temperature_tau}")
-        # Read-only views of private copies: one config may serve many fleets.
-        for name in ("conductivity_table", "port_concentrations"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-
-    @classmethod
-    def from_lab_entry(cls, entry: dict) -> "SimDeviceConfig":
-        sim = entry.get("sim", {})
-        return cls(
-            device_id=entry["device_id"],
-            capability=entry["capability"],
-            seed=sim.get("seed", 0),
-            conductivity_table={
-                float(k): float(v)
-                for k, v in sim.get("conductivity_table", {}).items()
-            },
-            port_concentrations={
-                int(k): float(v)
-                for k, v in sim.get("port_concentrations", {}).items()
-            },
-            temperature_start=float(sim.get("temperature_start", 293.0)),
-            temperature_setpoint=float(sim.get("temperature_setpoint", 293.0)),
-            temperature_tau=float(sim.get("temperature_tau", 30.0)),
-        )
 
 
 def interpolate_conductivity(table: dict[float, float], concentration: float) -> float:

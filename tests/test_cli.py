@@ -13,7 +13,7 @@ from eaclab.capabilities import CapabilityRegistry, schema_from_dict
 from eaclab.cli import main
 from eaclab.compiler import compile_spec, static_check
 from eaclab.labstate import snapshot
-from eaclab.scheduler import schedule
+from eaclab.scheduler import Checkpoint, schedule
 from eaclab.shims import SimDeviceConfig
 from eaclab.specmodel import expand_sweeps, parse_spec
 
@@ -502,6 +502,20 @@ def test_resume_of_a_checkpoint_for_another_plan_is_rejected(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("checkpoint mismatch: ")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_resume_rejects_mismatched_plan(tmp_path, capsys):
+    """A checkpoint that names another plan than the run's is refused when
+    the run directory is read, before the executor is called."""
+    run_dir = _paused_run(tmp_path, capsys)
+    checkpoint = Checkpoint("run-t", None, 0, "0" * 64)
+    (run_dir / "checkpoint.json").write_text(canonical_json(checkpoint.to_dict()))
+    before = _dir_bytes(run_dir)
+    err = _mismatch(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+    assert err == (
+        "checkpoint mismatch: checkpoint.json does not match the plan hash in result.json\n"
+    )
+    assert _dir_bytes(run_dir) == before
 
 
 def test_resume_clear_of_unknown_device_is_usage_error(tmp_path, capsys):

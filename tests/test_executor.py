@@ -7,14 +7,9 @@ import pytest
 from eaclab.canon import canonical_json
 from eaclab.capabilities import registry_from_lab_config
 from eaclab.compiler import OpNode, compile_spec
-from eaclab.errors import (
-    CheckpointMismatchError,
-    StabilizationTimeoutError,
-    StillBlockedError,
-)
+from eaclab.errors import StabilizationTimeoutError, StillBlockedError
 from eaclab.executor import (
     STABILIZE_REL_TOL,
-    Checkpoint,
     FaultEvent,
     execute,
     handle_fault,
@@ -334,16 +329,6 @@ def test_abort_tears_down_newest_connection_first(lab_config):
     # Some abort has open connections whose newest-first order is not
     # their descending id order, so the check above tells the two apart.
     assert several_open
-
-
-def test_resume_rejects_mismatched_plan(lab_config):
-    registry, genesis, spec, dag, plan = _campaign_setup(lab_config)
-    checkpoint = Checkpoint("run-t", None, 0, "0" * 64)
-    with pytest.raises(CheckpointMismatchError):
-        resume(
-            checkpoint, plan, dag, genesis, registry,
-            SimFleet.from_lab_config(lab_config), spec_hash=spec_hash(spec),
-        )
 
 
 def test_calibration_lapse_aborts_before_actuation(lab_config):
