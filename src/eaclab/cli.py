@@ -67,6 +67,9 @@ class _Mismatch(Exception):
     ``main`` prints it as one ``checkpoint mismatch:`` line, exit 2."""
 
 
+# The JSON types of the run-directory fields, by the names errors give them.
+_JSON_TYPES = {"a string": (str,), "an integer": (int,), "a string or null": (str, type(None))}
+
 # What malformed input documents raise while they are turned into objects;
 # ``RecursionError`` is JSON nested too deeply to decode.
 _DAMAGE = (EacError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
@@ -93,35 +96,34 @@ def _read_text(path: str) -> str:
         raise _Usage(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _loads(text: str, path: str, what: str):
+def _read_json(path: str, what: str):
     try:
-        return json.loads(text)
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise _Usage(f"{what} {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise _Usage(f"{what} {path} is nested too deeply: {exc}") from exc
 
 
-def _read_json(path: str, what: str):
-    return _loads(_read_text(path), path, what)
-
-
 @functools.lru_cache(maxsize=1)
 def _lab_from_bytes(data: bytes):
-    """The simulator configs, registry and genesis state of a lab file's bytes.
+    """The simulator configs, registry, genesis state and hash of a lab
+    file's bytes.
 
     Memoised on the bytes, so a process parses an unchanged lab once.
-    Exceptions are not cached. All three are read-only, since every later
-    command with the same bytes gets the same objects: the configs are a
-    tuple of frozen ``SimDeviceConfig``s, one per device, whose tables are
-    mapping proxies; the registry refuses ``register``; and the genesis
-    state's device table, and each record's ``observed`` and ``attrs``,
-    are mapping proxies. Parsing every
-    device's ``sim`` section here makes a bad one fail every command, not
-    only ``run``, and gives ``run`` and ``resume`` their fleet's configs.
-    A device of a capability the registry does not hold, or an observed
-    value of another dimension than its capability's safety threshold,
-    fails every command the same way.
+    Exceptions are not cached. The hash, the sha256 of the lab's canonical
+    JSON, is a function that hashes it at its first call: only ``run``,
+    ``resume`` and ``state --run`` record or check it and load ``hashlib``.
+    The others are read-only, since every later command with the same
+    bytes gets the same objects: the configs are a tuple of frozen
+    ``SimDeviceConfig``s, one per device, whose tables are mapping
+    proxies; the registry refuses ``register``; and the genesis state's
+    device table, and each record's ``observed`` and ``attrs``, are
+    mapping proxies. Parsing every device's ``sim`` section here makes a
+    bad one fail every command, not only ``run``, and gives ``run`` and
+    ``resume`` their fleet's configs. A device of a capability the
+    registry does not hold, or an observed value of another dimension than
+    its capability's safety threshold, fails every command the same way.
     """
     lab = json.loads(data.decode("utf-8"))
     registry = registry_from_lab_config(lab).freeze()
@@ -141,11 +143,13 @@ def _lab_from_bytes(data: bytes):
             observed=MappingProxyType(record.observed),
             attrs=MappingProxyType(record.attrs),
         )
-    return configs, registry, replace(genesis, devices=MappingProxyType(devices))
+    lab_hash = functools.cache(functools.partial(sha256_text, canonical_json(lab)))
+    return configs, registry, replace(genesis, devices=MappingProxyType(devices)), lab_hash
 
 
 def _load_lab(path: str | None):
-    """The lab's simulator configs, registry and genesis state; errors fail closed.
+    """The lab's simulator configs, registry, genesis state and hash; errors
+    fail closed.
 
     The file is read on every call, so an edited lab takes effect at once.
     """
@@ -197,27 +201,26 @@ def _spec_text(data: bytes) -> str:
 def _validate_pipeline(spec_path: str, lab_path: str | None):
     """Parse a spec, check its sweeps and statically check it at its template.
 
-    Returns (spec, diagnostics, sim_configs, registry, genesis). The spec is
-    the template, with its sweeps: a command that compiles it expands it.
-    It is None when the spec has errors, and the diagnostics are then its
-    errors.
+    Returns (spec, diagnostics, lab), ``lab`` as ``_load_lab`` returns it.
+    The spec is the template, with its sweeps: a command that compiles it
+    expands it. It is None when the spec has errors, and the diagnostics
+    are then its errors.
     """
-    sim_configs, registry, genesis = _load_lab(lab_path)
+    lab = _load_lab(lab_path)
+    _, registry, genesis, _ = lab
     data = _read_bytes(spec_path)
     try:
         spec = parse_spec(_spec_text(data))
         check_sweeps(spec)
     except SpecSyntaxError as exc:
-        error = Diagnostic("syntax", "error", f"{exc.line}:{exc.column}", str(exc))
-        return None, [error], sim_configs, registry, genesis
+        return None, [Diagnostic("syntax", "error", f"{exc.line}:{exc.column}", str(exc))], lab
     except SpecSchemaError as exc:
-        error = Diagnostic(exc.code, "error", exc.locus, str(exc))
-        return None, [error], sim_configs, registry, genesis
+        return None, [Diagnostic(exc.code, "error", exc.locus, str(exc))], lab
     diagnostics = static_check(spec, registry, genesis)
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
-        return None, errors, sim_configs, registry, genesis
-    return spec, diagnostics, sim_configs, registry, genesis
+        return None, errors, lab
+    return spec, diagnostics, lab
 
 
 def _report(diagnostics: list[Diagnostic]) -> None:
@@ -226,7 +229,7 @@ def _report(diagnostics: list[Diagnostic]) -> None:
 
 
 def cmd_validate(args) -> int:
-    spec, diagnostics, *_ = _validate_pipeline(args.spec, args.lab)
+    spec, diagnostics, _ = _validate_pipeline(args.spec, args.lab)
     _report(diagnostics)
     return EXIT_OK if spec is not None else EXIT_VALIDATION
 
@@ -234,7 +237,7 @@ def cmd_validate(args) -> int:
 def cmd_plan(args) -> int:
     from eaclab.scheduler import schedule
 
-    spec, diagnostics, _, registry, genesis = _validate_pipeline(args.spec, args.lab)
+    spec, diagnostics, (_, registry, genesis, _) = _validate_pipeline(args.spec, args.lab)
     _report(diagnostics)
     if spec is None:
         return EXIT_VALIDATION
@@ -247,12 +250,6 @@ def cmd_plan(args) -> int:
     print(plan.serialize())
     print(render_tree(dag), file=sys.stderr)
     return EXIT_OK
-
-
-def _run_dir(out: str, run_id: str) -> str:
-    path = os.path.join(out, run_id)
-    os.makedirs(path, exist_ok=True)
-    return path
 
 
 def _write(path: str, data: bytes, mode: str = "wb") -> None:
@@ -326,7 +323,8 @@ def cmd_run(args) -> int:
     # The seed goes into the run id, and so into a directory name.
     if not -2**63 <= args.seed < 2**63:
         raise _Usage(f"--seed must lie in the signed 64-bit range {-2**63}..{2**63 - 1}")
-    spec, diagnostics, sim_configs, registry, genesis = _validate_pipeline(args.spec, args.lab)
+    spec, diagnostics, lab = _validate_pipeline(args.spec, args.lab)
+    sim_configs, registry, genesis, lab_hash = lab
     _report(diagnostics)
     if spec is None:
         return EXIT_VALIDATION
@@ -341,38 +339,31 @@ def cmd_run(args) -> int:
     spec_text = serialize_spec(spec)
     shash = sha256_text(spec_text)
     run_id = f"run-{shash[:8]}-s{args.seed}"
-    result = execute(
-        plan,
-        dag,
-        genesis,
-        registry,
-        fleet,
-        run_id=run_id,
-        spec_hash=shash,
-        fault_schedule=_parse_inject(args.inject),
-    )
-    run_dir = _run_dir(args.out, run_id)
+    result = execute(plan, dag, genesis, registry, fleet, run_id=run_id, spec_hash=shash,
+                     fault_schedule=_parse_inject(args.inject))
+    run_dir = os.path.join(args.out, run_id)
+    os.makedirs(run_dir, exist_ok=True)
     _write(f"{run_dir}{os.sep}spec.json", (spec_text + "\n").encode("utf-8"))
     _write(f"{run_dir}{os.sep}plan.json", (plan.serialize() + "\n").encode("utf-8"))
-    head = {"seed": args.seed, "spec_hash": shash, "plan_hash": plan_hash(plan)}
+    head = {"seed": args.seed, "spec_hash": shash, "plan_hash": plan_hash(plan),
+            "lab_hash": lab_hash()}
     return _report_run(result, _write_run_artifacts(run_dir, result, head))
 
 
 def _read_run(run_dir: str, lab, paused: bool):
     """Read the run directory ``run_dir`` and check that its files hold
     together and fit ``lab``: the one reader of a run directory, shared by
-    ``state --run`` and ``resume``, whose ``paused`` asks for a checkpoint.
+    ``state --run`` and ``resume`` (``paused``, which needs a checkpoint).
 
-    The checks are made in the order README's "Faults and resume" lists,
-    before anything is written or the executor is loaded. A damaged file
-    is a usage error (exit 4), files that disagree a checkpoint mismatch
-    (exit 2). Returns the state the log replays to, the highest dispatch
-    index it logs, the summary's keys a resume keeps, the checkpoint (None
-    when there is none), the plan, and the DAG compiled from ``spec.json``.
+    The checks run in the order README's "Faults and resume" lists, before
+    anything is written or the executor loads: damage is a usage error
+    (exit 4), disagreement a checkpoint mismatch (exit 2). Returns the
+    replayed state, the highest dispatch index logged, the summary keys a
+    resume keeps, the checkpoint or None, the plan, and spec.json's DAG.
     """
     from eaclab.scheduler import Checkpoint, ExecutionPlan, plan_hash
 
-    _, registry, genesis = lab
+    _, registry, genesis, lab_hash = lab
     path = functools.partial(os.path.join, run_dir)
     if paused and not os.path.exists(path("checkpoint.json")):
         raise _Usage(f"no checkpoint in {run_dir}")
@@ -393,29 +384,38 @@ def _read_run(run_dir: str, lab, paused: bool):
     def damaged(why: str) -> _Usage:
         return _Usage(f"run directory {run_dir} is damaged: {why}")
 
+    def fields(name: str, doc, **kinds: str) -> list:
+        """The values of ``kinds``' keys in ``doc``, each of the JSON type named."""
+        for key, kind in kinds.items():
+            if key not in doc or type(doc[key]) not in _JSON_TYPES[kind]:
+                shown = repr(doc[key]) if key in doc else "missing"
+                raise damaged(f"{key} in {name} must be {kind}, not {shown}")
+        return [doc[key] for key in kinds]
+
     try:
         summary = _read_json(path("result.json"), "run summary")
-        seed = summary.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise damaged(f"seed in result.json must be an integer, not {seed!r}")
-        head = {"seed": seed, "spec_hash": summary["spec_hash"], "plan_hash": summary["plan_hash"]}
+        run_id, seed, shash, phash = fields(
+            "result.json", summary,
+            run_id="a string", seed="an integer", spec_hash="a string", plan_hash="a string",
+        )
         checkpoint = None
         if os.path.exists(path("checkpoint.json")):
-            doc = _read_json(path("checkpoint.json"), "checkpoint")
-            checkpoint = Checkpoint(
-                doc["run_id"], doc["last_committed_node"], doc["state_epoch"], doc["plan_hash"]
-            )
+            checkpoint = Checkpoint(*fields(
+                "checkpoint.json", _read_json(path("checkpoint.json"), "checkpoint"),
+                run_id="a string", last_committed_node="a string or null",
+                state_epoch="an integer", plan_hash="a string",
+            ))
         plan = ExecutionPlan.from_dict(_read_json(path("plan.json"), "plan"))
         # spec.json is the text whose hash the run recorded, plus a newline.
         spec_text = _read_text(path("spec.json")).removesuffix("\n")
         spec = parse_spec(spec_text)
-        if sha256_text(spec_text) != head["spec_hash"]:
+        if sha256_text(spec_text) != shash:
             raise _Mismatch("spec.json does not match the spec hash in result.json")
         dag = compile_spec(spec, registry, genesis)
     except _DAMAGE as exc:
         raise damaged(_describe(exc)) from exc
 
-    if plan_hash(plan) != head["plan_hash"]:
+    if plan_hash(plan) != phash:
         raise _Mismatch("plan.json does not match the plan hash in result.json")
     assigned = [a.node_id for a in plan.assignments]
     if len(assigned) != len(dag.nodes) or set(assigned) != set(dag.nodes):
@@ -428,9 +428,14 @@ def _read_run(run_dir: str, lab, paused: bool):
                 f"plan.json assigns {a.node_id} to {a.device_id!r}, "
                 f"which is not a {capability} of the lab"
             )
+    if summary.get("lab_hash") != lab_hash():
+        raise _Mismatch("the lab does not match the lab hash in result.json"
+                        if "lab_hash" in summary else "result.json records no lab hash")
     if checkpoint is not None:
-        if checkpoint.plan_hash != head["plan_hash"]:
+        if checkpoint.plan_hash != phash:
             raise _Mismatch("checkpoint.json does not match the plan hash in result.json")
+        if checkpoint.run_id != run_id:
+            raise _Mismatch("checkpoint.json does not match the run id in result.json")
         if checkpoint.last_committed_node not in (None, *assigned):
             raise _Mismatch(
                 f"checkpoint.json names {checkpoint.last_committed_node!r}, "
@@ -441,13 +446,14 @@ def _read_run(run_dir: str, lab, paused: bool):
                 f"checkpoint is at state epoch {checkpoint.state_epoch}, "
                 f"log.ndjson replays to epoch {state.epoch}"
             )
+    head = {"seed": seed, "spec_hash": shash, "plan_hash": phash, "lab_hash": lab_hash()}
     return state, last_dispatch, head, checkpoint, plan, dag
 
 
 def cmd_state(args) -> int:
     lab = _load_lab(args.lab)
-    registry = lab[1]
-    state = _read_run(args.run, lab, paused=False)[0] if args.run else lab[2]
+    _, registry, genesis, _ = lab
+    state = _read_run(args.run, lab, paused=False)[0] if args.run else genesis
     table = []
     for device_id in sorted(state.devices):
         record = state.devices[device_id]
@@ -473,7 +479,7 @@ def cmd_state(args) -> int:
 
 def cmd_resume(args) -> int:
     lab = _load_lab(args.lab)
-    sim_configs, registry, _ = lab
+    sim_configs, registry, _, _ = lab
     state, last_dispatch, head, checkpoint, plan, dag = _read_run(args.run_dir, lab, paused=True)
     # Only a run directory that passed every check loads the executor.
     from eaclab.executor import resume
@@ -483,13 +489,8 @@ def cmd_resume(args) -> int:
     if args.clear:
         if args.clear not in state.devices:
             raise _Usage(f"--clear names no device of the lab: {args.clear!r}")
-        event = StateEvent(
-            seq=state.next_seq,
-            time=state.clock,
-            device_id=args.clear,
-            kind="transition",
-            payload={"to": "idle", "by": "operator"},
-        )
+        payload = {"to": "idle", "by": "operator"}
+        event = StateEvent(state.next_seq, state.clock, args.clear, "transition", payload)
         state = apply_event(state, event)
         appended.append(event)
 

@@ -231,14 +231,10 @@ def resume(
     Raises StillBlockedError if the blocking condition is still present.
     """
     order = _dispatch_order(plan, dag)
-    committed: set[str] = set()
-    if checkpoint.last_committed_node is not None:
-        for a in order:
-            committed.add(a.node_id)
-            if a.node_id == checkpoint.last_committed_node:
-                break
-    a = next((a for a in order if a.node_id not in committed), None)
-    if a is not None:
+    last = checkpoint.last_committed_node
+    first = 0 if last is None else [a.node_id for a in order].index(last) + 1
+    if first < len(order):
+        a = order[first]
         node = dag.nodes[a.node_id]
         blocked = runtime_precheck(
             node, a.device_id, state, registry, checkpoint.run_id,

@@ -440,6 +440,22 @@ def _paused_run(tmp_path, capsys):
     return out / summary["run_id"]
 
 
+# An edit that deletes the key it names.
+MISSING = object()
+
+
+def _damage(path, content):
+    """Delete the file (``content`` None), write ``content`` over it, or set
+    the keys of the dict ``content`` in its JSON object."""
+    if content is None:
+        path.unlink()
+    elif isinstance(content, dict):
+        doc = {**json.loads(path.read_text()), **content}
+        path.write_text(json.dumps({k: v for k, v in doc.items() if v is not MISSING}))
+    else:
+        path.write_text(content)
+
+
 @pytest.mark.parametrize(
     "name, content",
     [
@@ -455,35 +471,49 @@ def _paused_run(tmp_path, capsys):
         ("log.ndjson", "garbage\n"),
         ("log.ndjson", None),
         ("log.ndjson", '{"seq":0,"time":0,"device_id":"","kind":"dispatch","payload":{"index":"x"}}'),
+        pytest.param("checkpoint.json", {"run_id": 123}, id="checkpoint.json-run_id=123"),
+        pytest.param("checkpoint.json", {"state_epoch": "15"}, id="checkpoint.json-state_epoch='15'"),
+        pytest.param("checkpoint.json", {"last_committed_node": 5},
+                     id="checkpoint.json-last_committed_node=5"),
+        pytest.param("result.json", {"seed": MISSING}, id="result.json-no seed"),
     ],
 )
 def test_resume_on_damaged_run_dir_is_usage_error(tmp_path, capsys, name, content):
     run_dir = _paused_run(tmp_path, capsys)
-    if content is None:
-        (run_dir / name).unlink()
-    else:
-        (run_dir / name).write_text(content)
+    _damage(run_dir / name, content)
+    before = _dir_bytes(run_dir)
     _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+    assert _dir_bytes(run_dir) == before
 
 
 def _dir_bytes(run_dir):
     return {path.name: path.read_bytes() for path in sorted(run_dir.iterdir())}
 
 
-@pytest.mark.parametrize("seed", [1.5, True, "1"])
+def _lab_hash(lab_path) -> str:
+    """The sha256 of the canonical JSON of a lab file, as a run records it."""
+    lab = json.loads(Path(lab_path).read_text())
+    return hashlib.sha256(canonical_json(lab).encode("utf-8")).hexdigest()
+
+
+def _unbound(summary: bytes, lab_path) -> bytes:
+    """A run's summary less its lab hash, which must be that of ``lab_path``."""
+    key = f'"lab_hash":"{_lab_hash(lab_path)}",'.encode("utf-8")
+    assert summary.count(key) == 1
+    return summary.replace(key, b"")
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "1", MISSING])
 def test_resume_with_a_seed_that_is_not_an_integer_is_usage_error(tmp_path, capsys, seed):
-    """A damaged seed in result.json is refused, as a ``sim`` seed is, and
-    the run directory is left as it was."""
+    """A damaged or missing seed in result.json is refused, as a ``sim``
+    seed is, and the run directory is left as it was."""
     run_dir = _paused_run(tmp_path, capsys)
-    path = run_dir / "result.json"
-    summary = json.loads(path.read_text())
-    summary["seed"] = seed
-    path.write_text(json.dumps(summary))
+    _damage(run_dir / "result.json", {"seed": seed})
     before = _dir_bytes(run_dir)
     err = _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
     assert err == (
-        f"usage error: run directory {run_dir} is damaged: "
-        f"seed in result.json must be an integer, not {seed!r}\n"
+        f"usage error: run directory {run_dir} is damaged: seed in result.json "
+        f"must be an integer, not {'missing' if seed is MISSING else repr(seed)}\n"
     )
     assert _dir_bytes(run_dir) == before
 
@@ -502,6 +532,41 @@ def test_resume_of_a_checkpoint_for_another_plan_is_rejected(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("checkpoint mismatch: ")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, edit, line", [
+    ("checkpoint.json", {"run_id": "run-other"},
+     "checkpoint.json does not match the run id in result.json"),
+    ("checkpoint.json", {"last_committed_node": "fill#99"},
+     "checkpoint.json names 'fill#99', which plan.json does not assign"),
+    ("result.json", {"lab_hash": MISSING}, "result.json records no lab hash"),
+])
+def test_resume_of_a_run_dir_whose_files_disagree_is_rejected(tmp_path, capsys, name, edit, line):
+    """A checkpoint of another run, or of a node the plan does not hold, and
+    a run that names no lab, are refused, and nothing is written."""
+    run_dir = _paused_run(tmp_path, capsys)
+    _damage(run_dir / name, edit)
+    before = _dir_bytes(run_dir)
+    for argv in (["resume", str(run_dir), "--clear", "pump_1"], ["state", "--run", str(run_dir)]):
+        assert _mismatch(capsys, [*argv, "--lab", LAB]) == f"checkpoint mismatch: {line}\n"
+    assert _dir_bytes(run_dir) == before
+
+
+def test_a_run_is_bound_to_its_lab(tmp_path, capsys):
+    """A run paused on one lab is neither resumed nor replayed on another,
+    whose simulator physics differ, and nothing is written; reformatting
+    the lab file does not change its hash."""
+    run_dir = _paused_run(tmp_path, capsys)
+    cold = _lab_with_sim(tmp_path, "pstat_1", temperature_tau=1e9)
+    before = _dir_bytes(run_dir)
+    for argv in (["resume", str(run_dir), "--clear", "pump_1"], ["state", "--run", str(run_dir)]):
+        err = _mismatch(capsys, [*argv, "--lab", cold])
+        assert err == "checkpoint mismatch: the lab does not match the lab hash in result.json\n"
+    assert _dir_bytes(run_dir) == before
+    reformatted = tmp_path / "reformatted.json"
+    reformatted.write_text(json.dumps(json.loads(LAB_PATH.read_text()), indent=3))
+    assert main(["resume", str(run_dir), "--lab", str(reformatted), "--clear", "pump_1"]) == 0
+    assert json.loads(capsys.readouterr().out)["lab_hash"] == _lab_hash(LAB)
 
 
 def test_resume_rejects_mismatched_plan(tmp_path, capsys):
@@ -535,11 +600,12 @@ def _lab_with_sim(tmp_path, device_id, **sim):
 
 def test_resume_that_stops_again_names_the_fault(tmp_path, capsys):
     """A resume that pauses again says why, in the line ``run`` prints: on a
-    lab whose cell never warms, the first stabilize wait times out."""
-    out = tmp_path / "paused"
-    assert main(["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", "timeout@5"]) == 3
-    run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
+    lab whose cell never warms, the first stabilize wait times out. The
+    timeout at dispatch 5 pauses the run at ``fill#0``, before that wait."""
     cold = _lab_with_sim(tmp_path, "pstat_1", temperature_tau=1e9)
+    out = tmp_path / "paused"
+    assert main(["run", SPEC, "--lab", cold, "--out", str(out), "--inject", "timeout@5"]) == 3
+    run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
     code = main(["resume", str(run_dir), "--lab", cold, "--clear", "pump_1"])
     captured = capsys.readouterr()
     assert code == 3
@@ -554,13 +620,15 @@ def test_resume_that_stops_again_names_the_fault(tmp_path, capsys):
 
 def test_fault_probability_is_an_unread_sim_key(tmp_path, capsys):
     """The simulator has no stochastic faults: a lab that still sets
-    ``fault_probability`` runs the campaign to the reference lab's bytes."""
+    ``fault_probability`` runs the campaign to the reference lab's bytes,
+    but for the lab hash each run records."""
     lab = _lab_with_sim(tmp_path, "pump_1", fault_probability=0.3)
     run_dirs = []
     for name, lab_path in (("reference", LAB), ("knob", lab)):
         out = tmp_path / name
         assert main(["run", SPEC, "--lab", lab_path, "--out", str(out)]) == 0
-        run_dirs.append(_dir_bytes(out / json.loads(capsys.readouterr().out)["run_id"]))
+        files = _dir_bytes(out / json.loads(capsys.readouterr().out)["run_id"])
+        run_dirs.append({**files, "result.json": _unbound(files["result.json"], lab_path)})
     assert run_dirs[0] == run_dirs[1]
 
 
@@ -568,6 +636,19 @@ def test_fault_probability_is_an_unread_sim_key(tmp_path, capsys):
 def test_state_of_a_run_without_event_log_is_usage_error(tmp_path, capsys, target):
     run = {"missing": tmp_path / "nope", "file": CAMPAIGN_PATH, "empty_dir": tmp_path}[target]
     _usage_error(capsys, ["state", "--lab", LAB, "--run", str(run)])
+
+
+def test_a_lab_that_canonical_json_cannot_encode_fails_every_command_closed(tmp_path, capsys):
+    """A run records its lab's hash, taken over the lab's canonical JSON, so
+    a NaN even in a key the loader does not read is refused at load."""
+    lab = json.loads(LAB_PATH.read_text())
+    lab["notes"] = float("nan")
+    path = tmp_path / "lab.json"
+    path.write_text(json.dumps(lab))
+    for command, extra in (("validate", []), ("plan", []), ("run", ["--out", str(tmp_path)])):
+        err = _usage_error(capsys, [command, SPEC, "--lab", str(path), *extra])
+        assert err.startswith(f"usage error: lab config {path} is invalid: ValueError: ")
+    assert sorted(os.listdir(tmp_path)) == ["lab.json"]
 
 
 def test_state_of_a_log_with_unknown_event_kind_is_usage_error(tmp_path, capsys):
@@ -645,10 +726,12 @@ def test_unread_capability_keys_change_no_output(tmp_path, capsys):
         outcome = []
         for argv in (["validate", spec], ["plan", spec], ["run", spec, "--out", str(base / "runs")]):
             code = main([*argv, "--lab", lab])
-            outcome.append((code, capsys.readouterr().out))
+            out = capsys.readouterr().out
+            outcome.append((code, _unbound(out.encode(), lab) if argv[0] == "run" else out))
         runs = base / "runs"
         files = [f for f in sorted(runs.rglob("*")) if f.is_file()]
-        outcome.append([(f.relative_to(runs), f.read_bytes()) for f in files])
+        outcome.append([(f.relative_to(runs), _unbound(f.read_bytes(), lab)
+                         if f.name == "result.json" else f.read_bytes()) for f in files])
         outcomes.append(outcome)
     assert outcomes[0] == outcomes[1]
     assert [code for code, _ in outcomes[0][:3]] == [0, 0, 0]
@@ -1107,7 +1190,7 @@ def test_memoised_lab_cannot_be_changed(tmp_path, capsys):
     try nothing leave it as it was."""
     sequence = _mixed_sequence(tmp_path)
     first = [run_main(argv) for argv in sequence]
-    configs, registry, genesis = cli._load_lab(LAB)
+    configs, registry, genesis, lab_hash = cli._load_lab(LAB)
     before = snapshot(genesis)
     with pytest.raises(TypeError):
         registry.register(schema_from_dict("heater", {}))
@@ -1130,7 +1213,8 @@ def test_memoised_lab_cannot_be_changed(tmp_path, capsys):
     with pytest.raises(TypeError):
         genesis.devices["valve_1"].attrs["ports"] = 2.0
     assert [run_main(argv) for argv in sequence] == first
-    assert all(a is b for a, b in zip(cli._load_lab(LAB), (configs, registry, genesis)))
+    assert all(a is b for a, b in zip(cli._load_lab(LAB), (configs, registry, genesis, lab_hash)))
+    assert lab_hash() == _lab_hash(LAB)
     assert snapshot(genesis) == before
 
 
@@ -1330,13 +1414,22 @@ def test_a_safe_device_is_planned_beside_an_unsafe_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("status", ["warming", "cooling"])
 def test_resume_onto_a_device_that_is_not_idle_pauses_with_one_line(tmp_path, capsys, status):
-    """The pause comes before the potentiostat is first used; on a lab where
-    it is warming or cooling, the resume stops at its connect."""
+    """The pause comes before the potentiostat is first used; when it has
+    since gone warming or cooling (an operator's event appended to the log,
+    the checkpoint moved to the epoch after it), the resume stops at its
+    connect."""
     out = tmp_path / "paused"
     assert main(["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", "error@1"]) == 3
     run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
-    lab = _lab_with_device(tmp_path, "pstat_1", status=status)
-    code = main(["resume", str(run_dir), "--lab", lab, "--clear", "pump_1"])
+    last = json.loads((run_dir / "log.ndjson").read_text().splitlines()[-1])
+    event = {"seq": last["seq"] + 1, "time": last["time"], "device_id": "pstat_1",
+             "kind": "transition", "payload": {"to": status, "by": "operator"}}
+    with open(run_dir / "log.ndjson", "a") as fh:
+        fh.write(canonical_json(event) + "\n")
+    checkpoint = json.loads((run_dir / "checkpoint.json").read_text())
+    checkpoint["state_epoch"] += 1
+    (run_dir / "checkpoint.json").write_text(canonical_json(checkpoint))
+    code = main(["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
     captured = capsys.readouterr()
     assert code == 3
     assert json.loads(captured.out)["status"] == "paused"

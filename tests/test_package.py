@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -114,6 +115,60 @@ def test_a_cold_plan_loads_the_scheduler_and_a_cold_run_the_executor(tmp_path):
     assert code == 0
     assert RUN_ONLY <= loaded
     assert sorted(NEVER_LOADED & loaded) == []
+
+
+# What only a run that passed every check of its run directory loads.
+SIMULATOR = {"eaclab.executor", "eaclab.shims", "eaclab.telemetry", "csv"}
+
+
+def _paused_run(tmp_path):
+    code, out, _ = run_main(["run", *SPEC_AND_LAB, "--out", str(tmp_path), "--inject", "timeout@5"])
+    assert code == 3
+    return tmp_path / json.loads(out)["run_id"]
+
+
+def test_a_run_directory_is_checked_before_the_simulator_loads(tmp_path):
+    """``state --run`` and a ``resume`` that the run-directory reader
+    refuses, here for an edited ``spec.json``, load neither the executor,
+    the simulator nor telemetry's ``csv``."""
+    run_dir = _paused_run(tmp_path)
+    spec = run_dir / "spec.json"
+    spec.write_bytes(spec.read_bytes()[:-1] + b" \n")
+    for argv in (["state", "--run", str(run_dir)], ["resume", str(run_dir)]):
+        code, loaded = _cold("-m", "eaclab.cli", *argv, "--lab", str(LAB_PATH))
+        assert code == 2
+        assert "eaclab.scheduler" in loaded
+        assert sorted(SIMULATOR & loaded) == []
+
+
+def test_only_the_reader_opens_a_run_directory_file_for_reading(tmp_path, monkeypatch):
+    """``cli._read_run`` is the one function that reads a run directory:
+    ``state --run`` and ``resume`` open each of its files for reading under
+    it, through the shared file helpers, and nowhere else."""
+    from eaclab import cli
+
+    run_dir = _paused_run(tmp_path)
+    helpers = {"_read_bytes", "_read_text", "_read_json"}
+    readers = []
+
+    def recorded(path, mode="r", *args, **kwargs):
+        if os.path.dirname(os.path.abspath(path)) == str(run_dir) and "r" in mode:
+            frame, names = sys._getframe(1), []
+            while frame is not None:
+                if frame.f_globals.get("__name__") == "eaclab.cli":
+                    names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            readers.append((os.path.basename(path), next(n for n in names if n not in helpers)))
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", recorded, raising=False)
+    for argv in (["state", "--run", str(run_dir)], ["resume", str(run_dir), "--clear", "pump_1"],
+                 ["state", "--run", str(run_dir)]):
+        assert run_main([*argv, "--lab", str(LAB_PATH)])[0] == 0
+    assert {owner for _, owner in readers} == {"_read_run"}
+    assert {name for name, _ in readers} == {
+        "log.ndjson", "result.json", "checkpoint.json", "plan.json", "spec.json"
+    }
 
 
 # Counts the record ``__init__``s a process compiles and prints the count as

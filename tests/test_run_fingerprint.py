@@ -28,10 +28,10 @@ SPEC = str(CAMPAIGN_PATH)
 INJECT_KINDS = ("timeout", "error", "noliquid", "implicit")
 
 RUN_FINGERPRINTS = {
-    "clean": "28a5cf61d5aef8439e99349895f9954641cfa7d74dd3adefebbdadd1f1ae35c7",
-    "recovered": "ee5975e53c2ea14334246b079ca77685d90a452c4f5cd7e04eea24f8fc4dbdd3",
-    "resumed": "2b94f5b0dd07705278f6ac67250ec0db8b25966317676b1c8491a531d6a39fd8",
-    "aborted": "a473a810e3013721218ae9d9366623ddffc68c124e7768a459131b1f59231165",
+    "clean": "3cff3e026f870fef95daf56672dba100097e54eceeae8a3fc2f1cb4f813de4bd",
+    "recovered": "bee12ef39172789f7c91cbe8fc6dd38e22dba2b24e357c8720819095a9be76b6",
+    "resumed": "1750d0793a1ce7c9c222c90cd5466b86ea557bf0406590ea9b072655ec09baf0",
+    "aborted": "e4d00c47a1a5e44212f745dbbbd83a05e6531a50a8fec15379ad42988016034b",
 }
 
 
