@@ -202,9 +202,9 @@ def _validate_pipeline(spec_path: str, lab_path: str | None):
     """Parse a spec, check its sweeps and statically check it at its template.
 
     Returns (spec, diagnostics, lab), ``lab`` as ``_load_lab`` returns it.
-    The spec is the template, with its sweeps: a command that compiles it
-    expands it. It is None when the spec has errors, and the diagnostics
-    are then its errors.
+    The spec is the template, with its sweeps, which ``compile_spec``
+    lowers without expanding them. It is None when the spec has errors,
+    and the diagnostics are then its errors.
     """
     lab = _load_lab(lab_path)
     _, registry, genesis, _ = lab
@@ -241,7 +241,7 @@ def cmd_plan(args) -> int:
     _report(diagnostics)
     if spec is None:
         return EXIT_VALIDATION
-    dag = compile_spec(expand_sweeps(spec), registry, genesis, diagnostics)
+    dag = compile_spec(spec, registry, genesis, diagnostics)
     try:
         plan = schedule(dag, genesis, registry, policy=args.policy)
     except UnschedulableError as exc:
@@ -328,7 +328,6 @@ def cmd_run(args) -> int:
     _report(diagnostics)
     if spec is None:
         return EXIT_VALIDATION
-    spec = expand_sweeps(spec)
     dag = compile_spec(spec, registry, genesis, diagnostics)
     try:
         plan = schedule(dag, genesis, registry, policy=args.policy)
@@ -336,7 +335,8 @@ def cmd_run(args) -> int:
         print(f"unsatisfiable_binding error $: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     fleet = SimFleet(sim_configs, args.seed)
-    spec_text = serialize_spec(spec)
+    # spec.json holds the expansion, so that a resume reads no sweeps.
+    spec_text = serialize_spec(expand_sweeps(spec))
     shash = sha256_text(spec_text)
     run_id = f"run-{shash[:8]}-s{args.seed}"
     result = execute(plan, dag, genesis, registry, fleet, run_id=run_id, spec_hash=shash,
@@ -374,10 +374,19 @@ def _read_run(run_dir: str, lab, paused: bool):
         lines = _read_text(log_path).splitlines()
         events = [StateEvent.from_dict(json.loads(line)) for line in lines if line.strip()]
         state = replay(genesis, events)
-        # A resumed run continues the run's dispatch numbering.
-        last_dispatch = max(
-            (int(e.payload["index"]) for e in events if e.kind == "dispatch"), default=0
-        )
+        # A resumed run continues the run's dispatch numbering. A run pauses
+        # right after its last committed node: the node of the last dispatch
+        # before the last pausing fault, less the faulting node's own
+        # dispatches (retries, or its dispatch before an earlier pause).
+        last_dispatch, committed = 0, None
+        dispatched: list = []  # the node of every dispatch, in log order
+        for e in events:
+            if e.kind == "dispatch":
+                last_dispatch = max(last_dispatch, int(e.payload["index"]))
+                dispatched.append(e.payload.get("node_id"))
+            elif e.kind == "fault" and e.payload.get("disposition") == "pause":
+                faulted = e.payload.get("node_id")
+                committed = next((n for n in reversed(dispatched) if n != faulted), None)
     except _DAMAGE as exc:
         raise _Usage(f"event log {log_path} is damaged: {_describe(exc)}") from exc
 
@@ -445,6 +454,14 @@ def _read_run(run_dir: str, lab, paused: bool):
             raise _Mismatch(
                 f"checkpoint is at state epoch {checkpoint.state_epoch}, "
                 f"log.ndjson replays to epoch {state.epoch}"
+            )
+        if checkpoint.last_committed_node != committed:
+            claimed, logged = (
+                "null" if node is None else repr(node)
+                for node in (checkpoint.last_committed_node, committed)
+            )
+            raise _Mismatch(
+                f"checkpoint.json has committed {claimed}, log.ndjson has committed {logged}"
             )
     head = {"seed": seed, "spec_hash": shash, "plan_hash": phash, "lab_hash": lab_hash()}
     return state, last_dispatch, head, checkpoint, plan, dag

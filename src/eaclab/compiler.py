@@ -1,4 +1,9 @@
-"""Static checking and lowering of expanded specs into workflow DAGs.
+"""Static checking and lowering of specs into workflow DAGs.
+
+A spec is checked and lowered with its sweeps, or expanded: a swept step
+gives the diagnostics and nodes of its instances ``step#k``, in expansion
+order, and each distinct configuration of its sweep is checked and
+lowered once.
 
 Lowering rules: each used binding gets one connect node before its first
 operation and one teardown node after its last; operations that declare a
@@ -21,7 +26,7 @@ from eaclab.capabilities import DEFAULT_DURATION_S, CapabilityRegistry, Operatio
 from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import LabState
 from eaclab.records import field, record
-from eaclab.specmodel import ExperimentSpec, instance_ids
+from eaclab.specmodel import ExperimentSpec, instance_ids, step_instances
 from eaclab.units import Quantity, to_canonical
 
 
@@ -243,14 +248,37 @@ def static_check(
     return diagnostics
 
 
+def _lowering(
+    op: OperationSchema, cfg_op: OperationSchema | None, params: dict[str, Quantity], digests: dict
+) -> tuple:
+    """How one step configuration lowers: (configure params or None, main
+    params, mode, configure clock, main clock). ``cfg_op`` is the schema of
+    ``op``'s companion configure operation, if it has one; ``digests`` is
+    as for ``_step_mode``."""
+    canonical = _canonical_params(params)
+    mode = _step_mode(op, canonical, digests)
+    if cfg_op is None:
+        return None, canonical, mode, None, op.duration(canonical)
+    cfg_params = {k: v for k, v in canonical.items() if k in cfg_op.params}
+    main = {k: v for k, v in canonical.items() if k not in cfg_op.params}
+    return cfg_params, main, mode, cfg_op.duration(cfg_params), op.duration(canonical)
+
+
 def compile_spec(
     spec: ExperimentSpec,
     registry: CapabilityRegistry,
     state: LabState,
     diagnostics: list[Diagnostic] | None = None,
 ) -> WorkflowDAG:
-    """Lower a statically clean, sweep-expanded spec to a WorkflowDAG.
+    """Lower a statically clean spec to a WorkflowDAG.
 
+    ``spec`` may keep its sweeps, once they have passed ``check_sweeps``:
+    the DAG is then that of its expansion, node for node and in the same
+    order, without building the instances. Each distinct configuration
+    (of a swept step, one of ``StepSpec.sweep``) is lowered once per call
+    and each step's stabilize duration converted once; every instance
+    ``step#k`` is stamped from them, with the ids and dependencies of
+    ``step_instances``.
     Raises CompileError if the spec has static errors. ``diagnostics`` is
     ``static_check(spec, registry, state)`` when the caller has already
     run it; otherwise the spec is checked here.
@@ -266,125 +294,108 @@ def compile_spec(
     nodes: dict[str, OpNode] = {}
     edges: list[tuple[str, str, str]] = []
     used_bindings: dict = {}  # binding -> its CapabilitySchema, in order of first use
-    last_node_of_step: dict[str, str] = {}
-    dep_targets: list[tuple[str, str]] = []  # (dependency, first node of dependent)
     last_on_binding: dict[str, list[str]] = {}
     digests: dict[tuple, str] = {}
-    lowered_configurations: dict[tuple, tuple] = {}  # configuration -> (canonical params, mode)
+    lowerings: dict[tuple, tuple] = {}  # configuration -> its _lowering
 
-    def add_node(node: OpNode) -> None:
-        nodes[node.node_id] = node
-
-    for step in spec.steps:
+    for step, ids, deps in step_instances(spec):
         binding = spec.binding(step.binding)
         schema = registry.get(binding.capability)
         op = schema.operation(step.operation)
+        connect_id = f"connect:{step.binding}"
         if step.binding not in used_bindings:
             used_bindings[step.binding] = schema
-            add_node(
-                OpNode(
-                    node_id=f"connect:{step.binding}",
-                    binding=step.binding,
-                    operation="connect",
-                    kind="connect",
-                    idempotent=True,
-                    est_duration=schema.operation("connect").duration({}),
-                )
+            last_on_binding[step.binding] = []
+            nodes[connect_id] = OpNode(
+                node_id=connect_id,
+                binding=step.binding,
+                operation="connect",
+                kind="connect",
+                idempotent=True,
+                est_duration=schema.operation("connect").duration({}),
             )
 
-        key = _configuration(binding.capability, step.operation, step.params)
-        if key not in lowered_configurations:
-            canonical = _canonical_params(step.params)
-            lowered_configurations[key] = canonical, _step_mode(op, canonical, digests)
-        canonical, mode = lowered_configurations[key]
-        params = canonical
-        lowered: list[str] = []  # the step's nodes, in flow order
+        cfg_op = None if op.configure_via is None else schema.operation(op.configure_via)
+        configurations, which = ([step.params], [0]) if step.repeat is None else step.sweep
+        lowered = []
+        for params in configurations:
+            key = _configuration(binding.capability, step.operation, params)
+            if key not in lowerings:
+                lowerings[key] = _lowering(op, cfg_op, params, digests)
+            lowered.append(lowerings[key])
+        stab = None
+        if step.stabilization is not None:
+            stab = {
+                "mode": step.stabilization.mode,
+                "duration_s": to_canonical(step.stabilization.duration).value,
+                "signal": step.stabilization.signal,
+            }
+        main_kind = "measure" if op.kind == "read" else "action"
 
-        if op.configure_via is not None:
-            cfg_schema = schema.operation(op.configure_via)
-            cfg_params = {k: v for k, v in params.items() if k in cfg_schema.params}
-            params = {k: v for k, v in params.items() if k not in cfg_schema.params}
-            cfg_id = f"{step.step_id}:cfg"
-            add_node(
-                OpNode(
+        for step_id, index, step_deps in zip(ids, which, deps):
+            cfg_params, params, mode, cfg_duration, main_duration = lowered[index]
+            flow: list[str] = []  # the step's nodes, in flow order
+            if cfg_op is not None:
+                cfg_id = f"{step_id}:cfg"
+                nodes[cfg_id] = OpNode(
                     node_id=cfg_id,
                     binding=step.binding,
                     operation=op.configure_via,
                     kind="action",
                     params=cfg_params,
-                    idempotent=cfg_schema.idempotent,
-                    est_duration=cfg_schema.duration(cfg_params),
+                    idempotent=cfg_op.idempotent,
+                    est_duration=cfg_duration,
                     mode=mode,
                 )
-            )
-            lowered.append(cfg_id)
-
-        if step.stabilization is not None:
-            # Stabilization gates the step: the wait completes before the
-            # main operation is dispatched.
-            duration_s = to_canonical(step.stabilization.duration).value
-            stab_id = f"{step.step_id}:stab"
-            add_node(
-                OpNode(
+                flow.append(cfg_id)
+            if stab is not None:
+                # Stabilization gates the step: the wait completes before
+                # the main operation is dispatched.
+                stab_id = f"{step_id}:stab"
+                nodes[stab_id] = OpNode(
                     node_id=stab_id,
                     binding=step.binding,
                     operation="stabilize",
                     kind="stabilize",
                     idempotent=True,
-                    est_duration=duration_s,
-                    stab={
-                        "mode": step.stabilization.mode,
-                        "duration_s": duration_s,
-                        "signal": step.stabilization.signal,
-                    },
+                    est_duration=stab["duration_s"],
+                    stab=stab,
                 )
-            )
-            lowered.append(stab_id)
-
-        main_kind = "measure" if op.kind == "read" else "action"
-        add_node(
-            OpNode(
-                node_id=step.step_id,
+                flow.append(stab_id)
+            nodes[step_id] = OpNode(
+                node_id=step_id,
                 binding=step.binding,
                 operation=step.operation,
                 kind=main_kind,
                 params=params,
                 idempotent=op.idempotent,
-                est_duration=op.duration(canonical),
+                est_duration=main_duration,
                 mode=mode,
             )
-        )
-        lowered.append(step.step_id)
+            flow.append(step_id)
 
-        first, last = lowered[0], lowered[-1]
-        edges.append((f"connect:{step.binding}", first, "setup"))
-        edges.extend((src, dst, "flow") for src, dst in zip(lowered, lowered[1:]))
-        last_node_of_step[step.step_id] = last
-        dep_targets.extend((dep, first) for dep in step.depends_on)
-        # Mutual exclusion between same-binding steps is the scheduler's
-        # job (one device runs one node at a time); no ordering edge is
-        # added so batching may reorder independent steps.
-        last_on_binding.setdefault(step.binding, [])
-        last_on_binding[step.binding].append(last)
-
-    # A step may depend on one listed after it, so dependency edges are
-    # added once every step is lowered.
-    edges.extend((last_node_of_step[dep], first, "dep") for dep, first in dep_targets)
+            # Every step's last node is its main node, named by its id, so
+            # a dependency edge needs no lookup, even of a later step.
+            first = flow[0]
+            edges.append((connect_id, first, "setup"))
+            edges.extend((src, dst, "flow") for src, dst in zip(flow, flow[1:]))
+            edges.extend((dep, first, "dep") for dep in step_deps)
+            # Mutual exclusion between same-binding steps is the scheduler's
+            # job (one device runs one node at a time); no ordering edge is
+            # added so batching may reorder independent steps.
+            last_on_binding[step.binding].append(step_id)
 
     for binding_name, schema in used_bindings.items():
         teardown_id = f"teardown:{binding_name}"
-        add_node(
-            OpNode(
-                node_id=teardown_id,
-                binding=binding_name,
-                operation="disconnect",
-                kind="teardown",
-                idempotent=True,
-                est_duration=schema.operation("disconnect").duration({}),
-            )
+        nodes[teardown_id] = OpNode(
+            node_id=teardown_id,
+            binding=binding_name,
+            operation="disconnect",
+            kind="teardown",
+            idempotent=True,
+            est_duration=schema.operation("disconnect").duration({}),
         )
-        for last in last_on_binding[binding_name]:
-            edges.append((last, teardown_id, "teardown"))
+        edges.extend((last, teardown_id, "teardown") for last in last_on_binding[binding_name])
 
     unique_edges = tuple(sorted(set(edges)))
     bindings = {

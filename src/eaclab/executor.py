@@ -222,8 +222,8 @@ def resume(
     The caller has checked that the checkpoint, plan, DAG and state belong
     together: ``plan`` is the plan whose hash the checkpoint names, it
     assigns exactly the nodes of ``dag``, the checkpoint's node is one of
-    them, and ``state`` is at the checkpoint's epoch (plus any operator
-    events). ``eaclab.cli`` makes these checks when it reads the run
+    them and the one the log committed last, and ``state`` is at the
+    checkpoint's epoch (plus any operator events). ``eaclab.cli`` makes these checks when it reads the run
     directory. Committed nodes are replayed silently through the simulator
     (same frames, same seeds) to rebuild device state without re-logging,
     then execution proceeds normally. Dispatch indices continue after

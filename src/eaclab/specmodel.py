@@ -57,7 +57,8 @@ class StepSpec:
         Instances whose swept values give the same quantities, to the type
         and sign of each value, share one dict and its quantities; every
         unswept param is the template's own quantity. Computed once per
-        step, so that the check of a template and its expansion share it;
+        step, so that the check of a template, its lowering and its
+        expansion share it;
         the lists and dicts must not be modified. The step's sweeps must
         have passed ``check_sweeps``.
         """
@@ -493,56 +494,70 @@ def _swept_params(step: StepSpec, quantities: list[Quantity]) -> dict[str, Quant
     return params
 
 
+def step_instances(spec: ExperimentSpec):
+    """Each step of ``spec`` with the ids of its instances and the
+    dependencies of each instance, in expansion order: triples ``(step,
+    ids, deps)``, ``deps[k]`` a tuple of instance ids for ``ids[k]``.
+
+    ``spec``'s sweeps must have passed ``check_sweeps``. Instance ids are
+    those of ``instance_ids``. A dependency between two steps swept with
+    identical shapes pairs up index-wise; otherwise every instance of the
+    dependency is a predecessor. A step none of whose dependencies is swept
+    keeps its own ``depends_on``; the lists must not be modified.
+    """
+    # Swept steps first: a step may depend on one listed after it.
+    swept = {
+        step.step_id: (instance_ids(step), tuple(map(len, step.repeat.values())))
+        for step in spec.steps if step.repeat is not None
+    }
+    for step in spec.steps:
+        ids, shape = swept.get(step.step_id, ([step.step_id], None))
+        if not swept or not any(dep in swept for dep in step.depends_on):
+            yield step, ids, [step.depends_on] * len(ids)
+            continue
+        deps = []
+        for k in range(len(ids)):
+            instance_deps: list[str] = []
+            for dep in step.depends_on:
+                if dep not in swept:
+                    instance_deps.append(dep)
+                elif swept[dep][1] == shape:
+                    instance_deps.append(swept[dep][0][k])
+                else:
+                    instance_deps.extend(swept[dep][0])
+            deps.append(tuple(instance_deps))
+        yield step, ids, deps
+
+
 def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
     """Replace every repeat clause with concrete per-value steps.
 
     ``spec`` is a validated spec, as ``parse_spec`` returns; it raises what
-    ``check_sweeps`` raises. Instance ids are those of ``instance_ids``.
-    Dependencies between two steps swept with identical shapes pair up
-    index-wise; otherwise every instance of the dependency is kept as a
-    predecessor. Instances with equal swept values share their params
-    (``StepSpec.sweep``). Idempotent: a spec without repeat clauses is
-    returned unchanged.
+    ``check_sweeps`` raises. Instance ids and dependencies are those of
+    ``step_instances``. Instances with equal swept values share their
+    params (``StepSpec.sweep``). Idempotent: a spec without repeat clauses
+    is returned unchanged. ``compiler.compile_spec`` lowers a spec with its
+    sweeps, so only a caller that needs the instance steps themselves, such
+    as ``run`` writing ``spec.json``, expands one.
     """
     if all(s.repeat is None for s in spec.steps):
         return spec
     check_sweeps(spec)
-
-    # Instance ids first: a step may depend on a swept step listed after it.
-    instances = {step.step_id: instance_ids(step) for step in spec.steps}
-    shapes = {
-        step.step_id: None if step.repeat is None else tuple(map(len, step.repeat.values()))
-        for step in spec.steps
-    }
-
-    def depends_on(step: StepSpec, k: int | None) -> tuple[str, ...]:
-        """Dependencies of the step's k-th instance (None: not swept)."""
-        deps: list[str] = []
-        for dep in step.depends_on:
-            dep_shape = shapes[dep]
-            if dep_shape is None:
-                deps.append(dep)
-            elif k is not None and shapes[step.step_id] == dep_shape:
-                deps.append(instances[dep][k])
-            else:
-                deps.extend(instances[dep])
-        return tuple(deps)
-
     new_steps: list[StepSpec] = []
-    for step in spec.steps:
+    for step, ids, deps in step_instances(spec):
         if step.repeat is None:
-            deps = depends_on(step, None)
-            new_steps.append(step if deps == step.depends_on else replace(step, depends_on=deps))
+            new_steps.append(step if deps[0] is step.depends_on
+                             else replace(step, depends_on=deps[0]))
             continue
         distinct, which = step.sweep
-        for k, (instance_id, index) in enumerate(zip(instances[step.step_id], which)):
+        for instance_id, index, instance_deps in zip(ids, which, deps):
             new_steps.append(
                 StepSpec(
                     step_id=instance_id,
                     binding=step.binding,
                     operation=step.operation,
                     params=distinct[index],
-                    depends_on=depends_on(step, k),
+                    depends_on=instance_deps,
                     stabilization=step.stabilization,
                 )
             )

@@ -11,7 +11,7 @@ from eaclab import cli, compiler, scheduler, specmodel
 from eaclab.canon import canonical_json
 from eaclab.capabilities import CapabilityRegistry, schema_from_dict
 from eaclab.cli import main
-from eaclab.compiler import compile_spec, static_check
+from eaclab.compiler import compile_spec, render_tree, static_check
 from eaclab.labstate import snapshot
 from eaclab.scheduler import Checkpoint, schedule
 from eaclab.shims import SimDeviceConfig
@@ -540,10 +540,17 @@ def test_resume_of_a_checkpoint_for_another_plan_is_rejected(tmp_path, capsys):
     ("checkpoint.json", {"last_committed_node": "fill#99"},
      "checkpoint.json names 'fill#99', which plan.json does not assign"),
     ("result.json", {"lab_hash": MISSING}, "result.json records no lab hash"),
+    ("checkpoint.json", {"last_committed_node": None},
+     "checkpoint.json has committed null, log.ndjson has committed 'select#0'"),
+    ("checkpoint.json", {"last_committed_node": "measure#0"},
+     "checkpoint.json has committed 'measure#0', log.ndjson has committed 'select#0'"),
 ])
 def test_resume_of_a_run_dir_whose_files_disagree_is_rejected(tmp_path, capsys, name, edit, line):
-    """A checkpoint of another run, or of a node the plan does not hold, and
-    a run that names no lab, are refused, and nothing is written."""
+    """A checkpoint of another run, of a node the plan does not hold, or of
+    another node than the log committed last, and a run that names no lab,
+    are refused, and nothing is written. A checkpoint that committed less
+    would dispatch the log's committed nodes again; one that committed
+    more would skip nodes never dispatched."""
     run_dir = _paused_run(tmp_path, capsys)
     _damage(run_dir / name, edit)
     before = _dir_bytes(run_dir)
@@ -616,6 +623,9 @@ def test_resume_that_stops_again_names_the_fault(tmp_path, capsys):
     faults = [event["payload"] for event in logged if event["kind"] == "fault"]
     assert faults[-1]["node_id"] == "measure#0:stab"
     assert faults[-1]["detail"] == detail
+    # The log of a run paused twice still implies its checkpoint's node.
+    assert json.loads((run_dir / "checkpoint.json").read_text())["last_committed_node"] == "fill#1"
+    assert main(["state", "--run", str(run_dir), "--lab", cold]) == 0
 
 
 def test_fault_probability_is_an_unread_sim_key(tmp_path, capsys):
@@ -1250,9 +1260,10 @@ def test_validate_checks_a_sweep_at_its_template(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["plan", "run"])
-def test_plan_and_run_expand_the_sweeps_once(tmp_path, monkeypatch, command):
-    """The check of the template and the expansion share the swept params:
-    the reference campaign's 18 instances have 13 distinct swept values."""
+def test_plan_and_run_build_each_swept_configuration_once(tmp_path, monkeypatch, command):
+    """The check of the template, its lowering and the expansion ``run``
+    writes to spec.json share the swept params: the reference campaign's
+    18 instances have 13 distinct swept values."""
     expansions = _count_expansions(monkeypatch)
     builds = []
     build = specmodel._swept_params
@@ -1264,8 +1275,23 @@ def test_plan_and_run_expand_the_sweeps_once(tmp_path, monkeypatch, command):
     monkeypatch.setattr(specmodel, "_swept_params", counted_build)
     extra = ["--out", str(tmp_path)] if command == "run" else []
     assert run_main([command, SPEC, "--lab", LAB, *extra])[0] == 0
-    assert expansions == [3]
+    assert expansions == ([3] if command == "run" else [])
     assert len(builds) == 13
+
+
+def test_plan_lowers_the_template_without_expanding_it(monkeypatch):
+    """``plan`` compiles the checked template and never expands it; its
+    output is the plan and tree of the expansion's DAG, byte for byte.
+    (That ``run`` expands once, for spec.json, is the case above.)"""
+    registry, genesis = cli._load_lab(LAB)[1:3]
+    dag = compile_spec(expand_sweeps(parse_spec(CAMPAIGN_PATH.read_text())), registry, genesis)
+    expected = (0, schedule(dag, genesis, registry).serialize() + "\n", render_tree(dag) + "\n")
+
+    def no_expansion(spec):
+        raise AssertionError("plan must not expand the spec")
+
+    monkeypatch.setattr(cli, "expand_sweeps", no_expansion)
+    assert run_main(["plan", SPEC, "--lab", LAB]) == expected
 
 
 @pytest.mark.parametrize("command", ["validate", "plan", "run"])

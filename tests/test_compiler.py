@@ -22,6 +22,7 @@ from eaclab.specmodel import check_sweeps, expand_sweeps, parse_spec
 
 from conftest import LAB_PATH
 from workloads import (
+    campaign_template,
     campaign_workload,
     lowered_params_per_step,
     static_check_per_step,
@@ -337,13 +338,8 @@ def test_mode_assignment_from_temperature(genesis):
     assert dag.nodes["scan"].mode == "T298"
 
 
-def test_compile_converts_each_quantity_once_and_hashes_each_configuration_once(monkeypatch):
-    """At N=48 the campaign has 48 selects (1 param), fills (2) and measures
-    (5, plus a stabilize duration), but each sweep takes only 6 distinct
-    configurations, and a configuration's params are converted once: 6 * (1
-    + 2 + 5) conversions, and one per stabilize duration, 48. The measures'
-    6 configurations, one per port's concentration, are hashed once each."""
-    spec, registry, genesis = campaign_workload(48)
+def _count_lowering(monkeypatch, spec, registry, genesis) -> Counter:
+    """The unit conversions and mode digests of one ``compile_spec(spec)``."""
     diagnostics = static_check(spec, registry, genesis)
     counts = Counter()
     convert, digest = units.canonicalize_units, compiler.sha256_hex
@@ -359,7 +355,25 @@ def test_compile_converts_each_quantity_once_and_hashes_each_configuration_once(
     monkeypatch.setattr(units, "canonicalize_units", counted_convert)
     monkeypatch.setattr(compiler, "sha256_hex", counted_digest)
     compile_spec(spec, registry, genesis, diagnostics)
+    return counts
+
+
+def test_compile_converts_each_quantity_once_and_hashes_each_configuration_once(monkeypatch):
+    """At N=48 the campaign has 48 selects (1 param), fills (2) and measures
+    (5, plus a stabilize duration), but each sweep takes only 6 distinct
+    configurations, and a configuration's params are converted once: 6 * (1
+    + 2 + 5) conversions, and one per stabilize duration, 48. The measures'
+    6 configurations, one per port's concentration, are hashed once each."""
+    counts = _count_lowering(monkeypatch, *campaign_workload(48))
     assert counts == {"conversions": 96, "digests": 6}
+
+
+def test_compile_of_the_template_converts_each_stabilize_duration_once(monkeypatch):
+    """The template lowers the same 6 configurations per sweep, 48
+    conversions and 6 digests, and converts the measure's one stabilize
+    duration once, not at each of its 48 instances."""
+    counts = _count_lowering(monkeypatch, *campaign_template(48))
+    assert counts == {"conversions": 49, "digests": 6}
 
 
 def test_static_check_checks_each_configuration_once(monkeypatch):
@@ -497,7 +511,8 @@ def test_the_template_check_matches_the_check_of_the_expansion(data):
     draws above, a step may sweep one more param, declared or not, with
     numbers, non-finite ones too, or with quantities only (an undeclared
     param swept with numbers is an error, with quantities a new param), and
-    ids may look like instance ids of other steps."""
+    ids may look like instance ids of other steps. A clean template, which
+    ``plan`` and ``run`` compile as it is, lowers to its expansion's DAG."""
     damaged = data.draw(st.booleans())
     steps = [_drawn_step(data.draw, i, damaged) for i in range(data.draw(st.integers(1, 4)))]
     for step in steps:
@@ -534,3 +549,12 @@ def test_the_template_check_matches_the_check_of_the_expansion(data):
         return
     check_sweeps(template)
     assert static_check(template, OVEN_REGISTRY, OVEN_GENESIS) == expected
+    if expected:
+        return
+    # A clean template lowers to the DAG of its expansion, node order included.
+    dag = compile_spec(template, OVEN_REGISTRY, OVEN_GENESIS)
+    expanded = compile_spec(expand_sweeps(template), OVEN_REGISTRY, OVEN_GENESIS)
+    assert list(dag.nodes) == list(expanded.nodes)
+    assert dag.nodes == expanded.nodes
+    assert dag.edges == expanded.edges
+    assert dag.bindings == expanded.bindings

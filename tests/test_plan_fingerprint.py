@@ -6,7 +6,9 @@ Two sha256 digests cover the fifo and batched plan hashes and the
 - ``random_dag``: every ``random_dag`` seed 0-999. These DAGs are built
   without the compiler, so only a scheduler change can move this digest;
 - ``campaign``: the Li2SO4 campaign at 1..24 and 48 points with mixed fill
-  volumes, compiled from its spec, so a lowering change moves it too.
+  volumes, compiled from its template as ``plan`` compiles it, so a
+  lowering change moves it too. Each DAG is checked to be that of the
+  expanded spec, node order included.
 
 A speed-up that reorders a single assignment, or a tie broken another way,
 changes a digest. A change that is meant to move plans must say so and
@@ -17,8 +19,9 @@ import hashlib
 
 from eaclab.compiler import compile_spec, render_tree
 from eaclab.scheduler import plan_hash, schedule
+from eaclab.specmodel import expand_sweeps
 
-from workloads import campaign_workload, random_dag
+from workloads import campaign_template, random_dag
 
 PLAN_FINGERPRINTS = {
     "random_dag": "be5879fbd4a11a5c0213639b81f8879a51376816d13495f750985944def28015",
@@ -31,8 +34,10 @@ def _instances():
         dag, state, registry = random_dag(seed)
         yield "random_dag", f"random_dag:{seed}", dag, state, registry
     for n in [*range(1, 25), 48]:
-        spec, registry, state = campaign_workload(n)
-        dag = compile_spec(spec, registry, state)
+        template, registry, state = campaign_template(n)
+        dag = compile_spec(template, registry, state)
+        expanded = compile_spec(expand_sweeps(template), registry, state)
+        assert list(dag.nodes) == list(expanded.nodes) and dag == expanded
         yield "campaign", f"campaign:{n}", dag, state, registry
 
 

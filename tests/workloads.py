@@ -12,7 +12,7 @@ from eaclab.compiler import Diagnostic, OpNode, WorkflowDAG
 from eaclab.errors import EacError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
 from eaclab.records import field, record, replace
-from eaclab.specmodel import expand_sweeps, parse_spec
+from eaclab.specmodel import check_sweeps, expand_sweeps, parse_spec
 from eaclab.telemetry import TelemetryRecord
 from eaclab.units import to_canonical
 
@@ -83,12 +83,21 @@ def campaign_doc(n: int, fill_ml: float | None = None) -> dict:
     return doc
 
 
-def campaign_workload(n: int, fill_ml: float | None = None):
-    """``campaign_doc(n, fill_ml)``, parsed and expanded, with the reference
-    lab. Returns (expanded spec, registry, genesis)."""
+def campaign_template(n: int, fill_ml: float | None = None):
+    """``campaign_doc(n, fill_ml)``, parsed with its sweeps checked, as
+    ``plan`` compiles it, with the reference lab. Returns (template,
+    registry, genesis)."""
     lab = json.loads((CONFIGS / "reference_lab.json").read_text())
-    spec = expand_sweeps(parse_spec(json.dumps(campaign_doc(n, fill_ml))))
+    spec = parse_spec(json.dumps(campaign_doc(n, fill_ml)))
+    check_sweeps(spec)
     return spec, registry_from_lab_config(lab), genesis_from_lab_config(lab)
+
+
+def campaign_workload(n: int, fill_ml: float | None = None):
+    """``campaign_template(n, fill_ml)`` with its template expanded.
+    Returns (expanded spec, registry, genesis)."""
+    spec, registry, genesis = campaign_template(n, fill_ml)
+    return expand_sweeps(spec), registry, genesis
 
 
 def with_device(state: LabState, device: DeviceRecord) -> LabState:
