@@ -96,9 +96,9 @@ def _read_text(path: str) -> str:
         raise _Usage(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _read_json(path: str, what: str):
+def _read_json(path: str, what: str, **decoding):
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path), **decoding)
     except json.JSONDecodeError as exc:
         raise _Usage(f"{what} {path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -170,20 +170,29 @@ def _load_lab(path: str | None):
 
 def _parse_inject(arg: str | None) -> dict[int, str]:
     """Fault schedule from ``kind@index[,kind@index...]`` or a JSON file
-    mapping dispatch indices to kinds, e.g. ``{"14": "error"}``."""
+    mapping dispatch indices to kinds, e.g. ``{"14": "error"}``.
+
+    An index is ASCII digits, and at most one entry names each dispatch.
+    """
     if not arg:
         return {}
     if "@" in arg:
         entries = [part.partition("@")[::2] for part in arg.split(",")]
     else:
-        doc = _read_json(arg, "--inject file")
-        if not isinstance(doc, dict):
+        # An object decodes to its (key, value) pairs, a key given twice
+        # included; an array still decodes to a list.
+        doc = _read_json(arg, "--inject file", object_pairs_hook=tuple)
+        if not isinstance(doc, tuple):
             raise _Usage(f"--inject file {arg} must hold a JSON object")
-        entries = [(kind, index) for index, kind in doc.items()]
+        entries = [(kind, index) for index, kind in doc]
     schedule_map = {}
     for kind, index in entries:
-        if not isinstance(kind, str) or kind not in _INJECT_ALIASES or not index.isdecimal():
+        if not (isinstance(kind, str) and kind in _INJECT_ALIASES
+                and index.isascii() and index.isdecimal()):
             raise _Usage(f"bad --inject entry {kind}@{index}")
+        if int(index) in schedule_map:
+            raise _Usage(f"bad --inject entry {kind}@{index}: "
+                         f"another entry names dispatch {int(index)}")
         schedule_map[int(index)] = _INJECT_ALIASES[kind]
     return schedule_map
 
@@ -334,17 +343,19 @@ def cmd_run(args) -> int:
     except UnschedulableError as exc:
         print(f"unsatisfiable_binding error $: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    fleet = SimFleet(sim_configs, args.seed)
+    fault_schedule = _parse_inject(args.inject)
     # spec.json holds the expansion, so that a resume reads no sweeps.
     spec_text = serialize_spec(expand_sweeps(spec))
     shash = sha256_text(spec_text)
     run_id = f"run-{shash[:8]}-s{args.seed}"
-    result = execute(plan, dag, genesis, registry, fleet, run_id=run_id, spec_hash=shash,
-                     fault_schedule=_parse_inject(args.inject))
+    # The run directory is made, and the spec and plan written, before any
+    # device acts: a run that cannot keep its record does not start.
     run_dir = os.path.join(args.out, run_id)
     os.makedirs(run_dir, exist_ok=True)
     _write(f"{run_dir}{os.sep}spec.json", (spec_text + "\n").encode("utf-8"))
     _write(f"{run_dir}{os.sep}plan.json", (plan.serialize() + "\n").encode("utf-8"))
+    result = execute(plan, dag, genesis, registry, SimFleet(sim_configs, args.seed),
+                     run_id=run_id, spec_hash=shash, fault_schedule=fault_schedule)
     head = {"seed": args.seed, "spec_hash": shash, "plan_hash": plan_hash(plan),
             "lab_hash": lab_hash()}
     return _report_run(result, _write_run_artifacts(run_dir, result, head))
@@ -370,23 +381,43 @@ def _read_run(run_dir: str, lab, paused: bool):
     log_path = path("log.ndjson")
     if not os.path.isfile(log_path):
         raise _Usage(f"no event log in {run_dir}")
-    try:
-        lines = _read_text(log_path).splitlines()
-        events = [StateEvent.from_dict(json.loads(line)) for line in lines if line.strip()]
-        state = replay(genesis, events)
-        # A resumed run continues the run's dispatch numbering. A run pauses
-        # right after its last committed node: the node of the last dispatch
-        # before the last pausing fault, less the faulting node's own
-        # dispatches (retries, or its dispatch before an earlier pause).
-        last_dispatch, committed = 0, None
-        dispatched: list = []  # the node of every dispatch, in log order
-        for e in events:
-            if e.kind == "dispatch":
-                last_dispatch = max(last_dispatch, int(e.payload["index"]))
-                dispatched.append(e.payload.get("node_id"))
-            elif e.kind == "fault" and e.payload.get("disposition") == "pause":
-                faulted = e.payload.get("node_id")
+    lines = _read_text(log_path).splitlines()
+    # A resumed run continues the run's dispatch numbering. A run pauses
+    # right after its last committed node: the node of the last dispatch
+    # before the last pausing fault, less the faulting node's own
+    # dispatches (retries, or its dispatch before an earlier pause).
+    last_dispatch, committed = 0, None
+    dispatched: list = []  # the node of every dispatch, in log order
+
+    def events():
+        """The log's events, each decoded once ``replay`` has folded the
+        one before it, so the damage named is the first damaged line's;
+        each folded event's dispatch index and pausing fault are noted."""
+        nonlocal last_dispatch, committed
+        scan = json.JSONDecoder().scan_once
+        for line in lines:
+            if not line.strip():
+                continue
+            # The C scanner decodes a line that is one JSON value alone. A
+            # line it does not consume whole goes to json.loads, which takes
+            # JSON whitespace around a value or raises for the damage.
+            try:
+                obj, end = scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = None
+            if end != len(line):
+                obj = json.loads(line)
+            event = StateEvent.from_dict(obj)
+            yield event
+            if event.kind == "dispatch":
+                last_dispatch = max(last_dispatch, int(event.payload["index"]))
+                dispatched.append(event.payload.get("node_id"))
+            elif event.kind == "fault" and event.payload.get("disposition") == "pause":
+                faulted = event.payload.get("node_id")
                 committed = next((n for n in reversed(dispatched) if n != faulted), None)
+
+    try:
+        state = replay(genesis, events())
     except _DAMAGE as exc:
         raise _Usage(f"event log {log_path} is damaged: {_describe(exc)}") from exc
 

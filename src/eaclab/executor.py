@@ -149,11 +149,24 @@ class _RunContext:
     connected: list[str] = field(default_factory=list)  # device ids, open order
     last_committed: str | None = None
     telemetry: list[TelemetryRecord] = field(default_factory=list)
+    # Each node's frame, built once per run and keyed on its params dict's
+    # identity: ``compile_spec`` gives every node of one step configuration
+    # the same dict, and ``dag`` holds each dict for the whole run.
+    frames: dict[tuple, WireFrame] = field(default_factory=dict)
 
     def emit(self, kind: str, device_id: str, time: float, payload: dict) -> None:
         event = StateEvent(self.state.next_seq, time, device_id, kind, payload)
         self.state = apply_event(self.state, event)
         self.log.append(event)
+
+    def frame(self, node, device_id: str, capability: str) -> WireFrame:
+        """The frame that carries ``node``'s operation to ``device_id``."""
+        key = (capability, node.operation, device_id, id(node.params))
+        frame = self.frames.get(key)
+        if frame is None:
+            frame = encode_operation(capability, node.operation, node.params, device_id)
+            self.frames[key] = frame
+        return frame
 
     def dump_frame(self, frame: WireFrame, time: float) -> None:
         self.wire.append(
@@ -320,8 +333,7 @@ def _silent_replay(ctx, node, device_id, capability, start: float) -> float:
     if node.kind == "stabilize":
         elapsed = stabilize_wait(node, start, ctx.fleet.devices[device_id])
         return start + elapsed
-    frame = encode_operation(capability, node.operation, node.params, device_id)
-    ctx.fleet.step(device_id, frame, start)
+    ctx.fleet.step(device_id, ctx.frame(node, device_id, capability), start)
     _track_session(ctx, node, device_id)
     return start + node.est_duration
 
@@ -372,7 +384,7 @@ def _execute_node(ctx, node, device_id, capability, start: float):
         ctx.emit("telemetry", device_id, end, {"stabilize_elapsed": elapsed})
         return end
 
-    frame = encode_operation(capability, node.operation, node.params, device_id)
+    frame = ctx.frame(node, device_id, capability)
     attempts = 0
     while True:
         index = _dispatch(ctx, node, device_id, start, frame)

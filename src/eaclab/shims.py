@@ -284,7 +284,7 @@ class SimDevice:
 
     def step(self, frame: WireFrame, now: float, fleet: "SimFleet") -> SimResult:
         cfg = self.config
-        operation, params = decode_operation(cfg.capability, frame)
+        operation, params = fleet.decode(cfg.capability, frame)
         telemetry: dict[str, float] = {}
         replies = [WireFrame(cfg.device_id, b"OK\r", "from_device")]
 
@@ -332,12 +332,23 @@ class SimFleet:
         # dispensed aliquots queue up for the measurement cell.
         self.selection_queue: list[float | None] = []
         self.cell_queue: list[float | None] = []
+        # The decoding of each distinct frame a capability is sent. Devices
+        # only read the params dict, so its callers share it.
+        self.decoded: dict[tuple[str, bytes], tuple[str, dict]] = {}
 
     @classmethod
     def from_lab_config(cls, config: dict) -> "SimFleet":
         return cls(
             [SimDeviceConfig.from_lab_entry(e) for e in config.get("devices", [])]
         )
+
+    def decode(self, capability: str, frame: WireFrame) -> tuple[str, dict]:
+        """``decode_operation(capability, frame)``, parsed once per fleet."""
+        key = (capability, frame.data)
+        decoded = self.decoded.get(key)
+        if decoded is None:
+            decoded = self.decoded[key] = decode_operation(capability, frame)
+        return decoded
 
     def step(self, device_id: str, frame: WireFrame, now: float) -> SimResult:
         return self.devices[device_id].step(frame, now, self)

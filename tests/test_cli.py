@@ -342,10 +342,22 @@ def test_help_prints_usage_on_stdout(capsys, argv):
     assert captured.err == ""
 
 
-def test_bad_inject_argument_is_usage_error(tmp_path):
-    assert main(
-        ["run", SPEC, "--lab", LAB, "--out", str(tmp_path), "--inject", "weird@@"]
-    ) == 4
+@pytest.mark.parametrize("inject, entry", [
+    pytest.param(inject, entry, id=inject) for inject, entry in [
+        ("weird@@", "weird@@"),
+        ("error@5,timeout@5", "timeout@5: another entry names dispatch 5"),
+        ("error@5,error@05", "error@05: another entry names dispatch 5"),
+        ("error@\u0663", "error@\u0663"),  # ARABIC-INDIC DIGIT THREE
+        ("error@\uff15", "error@\uff15"),  # FULLWIDTH DIGIT FIVE
+    ]
+])
+def test_bad_inject_argument_is_usage_error(tmp_path, capsys, inject, entry):
+    """Each entry names a dispatch in ASCII digits, and no dispatch twice."""
+    err = _usage_error(
+        capsys, ["run", SPEC, "--lab", LAB, "--out", str(tmp_path), "--inject", inject]
+    )
+    assert err == f"usage error: bad --inject entry {entry}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def _usage_error(capsys, argv):
@@ -361,7 +373,9 @@ def _usage_error(capsys, argv):
 
 @pytest.mark.parametrize(
     "content",
-    ['{"x": "error"}', '{"5": "melt"}', '{"5": 3}', '[5, "error"]', '"error@5"', "not json"],
+    ['{"x": "error"}', '{"5": "melt"}', '{"5": 3}', '[5, "error"]', '"error@5"', "not json",
+     '{"5": "error", "05": "timeout"}', '{"5": "error", "5": "timeout"}',
+     '{"5": "error", "5": "error"}', '{"\\u0663": "error"}', '[["5", "error"]]'],
 )
 def test_bad_inject_file_is_usage_error(tmp_path, capsys, content):
     inject = tmp_path / "inject.json"
@@ -369,6 +383,55 @@ def test_bad_inject_file_is_usage_error(tmp_path, capsys, content):
     _usage_error(
         capsys, ["run", SPEC, "--lab", LAB, "--out", str(tmp_path), "--inject", str(inject)]
     )
+    assert os.listdir(tmp_path) == ["inject.json"]
+
+
+def test_a_run_that_cannot_keep_its_record_dispatches_nothing(tmp_path, capsys, monkeypatch):
+    """The run directory is made before the executor runs: with ``--out``
+    an existing file, the run stops at one usage line and no device acts."""
+    from eaclab import executor
+
+    def refused(*args, **kwargs):
+        raise AssertionError("execute called")
+
+    monkeypatch.setattr(executor, "execute", refused)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    err = _usage_error(capsys, ["run", SPEC, "--lab", LAB, "--out", str(taken)])
+    assert err.startswith("usage error: [Errno 20] Not a directory: ")
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+@pytest.mark.parametrize("fill_ml", [0.5, None])
+def test_a_run_builds_and_parses_each_distinct_frame_once(tmp_path, monkeypatch, fill_ml):
+    """The executor encodes each distinct (operation, device, params) once
+    per run, and the fleet decodes each distinct frame once, so the counts
+    do not grow with the sweeps as the dispatches do (36 at 6 points, 246
+    at 48)."""
+    from eaclab import executor, shims
+
+    calls = {"encode": 0, "decode": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(executor, "encode_operation",
+                        counted("encode", executor.encode_operation))
+    monkeypatch.setattr(shims, "decode_operation", counted("decode", shims.decode_operation))
+    counts = []
+    for n in (6, 48):
+        spec = tmp_path / f"campaign-{n}.json"
+        spec.write_text(json.dumps(campaign_doc(n, fill_ml)))
+        code, out, _ = run_main(["run", str(spec), "--lab", LAB, "--out", str(tmp_path)])
+        assert code == 0
+        counts.append(dict(calls))
+        calls.update(encode=0, decode=0)
+    assert counts[0] == counts[1]
+    # At 0.5 mL every fill is one frame; fills of six volumes are six.
+    assert counts[0] == ({"encode": 25, "decode": 15} if fill_ml else {"encode": 30, "decode": 20})
 
 
 def test_inject_file_schedules_a_fault(tmp_path, capsys):
@@ -484,6 +547,92 @@ def test_resume_on_damaged_run_dir_is_usage_error(tmp_path, capsys, name, conten
     before = _dir_bytes(run_dir)
     _usage_error(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
     assert _dir_bytes(run_dir) == before
+
+
+def _joined(lines, i):
+    """Lines ``i`` and ``i + 1`` written as one line."""
+    return [*lines[:i], lines[i] + lines[i + 1], *lines[i + 2:]]
+
+
+def _split(lines, i):
+    """Line ``i`` split in two after its first comma."""
+    cut = lines[i].index(",") + 1
+    return [*lines[:i], lines[i][:cut], lines[i][cut:], *lines[i + 1:]]
+
+
+def _edited(lines, i, edit):
+    return [*lines[:i], edit(lines[i]), *lines[i + 1:]]
+
+
+def _extra_data(line):
+    return f"JSONDecodeError: Extra data: line 1 column {len(line) + 1} (char {len(line)})"
+
+
+def _no_property_name(line):
+    cut = line.index(",") + 1
+    return ("JSONDecodeError: Expecting property name enclosed in double quotes: "
+            f"line 1 column {cut + 1} (char {cut})")
+
+
+# A paused run's event log edited, and the damage ``state --run`` and
+# ``resume`` name for it: the first damaged line's, or None when the edit
+# leaves a log that reads as the original.
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        pytest.param(lambda lines: _joined(lines, 3), lambda lines: _extra_data(lines[3]),
+                     id="two events on one line"),
+        pytest.param(lambda lines: _split(lines, 3), lambda lines: _no_property_name(lines[3]),
+                     id="one event over two lines"),
+        pytest.param(lambda lines: _split(_joined(lines, 3), 5),
+                     lambda lines: _extra_data(lines[3]),
+                     id="as many lines as events, joined before split"),
+        pytest.param(lambda lines: _joined(_split(lines, 3), 5),
+                     lambda lines: _no_property_name(lines[3]),
+                     id="as many lines as events, split before joined"),
+        pytest.param(lambda lines: _edited(lines, 4, lambda line: f" \t{line}\t "),
+                     lambda lines: None, id="an event padded with spaces and tabs"),
+        pytest.param(lambda lines: _edited(lines, 4, lambda line: "\ufeff" + line),
+                     lambda lines: "JSONDecodeError: Unexpected UTF-8 BOM (decode using "
+                                   "utf-8-sig): line 1 column 1 (char 0)",
+                     id="a BOM at the start of a later line"),
+        pytest.param(lambda lines: _edited(lines, 4, lambda line: f"[{line}]"),
+                     lambda lines: "TypeError: list indices must be integers or slices, not str",
+                     id="a line that is a JSON list"),
+    ],
+)
+def test_a_damaged_event_log_is_named_alike_by_state_and_resume(tmp_path, capsys, edit, named):
+    run_dir = _paused_run(tmp_path, capsys)
+    log = run_dir / "log.ndjson"
+    lines = log.read_text(encoding="utf-8").splitlines()
+    state = ["state", "--lab", LAB, "--run", str(run_dir)]
+    intact = run_main(state)
+    log.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+    damage = named(lines)
+    if damage is None:
+        assert run_main(state) == intact
+        assert run_main(["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])[::2] == (0, "")
+        return
+    before = _dir_bytes(run_dir)
+    for argv in (state, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"]):
+        assert run_main(argv) == (4, "", f"usage error: event log {log} is damaged: {damage}\n")
+    assert _dir_bytes(run_dir) == before
+
+
+def test_the_first_damaged_line_of_an_event_log_is_named(tmp_path, capsys):
+    """The log is decoded as it is folded, so an event that does not fold
+    is named before a later line that does not decode."""
+    run_dir = _paused_run(tmp_path, capsys)
+    log = run_dir / "log.ndjson"
+    lines = log.read_text().splitlines()
+    lines[2] = lines[2].replace('"seq":2,', '"seq":99,')
+    lines[9] = "garbage"
+    log.write_text("".join(line + "\n" for line in lines))
+    for argv in (["state", "--lab", LAB, "--run", str(run_dir)],
+                 ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"]):
+        assert run_main(argv) == (
+            4, "", f"usage error: event log {log} is damaged: "
+                   "SequenceGapError: expected seq 2, got 99\n")
 
 
 def _dir_bytes(run_dir):

@@ -426,3 +426,42 @@ def test_only_the_safety_envelope_applies_the_safety_comparator():
                 and node.func.attr == "holds")
 
     assert _owners_in_package(calls_holds) == {("capabilities.py", "violations")}
+
+
+def _module_state(module):
+    """What a call could leave behind in ``module``: each global, and each
+    attribute of its classes, by identity, with the contents of a mutable
+    container and the size of a function's cache."""
+    namespaces = {module.__name__: vars(module)}
+    namespaces.update({f"{module.__name__}.{name}": vars(value)
+                       for name, value in vars(module).items()
+                       if isinstance(value, type) and value.__module__ == module.__name__})
+    state = {}
+    for where, namespace in namespaces.items():
+        for name, value in namespace.items():
+            if name.startswith("__"):
+                continue
+            if isinstance(value, (dict, list, set, bytearray)):
+                held = type(value)(value)
+            elif hasattr(value, "cache_info"):
+                held = value.cache_info().currsize
+            else:
+                held = None
+            state[f"{where}.{name}"] = (id(value), held)
+    return state
+
+
+def test_runs_leave_no_state_in_the_executor_or_the_simulator(tmp_path):
+    """Every memo of a run (frames built, frames parsed) belongs to the
+    run: two runs of different specs leave the globals of ``executor`` and
+    ``shims``, and their classes, as they found them."""
+    from eaclab import executor, shims
+    from workloads import campaign_doc
+
+    before = [_module_state(executor), _module_state(shims)]
+    longer = tmp_path / "campaign-12.json"
+    longer.write_text(json.dumps(campaign_doc(12)))
+    for spec in (CAMPAIGN_PATH, longer):
+        code, _, _ = run_main(["run", str(spec), "--lab", str(LAB_PATH), "--out", str(tmp_path)])
+        assert code == 0
+    assert [_module_state(executor), _module_state(shims)] == before
