@@ -218,17 +218,6 @@ class Violation:
     message: str
 
 
-@record(frozen=True)
-class ValidationReport:
-    capability: str
-    operation: str
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 class CapabilityRegistry:
     """Write-once-per-name store of capability schemas."""
 
@@ -259,8 +248,10 @@ class CapabilityRegistry:
 
     def check_param_ranges(
         self, capability: str, op: str, params: dict[str, Quantity]
-    ) -> ValidationReport:
-        """Range- and completeness-check params against the operation schema.
+    ) -> list[Violation]:
+        """Range- and completeness-check params against the operation
+        schema; the violations, in the schema's param order, then unknown
+        params in ``params``' order.
 
         Values are canonicalized to the declared unit before comparison, so
         any dimensionally identical restatement passes or fails identically.
@@ -300,9 +291,7 @@ class CapabilityRegistry:
                 violations.append(
                     Violation("unknown_param", name, f"unknown parameter {name!r}")
                 )
-        return ValidationReport(
-            capability=capability, operation=op, violations=tuple(violations)
-        )
+        return violations
 
 
 # The potentiostat's EIS settings, which measure_eis sets through configure.

@@ -34,7 +34,7 @@ from eaclab.labstate import (
     snapshot,
 )
 from eaclab.records import replace
-from eaclab.specmodel import check_sweeps, expand_sweeps, parse_spec, serialize_spec
+from eaclab.specmodel import expand_sweeps, parse_spec, serialize_spec
 
 # The scheduler is imported by the commands that plan or read a run
 # directory, and the executor, ``SimFleet`` and telemetry only by those
@@ -208,28 +208,24 @@ def _spec_text(data: bytes) -> str:
 
 
 def _validate_pipeline(spec_path: str, lab_path: str | None):
-    """Parse a spec, check its sweeps and statically check it at its template.
+    """Parse a spec and statically check it at its template.
 
     Returns (spec, diagnostics, lab), ``lab`` as ``_load_lab`` returns it.
     The spec is the template, with its sweeps, which ``compile_spec``
     lowers without expanding them. It is None when the spec has errors,
-    and the diagnostics are then its errors.
+    and the diagnostics are then its errors; otherwise there are none.
     """
     lab = _load_lab(lab_path)
     _, registry, genesis, _ = lab
     data = _read_bytes(spec_path)
     try:
         spec = parse_spec(_spec_text(data))
-        check_sweeps(spec)
     except SpecSyntaxError as exc:
-        return None, [Diagnostic("syntax", "error", f"{exc.line}:{exc.column}", str(exc))], lab
+        return None, [Diagnostic("syntax", f"{exc.line}:{exc.column}", str(exc))], lab
     except SpecSchemaError as exc:
-        return None, [Diagnostic(exc.code, "error", exc.locus, str(exc))], lab
+        return None, [Diagnostic(exc.code, exc.locus, str(exc))], lab
     diagnostics = static_check(spec, registry, genesis)
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
-        return None, errors, lab
-    return spec, diagnostics, lab
+    return None if diagnostics else spec, diagnostics, lab
 
 
 def _report(diagnostics: list[Diagnostic]) -> None:
@@ -381,6 +377,31 @@ def _read_run(run_dir: str, lab, paused: bool):
     log_path = path("log.ndjson")
     if not os.path.isfile(log_path):
         raise _Usage(f"no event log in {run_dir}")
+
+    def damaged(why: str) -> _Usage:
+        return _Usage(f"run directory {run_dir} is damaged: {why}")
+
+    def fields(name: str, doc, **kinds: str) -> list:
+        """The values of ``kinds``' keys in ``doc``, each of the JSON type named."""
+        for key, kind in kinds.items():
+            if key not in doc or type(doc[key]) not in _JSON_TYPES[kind]:
+                shown = repr(doc[key]) if key in doc else "missing"
+                raise damaged(f"{key} in {name} must be {kind}, not {shown}")
+        return [doc[key] for key in kinds]
+
+    try:
+        summary = _read_json(path("result.json"), "run summary")
+        run_id, seed, shash, phash = fields(
+            "result.json", summary,
+            run_id="a string", seed="an integer", spec_hash="a string", plan_hash="a string",
+        )
+    except _DAMAGE as exc:
+        raise damaged(_describe(exc)) from exc
+    # Another lab is named before the log is replayed over its genesis
+    # state, where the run's own events may not fit it.
+    if summary.get("lab_hash") != lab_hash():
+        raise _Mismatch("the lab does not match the lab hash in result.json"
+                        if "lab_hash" in summary else "result.json records no lab hash")
     lines = _read_text(log_path).splitlines()
     # A resumed run continues the run's dispatch numbering. A run pauses
     # right after its last committed node: the node of the last dispatch
@@ -421,23 +442,7 @@ def _read_run(run_dir: str, lab, paused: bool):
     except _DAMAGE as exc:
         raise _Usage(f"event log {log_path} is damaged: {_describe(exc)}") from exc
 
-    def damaged(why: str) -> _Usage:
-        return _Usage(f"run directory {run_dir} is damaged: {why}")
-
-    def fields(name: str, doc, **kinds: str) -> list:
-        """The values of ``kinds``' keys in ``doc``, each of the JSON type named."""
-        for key, kind in kinds.items():
-            if key not in doc or type(doc[key]) not in _JSON_TYPES[kind]:
-                shown = repr(doc[key]) if key in doc else "missing"
-                raise damaged(f"{key} in {name} must be {kind}, not {shown}")
-        return [doc[key] for key in kinds]
-
     try:
-        summary = _read_json(path("result.json"), "run summary")
-        run_id, seed, shash, phash = fields(
-            "result.json", summary,
-            run_id="a string", seed="an integer", spec_hash="a string", plan_hash="a string",
-        )
         checkpoint = None
         if os.path.exists(path("checkpoint.json")):
             checkpoint = Checkpoint(*fields(
@@ -468,9 +473,6 @@ def _read_run(run_dir: str, lab, paused: bool):
                 f"plan.json assigns {a.node_id} to {a.device_id!r}, "
                 f"which is not a {capability} of the lab"
             )
-    if summary.get("lab_hash") != lab_hash():
-        raise _Mismatch("the lab does not match the lab hash in result.json"
-                        if "lab_hash" in summary else "result.json records no lab hash")
     if checkpoint is not None:
         if checkpoint.plan_hash != phash:
             raise _Mismatch("checkpoint.json does not match the plan hash in result.json")

@@ -32,13 +32,14 @@ from eaclab.units import Quantity, to_canonical
 
 @record(frozen=True)
 class Diagnostic:
+    """A static error of a spec."""
+
     code: str
-    severity: str  # error | warning
     locus: str
     message: str
 
     def render(self) -> str:
-        return f"{self.code} {self.severity} {self.locus}: {self.message}"
+        return f"{self.code} error {self.locus}: {self.message}"
 
 
 @record(frozen=True)
@@ -148,21 +149,13 @@ def _configuration(capability: str, operation: str, params: dict[str, Quantity])
     return capability, operation, tuple([(name, q.value, q.unit) for name, q in params.items()])
 
 
-def _step_mode(op: OperationSchema, params: dict[str, Quantity], digests: dict) -> str | None:
-    """Device-condition compatibility class for state batching.
-
-    ``params`` are the step's canonical params; ``digests`` maps each
-    configuration already seen, as sorted (name, value, unit) items, to its
-    mode, so equal configurations are hashed once.
-    """
+def _step_mode(op: OperationSchema, params: dict[str, Quantity]) -> str | None:
+    """Device-condition compatibility class for state batching; ``params``
+    are the step's canonical params."""
     if "temperature" in params:
         return f"T{round(params['temperature'].value)}"
     if op.kind == "configure" or op.configure_via is not None:
-        key = tuple(sorted((name, q.value, q.unit) for name, q in params.items()))
-        if key not in digests:
-            cfg = {name: {"value": value, "unit": unit} for name, value, unit in key}
-            digests[key] = "cfg-" + sha256_hex(cfg)[:8]
-        return digests[key]
+        return "cfg-" + sha256_hex({name: q.to_dict() for name, q in params.items()})[:8]
     return None
 
 
@@ -173,8 +166,8 @@ def _problems(
     schema = registry.get(capability)
     if operation not in schema.operations:
         return [("unknown_operation", f"{capability} has no operation {operation!r}")]
-    report = registry.check_param_ranges(capability, operation, params)
-    problems = [(violation.code, violation.message) for violation in report.violations]
+    problems = [(violation.code, violation.message)
+                for violation in registry.check_param_ranges(capability, operation, params)]
     for predicate, commanded, threshold in schema.safety.violations(params):
         problems.append((
             "safety_violation",
@@ -187,16 +180,16 @@ def _problems(
 def static_check(
     spec: ExperimentSpec, registry: CapabilityRegistry, state: LabState
 ) -> list[Diagnostic]:
-    """All statically decidable violations; empty list means compilable.
+    """All statically decidable errors; empty list means compilable.
 
-    ``spec`` may keep its sweeps, once they have passed ``check_sweeps``:
-    the diagnostics are then those of its expansion, each problem of a
-    swept step reported at every instance ``step#k`` that has it, in
-    expansion order, without building the instances. A sweep repeats few
-    configurations over many steps, so each distinct configuration is
-    checked once per call and its problems are reported at every step that
-    has it. Dependency cycles are not looked for here: ``parse_spec``
-    refuses them.
+    ``spec`` may keep its sweeps: the diagnostics are then those of its
+    expansion, each problem of a swept step reported at every instance
+    ``step#k`` that has it, in expansion order, without building the
+    instances: their ids are built only where a problem is. A sweep
+    repeats few configurations over many steps, so each distinct
+    configuration is checked once per call and its problems are reported
+    at every step that has it. Dependency cycles are not looked for here:
+    ``parse_spec`` refuses them.
     """
     diagnostics: list[Diagnostic] = []
     registered: dict[str, str] = {}  # binding -> its capability, when registered
@@ -204,7 +197,7 @@ def static_check(
         if binding.capability not in registry:
             diagnostics.append(
                 Diagnostic(
-                    "unknown_capability", "error", binding.binding_name,
+                    "unknown_capability", binding.binding_name,
                     f"capability {binding.capability!r} is not registered",
                 )
             )
@@ -218,7 +211,7 @@ def static_check(
         if not candidates:
             diagnostics.append(
                 Diagnostic(
-                    "unsatisfiable_binding", "error", binding.binding_name,
+                    "unsatisfiable_binding", binding.binding_name,
                     f"no device provides capability {binding.capability!r}",
                 )
             )
@@ -237,26 +230,25 @@ def static_check(
             continue  # already diagnosed at the binding
         if step.repeat is None:
             for code, message in problems_of(capability, step.operation, step.params):
-                diagnostics.append(Diagnostic(code, "error", step.step_id, message))
+                diagnostics.append(Diagnostic(code, step.step_id, message))
             continue
         distinct, which = step.sweep
         found = [problems_of(capability, step.operation, params) for params in distinct]
         if any(found):
             for step_id, index in zip(instance_ids(step), which):
                 for code, message in found[index]:
-                    diagnostics.append(Diagnostic(code, "error", step_id, message))
+                    diagnostics.append(Diagnostic(code, step_id, message))
     return diagnostics
 
 
 def _lowering(
-    op: OperationSchema, cfg_op: OperationSchema | None, params: dict[str, Quantity], digests: dict
+    op: OperationSchema, cfg_op: OperationSchema | None, params: dict[str, Quantity]
 ) -> tuple:
     """How one step configuration lowers: (configure params or None, main
     params, mode, configure clock, main clock). ``cfg_op`` is the schema of
-    ``op``'s companion configure operation, if it has one; ``digests`` is
-    as for ``_step_mode``."""
+    ``op``'s companion configure operation, if it has one."""
     canonical = _canonical_params(params)
-    mode = _step_mode(op, canonical, digests)
+    mode = _step_mode(op, canonical)
     if cfg_op is None:
         return None, canonical, mode, None, op.duration(canonical)
     cfg_params = {k: v for k, v in canonical.items() if k in cfg_op.params}
@@ -272,30 +264,27 @@ def compile_spec(
 ) -> WorkflowDAG:
     """Lower a statically clean spec to a WorkflowDAG.
 
-    ``spec`` may keep its sweeps, once they have passed ``check_sweeps``:
-    the DAG is then that of its expansion, node for node and in the same
-    order, without building the instances. Each distinct configuration
-    (of a swept step, one of ``StepSpec.sweep``) is lowered once per call
-    and each step's stabilize duration converted once; every instance
-    ``step#k`` is stamped from them, with the ids and dependencies of
-    ``step_instances``.
+    ``spec`` may keep its sweeps: the DAG is then that of its expansion,
+    node for node and in the same order, without building the instances.
+    Each distinct configuration (of a swept step, one of
+    ``StepSpec.sweep``) is lowered once per call and each step's stabilize
+    duration converted once; every instance ``step#k`` is stamped from
+    them, with the ids and dependencies of ``step_instances``.
     Raises CompileError if the spec has static errors. ``diagnostics`` is
     ``static_check(spec, registry, state)`` when the caller has already
     run it; otherwise the spec is checked here.
     """
     if diagnostics is None:
         diagnostics = static_check(spec, registry, state)
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
+    if diagnostics:
         raise CompileError(
-            "spec has static errors: " + "; ".join(d.render() for d in errors)
+            "spec has static errors: " + "; ".join(d.render() for d in diagnostics)
         )
 
     nodes: dict[str, OpNode] = {}
     edges: list[tuple[str, str, str]] = []
     used_bindings: dict = {}  # binding -> its CapabilitySchema, in order of first use
     last_on_binding: dict[str, list[str]] = {}
-    digests: dict[tuple, str] = {}
     lowerings: dict[tuple, tuple] = {}  # configuration -> its _lowering
 
     for step, ids, deps in step_instances(spec):
@@ -321,7 +310,7 @@ def compile_spec(
         for params in configurations:
             key = _configuration(binding.capability, step.operation, params)
             if key not in lowerings:
-                lowerings[key] = _lowering(op, cfg_op, params, digests)
+                lowerings[key] = _lowering(op, cfg_op, params)
             lowered.append(lowerings[key])
         stab = None
         if step.stabilization is not None:

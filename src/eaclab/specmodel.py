@@ -59,8 +59,7 @@ class StepSpec:
         unswept param is the template's own quantity. Computed once per
         step, so that the check of a template, its lowering and its
         expansion share it;
-        the lists and dicts must not be modified. The step's sweeps must
-        have passed ``check_sweeps``.
+        the lists and dicts must not be modified.
         """
         columns: list[tuple[list[Quantity], list[int]]] = []  # per swept param
         for pname, values in self.repeat.items():  # type: ignore[union-attr]
@@ -384,6 +383,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         metadata=dict(metadata),
     )
     validate_spec(spec)
+    _check_sweeps(spec)
     return spec
 
 
@@ -443,8 +443,10 @@ def instance_ids(step: StepSpec) -> list[str]:
     return [f"{step.step_id}#{k}" for k in range(count)]
 
 
-def check_sweeps(spec: ExperimentSpec) -> None:
-    """Raise what expanding the sweeps of ``spec``, a validated spec, raises.
+def _check_sweeps(spec: ExperimentSpec) -> None:
+    """Raise what expanding the sweeps of ``spec``, a validated spec, would
+    raise, so that every spec ``parse_spec`` returns expands, checks and
+    lowers.
 
     Each is a ``SpecSchemaError``. Step by step, at ``steps[<id>]``:
     ``unknown_sweep_param`` if the step sweeps a param it does not declare,
@@ -457,11 +459,13 @@ def check_sweeps(spec: ExperimentSpec) -> None:
     its bindings are the template's, which exist; every dependency is an
     instance of a template step; and with unique ids each expanded edge
     projects onto the template edge it was made from, so a cycle in the
-    expansion would project onto one in the template, which has none.
+    expansion would project onto one in the template, which has none. A
+    spec without sweeps, such as an expansion, returns at once.
     """
-    for step in spec.steps:
-        if step.repeat is None:
-            continue
+    swept = [step for step in spec.steps if step.repeat is not None]
+    if not swept:
+        return
+    for step in swept:
         locus = f"steps[{step.step_id}]"
         for pname, values in step.repeat.items():
             if pname not in step.params and not all(isinstance(v, dict) for v in values):
@@ -499,11 +503,11 @@ def step_instances(spec: ExperimentSpec):
     dependencies of each instance, in expansion order: triples ``(step,
     ids, deps)``, ``deps[k]`` a tuple of instance ids for ``ids[k]``.
 
-    ``spec``'s sweeps must have passed ``check_sweeps``. Instance ids are
-    those of ``instance_ids``. A dependency between two steps swept with
-    identical shapes pairs up index-wise; otherwise every instance of the
-    dependency is a predecessor. A step none of whose dependencies is swept
-    keeps its own ``depends_on``; the lists must not be modified.
+    Instance ids are those of ``instance_ids``. A dependency between two
+    steps swept with identical shapes pairs up index-wise; otherwise every
+    instance of the dependency is a predecessor. A step none of whose
+    dependencies is swept keeps its own ``depends_on``; the lists must not
+    be modified.
     """
     # Swept steps first: a step may depend on one listed after it.
     swept = {
@@ -532,24 +536,19 @@ def step_instances(spec: ExperimentSpec):
 def expand_sweeps(spec: ExperimentSpec) -> ExperimentSpec:
     """Replace every repeat clause with concrete per-value steps.
 
-    ``spec`` is a validated spec, as ``parse_spec`` returns; it raises what
-    ``check_sweeps`` raises. Instance ids and dependencies are those of
-    ``step_instances``. Instances with equal swept values share their
-    params (``StepSpec.sweep``). Idempotent: a spec without repeat clauses
-    is returned unchanged. ``compiler.compile_spec`` lowers a spec with its
-    sweeps, so only a caller that needs the instance steps themselves, such
-    as ``run`` writing ``spec.json``, expands one.
+    ``spec`` is a spec as ``parse_spec`` returns it. Instance ids and
+    dependencies are those of ``step_instances``. Instances with equal
+    swept values share their params (``StepSpec.sweep``). Idempotent: a
+    spec without repeat clauses is returned unchanged.
+    ``compiler.compile_spec`` lowers a spec with its sweeps, so only a
+    caller that needs the instance steps themselves, such as ``run``
+    writing ``spec.json``, expands one.
     """
     if all(s.repeat is None for s in spec.steps):
         return spec
-    check_sweeps(spec)
     new_steps: list[StepSpec] = []
     for step, ids, deps in step_instances(spec):
-        if step.repeat is None:
-            new_steps.append(step if deps[0] is step.depends_on
-                             else replace(step, depends_on=deps[0]))
-            continue
-        distinct, which = step.sweep
+        distinct, which = ([step.params], [0]) if step.repeat is None else step.sweep
         for instance_id, index, instance_deps in zip(ids, which, deps):
             new_steps.append(
                 StepSpec(

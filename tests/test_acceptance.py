@@ -150,7 +150,7 @@ def test_criterion_3_static_safety_gate(lab_config):
         try:
             spec = expand_sweeps(parse_spec(json.dumps(doc)))
             diagnostics = static_check(spec, registry, genesis)
-            if any(d.severity == "error" for d in diagnostics):
+            if diagnostics:
                 rejected += 1
                 continue
             dag = compile_spec(spec, registry, genesis)

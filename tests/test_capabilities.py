@@ -70,8 +70,8 @@ def test_potentiostat_envelope_and_configure_via():
 
 
 def _violation_codes(registry, capability, op, params):
-    report = registry.check_param_ranges(capability, op, params)
-    return sorted((v.code, v.param) for v in report.violations)
+    violations = registry.check_param_ranges(capability, op, params)
+    return sorted((v.code, v.param) for v in violations)
 
 
 def test_range_check_codes_match_set_difference_oracle():
@@ -93,22 +93,22 @@ def test_range_check_codes_match_set_difference_oracle():
 
 def test_range_check_passes_in_band():
     registry = builtin_registry()
-    report = registry.check_param_ranges(
+    violations = registry.check_param_ranges(
         "pump",
         "dispense",
         {"flow_rate": Quantity(4.0, "mL/min"), "volume": Quantity(0.7, "mL")},
     )
-    assert report.ok
+    assert violations == []
 
 
 def test_bad_unit_flagged():
     registry = builtin_registry()
-    report = registry.check_param_ranges(
+    violations = registry.check_param_ranges(
         "pump",
         "dispense",
         {"flow_rate": Quantity(1.0, "V"), "volume": Quantity(0.7, "mL")},
     )
-    assert [v.code for v in report.violations] == ["bad_unit"]
+    assert [v.code for v in violations] == ["bad_unit"]
 
 
 @given(st.floats(min_value=0.01, max_value=50.0, allow_nan=False))
@@ -119,7 +119,7 @@ def test_range_check_invariant_under_unit_restatement(volume_ml):
     restated = dict(base, volume=canonicalize_units(base["volume"], "m^3"))
     a = registry.check_param_ranges("pump", "dispense", base)
     b = registry.check_param_ranges("pump", "dispense", restated)
-    assert [v.code for v in a.violations] == [v.code for v in b.violations]
+    assert [v.code for v in a] == [v.code for v in b]
 
 
 def test_transition_latency_cost():

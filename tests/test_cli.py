@@ -708,16 +708,47 @@ def test_resume_of_a_run_dir_whose_files_disagree_is_rejected(tmp_path, capsys, 
     assert _dir_bytes(run_dir) == before
 
 
+def _edited_lab(tmp_path, name, edit):
+    """The reference lab after ``edit(lab)``, as a file."""
+    lab = json.loads(LAB_PATH.read_text())
+    edit(lab)
+    path = tmp_path / f"lab-{name}.json"
+    path.write_text(json.dumps(lab))
+    return str(path)
+
+
+def _device(lab, device_id):
+    return next(d for d in lab["devices"] if d["device_id"] == device_id)
+
+
+def _pstat_as_tcell(lab):
+    lab["capabilities"] = {"tcell": TCELL}
+    _device(lab, "pstat_1")["capability"] = "tcell"
+
+
 def test_a_run_is_bound_to_its_lab(tmp_path, capsys):
     """A run paused on one lab is neither resumed nor replayed on another,
-    whose simulator physics differ, and nothing is written; reformatting
-    the lab file does not change its hash."""
+    and nothing is written: one whose simulator physics differ, one without
+    a device the log names, one whose device the log's events do not fit,
+    and one whose device the spec cannot bind. The lab is compared before
+    the log is replayed over it or the spec compiled against it.
+    Reformatting the lab file does not change its hash."""
     run_dir = _paused_run(tmp_path, capsys)
-    cold = _lab_with_sim(tmp_path, "pstat_1", temperature_tau=1e9)
+    labs = [
+        _lab_with_sim(tmp_path, "pstat_1", temperature_tau=1e9),
+        _edited_lab(tmp_path, "no-pstat",
+                    lambda lab: lab["devices"].remove(_device(lab, "pstat_1"))),
+        _edited_lab(tmp_path, "pump-offline",
+                    lambda lab: _device(lab, "pump_1").update(status="offline")),
+        _edited_lab(tmp_path, "pstat-tcell", _pstat_as_tcell),
+    ]
     before = _dir_bytes(run_dir)
-    for argv in (["resume", str(run_dir), "--clear", "pump_1"], ["state", "--run", str(run_dir)]):
-        err = _mismatch(capsys, [*argv, "--lab", cold])
-        assert err == "checkpoint mismatch: the lab does not match the lab hash in result.json\n"
+    for lab in labs:
+        for argv in (["resume", str(run_dir), "--clear", "pump_1"],
+                     ["state", "--run", str(run_dir)]):
+            err = _mismatch(capsys, [*argv, "--lab", lab])
+            assert err == ("checkpoint mismatch: "
+                           "the lab does not match the lab hash in result.json\n")
     assert _dir_bytes(run_dir) == before
     reformatted = tmp_path / "reformatted.json"
     reformatted.write_text(json.dumps(json.loads(LAB_PATH.read_text()), indent=3))
@@ -746,12 +777,8 @@ def test_resume_clear_of_unknown_device_is_usage_error(tmp_path, capsys):
 
 def _lab_with_sim(tmp_path, device_id, **sim):
     """The reference lab with ``sim`` keys of one device set, as a file."""
-    lab = json.loads(LAB_PATH.read_text())
-    entry = next(d for d in lab["devices"] if d["device_id"] == device_id)
-    entry["sim"] = {**entry.get("sim", {}), **sim}
-    path = tmp_path / f"lab-{device_id}.json"
-    path.write_text(json.dumps(lab))
-    return str(path)
+    return _edited_lab(tmp_path, device_id,
+                       lambda lab: _device(lab, device_id).setdefault("sim", {}).update(sim))
 
 
 def test_resume_that_stops_again_names_the_fault(tmp_path, capsys):
@@ -811,11 +838,15 @@ def test_a_lab_that_canonical_json_cannot_encode_fails_every_command_closed(tmp_
 
 
 def test_state_of_a_log_with_unknown_event_kind_is_usage_error(tmp_path, capsys):
-    (tmp_path / "log.ndjson").write_text(
+    """The log of a run on this lab is replayed, so an event kind it does
+    not know is named."""
+    run_dir = _paused_run(tmp_path, capsys)
+    (run_dir / "log.ndjson").write_text(
         '{"seq":0,"time":0,"device_id":"valve_1","kind":"reconcile",'
         '"payload":{"desired":{"dest":{"value":3,"unit":""}}}}\n'
     )
-    err = _usage_error(capsys, ["state", "--lab", LAB, "--run", str(tmp_path)])
+    err = _usage_error(capsys, ["state", "--lab", LAB, "--run", str(run_dir)])
+    assert err.startswith(f"usage error: event log {run_dir / 'log.ndjson'} is damaged: ")
     assert "reconcile" in err
 
 
@@ -1133,7 +1164,8 @@ def test_resume_of_a_plan_for_another_dag_is_rejected(tmp_path, capsys, edit):
 
 def test_resume_on_a_lab_without_a_planned_device_is_rejected(tmp_path, capsys):
     """Paused before its potentiostat was first used, a run cannot resume on
-    a lab that has renamed that potentiostat."""
+    a lab that has renamed that potentiostat: it is another lab, and a run
+    directory that claims that lab assigns a device the lab does not have."""
     out = tmp_path / "paused"
     assert main(["run", SPEC, "--lab", LAB, "--out", str(out), "--inject", "error@1"]) == 3
     run_dir = out / json.loads(capsys.readouterr().out)["run_id"]
@@ -1145,7 +1177,11 @@ def test_resume_on_a_lab_without_a_planned_device_is_rejected(tmp_path, capsys):
     renamed = tmp_path / "renamed.json"
     renamed.write_text(json.dumps(lab))
     device = _faulted_device(run_dir)
-    err = _mismatch(capsys, ["resume", str(run_dir), "--lab", str(renamed), "--clear", device])
+    argv = ["resume", str(run_dir), "--lab", str(renamed), "--clear", device]
+    err = _mismatch(capsys, argv)
+    assert err == "checkpoint mismatch: the lab does not match the lab hash in result.json\n"
+    _damage(run_dir / "result.json", {"lab_hash": _lab_hash(renamed)})
+    err = _mismatch(capsys, argv)
     assert "'pstat_1'" in err
 
 

@@ -16,9 +16,9 @@ from eaclab.compiler import (
     topo_order,
     validate_dag,
 )
-from eaclab.errors import CompileError, CycleError, EacError
+from eaclab.errors import CompileError, CycleError, SpecSchemaError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
-from eaclab.specmodel import check_sweeps, expand_sweeps, parse_spec
+from eaclab.specmodel import expand_sweeps, parse_spec
 
 from conftest import LAB_PATH
 from workloads import (
@@ -26,6 +26,7 @@ from workloads import (
     campaign_workload,
     lowered_params_per_step,
     static_check_per_step,
+    sweep_refusal,
     with_device,
 )
 
@@ -148,7 +149,7 @@ def test_step_order_does_not_change_the_dag(campaign_text, campaign_dag, registr
 def test_compile_spec_takes_the_callers_static_check(campaign_spec, campaign_dag, registry, genesis):
     diagnostics = static_check(campaign_spec, registry, genesis)
     assert compile_spec(campaign_spec, registry, genesis, diagnostics) == campaign_dag
-    error = Diagnostic("out_of_range", "error", "fill#0", "volume too large")
+    error = Diagnostic("out_of_range", "fill#0", "volume too large")
     with pytest.raises(CompileError, match="out_of_range"):
         compile_spec(campaign_spec, registry, genesis, [error])
 
@@ -498,25 +499,25 @@ NON_FINITE = [float("nan"), float("inf"), -float("inf")]
 LOOKALIKE_SUFFIXES = ["#0", "#1", "#x", "#0#0"]
 
 
-def _error(exc: Exception) -> tuple:
-    return type(exc), getattr(exc, "code", None), getattr(exc, "locus", None), str(exc)
-
-
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_the_template_check_matches_the_check_of_the_expansion(data):
-    """``validate`` checks a spec's sweeps and then the spec at its template,
-    without expanding it. That gives the diagnostics of the expansion, each
-    step checked alone, or raises what the expansion raises. Beyond the
-    draws above, a step may sweep one more param, declared or not, with
-    numbers, non-finite ones too, or with quantities only (an undeclared
-    param swept with numbers is an error, with quantities a new param), and
-    ids may look like instance ids of other steps. A clean template, which
-    ``plan`` and ``run`` compile as it is, lowers to its expansion's DAG."""
+    """``validate`` parses a spec, which checks its sweeps, and then checks
+    the spec at its template, without expanding it. That gives the
+    diagnostics of the expansion, each step checked alone; a spec whose
+    expansion would break is refused by ``parse_spec``, at the step or
+    instance id a drawn edit names. Beyond the draws above, a step may
+    sweep one more param, declared or not, with numbers, non-finite ones
+    too, or with quantities only (an undeclared param swept with numbers is
+    an error, with quantities a new param), and ids may look like instance
+    ids of other steps. A clean template, which ``plan`` and ``run``
+    compile as it is, lowers to its expansion's DAG."""
     damaged = data.draw(st.booleans())
     steps = [_drawn_step(data.draw, i, damaged) for i in range(data.draw(st.integers(1, 4)))]
+    swept = []  # the steps that sweep one more param
     for step in steps:
         if data.draw(st.booleans()):
+            swept.append(step)
             name = data.draw(st.sampled_from(sorted(step["params"]) + ["extra"]))
             quantities = data.draw(st.booleans())
             values = DRAWN_VALUES if quantities else DRAWN_VALUES + NON_FINITE
@@ -539,15 +540,16 @@ def test_the_template_check_matches_the_check_of_the_expansion(data):
            "resources": [{"name": name, "capability": capability}
                          for name, (capability, _) in sorted(DRAWN_BINDINGS.items())
                          if any(step["binding"] == name for step in steps)]}
-    template = parse_spec(json.dumps(doc))
     try:
-        expected = static_check_per_step(expand_sweeps(template), OVEN_REGISTRY, OVEN_GENESIS)
-    except EacError as err:
-        with pytest.raises(EacError) as raised:
-            check_sweeps(template)
-        assert _error(raised.value) == _error(err)
+        template = parse_spec(json.dumps(doc))
+    except SpecSchemaError as err:
+        named = {f"steps[{step['id']}]" for step in swept} | set(renames.values())
+        assert err.code in ("unknown_sweep_param", "bad_value", "duplicate_id")
+        assert err.locus in named
+        assert (err.code, err.locus) == sweep_refusal(doc)
         return
-    check_sweeps(template)
+    assert sweep_refusal(doc) is None
+    expected = static_check_per_step(expand_sweeps(template), OVEN_REGISTRY, OVEN_GENESIS)
     assert static_check(template, OVEN_REGISTRY, OVEN_GENESIS) == expected
     if expected:
         return

@@ -50,6 +50,24 @@ def test_every_benchmark_span_names_a_function_of_the_program():
         assert callable(target), (home, attr)
 
 
+def test_the_scaling_script_runs():
+    """``perfbench/scaling.py`` times the layers through their public calls,
+    which no other test makes as it does; at 6 points it prints one JSON
+    line of them."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/scaling.py", "6"],
+                          cwd=root, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1
+    figures = json.loads(lines[0])
+    assert figures["n"] == 6
+    assert set(figures) == {
+        "n", "nodes", "edges", "check_compile_s", "schedule_fifo_s",
+        "schedule_batched_s", "execute_s", "replay_s",
+    }
+
+
 def test_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     """A cold command pays for every module ``import eaclab.cli`` loads; the
     records are built without ``dataclasses``, which would bring ``inspect``."""
@@ -192,13 +210,13 @@ else:
 
 @pytest.mark.parametrize("command, compiled", [
     ((), 2),  # the class-level defaults SafetyEnvelope() and TransitionLatency()
-    (("validate", *SPEC_AND_LAB), 14),
-    (("plan", *SPEC_AND_LAB), 19),
-    (("run", *SPEC_AND_LAB, "--out"), 25),
+    (("validate", *SPEC_AND_LAB), 13),
+    (("plan", *SPEC_AND_LAB), 18),
+    (("run", *SPEC_AND_LAB, "--out"), 24),
 ])
 def test_a_cold_command_compiles_only_the_records_it_makes(tmp_path, command, compiled):
     """A record's ``__init__`` is compiled at the class's first instance, so
-    importing the CLI compiles 2 of its 22 record classes."""
+    importing the CLI compiles 2 of the 19 record classes it loads."""
     if command[-1:] == ("--out",):
         command += (str(tmp_path),)
     env = {**os.environ, "PYTHONPATH": str(Path(eaclab.__file__).parents[1])}

@@ -8,7 +8,6 @@ version the schema bounds.
 """
 
 import copy
-import importlib.util
 import json
 
 import pytest
@@ -19,6 +18,7 @@ from eaclab.errors import SpecSchemaError
 from eaclab.specmodel import parse_spec
 
 from conftest import CAMPAIGN_PATH, LAB_PATH, REPO_ROOT
+from workloads import perfbench_inputs
 
 SCHEMA = json.loads((REPO_ROOT / "schema" / "experiment_spec.schema.json").read_text())
 VALIDATOR = Draft202012Validator(SCHEMA)
@@ -134,14 +134,6 @@ def _refused_for_shape(exc) -> bool:
     return exc.code == "bad_value" and (exc.locus == "$" or str(exc).endswith(" is empty"))
 
 
-def _perfbench_inputs():
-    path = REPO_ROOT / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    return inputs
-
-
 def _schema_errors(doc):
     return [error.message for error in VALIDATOR.iter_errors(doc)]
 
@@ -151,7 +143,7 @@ def test_the_schema_is_a_valid_draft_2020_12_schema():
 
 
 def test_the_schema_accepts_the_reference_and_benchmark_specs():
-    inputs = _perfbench_inputs()
+    inputs = perfbench_inputs()
     docs = [CAMPAIGN, inputs.campaign_scale(copy.deepcopy(CAMPAIGN), LAB)]
     docs += [doc for doc, _ in inputs.agent_ensemble(0, copy.deepcopy(CAMPAIGN),
                                                      inputs.ensemble_lab(LAB))]

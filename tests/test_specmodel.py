@@ -1,19 +1,22 @@
+import copy
 import itertools
 import json
 import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eaclab import specmodel
 from eaclab.canon import canonical_json
+from eaclab.capabilities import registry_from_lab_config
+from eaclab.compiler import compile_spec, static_check
 from eaclab.errors import SpecSchemaError, SpecSyntaxError
+from eaclab.labstate import genesis_from_lab_config
 from eaclab.records import replace
 from eaclab.specmodel import (
     StepSpec,
     _dependency_cycle,
-    check_sweeps,
     expand_sweeps,
     parse_spec,
     serialize_spec,
@@ -22,7 +25,8 @@ from eaclab.specmodel import (
 )
 from eaclab.units import Quantity
 
-from workloads import campaign_doc, dependency_cycle_recursive
+from conftest import CAMPAIGN_PATH, LAB_PATH
+from workloads import campaign_doc, dependency_cycle_recursive, perfbench_inputs, sweep_refusal
 
 MINIMAL = {
     "spec_id": "t",
@@ -252,11 +256,11 @@ _LOOKALIKES = ["{}#0", "{}#1", "{}#2", "{}#7", "{}#x", "{}#0#0"]
 
 
 @pytest.mark.parametrize("seed", range(120))
-def test_expansion_breaks_only_unique_ids(seed):
+def test_expansion_breaks_only_unique_ids(seed, monkeypatch):
     """Swept step graphs whose literal ids collide with instance ids:
-    ``expand_sweeps`` raises exactly when a full validation of its expansion
-    would, with the same code, locus and message, and otherwise returns an
-    expansion that passes ``validate_spec``."""
+    ``parse_spec`` raises exactly when a full validation of the expansion
+    would, with the same code, locus and message, and otherwise returns a
+    spec whose expansion passes ``validate_spec``."""
     rng = random.Random(seed)
     doc, has_cycle = _random_dep_graph(seed, n=6, extra_edges=seed % 5)
     if has_cycle:
@@ -274,20 +278,23 @@ def test_expansion_breaks_only_unique_ids(seed):
     for step in steps:
         step["id"] = renames.get(step["id"], step["id"])
         step["depends_on"] = [renames.get(dep, dep) for dep in step["depends_on"]]
+    text = json.dumps(doc)
+    with monkeypatch.context() as unchecked:  # the template, its sweeps unchecked
+        unchecked.setattr(specmodel, "_check_sweeps", lambda spec: None)
+        try:
+            template = parse_spec(text)
+        except SpecSchemaError:
+            return  # two steps renamed alike
     try:
-        spec = parse_spec(json.dumps(doc))
-    except SpecSchemaError:
-        return  # two steps renamed alike
-    try:
-        expected = _expand_and_validate(spec)
+        expected = _expand_and_validate(template)
     except SpecSchemaError as err:
         with pytest.raises(SpecSchemaError) as raised:
-            expand_sweeps(spec)
+            parse_spec(text)
         assert (raised.value.code, raised.value.locus, str(raised.value)) == (
             err.code, err.locus, str(err))
         assert err.code == "duplicate_id"
         return
-    expanded = expand_sweeps(spec)
+    expanded = expand_sweeps(parse_spec(text))
     validate_spec(expanded)
     assert [(step.step_id, step.depends_on) for step in expanded.steps] == expected
 
@@ -361,22 +368,94 @@ NAN, INF = float("nan"), float("inf")
     ([{"volume": [1, 2]}], "fill#1", (SpecSchemaError, "duplicate_id at fill#1: duplicate step id")),
 ])
 def test_check_sweeps_raises_what_the_expansion_raises(sweeps, renamed, error):
+    """``parse_spec`` checks a template's sweeps for what expanding them
+    would break, in this order, without expanding them."""
     doc = _doc()
     doc["steps"].append(dict(doc["steps"][0], id=renamed or "again"))
     for step, repeat in zip(doc["steps"], sweeps):
         step["repeat"] = repeat
-    template = parse_spec(json.dumps(doc))
-    for check in (check_sweeps, expand_sweeps):
-        with pytest.raises(error[0]) as raised:
-            check(template)
-        assert str(raised.value) == error[1]
+    with pytest.raises(error[0]) as raised:
+        parse_spec(json.dumps(doc))
+    assert str(raised.value) == error[1]
+    assert (raised.value.code, raised.value.locus) == sweep_refusal(doc)
+
+
+# The agent_ensemble specs of the benchmark (seed 1) that parse, all but
+# those with a planted cycle, and the lab they and the campaign run on: the
+# reference lab and two temperature cells.
+_INPUTS = perfbench_inputs()
+_ENSEMBLE_LAB = _INPUTS.ensemble_lab(json.loads(LAB_PATH.read_text()))
+_ENSEMBLE_REGISTRY = registry_from_lab_config(_ENSEMBLE_LAB)
+_ENSEMBLE_GENESIS = genesis_from_lab_config(_ENSEMBLE_LAB)
+_AGENT_SPECS = [doc for doc, code in _INPUTS.agent_ensemble(
+    1, json.loads(CAMPAIGN_PATH.read_text()), _ENSEMBLE_LAB) if code != "dependency_cycle"]
+_SWEPT_VALUES = [0.5, 1, 2.0, 6, 298.0, {"value": 1.0, "unit": "mL"}, {"value": 310, "unit": "K"}]
+
+
+def _drawn_sweep_edit(draw, doc: dict):
+    """Edit one step of ``doc``: sweep an undeclared param, sweep a number
+    that is not finite, or make it a literal step, unswept, with the id of
+    an instance of another step. Returns
+    what the edit names: the new id, or the swept step, whose id a later
+    edit may change; None when the drawn id is taken."""
+    step = draw(st.sampled_from(doc["steps"]))
+    edit = draw(st.sampled_from(["undeclared", "non_finite", "instance_id"]))
+    if edit == "instance_id":
+        swept = [s for s in doc["steps"] if s is not step and s.get("repeat")]
+        other = draw(st.sampled_from(swept or doc["steps"]))
+        new_id = f"{other['id']}#{draw(st.integers(0, 3))}"
+        if new_id in {s["id"] for s in doc["steps"]}:
+            return None
+        for s in doc["steps"]:
+            s["depends_on"] = [new_id if dep == step["id"] else dep
+                               for dep in s.get("depends_on", [])]
+        step["id"] = new_id
+        step.pop("repeat", None)
+        return new_id
+    values = draw(st.lists(st.sampled_from(_SWEPT_VALUES), min_size=1, max_size=3))
+    if edit == "undeclared":
+        name = "ghost"
+    else:
+        name = draw(st.sampled_from(sorted(step["params"])))
+        values.insert(draw(st.integers(0, len(values))),
+                      draw(st.sampled_from([NAN, INF, -INF])))
+    step.setdefault("repeat", {})[name] = values
+    return step
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_a_parsed_spec_checks_lowers_and_expands(data):
+    """Parsing is total: the campaign at a few points and the benchmark's
+    agent specs, with sweep edits that expanding would break, either are
+    refused by ``parse_spec`` where an edit names, or parse to a spec that
+    ``static_check`` checks, and that, when clean, ``compile_spec`` lowers
+    and ``expand_sweeps`` expands."""
+    if data.draw(st.booleans()):
+        doc = campaign_doc(data.draw(st.integers(1, 6)))
+    else:
+        doc = copy.deepcopy(data.draw(st.sampled_from(_AGENT_SPECS)))
+    edits = [_drawn_sweep_edit(data.draw, doc) for _ in range(data.draw(st.integers(1, 2)))]
+    named = {f"steps[{edit['id']}]" if isinstance(edit, dict) else edit for edit in edits}
+    try:
+        spec = parse_spec(json.dumps(doc))
+    except SpecSchemaError as err:
+        assert err.code in ("unknown_sweep_param", "bad_value", "duplicate_id")
+        assert err.locus in named
+        assert (err.code, err.locus) == sweep_refusal(doc)
+        return
+    assert sweep_refusal(doc) is None
+    diagnostics = static_check(spec, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS)
+    if not diagnostics:
+        compile_spec(spec, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS, diagnostics)
+        expand_sweeps(spec)
 
 
 def test_unknown_sweep_param_raises():
     doc = _doc()
     doc["steps"][0]["repeat"] = {"pressure": [1, 2]}
     with pytest.raises(SpecSchemaError) as err:
-        expand_sweeps(parse_spec(json.dumps(doc)))
+        parse_spec(json.dumps(doc))
     assert (err.value.code, err.value.locus) == ("unknown_sweep_param", "steps[fill]")
 
 

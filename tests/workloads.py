@@ -2,7 +2,9 @@
 the test-only helpers and reference oracles the program does not ship."""
 
 import argparse
+import importlib.util
 import json
+import math
 import random
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from eaclab.compiler import Diagnostic, OpNode, WorkflowDAG
 from eaclab.errors import EacError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
 from eaclab.records import field, record, replace
-from eaclab.specmodel import check_sweeps, expand_sweeps, parse_spec
+from eaclab.specmodel import expand_sweeps, parse_spec
 from eaclab.telemetry import TelemetryRecord
 from eaclab.units import to_canonical
 
@@ -84,12 +86,10 @@ def campaign_doc(n: int, fill_ml: float | None = None) -> dict:
 
 
 def campaign_template(n: int, fill_ml: float | None = None):
-    """``campaign_doc(n, fill_ml)``, parsed with its sweeps checked, as
-    ``plan`` compiles it, with the reference lab. Returns (template,
-    registry, genesis)."""
+    """``campaign_doc(n, fill_ml)``, parsed, as ``plan`` compiles it, with
+    the reference lab. Returns (template, registry, genesis)."""
     lab = json.loads((CONFIGS / "reference_lab.json").read_text())
     spec = parse_spec(json.dumps(campaign_doc(n, fill_ml)))
-    check_sweeps(spec)
     return spec, registry_from_lab_config(lab), genesis_from_lab_config(lab)
 
 
@@ -98,6 +98,42 @@ def campaign_workload(n: int, fill_ml: float | None = None):
     Returns (expanded spec, registry, genesis)."""
     spec, registry, genesis = campaign_template(n, fill_ml)
     return expand_sweeps(spec), registry, genesis
+
+
+def perfbench_inputs():
+    """The benchmark's input builders, ``perfbench/inputs.py``, as a module."""
+    path = CONFIGS.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def sweep_refusal(doc: dict) -> tuple[str, str] | None:
+    """The (code, locus) a spec document whose template is valid is refused
+    with for its sweeps, or None: ``unknown_sweep_param`` or ``bad_value``
+    at the first step that sweeps an undeclared param with a number or
+    sweeps a number that is not finite, else ``duplicate_id`` at the first
+    id that repeats among the ids of its expansion, each written out. The
+    reference for the sweep checks ``parse_spec`` makes without expanding."""
+    for step in doc["steps"]:
+        repeat = step.get("repeat") or {}
+        numbers = [(name, v) for name, values in repeat.items()
+                   for v in values if not isinstance(v, dict)]
+        if any(name not in step.get("params", {}) for name, _ in numbers):
+            return "unknown_sweep_param", f"steps[{step['id']}]"
+        if not all(math.isfinite(v) for _, v in numbers):
+            return "bad_value", f"steps[{step['id']}]"
+    seen: set[str] = set()
+    for step in doc["steps"]:
+        repeat = step.get("repeat")
+        ids = [step["id"]] if not repeat else [
+            f"{step['id']}#{k}" for k in range(math.prod(map(len, repeat.values())))]
+        for step_id in ids:
+            if step_id in seen:
+                return "duplicate_id", step_id
+            seen.add(step_id)
+    return None
 
 
 def with_device(state: LabState, device: DeviceRecord) -> LabState:
@@ -305,7 +341,7 @@ def static_check_per_step(spec, registry, state) -> list[Diagnostic]:
     for binding in spec.resources:
         if binding.capability not in registry:
             diagnostics.append(Diagnostic(
-                "unknown_capability", "error", binding.binding_name,
+                "unknown_capability", binding.binding_name,
                 f"capability {binding.capability!r} is not registered",
             ))
             continue
@@ -315,7 +351,7 @@ def static_check_per_step(spec, registry, state) -> list[Diagnostic]:
             for device_id, record in state.devices.items()
         ):
             diagnostics.append(Diagnostic(
-                "unsatisfiable_binding", "error", binding.binding_name,
+                "unsatisfiable_binding", binding.binding_name,
                 f"no device provides capability {binding.capability!r}",
             ))
     for step in spec.steps:
@@ -325,13 +361,13 @@ def static_check_per_step(spec, registry, state) -> list[Diagnostic]:
         schema = registry.get(binding.capability)
         if step.operation not in schema.operations:
             diagnostics.append(Diagnostic(
-                "unknown_operation", "error", step.step_id,
+                "unknown_operation", step.step_id,
                 f"{binding.capability} has no operation {step.operation!r}",
             ))
             continue
-        report = registry.check_param_ranges(binding.capability, step.operation, step.params)
-        for violation in report.violations:
-            diagnostics.append(Diagnostic(violation.code, "error", step.step_id, violation.message))
+        for violation in registry.check_param_ranges(
+                binding.capability, step.operation, step.params):
+            diagnostics.append(Diagnostic(violation.code, step.step_id, violation.message))
         for predicate in schema.safety.conditions:
             if predicate.field not in step.params:
                 continue
@@ -339,7 +375,7 @@ def static_check_per_step(spec, registry, state) -> list[Diagnostic]:
             threshold = to_canonical(predicate.threshold).value
             if not predicate.holds(commanded, threshold):
                 diagnostics.append(Diagnostic(
-                    "safety_violation", "error", step.step_id,
+                    "safety_violation", step.step_id,
                     f"{predicate.field} {predicate.comparator} {threshold:g} violated "
                     f"by commanded value {commanded:g}",
                 ))
