@@ -1,10 +1,11 @@
 """Per-device-type contracts and the capability registry.
 
 A ``CapabilitySchema`` declares the operations a device type supports,
-their parameter envelopes and clocks, the safety envelope, state-transition
-latencies, and the calibration validity window. Specs are range-checked
-against these contracts before anything touches a device. Built-in and
-custom device types are written alike, in the lab config's form.
+their parameter envelopes, clocks and wire frames, the safety envelope,
+state-transition latencies, and the calibration validity window. Specs are
+range-checked against these contracts before anything touches a device.
+Built-in and custom device types are written alike, in the lab config's
+form.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ class ParamSchema:
     min: float
     max: float
     optional: bool = False
+    integer: bool = False
+    # The name of a param, in the same unit, that this one must be below.
+    below: str | None = None
 
     def __post_init__(self) -> None:
         if self.min > self.max:
@@ -55,6 +59,13 @@ class OperationSchema:
     # Seconds, or the names of two params whose canonical values divide
     # to seconds (volume / flow_rate).
     duration_s: float | tuple[str, str] = DEFAULT_DURATION_S
+    # The wire frame as parts: literal bytes; XOR_CHECKSUM, the XOR of the
+    # bytes before it; and fields (param, scale, pack, format), the param's
+    # value in this operation's unit times scale, rounded and packed by the
+    # struct integer code pack, or else written as text by format: "number"
+    # (an integral value as an integer, any other as its repr) or an
+    # integer format such as "03d", which rounds. None: the generic text frame.
+    frame: tuple[bytes | str | tuple[str, float, str | None, str | None], ...] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in OPERATION_KINDS:
@@ -163,14 +174,19 @@ class CapabilitySchema:
         for op in self.operations.values():
             where = f"{self.capability}.{op.name}"
             # Lifecycle nodes carry no params.
-            _check_clock(op, {} if op.name in _LIFECYCLE_OPERATIONS else op.params, where)
+            params = {} if op.name in _LIFECYCLE_OPERATIONS else op.params
+            _check_clock(op, params, where)
             if op.configure_via is not None:
                 if op.configure_via not in self.operations:
                     raise ValueError(f"{where}.configure_via names no operation: "
                                      f"{op.configure_via!r}")
-                # The configure node's clock is evaluated on this step's params.
-                _check_clock(self.operations[op.configure_via], op.params,
-                             f"{where}.configure_via")
+                # The configure node's clock and frame are evaluated on this
+                # step's params, of which the configure node takes its own.
+                configure = self.operations[op.configure_via]
+                _check_clock(configure, op.params, f"{where}.configure_via")
+                _check_frame(configure, op.params, f"{where}.configure_via")
+                params = {k: p for k, p in params.items() if k not in configure.params}
+            _check_frame(op, params, where)
 
     def operation(self, name: str) -> OperationSchema:
         try:
@@ -211,9 +227,28 @@ def _check_clock(op: OperationSchema, params: dict[str, ParamSchema], where: str
             )
 
 
+def _check_frame(op: OperationSchema, params: dict[str, ParamSchema], where: str) -> None:
+    """Refuse a frame field unless its param is one of ``params``, those the
+    node carries, required and in ``op``'s unit; declared integer if the
+    field writes it as an unscaled integer; and, if packed, with bounds that
+    fit the packing."""
+    for part in op.frame or ():
+        if not isinstance(part, tuple):
+            continue
+        name, scale, pack, text = part
+        at, p = f"{where}.frame field {name!r}", params.get(name)
+        if p is None or p.optional or p.unit != getattr(op.params.get(name), "unit", None):
+            raise ValueError(f"{at} must name a required param that the node carries")
+        if text != "number" and scale == 1 and not p.integer:
+            raise ValueError(f"{at} writes an integer, so the param must be declared integer")
+        low, high = _PACK_RANGES.get(pack, (-math.inf, math.inf))
+        if p.min * scale < low or p.max * scale > high:
+            raise ValueError(f"{at}: [{p.min:g}, {p.max:g}] times {scale:g} does not fit {pack!r}")
+
+
 @record(frozen=True)
 class Violation:
-    code: str  # out_of_range | missing_param | unknown_param | bad_unit
+    code: str  # out_of_range | missing_param | unknown_param | bad_unit | bad_value
     param: str
     message: str
 
@@ -251,7 +286,9 @@ class CapabilityRegistry:
     ) -> list[Violation]:
         """Range- and completeness-check params against the operation
         schema; the violations, in the schema's param order, then unknown
-        params in ``params``' order.
+        params in ``params``' order. A param in range must also be integral
+        if declared integer, and below the param it names in ``below``
+        when that param is given.
 
         Values are canonicalized to the declared unit before comparison, so
         any dimensionally identical restatement passes or fails identically.
@@ -286,6 +323,17 @@ class CapabilityRegistry:
                         f"[{pschema.min:g}, {pschema.max:g}]",
                     )
                 )
+            elif pschema.integer and not value.is_integer():
+                violations.append(Violation("bad_value", name, f"{name!r}={value:g} is not an integer"))
+            elif pschema.below in params:  # None names no param
+                try:  # a bad unit there is reported there
+                    bound = canonicalize_units(params[pschema.below], pschema.unit).value
+                except (UnitError, KeyError):
+                    continue
+                if not value < bound:
+                    violations.append(Violation("out_of_range", name, (
+                        f"{name!r}={value:g} {pschema.unit} is not below "
+                        f"{pschema.below!r}={bound:g} {pschema.unit}")))
         for name in params:
             if name not in schema.params:
                 violations.append(
@@ -297,43 +345,76 @@ class CapabilityRegistry:
 # The potentiostat's EIS settings, which measure_eis sets through configure.
 _EIS_PARAMS = {
     "eac": {"unit": "V", "min": 0.001, "max": 1.0},
-    "freq_min": {"unit": "Hz", "min": 1.0, "max": 1e6},
+    "freq_min": {"unit": "Hz", "min": 1.0, "max": 1e6, "below": "freq_max"},
     "freq_max": {"unit": "Hz", "min": 1.0, "max": 1e6},
-    "n_freq": {"min": 1, "max": 100},
+    "n_freq": {"min": 1, "max": 100, "integer": True},
 }
 
 # The five built-in device types, in the lab config's ``capabilities`` form
-# and parsed by ``schema_from_dict`` like any custom capability.
+# and parsed by ``schema_from_dict`` like any custom capability. Where a
+# vendor frame is only partly known (the pump's payload and checksum, the
+# relay's off code, the potentiostat's text protocol), the rest is this
+# package's convention, kept decodable so it can be tested without the
+# vendor's documentation.
 BUILTIN_CAPABILITIES = {
     "pump": {"operations": {
         "dispense": {"params": {"flow_rate": {"unit": "mL/min", "min": 0.1, "max": 10.0},
                                 "volume": {"unit": "mL", "min": 0.01, "max": 50.0}},
-                     "duration_s": ["volume", "flow_rate"]},
-        "stop": {"idempotent": True},
+                     "duration_s": ["volume", "flow_rate"],
+                     # E9 0E 08 is the vendor's dispense opcode.
+                     "frame": [{"bytes": [0xE9, 0x0E, 0x08]},
+                               {"param": "flow_rate", "scale": 1000, "pack": "<I"},
+                               {"param": "volume", "scale": 1000, "pack": "<I"},
+                               {"checksum": "xor"}]},
+        "stop": {"idempotent": True, "frame": ["STOP\r"]},
     }},
     "valve": {"operations": {
-        "set": {"params": {"dest": {"min": 1, "max": 6}}, "idempotent": True, "duration_s": 2.0},
+        "set": {"params": {"dest": {"min": 1, "max": 6, "integer": True}},
+                "idempotent": True, "duration_s": 2.0,
+                "frame": ["G", {"param": "dest", "format": "03d"}, "\r"]},
     }},
-    "balance": {"operations": {"read": {"kind": "read"}, "tare": {"idempotent": True}}},
+    "balance": {"operations": {"read": {"kind": "read", "frame": ["SI\r"]},
+                               "tare": {"idempotent": True, "frame": ["TARE\r"]}}},
+    # An HID feature report: 00, then FF for on and FD for off, then the channel.
     "relay": {"operations": {
-        "on": {"params": {"channel": {"min": 1, "max": 8}}, "idempotent": True},
-        "off": {"params": {"channel": {"min": 1, "max": 8}}, "idempotent": True},
+        "on": {"params": {"channel": {"min": 1, "max": 8, "integer": True}}, "idempotent": True,
+               "frame": [{"bytes": [0x00, 0xFF]}, {"param": "channel", "pack": "B"}]},
+        "off": {"params": {"channel": {"min": 1, "max": 8, "integer": True}}, "idempotent": True,
+                "frame": [{"bytes": [0x00, 0xFD]}, {"param": "channel", "pack": "B"}]},
     }},
     "potentiostat": {"operations": {
-        "configure": {"params": _EIS_PARAMS, "kind": "configure", "idempotent": True},
+        "configure": {"params": _EIS_PARAMS, "kind": "configure", "idempotent": True,
+                      "frame": ["CFG eac=", {"param": "eac", "format": "number"},
+                                " fmax=", {"param": "freq_max", "format": "number"},
+                                " fmin=", {"param": "freq_min", "format": "number"},
+                                " n=", {"param": "n_freq", "format": "d"}, "\r"]},
         # concentration is a sample annotation carried through to telemetry.
         "measure_eis": {"params": {**_EIS_PARAMS, "concentration": {
                             "unit": "mol/kg", "min": 0.0, "max": 1000.0, "optional": True}},
-                        "kind": "read", "configure_via": "configure"},
+                        "kind": "read", "configure_via": "configure", "frame": ["MEAS\r"]},
     }},
 }
 
-# Every capability has these; one may redeclare them. Their nodes carry no
-# parameters, so their clocks must be numbers.
+# Every capability has these; one may redeclare them, and keeps their frame
+# unless it declares its own. Their nodes carry no parameters, so their
+# clocks must be numbers and their frames constant.
 _LIFECYCLE_OPERATIONS = {
-    "connect": {"kind": "connect", "idempotent": True},
-    "disconnect": {"kind": "disconnect", "idempotent": True},
+    "connect": {"kind": "connect", "idempotent": True, "frame": ["HELLO\r"]},
+    "disconnect": {"kind": "disconnect", "idempotent": True, "frame": ["BYE\r"]},
 }
+
+# A frame's checksum part; each struct integer code a packed field may use
+# (one byte, or a byte order and a size), with the least and the greatest
+# integer it holds; a text field's formats (an integer one zero-padded, as
+# spaces would not read back); and the characters a text field may write.
+XOR_CHECKSUM = "xor"
+_PACK_RANGES = {
+    order + code: (0, 256 ** size - 1) if code.isupper() else (-(256 ** size // 2), 256 ** size // 2 - 1)
+    for code, size in (("b", 1), ("B", 1), ("h", 2), ("H", 2), ("i", 4), ("I", 4), ("q", 8), ("Q", 8))
+    for order in (("<", ">", "") if size == 1 else ("<", ">"))
+}
+_TEXT_FORMATS = frozenset({"number", "d", *(f"0{width}d" for width in range(2, 10))})
+_NUMBER_CHARACTERS = "0123456789+-.e"
 
 
 def finite_number(obj: dict, key: str, where: str, default: float | None = None) -> float:
@@ -368,6 +449,44 @@ def _clock(obj: dict, where: str) -> float | tuple[str, str]:
     return float(value)
 
 
+def _parse_frame(frame, where: str) -> tuple:
+    """A lab's ``frame`` list as parts: text and ``{"bytes": [...]}`` as
+    bytes, ``{"checksum": "xor"}`` as XOR_CHECKSUM and ``{"param", "scale",
+    "pack" or "format"}`` as a field, whose param ``_check_frame``
+    checks. A text field must end the frame or be followed by text that
+    starts with a character no number holds, which is where a reader ends
+    the field."""
+    if not isinstance(frame, list) or not frame:
+        raise ValueError(f"{where}.frame must be a non-empty list, not {frame!r}")
+    parts = []
+    for i, part in enumerate(frame):
+        at = f"{where}.frame[{i}]"
+        if parts and isinstance(parts[-1], tuple) and parts[-1][2] is None and not (
+                isinstance(part, str) and part[:1] not in _NUMBER_CHARACTERS):
+            raise ValueError(f"{at} follows a text field, so it must be text that starts "
+                             f"with a character no number holds")
+        if isinstance(part, dict) and "param" in part:
+            pack, text = part.get("pack"), part.get("format")
+            part = (part["param"], finite_number(part, "scale", at, 1.0), pack, text)
+            if not (isinstance(part[0], str) and part[1] > 0 and (
+                    text is None and isinstance(pack, str) and pack in _PACK_RANGES
+                    or pack is None and isinstance(text, str) and text in _TEXT_FORMATS)):
+                raise ValueError(f"{at} must name a param, with a scale > 0 and either a 'pack' "
+                                 f"code such as '<I' or a 'format': 'number' or such as '03d'")
+        elif part == {"checksum": XOR_CHECKSUM}:
+            part = XOR_CHECKSUM
+        elif isinstance(part, str) and part:
+            part = part.encode("utf-8")
+        elif isinstance(part, dict) and isinstance(part.get("bytes"), list) and part["bytes"] \
+                and all(type(b) is int and 0 <= b <= 255 for b in part["bytes"]):
+            part = bytes(part["bytes"])
+        else:
+            raise ValueError(f"{at} must be non-empty text, bytes 0..255, the xor checksum or "
+                             f"a param field, not {part!r}")
+        parts.append(part)
+    return tuple(parts)
+
+
 def _parse_operation(name: str, obj: dict, where: str) -> OperationSchema:
     params = {}
     for pname, p in obj.get("params", {}).items():
@@ -380,8 +499,18 @@ def _parse_operation(name: str, obj: dict, where: str) -> OperationSchema:
             min=finite_number(p, "min", at),
             max=finite_number(p, "max", at),
             optional=_flag(p, "optional", at, False),
+            integer=_flag(p, "integer", at, False),
+            below=p.get("below"),
         )
+    for pname, p in params.items():
+        other = params.get(p.below) if isinstance(p.below, str) and p.below != pname else None
+        if p.below is not None and getattr(other, "unit", None) != p.unit:
+            raise ValueError(f"{where}.params.{pname}.below must name another param of the "
+                             f"operation in {p.unit!r}, not {p.below!r}")
     kind = obj.get("kind", "actuate")
+    frame = obj.get("frame", _LIFECYCLE_OPERATIONS.get(name, {}).get("frame"))
+    if frame is not None or "frame" in obj:
+        frame = _parse_frame(frame, where)
     return OperationSchema(
         name=name,
         params=params,
@@ -389,6 +518,7 @@ def _parse_operation(name: str, obj: dict, where: str) -> OperationSchema:
         idempotent=_flag(obj, "idempotent", where, kind == "read"),
         configure_via=obj.get("configure_via"),
         duration_s=_clock(obj, where),
+        frame=frame,
     )
 
 

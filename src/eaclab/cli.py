@@ -350,7 +350,7 @@ def cmd_run(args) -> int:
     os.makedirs(run_dir, exist_ok=True)
     _write(f"{run_dir}{os.sep}spec.json", (spec_text + "\n").encode("utf-8"))
     _write(f"{run_dir}{os.sep}plan.json", (plan.serialize() + "\n").encode("utf-8"))
-    result = execute(plan, dag, genesis, registry, SimFleet(sim_configs, args.seed),
+    result = execute(plan, dag, genesis, registry, SimFleet(sim_configs, registry, args.seed),
                      run_id=run_id, spec_hash=shash, fault_schedule=fault_schedule)
     head = {"seed": args.seed, "spec_hash": shash, "plan_hash": plan_hash(plan),
             "lab_hash": lab_hash()}
@@ -544,7 +544,7 @@ def cmd_resume(args) -> int:
         state = apply_event(state, event)
         appended.append(event)
 
-    fleet = SimFleet(sim_configs, head["seed"])
+    fleet = SimFleet(sim_configs, registry, head["seed"])
     try:
         result = resume(
             checkpoint, plan, dag, state, registry, fleet,

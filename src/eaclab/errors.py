@@ -99,10 +99,6 @@ class StabilizationTimeoutError(EacError):
     """Stabilization signal never entered its band before the cap."""
 
 
-class RangeError(EacError):
-    """Codec parameter outside the encodable range."""
-
-
 class FrameParseError(EacError):
     """Wire frame or device reply line could not be decoded."""
 

@@ -164,7 +164,8 @@ class _RunContext:
         key = (capability, node.operation, device_id, id(node.params))
         frame = self.frames.get(key)
         if frame is None:
-            frame = encode_operation(capability, node.operation, node.params, device_id)
+            operation = self.registry.get(capability).operation(node.operation)
+            frame = encode_operation(operation, node.params, device_id)
             self.frames[key] = frame
         return frame
 
@@ -475,8 +476,10 @@ def _stop(ctx, fault: FaultEvent, disposition: str, time: float) -> RunResult:
             idempotent=True,
             est_duration=0.0,
         )
-        _precheck_and_log(ctx, node, device_id, "", time)
-        _dispatch(ctx, node, device_id, time, encode_operation("", "disconnect", {}, device_id))
+        capability = ctx.state.devices[device_id].capability
+        _precheck_and_log(ctx, node, device_id, capability, time)
+        disconnect = ctx.registry.get(capability).operation("disconnect")
+        _dispatch(ctx, node, device_id, time, encode_operation(disconnect, {}, device_id))
         ctx.emit("transition", device_id, time, {"to": "idle"})
     ctx.connected.clear()
     return _result(ctx, "aborted", fault)

@@ -1,10 +1,11 @@
-"""Wire-level codecs and the deterministic simulated device fleet.
+"""The wire-frame interpreter and the deterministic simulated device fleet.
 
-Codecs translate unified operations into the byte frames each vendor
-protocol expects. Where a vendor frame is only partially known (pump
-payload, relay off-code, potentiostat text protocol), the completion is a
-documented in-house convention kept round-trip decodable so it stays
-testable without vendor documentation.
+Each operation of a capability declares its wire frame as data (see
+``eaclab.capabilities``): literal bytes, param fields and an XOR checksum.
+``encode_operation`` writes any declared frame, and ``decode_operation``
+reads a frame back into its operation and params, so the built-in and the
+custom device types are spoken to by the same code. An operation that
+declares no frame is sent the generic text frame ``OP <name> <k>=<v>...``.
 """
 
 from __future__ import annotations
@@ -15,23 +16,24 @@ import re
 import struct
 from collections.abc import Iterable
 
-from eaclab.errors import FrameParseError, RangeError, SimFault
+from eaclab.capabilities import (
+    XOR_CHECKSUM,
+    CapabilityRegistry,
+    CapabilitySchema,
+    OperationSchema,
+    registry_from_lab_config,
+)
+from eaclab.errors import FrameParseError, SimFault
 from eaclab.labstate import SimDeviceConfig
 from eaclab.records import record
 from eaclab.units import Quantity, canonicalize_units
 
-PUMP_DISPENSE_PREFIX = bytes([0xE9, 0x0E, 0x08])
-_RELAY_ON = 0xFF
-_RELAY_OFF = 0xFD
 _BALANCE_NUMBER_RE = re.compile(r"\d+\.\d+")
-
-# Generic session frames shared by every capability's codec.
-CONNECT_FRAME = b"HELLO\r"
-DISCONNECT_FRAME = b"BYE\r"
-MEASURE_FRAME = b"MEAS\r"
-STOP_FRAME = b"STOP\r"
-TARE_FRAME = b"TARE\r"
-READ_FRAME = b"SI\r"
+# What a ``number`` text field writes (see ``_fmt_number``), and what an
+# integer format's field writes.
+_NUMBER = re.compile(rb"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?")
+_INTEGER = re.compile(rb"-?[0-9]+")
+_GENERIC_FRAME = re.compile(r"OP (\S+)((?: \S+=[^ \r]+)*)\r")
 
 
 @record(frozen=True)
@@ -39,12 +41,6 @@ class WireFrame:
     device_id: str
     data: bytes
     direction: str = "to_device"  # to_device | from_device
-
-    def __post_init__(self) -> None:
-        if not self.data:
-            raise RangeError("empty wire frame")
-        if self.direction not in ("to_device", "from_device"):
-            raise RangeError(f"bad direction {self.direction!r}")
 
     def hex(self) -> str:
         return self.data.hex()
@@ -57,47 +53,6 @@ def _xor_checksum(payload: bytes) -> int:
     return value
 
 
-def encode_pump_dispense(flow_rate: float, volume: float, device_id: str = "") -> WireFrame:
-    """flow_rate in mL/min, volume in mL.
-
-    Frame: E9 0E 08 | u32le(flow*1000) | u32le(volume*1000) | xor checksum
-    over all preceding bytes. The three-byte prefix is the vendor opcode;
-    payload and checksum are this package's convention.
-    """
-    if not (0.1 <= flow_rate <= 10.0):
-        raise RangeError(f"flow_rate {flow_rate} outside [0.1, 10] mL/min")
-    if not (0.01 <= volume <= 50.0):
-        raise RangeError(f"volume {volume} outside [0.01, 50] mL")
-    body = PUMP_DISPENSE_PREFIX + struct.pack(
-        "<II", round(flow_rate * 1000), round(volume * 1000)
-    )
-    return WireFrame(device_id=device_id, data=body + bytes([_xor_checksum(body)]))
-
-
-def decode_pump_dispense(frame: WireFrame) -> tuple[float, float]:
-    data = frame.data
-    if len(data) != 12 or data[:3] != PUMP_DISPENSE_PREFIX:
-        raise FrameParseError("not a pump dispense frame")
-    if data[11] != _xor_checksum(data[:11]):
-        raise FrameParseError("pump frame checksum mismatch")
-    flow_milli, volume_milli = struct.unpack("<II", data[3:11])
-    return flow_milli / 1000.0, volume_milli / 1000.0
-
-
-def encode_valve_set(dest: int, device_id: str = "", ports: int = 6) -> WireFrame:
-    """ASCII frame G + zero-padded three-digit port + carriage return."""
-    if not isinstance(dest, int) or not (1 <= dest <= ports):
-        raise RangeError(f"dest {dest} outside 1..{ports}")
-    return WireFrame(device_id=device_id, data=b"G%03d\r" % dest)
-
-
-def decode_valve_set(frame: WireFrame) -> int:
-    match = re.fullmatch(rb"G(\d{3})\r", frame.data)
-    if not match:
-        raise FrameParseError("not a valve set frame")
-    return int(match.group(1))
-
-
 def parse_balance_line(line: str) -> dict:
     """Extract mass (grams) and stability from a balance report line."""
     match = _BALANCE_NUMBER_RE.search(line)
@@ -106,143 +61,93 @@ def parse_balance_line(line: str) -> dict:
     return {"mass": float(match.group()), "stable": "?" not in line}
 
 
-def encode_relay(channel: int, on: bool, device_id: str = "") -> WireFrame:
-    """HID feature report [0x00, code, channel]; on=FF, off=FD."""
-    if not isinstance(channel, int) or not (1 <= channel <= 8):
-        raise RangeError(f"channel {channel} outside 1..8")
-    code = _RELAY_ON if on else _RELAY_OFF
-    return WireFrame(device_id=device_id, data=bytes([0x00, code, channel]))
-
-
-def decode_relay(frame: WireFrame) -> tuple[int, bool]:
-    data = frame.data
-    if len(data) != 3 or data[0] != 0x00 or data[1] not in (_RELAY_ON, _RELAY_OFF):
-        raise FrameParseError("not a relay frame")
-    return data[2], data[1] == _RELAY_ON
-
-
 def _fmt_number(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
 
 
-def configure_potentiostat(
-    eac: float, freq_min: float, freq_max: float, n_freq: int, device_id: str = ""
-) -> WireFrame:
-    """Key-sorted text frame: CFG eac=<v> fmax=<v> fmin=<v> n=<v>\\r."""
-    if not (0.001 <= eac <= 1.0):
-        raise RangeError(f"eac {eac} outside [0.001, 1.0] V")
-    if not (1 <= freq_min < freq_max <= 1e6):
-        raise RangeError(f"bad frequency window [{freq_min}, {freq_max}]")
-    if not (1 <= n_freq <= 100):
-        raise RangeError(f"n_freq {n_freq} outside 1..100")
-    text = (
-        f"CFG eac={_fmt_number(eac)} fmax={_fmt_number(freq_max)} "
-        f"fmin={_fmt_number(freq_min)} n={int(n_freq)}\r"
-    )
-    return WireFrame(device_id=device_id, data=text.encode("ascii"))
-
-
-def decode_potentiostat_config(frame: WireFrame) -> dict:
-    text = frame.data.decode("ascii", errors="replace")
-    match = re.fullmatch(
-        r"CFG eac=(\S+) fmax=(\S+) fmin=(\S+) n=(\d+)\r", text
-    )
-    if not match:
-        raise FrameParseError(f"not a potentiostat config frame: {text!r}")
-    return {
-        "eac": float(match.group(1)),
-        "freq_max": float(match.group(2)),
-        "freq_min": float(match.group(3)),
-        "n_freq": int(match.group(4)),
-    }
-
-
-def _q(params: dict[str, Quantity], name: str, unit: str) -> float:
-    return canonicalize_units(params[name], unit).value
-
-
 def encode_operation(
-    capability: str, operation: str, params: dict[str, Quantity], device_id: str = ""
+    operation: OperationSchema, params: dict[str, Quantity], device_id: str = ""
 ) -> WireFrame:
-    """Unified operation -> vendor frame for every built-in capability."""
-    if operation == "connect":
-        return WireFrame(device_id=device_id, data=CONNECT_FRAME)
-    if operation == "disconnect":
-        return WireFrame(device_id=device_id, data=DISCONNECT_FRAME)
-    if capability == "pump":
-        if operation == "dispense":
-            return encode_pump_dispense(
-                _q(params, "flow_rate", "mL/min"), _q(params, "volume", "mL"), device_id
-            )
-        if operation == "stop":
-            return WireFrame(device_id=device_id, data=STOP_FRAME)
-    if capability == "valve" and operation == "set":
-        return encode_valve_set(int(_q(params, "dest", "")), device_id)
-    if capability == "balance":
-        if operation == "read":
-            return WireFrame(device_id=device_id, data=READ_FRAME)
-        if operation == "tare":
-            return WireFrame(device_id=device_id, data=TARE_FRAME)
-    if capability == "relay" and operation in ("on", "off"):
-        return encode_relay(int(_q(params, "channel", "")), operation == "on", device_id)
-    if capability == "potentiostat":
-        if operation == "configure":
-            return configure_potentiostat(
-                _q(params, "eac", "V"),
-                _q(params, "freq_min", "Hz"),
-                _q(params, "freq_max", "Hz"),
-                int(_q(params, "n_freq", "")),
-                device_id,
-            )
-        if operation == "measure_eis":
-            return WireFrame(device_id=device_id, data=MEASURE_FRAME)
-    # Custom capabilities: canonical text frame, round-trip decodable.
-    parts = " ".join(
-        f"{name}={_fmt_number(q.value)}{(':' + q.unit) if q.unit else ''}"
-        for name, q in sorted(params.items())
-    )
-    text = f"OP {operation}" + (f" {parts}" if parts else "") + "\r"
-    return WireFrame(device_id=device_id, data=text.encode("utf-8"))
+    """The frame that carries ``operation`` with ``params``, which the
+    static check has passed, to ``device_id``."""
+    if operation.frame is None:
+        parts = " ".join(
+            f"{name}={_fmt_number(q.value)}{(':' + q.unit) if q.unit else ''}"
+            for name, q in sorted(params.items())
+        )
+        text = f"OP {operation.name}" + (f" {parts}" if parts else "") + "\r"
+        return WireFrame(device_id=device_id, data=text.encode("utf-8"))
+    data = bytearray()
+    for part in operation.frame:
+        if isinstance(part, bytes):
+            data += part
+        elif part == XOR_CHECKSUM:
+            data.append(_xor_checksum(data))
+        else:
+            name, scale, pack, text = part
+            value = canonicalize_units(params[name], operation.params[name].unit).value * scale
+            if pack is not None:
+                data += struct.pack(pack, round(value))
+            elif text == "number":
+                data += _fmt_number(value).encode("ascii")
+            else:
+                data += format(round(value), text).encode("ascii")
+    return WireFrame(device_id=device_id, data=bytes(data))
 
 
-def decode_operation(capability: str, frame: WireFrame) -> tuple[str, dict]:
-    """Inverse of ``encode_operation``; returns (operation, params-as-floats)."""
+def _decode_frame(frame: tuple, data: bytes) -> dict | None:
+    """The params of ``data`` if it is written in ``frame``, else None. A
+    text field ends where its number does: the parser lets only the end of
+    the frame or text that no number starts with follow one."""
+    params, at = {}, 0
+    for part in frame:
+        if isinstance(part, bytes):
+            if not data.startswith(part, at):
+                return None
+            at += len(part)
+        elif part == XOR_CHECKSUM:
+            if at == len(data) or data[at] != _xor_checksum(data[:at]):
+                return None
+            at += 1
+        else:
+            name, scale, pack, text = part
+            if pack is not None:
+                end = at + struct.calcsize(pack)
+                if end > len(data):
+                    return None
+                value = struct.unpack(pack, data[at:end])[0]
+            else:
+                match = (_NUMBER if text == "number" else _INTEGER).match(data, at)
+                if match is None:
+                    return None
+                end = match.end()
+                value = float(match.group()) if text == "number" else int(match.group())
+            params[name] = value if scale == 1 else value / scale
+            at = end
+    return params if at == len(data) else None
+
+
+def decode_operation(capability: CapabilitySchema, frame: WireFrame) -> tuple[str, dict]:
+    """Inverse of ``encode_operation``: the operation of ``capability`` that
+    ``frame`` is written in, and its params as numbers in the operation's
+    units (as sent, for the generic text frame)."""
     data = frame.data
-    if data == CONNECT_FRAME:
-        return "connect", {}
-    if data == DISCONNECT_FRAME:
-        return "disconnect", {}
-    if capability == "pump":
-        if data == STOP_FRAME:
-            return "stop", {}
-        flow, volume = decode_pump_dispense(frame)
-        return "dispense", {"flow_rate": flow, "volume": volume}
-    if capability == "valve":
-        return "set", {"dest": decode_valve_set(frame)}
-    if capability == "balance":
-        if data == READ_FRAME:
-            return "read", {}
-        if data == TARE_FRAME:
-            return "tare", {}
-        raise FrameParseError("unknown balance frame")
-    if capability == "relay":
-        channel, on = decode_relay(frame)
-        return ("on" if on else "off"), {"channel": channel}
-    if capability == "potentiostat":
-        if data == MEASURE_FRAME:
-            return "measure_eis", {}
-        return "configure", decode_potentiostat_config(frame)
-    text = data.decode("utf-8", errors="replace")
-    match = re.fullmatch(r"OP (\S+)((?: \S+=[^ \r]+)*)\r", text)
-    if not match:
-        raise FrameParseError(f"unknown frame for {capability}: {data!r}")
+    for operation in capability.operations.values():
+        if operation.frame is not None:
+            params = _decode_frame(operation.frame, data)
+            if params is not None:
+                return operation.name, params
+    match = _GENERIC_FRAME.fullmatch(data.decode("utf-8", errors="replace"))
+    operation = capability.operations.get(match.group(1)) if match else None
+    if operation is None or operation.frame is not None:
+        raise FrameParseError(f"no {capability.capability} operation is sent as {data!r}")
     params = {}
     for token in match.group(2).split():
         name, value = token.split("=", 1)
         params[name] = float(value.split(":")[0])
-    return match.group(1), params
+    return operation.name, params
 
 
 def interpolate_conductivity(table: dict[float, float], concentration: float) -> float:
@@ -324,9 +229,13 @@ class SimDevice:
 class SimFleet:
     """The simulated lab: devices plus the shared fluid path between them."""
 
-    def __init__(self, configs: Iterable[SimDeviceConfig], seed: int = 0):
-        """Each device's generator is seeded with its config's seed + ``seed``."""
+    def __init__(
+        self, configs: Iterable[SimDeviceConfig], registry: CapabilityRegistry, seed: int = 0
+    ):
+        """Each device's generator is seeded with its config's seed + ``seed``;
+        frames are read by the operations ``registry`` declares."""
         self.devices = {c.device_id: SimDevice(c, seed) for c in configs}
+        self.registry = registry
         self.selected_port: int | None = None
         # Fluid path is a pipeline: valve selections queue up for the pump,
         # dispensed aliquots queue up for the measurement cell.
@@ -339,15 +248,16 @@ class SimFleet:
     @classmethod
     def from_lab_config(cls, config: dict) -> "SimFleet":
         return cls(
-            [SimDeviceConfig.from_lab_entry(e) for e in config.get("devices", [])]
+            [SimDeviceConfig.from_lab_entry(e) for e in config.get("devices", [])],
+            registry_from_lab_config(config),
         )
 
     def decode(self, capability: str, frame: WireFrame) -> tuple[str, dict]:
-        """``decode_operation(capability, frame)``, parsed once per fleet."""
+        """``frame`` decoded by ``capability``'s operations, once per fleet."""
         key = (capability, frame.data)
         decoded = self.decoded.get(key)
         if decoded is None:
-            decoded = self.decoded[key] = decode_operation(capability, frame)
+            decoded = self.decoded[key] = decode_operation(self.registry.get(capability), frame)
         return decoded
 
     def step(self, device_id: str, frame: WireFrame, now: float) -> SimResult:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from eaclab.canon import canonical_json
-from eaclab.capabilities import registry_from_lab_config
+from eaclab.capabilities import builtin_registry, registry_from_lab_config
 from eaclab.compiler import compile_spec, static_check
 from eaclab.errors import EacError, UnschedulableError
 from eaclab.executor import execute, resume
@@ -23,8 +23,9 @@ from eaclab.labstate import (
     snapshot,
 )
 from eaclab.scheduler import plan_hash, resolve_bindings, schedule
-from eaclab.shims import SimFleet, encode_pump_dispense, encode_relay, encode_valve_set
+from eaclab.shims import SimFleet, encode_operation
 from eaclab.specmodel import expand_sweeps, parse_spec, spec_hash
+from eaclab.units import Quantity
 
 from conftest import CAMPAIGN_PATH, LAB_PATH
 from workloads import (
@@ -67,9 +68,15 @@ def _campaign_run(lab, policy="batched", fault_schedule=None, state=None):
 
 def test_criterion_1_golden_wire_frames():
     started = time.perf_counter()
-    assert encode_valve_set(5).data == bytes([0x47, 0x30, 0x30, 0x35, 0x0D])
-    assert encode_relay(1, on=True).data == bytes([0x00, 0xFF, 0x01])
-    assert encode_pump_dispense(4.0, 0.7).data[:3] == bytes([0xE9, 0x0E, 0x08])
+    registry = builtin_registry()
+
+    def encode(capability, operation, **params):
+        return encode_operation(registry.get(capability).operation(operation), params).data
+
+    assert encode("valve", "set", dest=Quantity(5.0)) == bytes([0x47, 0x30, 0x30, 0x35, 0x0D])
+    assert encode("relay", "on", channel=Quantity(1.0)) == bytes([0x00, 0xFF, 0x01])
+    assert encode("pump", "dispense", flow_rate=Quantity(4.0, "mL/min"),
+                  volume=Quantity(0.7, "mL"))[:3] == bytes([0xE9, 0x0E, 0x08])
     _report(1, "golden wire frames", started, 1.0)
 
 

@@ -218,3 +218,32 @@ def test_malformed_capability_is_refused_naming_the_field(damage):
     with pytest.raises(ValueError) as refused:
         schema_from_dict("tcell", with_edit(TCELL, path, value))
     assert named in str(refused.value)
+
+
+# Bounds the wire encoders checked again before frames were data, and values
+# a frame would truncate, each now refused by the static check alone:
+# (capability, operation, params, the (code, param) of each violation).
+STATIC_REFUSALS = {
+    "pump_envelope": ("pump", "dispense", {"flow_rate": Quantity(0.05, "mL/min"),
+                                           "volume": Quantity(60.0, "mL")},
+                      [("out_of_range", "flow_rate"), ("out_of_range", "volume")]),
+    "valve_range": ("valve", "set", {"dest": Quantity(0.0)}, [("out_of_range", "dest")]),
+    "valve_range_above": ("valve", "set", {"dest": Quantity(7.0)}, [("out_of_range", "dest")]),
+    "valve_fraction": ("valve", "set", {"dest": Quantity(2.5)}, [("bad_value", "dest")]),
+    "relay_fraction": ("relay", "on", {"channel": Quantity(1.5)}, [("bad_value", "channel")]),
+    "frequency_window_swapped": ("potentiostat", "configure", {
+        "eac": Quantity(0.25, "V"), "freq_min": Quantity(1e5, "Hz"),
+        "freq_max": Quantity(100.0, "Hz"), "n_freq": Quantity(10.0)}, [("out_of_range", "freq_min")]),
+    "frequency_window_equal": ("potentiostat", "measure_eis", {
+        "eac": Quantity(0.25, "V"), "freq_min": Quantity(1e5, "Hz"),
+        "freq_max": Quantity(1e5, "Hz"), "n_freq": Quantity(10.0)}, [("out_of_range", "freq_min")]),
+    "n_freq_fraction": ("potentiostat", "measure_eis", {
+        "eac": Quantity(0.25, "V"), "freq_min": Quantity(100.0, "Hz"),
+        "freq_max": Quantity(1e5, "Hz"), "n_freq": Quantity(10.5)}, [("bad_value", "n_freq")]),
+}
+
+
+@pytest.mark.parametrize("row", sorted(STATIC_REFUSALS))
+def test_the_static_check_refuses_each_declared_bound(row):
+    capability, operation, params, expected = STATIC_REFUSALS[row]
+    assert _violation_codes(builtin_registry(), capability, operation, params) == expected

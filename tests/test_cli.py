@@ -1574,6 +1574,137 @@ def test_bad_device_field_fails_every_command_closed(tmp_path, capsys, damage):
     assert os.listdir(tmp_path) == ["lab.json"]
 
 
+_TEMPERATURE_TEXT = {"param": "temperature", "format": "number"}
+_FIELD = ("must name a param, with a scale > 0 and either a 'pack' code such as '<I' or a "
+          "'format': 'number' or such as '03d'")
+_PART = "must be non-empty text, bytes 0..255, the xor checksum or a param field, not"
+_AFTER_TEXT = ("follows a text field, so it must be text that starts with a character no "
+               "number holds")
+# Frames and param declarations of TCELL's scan a lab is refused for:
+# (path under TCELL's scan, or "connect", value, what the one-line error says).
+BAD_FRAME = {
+    "not_a_list": (("frame",), "S\r", "tcell.scan.frame must be a non-empty list, not 'S\\r'"),
+    "empty": (("frame",), [], "tcell.scan.frame must be a non-empty list, not []"),
+    "null": (("frame",), None, "tcell.scan.frame must be a non-empty list, not None"),
+    "part": (("frame",), ["S", 5], f"tcell.scan.frame[1] {_PART} 5"),
+    "empty_text": (("frame",), [""], f"tcell.scan.frame[0] {_PART} ''"),
+    "byte": (("frame",), [{"bytes": [0, 256]}], f"tcell.scan.frame[0] {_PART} {{'bytes': [0, 256]}}"),
+    "no_bytes": (("frame",), [{"bytes": []}], f"tcell.scan.frame[0] {_PART} {{'bytes': []}}"),
+    "checksum": (("frame",), ["S", {"checksum": "crc8"}],
+                 f"tcell.scan.frame[1] {_PART} {{'checksum': 'crc8'}}"),
+    "param_name": (("frame",), [{"param": 3, "format": "d"}], f"tcell.scan.frame[0] {_FIELD}"),
+    "param_unknown": (("frame",), [{"param": "ghost", "format": "number"}],
+                      "tcell.scan.frame field 'ghost' must name a required param that the "
+                      "node carries"),
+    "pack_and_format": (("frame",), [{"param": "rate", "pack": "B", "format": "d"}],
+                        f"tcell.scan.frame[0] {_FIELD}"),
+    "neither": (("frame",), [{"param": "rate"}], f"tcell.scan.frame[0] {_FIELD}"),
+    "pack_code": (("frame",), [{"param": "rate", "scale": 10, "pack": "f"}],
+                  f"tcell.scan.frame[0] {_FIELD}"),
+    # A native size would differ between machines.
+    "pack_native": (("frame",), [{"param": "rate", "scale": 10, "pack": "I"}],
+                    f"tcell.scan.frame[0] {_FIELD}"),
+    "pack_overflow": (("frame",), [{"param": "temperature", "scale": 10, "pack": "B"}],
+                      "tcell.scan.frame field 'temperature': [250, 400] times 10 does not "
+                      "fit 'B'"),
+    # Space padding would not read back.
+    "format": (("frame",), [{"param": "rate", "scale": 10, "format": "5d"}],
+               f"tcell.scan.frame[0] {_FIELD}"),
+    "scale": (("frame",), [{**_TEMPERATURE_TEXT, "scale": 0}], f"tcell.scan.frame[0] {_FIELD}"),
+    "scale_text": (("frame",), [{**_TEMPERATURE_TEXT, "scale": "10"}],
+                   "tcell.scan.frame[0].scale must be a finite number, not '10'"),
+    # An unscaled integer field over a param that may be fractional.
+    "integer_field": (("frame",), [{"param": "temperature", "format": "d"}, "\r"],
+                      "tcell.scan.frame field 'temperature' writes an integer, so the param "
+                      "must be declared integer"),
+    # A reader could not tell where the first number ends.
+    "text_then_text": (("frame",), [_TEMPERATURE_TEXT, {"param": "rate", "format": "number"}],
+                       f"tcell.scan.frame[1] {_AFTER_TEXT}"),
+    "text_then_digits": (("frame",), [_TEMPERATURE_TEXT, "5x", {"checksum": "xor"}],
+                         f"tcell.scan.frame[1] {_AFTER_TEXT}"),
+    "text_then_bytes": (("frame",), [_TEMPERATURE_TEXT, {"bytes": [13]}],
+                        f"tcell.scan.frame[1] {_AFTER_TEXT}"),
+    # A connect node carries no params.
+    "connect_field": (("connect",), {"kind": "connect", "frame": ["C", _TEMPERATURE_TEXT]},
+                      "tcell.connect.frame field 'temperature' must name a required param "
+                      "that the node carries"),
+    "integer_flag": (("params", "samples", "integer"), "yes",
+                     "tcell.scan.params.samples.integer must be true or false, not 'yes'"),
+    "below_unit": (("params", "temperature", "below"), "rate",
+                   "tcell.scan.params.temperature.below must name another param of the "
+                   "operation in 'K', not 'rate'"),
+    "below_self": (("params", "rate", "below"), "rate",
+                   "tcell.scan.params.rate.below must name another param of the operation "
+                   "in 'Hz', not 'rate'"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_FRAME))
+def test_a_malformed_frame_fails_every_command_closed(tmp_path, capsys, damage):
+    path, value, named = BAD_FRAME[damage]
+    if path[0] == "connect":
+        tcell = with_edit(TCELL, ("operations", "connect"), value)
+    else:
+        tcell = with_edit(TCELL, ("operations", "scan", *path), value)
+    lab_path = _lab_with_capabilities(tmp_path, {"tcell": tcell})
+    for command, extra in (("validate", []), ("plan", []), ("run", ["--out", str(tmp_path)])):
+        err = _usage_error(capsys, [command, SPEC, "--lab", lab_path, *extra])
+        assert err == f"usage error: lab config {lab_path} is invalid: ValueError: {named}\n"
+    assert os.listdir(tmp_path) == ["lab.json"]
+
+
+def test_a_configure_frame_writes_only_what_its_step_carries(tmp_path, capsys):
+    """A configure node carries the step's params that its operation
+    declares, so its frame may write only those."""
+    warm = {"params": {"temperature": {"unit": "K", "min": 250, "max": 400},
+                       "rate": {"unit": "Hz", "min": 0.5, "max": 5}},
+            "kind": "configure", "frame": ["W", {"param": "rate", "format": "number"}, "\r"]}
+    scan = {"params": {"temperature": {"unit": "K", "min": 250, "max": 400}},
+            "kind": "read", "configure_via": "warm"}
+    lab_path = _lab_with_capabilities(
+        tmp_path, {"tcell": {"operations": {"scan": scan, "warm": warm}}})
+    err = _usage_error(capsys, ["validate", SPEC, "--lab", lab_path])
+    assert err == (f"usage error: lab config {lab_path} is invalid: ValueError: tcell.scan."
+                   f"configure_via.frame field 'rate' must name a required param that the "
+                   f"node carries\n")
+
+
+# The reference campaign without its sweeps, a param of one step set to a
+# value no frame carries faithfully, and the one line every command refuses
+# it with: a frequency window the potentiostat cannot scan, and integer
+# params that the frame would truncate.
+UNSENDABLE = {
+    "window_equal": ("measure", "freq_min", 592000,
+                     "out_of_range error measure: 'freq_min'=592000 Hz is not below "
+                     "'freq_max'=592000 Hz"),
+    "window_swapped": ("measure", "freq_max", 100,
+                       "out_of_range error measure: 'freq_min'=20000 Hz is not below "
+                       "'freq_max'=100 Hz"),
+    "dest_fraction": ("select", "dest", 2.5,
+                      "bad_value error select: 'dest'=2.5 is not an integer"),
+    "n_freq_fraction": ("measure", "n_freq", 10.5,
+                        "bad_value error measure: 'n_freq'=10.5 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(UNSENDABLE))
+def test_a_value_no_frame_carries_is_refused_before_anything_runs(tmp_path, capsys, row):
+    step_id, param, value, line = UNSENDABLE[row]
+    doc = json.loads(CAMPAIGN_PATH.read_text())
+    for step in doc["steps"]:
+        del step["repeat"]
+        if step["id"] == step_id:
+            step["params"][param]["value"] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    for command, extra in (("validate", []), ("plan", []),
+                           ("run", ["--out", str(tmp_path / "runs")])):
+        assert main([command, str(spec), "--lab", LAB, *extra]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line + "\n")
+    assert os.listdir(tmp_path) == ["spec.json"]
+
+
 _HOT_TCELL = {"device_id": "tcell_1", "capability": "tcell",
               "observed": {"temperature": {"value": 370, "unit": "K"}}}
 

@@ -378,6 +378,24 @@ def test_only_capabilities_and_shims_name_a_builtin_capability():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def test_only_the_simulator_names_a_builtin_capability_in_shims():
+    """Frames are data, so the codec in ``shims`` spells no built-in
+    capability's name: only the simulator's ``SimDevice.step`` does."""
+    names = set(BUILTIN_CAPABILITIES)
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Constant) and node.value in names:
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse((Path(eaclab.__file__).parent / "shims.py").read_text(encoding="utf-8")), "")
+    assert found == {"SimDevice.step"}
+
+
 def _owners(tree, matches):
     """Names of the innermost functions enclosing each node ``matches`` accepts."""
     found = []
