@@ -483,10 +483,10 @@ def _read_run(run_dir: str, lab, paused: bool):
                 f"checkpoint.json names {checkpoint.last_committed_node!r}, "
                 "which plan.json does not assign"
             )
-        if checkpoint.state_epoch != state.epoch:
+        if checkpoint.state_epoch != state.next_seq:
             raise _Mismatch(
                 f"checkpoint is at state epoch {checkpoint.state_epoch}, "
-                f"log.ndjson replays to epoch {state.epoch}"
+                f"log.ndjson replays to epoch {state.next_seq}"
             )
         if checkpoint.last_committed_node != committed:
             claimed, logged = (

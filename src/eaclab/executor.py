@@ -237,7 +237,7 @@ def resume(
     together: ``plan`` is the plan whose hash the checkpoint names, it
     assigns exactly the nodes of ``dag``, the checkpoint's node is one of
     them and the one the log committed last, and ``state`` is at the
-    checkpoint's epoch (plus any operator events). ``eaclab.cli`` makes these checks when it reads the run
+    checkpoint's state epoch (plus any operator events). ``eaclab.cli`` makes these checks when it reads the run
     directory. Committed nodes are replayed silently through the simulator
     (same frames, same seeds) to rebuild device state without re-logging,
     then execution proceeds normally. Dispatch indices continue after
@@ -306,7 +306,7 @@ def _result(ctx: _RunContext, status: str, fault: FaultEvent | None = None) -> R
         checkpoint = Checkpoint(
             run_id=ctx.run_id,
             last_committed_node=ctx.last_committed,
-            state_epoch=ctx.state.epoch,
+            state_epoch=ctx.state.next_seq,
             plan_hash=ctx.plan_hash,
         )
     return RunResult(

@@ -111,8 +111,7 @@ class StateEvent:
 class LabState:
     devices: dict[str, DeviceRecord] = field(default_factory=dict)
     clock: float = 0.0
-    epoch: int = 0
-    next_seq: int = 0
+    next_seq: int = 0  # the events folded so far, and the seq of the next
 
 
 def genesis_from_lab_config(config: dict) -> LabState:
@@ -197,7 +196,7 @@ class SimDeviceConfig:
 
 
 def apply_event(state: LabState, event: StateEvent) -> LabState:
-    """Fold one event into the state; epoch and clock always advance.
+    """Fold one event into the state; ``next_seq`` and clock always advance.
 
     States share their ``devices`` dict until an event changes a record,
     so the dict of a state is never mutated once the state exists.
@@ -244,7 +243,7 @@ def apply_event(state: LabState, event: StateEvent) -> LabState:
 
     # ``max(state.clock, event.time)``, which keeps the first of equals.
     clock = event.time if event.time > state.clock else state.clock
-    return LabState(devices, clock, state.epoch + 1, state.next_seq + 1)
+    return LabState(devices, clock, state.next_seq + 1)
 
 
 def replay(genesis: LabState, events) -> LabState:
@@ -328,7 +327,6 @@ def snapshot(state: LabState) -> bytes:
     return canonical_bytes(
         {
             "clock": state.clock,
-            "epoch": state.epoch,
             "next_seq": state.next_seq,
             "devices": {
                 device_id: record.to_dict()

@@ -114,7 +114,8 @@ def plan_hash(plan: ExecutionPlan) -> str:
 @record(frozen=True)
 class Checkpoint:
     """Where a paused run stopped: the last node it committed, the state
-    epoch of its log, and the hash of the plan it was paused under."""
+    epoch of its log (the number of events it holds, the replayed state's
+    ``next_seq``), and the hash of the plan it was paused under."""
 
     run_id: str
     last_committed_node: str | None

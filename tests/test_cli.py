@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -1142,6 +1143,27 @@ def test_resume_of_a_plan_with_the_keys_an_older_eaclab_wrote_is_rejected(tmp_pa
     err = _mismatch(capsys, ["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
     assert err == "checkpoint mismatch: plan.json does not match the plan hash in result.json\n"
     assert (run_dir / "plan.json").read_bytes() == before
+
+
+def test_a_run_directory_whose_snapshot_holds_an_epoch_resumes(tmp_path):
+    """``tests/data/paused-run-with-epoch`` is the reference campaign paused
+    by ``--inject timeout@5``, as eaclab wrote it while the state carried an
+    ``epoch`` beside ``next_seq``. Its checkpoint's ``state_epoch`` is the
+    count of events its log holds, so it resumes as a run paused now does,
+    to the same bytes."""
+    old = tmp_path / "old"
+    shutil.copytree(Path(__file__).parent / "data" / "paused-run-with-epoch", old)
+    assert b'"epoch":15' in (old / "snapshot.json").read_bytes()
+    code, out, _ = run_main(["run", SPEC, "--lab", LAB, "--out", str(tmp_path / "new"),
+                             "--inject", "timeout@5"])
+    assert code == 3
+    new = tmp_path / "new" / json.loads(out)["run_id"]
+    assert sorted(os.listdir(old)) == sorted(os.listdir(new))
+    resumed = [run_main(["resume", str(run_dir), "--lab", LAB, "--clear", "pump_1"])
+               for run_dir in (old, new)]
+    assert resumed[0] == resumed[1] and resumed[0][0] == 0
+    for name in os.listdir(new):
+        assert (old / name).read_bytes() == (new / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("edit", ["pre_node", "missing_node", "wrong_capability"])

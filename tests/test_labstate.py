@@ -55,7 +55,7 @@ def test_genesis_from_lab_config(lab_config, genesis):
         e["device_id"] for e in lab_config["devices"]
     }
     assert genesis.devices["valve_1"].attrs == {"ports": 6.0}
-    assert genesis.epoch == 0 and genesis.next_seq == 0
+    assert genesis.next_seq == 0
 
 
 def _state():
@@ -74,7 +74,7 @@ def test_telemetry_updates_observed_and_clock():
         StateEvent(0, 5.0, "d", "telemetry", {"mass": {"value": 2.5, "unit": "g"}}),
     )
     assert state.devices["d"].observed["mass"] == Quantity(2.5, "g")
-    assert state.clock == 5.0 and state.epoch == 1 and state.next_seq == 1
+    assert state.clock == 5.0 and state.next_seq == 1
 
 
 def test_clock_is_monotone():

@@ -28,10 +28,10 @@ SPEC = str(CAMPAIGN_PATH)
 INJECT_KINDS = ("timeout", "error", "noliquid", "implicit")
 
 RUN_FINGERPRINTS = {
-    "clean": "3cff3e026f870fef95daf56672dba100097e54eceeae8a3fc2f1cb4f813de4bd",
-    "recovered": "bee12ef39172789f7c91cbe8fc6dd38e22dba2b24e357c8720819095a9be76b6",
-    "resumed": "1750d0793a1ce7c9c222c90cd5466b86ea557bf0406590ea9b072655ec09baf0",
-    "aborted": "e4d00c47a1a5e44212f745dbbbd83a05e6531a50a8fec15379ad42988016034b",
+    "clean": "991c263225ca35ce4dfd156315e9750b5eaa595575ce04f33b32e8bb3c39c1f4",
+    "recovered": "41a4ff3146443a1f5345c64c05a70fe7a8d4bf5b4e47713edd48a642d5170c91",
+    "resumed": "ad3052ee44a5d3156359152acf6abbaa678700ef33520eedac159ec81308efed",
+    "aborted": "719006d8b3f4952d516b3d7d36ab65c7ddc365831bc324f7b31a36809e6a14ca",
 }
 
 
