@@ -46,6 +46,31 @@ class ParamSchema:
         if self.min > self.max:
             raise ValueError(f"min {self.min} > max {self.max}")
 
+    def check(self, name: str, q: Quantity) -> tuple[float | None, Violation | None]:
+        """``q`` as param ``name``: its value in this unit (None if ``q``
+        has another dimension), and what is wrong with it alone, if
+        anything: its unit, its range, then ``integer``."""
+        try:  # raises on an unknown unit or a dimension mismatch
+            value = canonicalize_units(q, self.unit).value
+        except (UnitError, KeyError):
+            return None, Violation(
+                "bad_unit", name, f"{name!r}: unit {q.unit!r} incompatible with {self.unit!r}")
+        if not (self.min <= value <= self.max):
+            return value, Violation("out_of_range", name, (
+                f"{name!r}={value:g} {self.unit} outside [{self.min:g}, {self.max:g}]"))
+        if self.integer and not value.is_integer():
+            return value, Violation("bad_value", name, f"{name!r}={value:g} is not an integer")
+        return value, None
+
+    def check_below(self, name: str, value: float, bound: float | None) -> Violation | None:
+        """The violation of ``below`` by ``value`` of param ``name``, which
+        passed ``check``, and ``bound``, the ``below`` param's value in this
+        unit; None when ``bound`` is (a bad unit there is reported there)."""
+        if bound is None or value < bound:
+            return None
+        return Violation("out_of_range", name, (
+            f"{name!r}={value:g} {self.unit} is not below {self.below!r}={bound:g} {self.unit}"))
+
 
 @record(frozen=True)
 class OperationSchema:
@@ -286,9 +311,9 @@ class CapabilityRegistry:
     ) -> list[Violation]:
         """Range- and completeness-check params against the operation
         schema; the violations, in the schema's param order, then unknown
-        params in ``params``' order. A param in range must also be integral
-        if declared integer, and below the param it names in ``below``
-        when that param is given.
+        params in ``params``' order. Each given param is checked alone by
+        ``ParamSchema.check`` and, if it passes, against the param it must
+        be below, when that param is given (``ParamSchema.check_below``).
 
         Values are canonicalized to the declared unit before comparison, so
         any dimensionally identical restatement passes or fails identically.
@@ -302,38 +327,13 @@ class CapabilityRegistry:
                         Violation("missing_param", name, f"missing parameter {name!r}")
                     )
                 continue
-            q = params[name]
-            try:  # raises on an unknown unit or a dimension mismatch
-                value = canonicalize_units(q, pschema.unit).value
-            except (UnitError, KeyError):
-                violations.append(
-                    Violation(
-                        "bad_unit",
-                        name,
-                        f"{name!r}: unit {q.unit!r} incompatible with {pschema.unit!r}",
-                    )
-                )
-                continue
-            if not (pschema.min <= value <= pschema.max):
-                violations.append(
-                    Violation(
-                        "out_of_range",
-                        name,
-                        f"{name!r}={value:g} {pschema.unit} outside "
-                        f"[{pschema.min:g}, {pschema.max:g}]",
-                    )
-                )
-            elif pschema.integer and not value.is_integer():
-                violations.append(Violation("bad_value", name, f"{name!r}={value:g} is not an integer"))
-            elif pschema.below in params:  # None names no param
-                try:  # a bad unit there is reported there
-                    bound = canonicalize_units(params[pschema.below], pschema.unit).value
-                except (UnitError, KeyError):
-                    continue
-                if not value < bound:
-                    violations.append(Violation("out_of_range", name, (
-                        f"{name!r}={value:g} {pschema.unit} is not below "
-                        f"{pschema.below!r}={bound:g} {pschema.unit}")))
+            value, violation = pschema.check(name, params[name])
+            below = pschema.below
+            if violation is None and below in params:  # None names no param
+                bound = schema.params[below].check(below, params[below])[0]
+                violation = pschema.check_below(name, value, bound)
+            if violation is not None:
+                violations.append(violation)
         for name in params:
             if name not in schema.params:
                 violations.append(

@@ -2,8 +2,10 @@
 
 A spec is checked and lowered with its sweeps, or expanded: a swept step
 gives the diagnostics and nodes of its instances ``step#k``, in expansion
-order, and each distinct configuration of its sweep is checked and
-lowered once.
+order. The check looks at each distinct value of each param once, so it
+costs what the distinct values cost, however many instances a sweep's
+product makes; lowering builds each distinct configuration of a sweep
+once.
 
 Lowering rules: each used binding gets one connect node before its first
 operation and one teardown node after its last; operations that declare a
@@ -19,14 +21,21 @@ dispatch.
 from __future__ import annotations
 
 import heapq
+import itertools
 from functools import cached_property
 
 from eaclab.canon import sha256_hex
-from eaclab.capabilities import DEFAULT_DURATION_S, CapabilityRegistry, OperationSchema
+from eaclab.capabilities import (
+    DEFAULT_DURATION_S,
+    CapabilityRegistry,
+    CapabilitySchema,
+    OperationSchema,
+    Violation,
+)
 from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import LabState
 from eaclab.records import field, record
-from eaclab.specmodel import ExperimentSpec, instance_ids, step_instances
+from eaclab.specmodel import ExperimentSpec, StepSpec, instance_ids, step_instances
 from eaclab.units import Quantity, to_canonical
 
 
@@ -143,9 +152,9 @@ def _canonical_params(params: dict[str, Quantity]) -> dict[str, Quantity]:
 
 
 def _configuration(capability: str, operation: str, params: dict[str, Quantity]) -> tuple:
-    """A step configuration as a key: equal keys give equal checks and nodes,
-    since every message and node formats canonical values, in which ``-0.0``
-    is ``0.0`` and an int is a float."""
+    """A step configuration as a key: equal keys give equal nodes, since
+    every node holds canonical values, in which ``-0.0`` is ``0.0`` and an
+    int is a float."""
     return capability, operation, tuple([(name, q.value, q.unit) for name, q in params.items()])
 
 
@@ -159,24 +168,6 @@ def _step_mode(op: OperationSchema, params: dict[str, Quantity]) -> str | None:
     return None
 
 
-def _problems(
-    registry: CapabilityRegistry, capability: str, operation: str, params: dict[str, Quantity]
-) -> list[tuple[str, str]]:
-    """(code, message) of every static error of one step configuration."""
-    schema = registry.get(capability)
-    if operation not in schema.operations:
-        return [("unknown_operation", f"{capability} has no operation {operation!r}")]
-    problems = [(violation.code, violation.message)
-                for violation in registry.check_param_ranges(capability, operation, params)]
-    for predicate, commanded, threshold in schema.safety.violations(params):
-        problems.append((
-            "safety_violation",
-            f"{predicate.field} {predicate.comparator} {threshold:g} violated "
-            f"by commanded value {commanded:g}",
-        ))
-    return problems
-
-
 def static_check(
     spec: ExperimentSpec, registry: CapabilityRegistry, state: LabState
 ) -> list[Diagnostic]:
@@ -184,12 +175,15 @@ def static_check(
 
     ``spec`` may keep its sweeps: the diagnostics are then those of its
     expansion, each problem of a swept step reported at every instance
-    ``step#k`` that has it, in expansion order, without building the
-    instances: their ids are built only where a problem is. A sweep
-    repeats few configurations over many steps, so each distinct
-    configuration is checked once per call and its problems are reported
-    at every step that has it. Dependency cycles are not looked for here:
-    ``parse_spec`` refuses them.
+    ``step#k`` that has it, in expansion order. No instance is built: each
+    distinct value of each param is checked once per call, across steps,
+    and so is each distinct pair of values that ``below`` relates and each
+    safety predicate at each distinct value of its field; missing and
+    unknown params are found once per step. The cost grows with the
+    distinct values a spec writes, not with its instances: a step is
+    walked instance by instance only when one of its values fails, to
+    report each instance's problems in order. Dependency cycles are not
+    looked for here: ``parse_spec`` refuses them.
     """
     diagnostics: list[Diagnostic] = []
     registered: dict[str, str] = {}  # binding -> its capability, when registered
@@ -216,28 +210,110 @@ def static_check(
                 )
             )
 
-    problems: dict[tuple, list[tuple[str, str]]] = {}
-
-    def problems_of(capability: str, operation: str, params: dict[str, Quantity]) -> list:
-        key = _configuration(capability, operation, params)
-        if key not in problems:
-            problems[key] = _problems(registry, capability, operation, params)
-        return problems[key]
-
+    memo: tuple[dict, dict, dict] = ({}, {}, {})  # values, below pairs, safety
     for step in spec.steps:
         capability = registered.get(step.binding)
         if capability is None:
             continue  # already diagnosed at the binding
-        if step.repeat is None:
-            for code, message in problems_of(capability, step.operation, step.params):
-                diagnostics.append(Diagnostic(code, step.step_id, message))
+        schema = registry.get(capability)
+        op = schema.operations.get(step.operation)
+        if op is None:
+            message = f"{capability} has no operation {step.operation!r}"
+            diagnostics.extend(
+                Diagnostic("unknown_operation", step_id, message) for step_id in instance_ids(step))
             continue
-        distinct, which = step.sweep
-        found = [problems_of(capability, step.operation, params) for params in distinct]
-        if any(found):
-            for step_id, index in zip(instance_ids(step), which):
-                for code, message in found[index]:
-                    diagnostics.append(Diagnostic(code, step_id, message))
+        diagnostics.extend(_check_step(step, capability, schema, op, memo))
+    return diagnostics
+
+
+def _check_step(
+    step: StepSpec, capability: str, schema: CapabilitySchema, op: OperationSchema,
+    memo: tuple[dict, dict, dict],
+) -> list[Diagnostic]:
+    """The diagnostics of one step of a registered operation: those of its
+    instances in expansion order, each instance's in the order of
+    ``check_param_ranges`` and then of the safety conditions. ``memo``
+    holds the checks of a call's distinct values, pairs and safety values.
+    """
+    values, pairs, safety = memo
+    # Each param the step gives, in its instances' order, with its distinct
+    # quantities; and each swept param with its sweep column, which picks
+    # one of them per instance (an unswept param has one).
+    given: dict[str, list[Quantity]] = {name: [q] for name, q in step.params.items()}
+    columns: dict[str, int] = {}
+    if step.repeat is not None:
+        for column, (name, (quantities, _)) in enumerate(zip(step.repeat, step.columns)):
+            given[name], columns[name] = quantities, column
+    failing = not given.keys() <= op.params.keys()  # an unknown param
+
+    # Each declared param given: ParamSchema.check of each distinct quantity.
+    checked: dict[str, list[tuple]] = {}
+    operation = op.name
+    for name, pschema in op.params.items():
+        if name not in given:
+            failing = failing or not pschema.optional
+            continue
+        results = checked[name] = []
+        for q in given[name]:
+            key = (capability, operation, name, q.value, q.unit)
+            result = values.get(key)
+            if result is None:
+                result = values[key] = pschema.check(name, q)
+            failing = failing or result[1] is not None
+            results.append(result)
+    # Each param given with the one it must be below: check_below of each
+    # distinct pair of its passing values and the other's, by their indices.
+    below: dict[str, dict[tuple[int, int], Violation | None]] = {}
+    for name, pschema in op.params.items():
+        if name in checked and pschema.below in checked:
+            table = below[name] = {}
+            for i, (value, violation) in enumerate(checked[name]):
+                for j, (bound, _) in enumerate(checked[pschema.below] if violation is None else ()):
+                    key = (capability, operation, name, value, bound)
+                    if key not in pairs:
+                        pairs[key] = pschema.check_below(name, value, bound)
+                    table[i, j] = pairs[key]
+                    failing = failing or pairs[key] is not None
+    # Each field of a safety condition given: the conditions that each of
+    # its distinct quantities breaks.
+    broken: dict[str, list[list[tuple]]] = {}
+    for predicate in schema.safety.conditions:
+        name = predicate.field
+        if name in given and name not in broken:
+            broken[name] = []
+            for q in given[name]:
+                key = (capability, name, q.value, q.unit)
+                if key not in safety:
+                    safety[key] = list(schema.safety.violations({name: q}))
+                failing = failing or bool(safety[key])
+                broken[name].append(safety[key])
+    if not failing:
+        return []
+
+    diagnostics = []
+    combos = itertools.product(*(indices for _, indices in step.columns)) if step.repeat else [()]
+    for step_id, combo in zip(instance_ids(step), combos):
+        at = {name: combo[column] for name, column in columns.items()}
+        for name, pschema in op.params.items():
+            if name not in checked:
+                if not pschema.optional:
+                    diagnostics.append(
+                        Diagnostic("missing_param", step_id, f"missing parameter {name!r}"))
+                continue
+            violation = checked[name][at.get(name, 0)][1]
+            if violation is None and name in below:
+                violation = below[name][at.get(name, 0), at.get(pschema.below, 0)]
+            if violation is not None:
+                diagnostics.append(Diagnostic(violation.code, step_id, violation.message))
+        diagnostics.extend(Diagnostic("unknown_param", step_id, f"unknown parameter {name!r}")
+                           for name in given if name not in op.params)
+        for predicate in schema.safety.conditions:
+            name = predicate.field
+            for breaks, commanded, threshold in broken[name][at.get(name, 0)] if name in given else ():
+                if breaks is predicate:
+                    diagnostics.append(Diagnostic("safety_violation", step_id, (
+                        f"{name} {predicate.comparator} {threshold:g} violated "
+                        f"by commanded value {commanded:g}")))
     return diagnostics
 
 

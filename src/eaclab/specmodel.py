@@ -50,18 +50,17 @@ class StepSpec:
     repeat: dict[str, tuple] | None = None
 
     @cached_property
-    def sweep(self) -> tuple[list[dict[str, Quantity]], list[int]]:
-        """The distinct params of a swept step's instances, and for each
-        instance in expansion order the index of its params.
+    def columns(self) -> list[tuple[list[Quantity], list[int]]]:
+        """Per swept param, in ``repeat`` order: its distinct quantities,
+        and for each of its values the index of its quantity. Instance
+        ``k`` of the step takes the ``k``-th combination of these indices
+        in row-major order (``itertools.product``).
 
-        Instances whose swept values give the same quantities, to the type
-        and sign of each value, share one dict and its quantities; every
-        unswept param is the template's own quantity. Computed once per
-        step, so that the check of a template, its lowering and its
-        expansion share it;
-        the lists and dicts must not be modified.
+        Values that give the same quantity, to the type and sign of each
+        value, share one quantity. Computed once per step; the lists must
+        not be modified.
         """
-        columns: list[tuple[list[Quantity], list[int]]] = []  # per swept param
+        columns: list[tuple[list[Quantity], list[int]]] = []
         for pname, values in self.repeat.items():  # type: ignore[union-attr]
             quantities: list[Quantity] = []
             seen: dict = {}  # a value's key -> the index of its quantity
@@ -83,6 +82,20 @@ class StepSpec:
                     )
                 indices.append(index)
             columns.append((quantities, indices))
+        return columns
+
+    @cached_property
+    def sweep(self) -> tuple[list[dict[str, Quantity]], list[int]]:
+        """The distinct params of a swept step's instances, and for each
+        instance in expansion order the index of its params, built from
+        ``columns``.
+
+        Instances whose swept quantities are the same share one dict; every
+        unswept param is the template's own quantity. Computed once per
+        step, so that a template's lowering and its expansion share it; the
+        lists and dicts must not be modified.
+        """
+        columns = self.columns
         distinct: list[dict[str, Quantity]] = []
         combos: dict[tuple[int, ...], int] = {}
         which: list[int] = []

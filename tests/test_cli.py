@@ -4,13 +4,14 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from eaclab import cli, compiler, scheduler, specmodel
 from eaclab.canon import canonical_json
-from eaclab.capabilities import CapabilityRegistry, schema_from_dict
+from eaclab.capabilities import ParamSchema, schema_from_dict
 from eaclab.cli import main
 from eaclab.compiler import compile_spec, render_tree, static_check
 from eaclab.labstate import snapshot
@@ -21,7 +22,7 @@ from eaclab.specmodel import expand_sweeps, parse_spec
 from conftest import (
     BAD_TCELL, CAMPAIGN_PATH, LAB_PATH, SCAN_SPEC, TCELL, run_main, tcell_lab, with_edit,
 )
-from workloads import campaign_doc
+from workloads import campaign_doc, static_check_per_step
 
 LAB = str(LAB_PATH)
 SPEC = str(CAMPAIGN_PATH)
@@ -1447,23 +1448,78 @@ def _count_expansions(monkeypatch) -> list:
     return calls
 
 
+def _count_value_checks(monkeypatch) -> Counter:
+    """Count ``ParamSchema.check`` calls by param, and refuse to build a
+    swept step's configurations."""
+    checks = Counter()
+    check = ParamSchema.check
+
+    def counted_check(self, name, q):
+        checks[name] += 1
+        return check(self, name, q)
+
+    def no_configuration(step, quantities):
+        raise AssertionError("validate must not build a configuration")
+
+    monkeypatch.setattr(ParamSchema, "check", counted_check)
+    monkeypatch.setattr(specmodel, "_swept_params", no_configuration)
+    return checks
+
+
 def test_validate_checks_a_sweep_at_its_template(tmp_path, monkeypatch):
-    """campaign_scale's spec: three swept steps, 144 instances, checked as 13
-    configurations without building one instance step."""
+    """campaign_scale's spec: three swept steps, 144 instances, checked as
+    18 distinct values without building one instance step or one swept
+    configuration."""
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps(campaign_doc(48, fill_ml=0.7)))
     expansions = _count_expansions(monkeypatch)
-    checks = []
-    check = CapabilityRegistry.check_param_ranges
-
-    def counted_check(self, capability, op, params):
-        checks.append((capability, op))
-        return check(self, capability, op, params)
-
-    monkeypatch.setattr(CapabilityRegistry, "check_param_ranges", counted_check)
+    checks = _count_value_checks(monkeypatch)
     assert run_main(["validate", str(path), "--lab", LAB]) == (0, "", "")
     assert expansions == []
-    assert len(checks) == 13
+    assert sum(checks.values()) == 18
+
+
+def _eis_sweep_doc(bad_n_freq=None) -> dict:
+    """The reference campaign without its sweeps, its measure sweeping
+    three EIS settings over 20 values each: 8000 instances."""
+    doc = json.loads(CAMPAIGN_PATH.read_text())
+    for step in doc["steps"]:
+        del step["repeat"]
+    measure = next(step for step in doc["steps"] if step["id"] == "measure")
+    measure["repeat"] = {"eac": [0.01 * (k + 1) for k in range(20)],
+                         "freq_min": [100.0 * (k + 1) for k in range(20)],
+                         "n_freq": [10 + k for k in range(19)] + [bad_n_freq or 29]}
+    return doc
+
+
+def test_validate_checks_each_swept_value_once(tmp_path, monkeypatch):
+    """A 3 x 20 sweep is 8000 configurations but 60 swept values: validate
+    checks those 60 and each unswept value once, and builds no
+    configuration."""
+    path = tmp_path / "eis.json"
+    path.write_text(json.dumps(_eis_sweep_doc()))
+    checks = _count_value_checks(monkeypatch)
+    assert run_main(["validate", str(path), "--lab", LAB]) == (0, "", "")
+    assert checks == {"eac": 20, "freq_min": 20, "n_freq": 20, "freq_max": 1,
+                      "concentration": 1, "dest": 1, "flow_rate": 1, "volume": 1}
+
+
+def test_a_failing_swept_value_is_reported_at_each_instance_that_has_it(tmp_path):
+    """One bad value of a 3 x 20 sweep is reported at the 400 instances that
+    hold it, in expansion order, as the per-step oracle reports the
+    expanded spec."""
+    doc = _eis_sweep_doc(bad_n_freq=29.5)
+    path = tmp_path / "eis.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(["validate", str(path), "--lab", LAB])
+    lines = err.splitlines()
+    assert (code, out, len(lines)) == (2, "", 400)
+    assert lines[0] == "bad_value error measure#19: 'n_freq'=29.5 is not an integer"
+    assert lines[-1] == "bad_value error measure#7999: 'n_freq'=29.5 is not an integer"
+    registry, genesis = cli._load_lab(LAB)[1:3]
+    expanded = expand_sweeps(parse_spec(json.dumps(doc)))
+    expected = static_check_per_step(expanded, registry, genesis)
+    assert err == "".join(d.render() + "\n" for d in expected)
 
 
 @pytest.mark.parametrize("command", ["plan", "run"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eaclab import compiler, units
-from eaclab.capabilities import CapabilityRegistry, builtin_registry, registry_from_lab_config
+from eaclab.capabilities import ParamSchema, builtin_registry, registry_from_lab_config
 from eaclab.compiler import (
     Diagnostic,
     WorkflowDAG,
@@ -377,22 +377,26 @@ def test_compile_of_the_template_converts_each_stabilize_duration_once(monkeypat
     assert counts == {"conversions": 49, "digests": 6}
 
 
-def test_static_check_checks_each_configuration_once(monkeypatch):
-    """At N=48 the campaign_scale spec has 144 steps but 13 configurations:
-    6 ports, one 0.7 mL fill and 6 concentrations."""
-    spec, registry, genesis = campaign_workload(48, fill_ml=0.7)
+@pytest.mark.parametrize("workload", [campaign_workload, campaign_template])
+def test_static_check_checks_each_value_once(monkeypatch, workload):
+    """At N=48 the campaign_scale spec has 144 instance steps but 18
+    distinct param values: 6 ports, a flow rate and a 0.7 mL fill, 4 EIS
+    settings and 6 concentrations. Each is checked once, in the expanded
+    spec that ``resume`` reads and in the template alike; the EIS window's
+    one pair is not checked again."""
+    spec, registry, genesis = workload(48, fill_ml=0.7)
     calls = Counter()
-    check = CapabilityRegistry.check_param_ranges
+    check = ParamSchema.check
 
-    def counted_check(self, capability, op, params):
-        calls[capability, op] += 1
-        return check(self, capability, op, params)
+    def counted_check(self, name, q):
+        calls[name] += 1
+        return check(self, name, q)
 
-    monkeypatch.setattr(CapabilityRegistry, "check_param_ranges", counted_check)
+    monkeypatch.setattr(ParamSchema, "check", counted_check)
     assert static_check(spec, registry, genesis) == []
-    assert len(spec.steps) == 144
-    assert calls == {("valve", "set"): 6, ("pump", "dispense"): 1,
-                     ("potentiostat", "measure_eis"): 6}
+    assert len(expand_sweeps(spec).steps) == 144
+    assert calls == {"dest": 6, "flow_rate": 1, "volume": 1, "eac": 1, "freq_min": 1,
+                     "freq_max": 1, "n_freq": 1, "concentration": 6}
 
 
 # A custom capability with a configure-gated operation, a temperature mode

@@ -26,7 +26,13 @@ from eaclab.specmodel import (
 from eaclab.units import Quantity
 
 from conftest import CAMPAIGN_PATH, LAB_PATH
-from workloads import campaign_doc, dependency_cycle_recursive, perfbench_inputs, sweep_refusal
+from workloads import (
+    campaign_doc,
+    dependency_cycle_recursive,
+    perfbench_inputs,
+    static_check_per_step,
+    sweep_refusal,
+)
 
 MINIMAL = {
     "spec_id": "t",
@@ -392,14 +398,33 @@ _AGENT_SPECS = [doc for doc, code in _INPUTS.agent_ensemble(
 _SWEPT_VALUES = [0.5, 1, 2.0, 6, 298.0, {"value": 1.0, "unit": "mL"}, {"value": 310, "unit": "K"}]
 
 
+def _planted_values(draw, step: dict, name: str, pschema) -> list:
+    """One to four values of a sweep of ``name``, a param of ``step`` and
+    declared by ``pschema`` if not None: its own value, values in its
+    range, and values planted to fail: out of range, a fraction of an
+    integer, one not below the param its ``below`` names (or equal to the
+    one it bounds), a temperature the cells' envelope refuses, and a
+    quantity in a foreign unit."""
+    pool = [step["params"][name]["value"]]
+    if pschema is not None:
+        pool += [pschema.min, pschema.max, (pschema.min + pschema.max) / 2, pschema.max + 1,
+                 {"value": pschema.max, "unit": "mL" if pschema.unit == "K" else "K"}]
+        pool += [pschema.min + 0.5] if pschema.integer else []
+        pool += [step["params"][other]["value"] for other in ("freq_min", "freq_max")
+                 if name in ("freq_min", "freq_max") and other in step["params"]]
+        pool += [370] if name == "temperature" else []
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+
+
 def _drawn_sweep_edit(draw, doc: dict):
     """Edit one step of ``doc``: sweep an undeclared param, sweep a number
-    that is not finite, or make it a literal step, unswept, with the id of
-    an instance of another step. Returns
+    that is not finite, make it a literal step, unswept, with the id of
+    an instance of another step, or sweep two or three of its params at
+    once, with values planted to fail the static check. Returns
     what the edit names: the new id, or the swept step, whose id a later
     edit may change; None when the drawn id is taken."""
     step = draw(st.sampled_from(doc["steps"]))
-    edit = draw(st.sampled_from(["undeclared", "non_finite", "instance_id"]))
+    edit = draw(st.sampled_from(["undeclared", "non_finite", "instance_id", "values"]))
     if edit == "instance_id":
         swept = [s for s in doc["steps"] if s is not step and s.get("repeat")]
         other = draw(st.sampled_from(swept or doc["steps"]))
@@ -412,6 +437,21 @@ def _drawn_sweep_edit(draw, doc: dict):
         step["id"] = new_id
         step.pop("repeat", None)
         return new_id
+    if edit == "values":
+        capability = {r["name"]: r["capability"] for r in doc["resources"]}[step["binding"]]
+        operation = (_ENSEMBLE_REGISTRY.get(capability).operations.get(step["op"])
+                     if capability in _ENSEMBLE_REGISTRY else None)
+        declared = getattr(operation, "params", {})
+        names = sorted(step["params"])
+        names = draw(st.lists(st.sampled_from(names), min_size=min(2, len(names)),
+                              max_size=min(3, len(names)), unique=True))
+        repeat = step.setdefault("repeat", {})
+        for name in names:
+            repeat[name] = _planted_values(draw, step, name, declared.get(name))
+        if len(names) < 2:  # and a param it does not declare, swept with quantities
+            repeat["extra"] = draw(st.lists(st.sampled_from(_SWEPT_VALUES[-2:]), min_size=1,
+                                            max_size=2))
+        return step
     values = draw(st.lists(st.sampled_from(_SWEPT_VALUES), min_size=1, max_size=3))
     if edit == "undeclared":
         name = "ghost"
@@ -430,7 +470,10 @@ def test_a_parsed_spec_checks_lowers_and_expands(data):
     agent specs, with sweep edits that expanding would break, either are
     refused by ``parse_spec`` where an edit names, or parse to a spec that
     ``static_check`` checks, and that, when clean, ``compile_spec`` lowers
-    and ``expand_sweeps`` expands."""
+    and ``expand_sweeps`` expands. The check of the template, which looks
+    at each distinct value once, gives the diagnostics that the per-step
+    oracle gives its expansion, planted failures of sweeps over several
+    params of one step included."""
     if data.draw(st.booleans()):
         doc = campaign_doc(data.draw(st.integers(1, 6)))
     else:
@@ -446,9 +489,10 @@ def test_a_parsed_spec_checks_lowers_and_expands(data):
         return
     assert sweep_refusal(doc) is None
     diagnostics = static_check(spec, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS)
+    expanded = expand_sweeps(spec)
+    assert diagnostics == static_check_per_step(expanded, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS)
     if not diagnostics:
         compile_spec(spec, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS, diagnostics)
-        expand_sweeps(spec)
 
 
 def test_unknown_sweep_param_raises():
