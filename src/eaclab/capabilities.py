@@ -19,7 +19,7 @@ from eaclab.errors import (
     UnknownOperationError,
     UnitError,
 )
-from eaclab.records import field, record
+from eaclab.records import field, record, replace
 from eaclab.units import Quantity, canonicalize_units, known_units, to_canonical, unit_dimension
 
 # Calibration validity window for every built-in device type, in simulated
@@ -41,6 +41,9 @@ class ParamSchema:
     integer: bool = False
     # The name of a param, in the same unit, that this one must be below.
     below: str | None = None
+    # The scales of the integer frame fields that write this param: its
+    # value times each must be a whole number, within WHOLE_TOLERANCE.
+    scales: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if self.min > self.max:
@@ -49,7 +52,8 @@ class ParamSchema:
     def check(self, name: str, q: Quantity) -> tuple[float | None, Violation | None]:
         """``q`` as param ``name``: its value in this unit (None if ``q``
         has another dimension), and what is wrong with it alone, if
-        anything: its unit, its range, then ``integer``."""
+        anything: its unit, its range, ``integer``, then the resolution
+        of each frame field that writes it."""
         try:  # raises on an unknown unit or a dimension mismatch
             value = canonicalize_units(q, self.unit).value
         except (UnitError, KeyError):
@@ -60,6 +64,12 @@ class ParamSchema:
                 f"{name!r}={value:g} {self.unit} outside [{self.min:g}, {self.max:g}]"))
         if self.integer and not value.is_integer():
             return value, Violation("bad_value", name, f"{name!r}={value:g} is not an integer")
+        for scale in self.scales:
+            steps = value * scale
+            if abs(steps - round(steps)) > WHOLE_TOLERANCE * max(1.0, abs(steps)):
+                return value, Violation("bad_value", name, (
+                    f"{name!r}={value:g} {self.unit} is not a whole number of "
+                    f"{1 / scale:g} {self.unit}"))
         return value, None
 
     def check_below(self, name: str, value: float, bound: float | None) -> Violation | None:
@@ -408,6 +418,10 @@ _LIFECYCLE_OPERATIONS = {
 # integer it holds; a text field's formats (an integer one zero-padded, as
 # spaces would not read back); and the characters a text field may write.
 XOR_CHECKSUM = "xor"
+# How far, relative to the step count and at least in whole steps, a value
+# times an integer field's scale may lie from a whole number: float noise,
+# as in 0.29 mL * 1000 = 290.00000000000006, and not a fraction of a step.
+WHOLE_TOLERANCE = 1e-12
 _PACK_RANGES = {
     order + code: (0, 256 ** size - 1) if code.isupper() else (-(256 ** size // 2), 256 ** size // 2 - 1)
     for code, size in (("b", 1), ("B", 1), ("h", 2), ("H", 2), ("i", 4), ("I", 4), ("q", 8), ("Q", 8))
@@ -538,6 +552,17 @@ def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
         for c in obj.get("safety", {}).get("conditions", [])
     ))
     for op_name, operation in operations.items():
+        # The integer fields of the frames that carry this operation's
+        # params: its own, and its configure operation's.
+        configure = operations.get(operation.configure_via)
+        scales: dict[str, tuple[float, ...]] = {}
+        for part in (*(operation.frame or ()), *(getattr(configure, "frame", None) or ())):
+            if isinstance(part, tuple) and part[3] != "number" and part[0] in operation.params:
+                scales[part[0]] = (*scales.get(part[0], ()), part[1])
+        if scales:
+            operation = operations[op_name] = replace(operation, params={
+                pname: replace(p, scales=scales.get(pname, ()))
+                for pname, p in operation.params.items()})
         safety.refuse_other_dimensions(
             {pname: p.unit for pname, p in operation.params.items()}, f"{name}.{op_name}.params"
         )

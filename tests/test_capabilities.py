@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +21,7 @@ from eaclab.errors import (
     UnknownCapabilityError,
     UnknownOperationError,
 )
+from eaclab.shims import encode_operation
 from eaclab.units import Quantity, canonicalize_units
 
 from conftest import BAD_TCELL, TCELL, with_edit
@@ -240,6 +243,13 @@ STATIC_REFUSALS = {
     "n_freq_fraction": ("potentiostat", "measure_eis", {
         "eac": Quantity(0.25, "V"), "freq_min": Quantity(100.0, "Hz"),
         "freq_max": Quantity(1e5, "Hz"), "n_freq": Quantity(10.5)}, [("bad_value", "n_freq")]),
+    # The dispense frame writes both in thousandths.
+    "volume_resolution": ("pump", "dispense", {"flow_rate": Quantity(4.0, "mL/min"),
+                                               "volume": Quantity(0.7004, "mL")},
+                          [("bad_value", "volume")]),
+    "flow_rate_resolution": ("pump", "dispense", {"flow_rate": Quantity(4.0005, "mL/min"),
+                                                  "volume": Quantity(0.7, "mL")},
+                             [("bad_value", "flow_rate")]),
 }
 
 
@@ -247,3 +257,42 @@ STATIC_REFUSALS = {
 def test_the_static_check_refuses_each_declared_bound(row):
     capability, operation, params, expected = STATIC_REFUSALS[row]
     assert _violation_codes(builtin_registry(), capability, operation, params) == expected
+
+
+@pytest.mark.parametrize("volume, flow_rate, sent", [
+    (Quantity(0.29, "mL"), 4.0, (4000, 290)), (Quantity(0.97, "mL"), 4.0, (4000, 970)),
+    (Quantity(1.93, "mL"), 3.6, (3600, 1930)), (Quantity(9.7e-7, "m^3"), 3.6, (3600, 970)),
+    (Quantity(0.7004, "mL"), 4.0, None)])
+def test_a_scaled_integer_field_takes_whole_steps_up_to_float_noise(volume, flow_rate, sent):
+    """In thousandths of its unit, 0.97 mL reads 970.0000000000001, 1.93 mL
+    1929.9999999999998 and 3.6 mL/min 3600.0000000000005: float noise,
+    which passes, in mL and restated in m^3, and goes out whole. 0.7004 mL
+    is 700.4 thousandths and is refused, naming the step in the param's
+    unit: the frame would send 700."""
+    params = {"flow_rate": Quantity(flow_rate, "mL/min"), "volume": volume}
+    violations = builtin_registry().check_param_ranges("pump", "dispense", params)
+    if sent is None:
+        assert [(v.code, v.message) for v in violations] == [
+            ("bad_value", "'volume'=0.7004 mL is not a whole number of 0.001 mL")]
+        return
+    assert violations == []
+    operation = builtin_registry().get("pump").operation("dispense")
+    assert encode_operation(operation, params).data[3:11] == struct.pack("<II", *sent)
+
+
+def test_each_integer_frame_field_sets_the_steps_of_its_param():
+    """The dispense frame's packed thousandths; the valve's and the
+    potentiostat's integer text fields (scale 1), the configure frame's
+    included, which measure_eis steps send; a number field sets none."""
+    registry = builtin_registry()
+    scales = {(capability, operation, name): p.scales
+              for capability in BUILTIN_CAPABILITIES
+              for operation, op in registry.get(capability).operations.items()
+              for name, p in op.params.items() if p.scales}
+    assert scales == {
+        ("pump", "dispense", "flow_rate"): (1000.0,), ("pump", "dispense", "volume"): (1000.0,),
+        ("valve", "set", "dest"): (1.0,),
+        ("relay", "on", "channel"): (1.0,), ("relay", "off", "channel"): (1.0,),
+        ("potentiostat", "configure", "n_freq"): (1.0,),
+        ("potentiostat", "measure_eis", "n_freq"): (1.0,),
+    }

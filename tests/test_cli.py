@@ -1749,8 +1749,9 @@ def test_a_configure_frame_writes_only_what_its_step_carries(tmp_path, capsys):
 
 # The reference campaign without its sweeps, a param of one step set to a
 # value no frame carries faithfully, and the one line every command refuses
-# it with: a frequency window the potentiostat cannot scan, and integer
-# params that the frame would truncate.
+# it with: a frequency window the potentiostat cannot scan, integer params
+# that the frame would truncate, and values between two steps of a scaled
+# integer field, which the frame would round.
 UNSENDABLE = {
     "window_equal": ("measure", "freq_min", 592000,
                      "out_of_range error measure: 'freq_min'=592000 Hz is not below "
@@ -1762,6 +1763,13 @@ UNSENDABLE = {
                       "bad_value error select: 'dest'=2.5 is not an integer"),
     "n_freq_fraction": ("measure", "n_freq", 10.5,
                         "bad_value error measure: 'n_freq'=10.5 is not an integer"),
+    # The dispense frame writes thousandths of a mL and of a mL/min.
+    "volume_resolution": ("fill", "volume", 0.7004,
+                          "bad_value error fill: 'volume'=0.7004 mL is not a whole number "
+                          "of 0.001 mL"),
+    "flow_rate_resolution": ("fill", "flow_rate", 4.0005,
+                             "bad_value error fill: 'flow_rate'=4.0005 mL/min is not a whole "
+                             "number of 0.001 mL/min"),
 }
 
 

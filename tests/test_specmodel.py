@@ -402,7 +402,7 @@ def _planted_values(draw, step: dict, name: str, pschema) -> list:
     """One to four values of a sweep of ``name``, a param of ``step`` and
     declared by ``pschema`` if not None: its own value, values in its
     range, and values planted to fail: out of range, a fraction of an
-    integer, one not below the param its ``below`` names (or equal to the
+    integer or of a frame field's step, one not below the param its ``below`` names (or equal to the
     one it bounds), a temperature the cells' envelope refuses, and a
     quantity in a foreign unit."""
     pool = [step["params"][name]["value"]]
@@ -410,6 +410,7 @@ def _planted_values(draw, step: dict, name: str, pschema) -> list:
         pool += [pschema.min, pschema.max, (pschema.min + pschema.max) / 2, pschema.max + 1,
                  {"value": pschema.max, "unit": "mL" if pschema.unit == "K" else "K"}]
         pool += [pschema.min + 0.5] if pschema.integer else []
+        pool += [pschema.min + 0.5 / scale for scale in pschema.scales]
         pool += [step["params"][other]["value"] for other in ("freq_min", "freq_max")
                  if name in ("freq_min", "freq_max") and other in step["params"]]
         pool += [370] if name == "temperature" else []

@@ -11,12 +11,12 @@ from pathlib import Path
 from eaclab.canon import sha256_hex
 from eaclab.capabilities import registry_from_lab_config
 from eaclab.compiler import Diagnostic, OpNode, WorkflowDAG
-from eaclab.errors import EacError
+from eaclab.errors import EacError, UnitError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
 from eaclab.records import field, record, replace
 from eaclab.specmodel import expand_sweeps, parse_spec
 from eaclab.telemetry import TelemetryRecord
-from eaclab.units import to_canonical
+from eaclab.units import canonicalize_units, to_canonical
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -333,10 +333,55 @@ def dependency_cycle_recursive(steps) -> list[str] | None:
     return None
 
 
+def _param_problems(schema, op, params) -> list[tuple[str, str]]:
+    """(code, message) of each range, unit, completeness, ``integer``,
+    frame-resolution and ``below`` problem of one step's params, written
+    out apart from ``capabilities``: the reference for
+    ``ParamSchema.check`` and ``check_below``."""
+    configure = schema.operations.get(op.configure_via)
+    frames = [op.frame or (), getattr(configure, "frame", None) or ()]
+    # (param, scale) of every field that writes an integer.
+    integer_fields = [(part[0], part[1]) for frame in frames for part in frame
+                      if isinstance(part, tuple) and part[3] != "number"]
+    problems = []
+    for name, p in op.params.items():
+        if name not in params:
+            if not p.optional:
+                problems.append(("missing_param", f"missing parameter {name!r}"))
+            continue
+        try:
+            value = canonicalize_units(params[name], p.unit).value
+        except (UnitError, KeyError):
+            problems.append(("bad_unit", f"{name!r}: unit {params[name].unit!r} "
+                                         f"incompatible with {p.unit!r}"))
+            continue
+        coarse = [scale for param, scale in integer_fields if param == name and not math.isclose(
+            value * scale, round(value * scale), rel_tol=1e-12, abs_tol=1e-12)]
+        if not p.min <= value <= p.max:
+            problems.append(("out_of_range", f"{name!r}={value:g} {p.unit} outside "
+                                             f"[{p.min:g}, {p.max:g}]"))
+        elif p.integer and value != int(value):
+            problems.append(("bad_value", f"{name!r}={value:g} is not an integer"))
+        elif coarse:
+            problems.append(("bad_value", f"{name!r}={value:g} {p.unit} is not a whole "
+                                          f"number of {1 / coarse[0]:g} {p.unit}"))
+        elif p.below in params:
+            try:
+                bound = canonicalize_units(params[p.below], p.unit).value
+            except (UnitError, KeyError):
+                continue
+            if value >= bound:
+                problems.append(("out_of_range", f"{name!r}={value:g} {p.unit} is not below "
+                                                 f"{p.below!r}={bound:g} {p.unit}"))
+    problems.extend(("unknown_param", f"unknown parameter {name!r}")
+                    for name in params if name not in op.params)
+    return problems
+
+
 def static_check_per_step(spec, registry, state) -> list[Diagnostic]:
     """The static check with every step checked on its own: the reference
-    ``compiler.static_check``, which checks each distinct configuration
-    once, is tested against. ``spec`` is parsed, so it has no cycle."""
+    ``compiler.static_check``, which checks each distinct value once, is
+    tested against. ``spec`` is parsed, so it has no cycle."""
     diagnostics: list[Diagnostic] = []
     for binding in spec.resources:
         if binding.capability not in registry:
@@ -365,9 +410,9 @@ def static_check_per_step(spec, registry, state) -> list[Diagnostic]:
                 f"{binding.capability} has no operation {step.operation!r}",
             ))
             continue
-        for violation in registry.check_param_ranges(
-                binding.capability, step.operation, step.params):
-            diagnostics.append(Diagnostic(violation.code, step.step_id, violation.message))
+        for code, message in _param_problems(
+                schema, schema.operation(step.operation), step.params):
+            diagnostics.append(Diagnostic(code, step.step_id, message))
         for predicate in schema.safety.conditions:
             if predicate.field not in step.params:
                 continue
