@@ -206,8 +206,13 @@ class CapabilitySchema:
     calibration_window: float = DEFAULT_CALIBRATION_WINDOW_S
 
     def __post_init__(self) -> None:
+        constant: dict[bytes, str] = {}  # a frame without fields -> its operation
         for op in self.operations.values():
             where = f"{self.capability}.{op.name}"
+            data = _constant_frame(op.frame)
+            if data is not None and constant.setdefault(data, op.name) != op.name:
+                raise ValueError(f"{self.capability}.{constant[data]} and {where} declare the "
+                                 f"same constant frame {data!r}, which no reader could tell apart")
             # Lifecycle nodes carry no params.
             params = {} if op.name in _LIFECYCLE_OPERATIONS else op.params
             _check_clock(op, params, where)
@@ -260,6 +265,23 @@ def _check_clock(op: OperationSchema, params: dict[str, ParamSchema], where: str
                 f"(volume/flow, time/dimensionless or dimensionless/frequency), "
                 f"not {dimensions[0]}/{dimensions[1]}"
             )
+
+
+def _constant_frame(frame: tuple | None) -> bytes | None:
+    """The bytes of a frame without fields, which every dispatch of its
+    operation sends alike; None for any other frame."""
+    if frame is None or any(isinstance(part, tuple) for part in frame):
+        return None
+    data = bytearray()
+    for part in frame:
+        if part == XOR_CHECKSUM:
+            checksum = 0
+            for byte in data:
+                checksum ^= byte
+            data.append(checksum)
+        else:
+            data += part
+    return bytes(data)
 
 
 def _check_frame(op: OperationSchema, params: dict[str, ParamSchema], where: str) -> None:

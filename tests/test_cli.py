@@ -1702,6 +1702,13 @@ BAD_FRAME = {
                          f"tcell.scan.frame[1] {_AFTER_TEXT}"),
     "text_then_bytes": (("frame",), [_TEMPERATURE_TEXT, {"bytes": [13]}],
                         f"tcell.scan.frame[1] {_AFTER_TEXT}"),
+    # The same bytes as the connect frame, which a reader takes first; split
+    # text and a checksum write what they write.
+    "same_as_connect": (("frame",), ["HELLO\r"], "tcell.connect and tcell.scan declare the same "
+                        "constant frame b'HELLO\\r', which no reader could tell apart"),
+    "same_as_disconnect": (("frame",), ["BY", {"bytes": [0x45]}, "\r"],
+                           "tcell.disconnect and tcell.scan declare the same constant frame "
+                           "b'BYE\\r', which no reader could tell apart"),
     # A connect node carries no params.
     "connect_field": (("connect",), {"kind": "connect", "frame": ["C", _TEMPERATURE_TEXT]},
                       "tcell.connect.frame field 'temperature' must name a required param "
