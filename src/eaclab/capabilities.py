@@ -42,7 +42,7 @@ class ParamSchema:
     # The name of a param, in the same unit, that this one must be below.
     below: str | None = None
     # The scales of the integer frame fields that write this param: its
-    # value times each must be a whole number, within WHOLE_TOLERANCE.
+    # value times each must be a whole number, within _WHOLE_TOLERANCE.
     scales: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
@@ -66,7 +66,7 @@ class ParamSchema:
             return value, Violation("bad_value", name, f"{name!r}={value:g} is not an integer")
         for scale in self.scales:
             steps = value * scale
-            if abs(steps - round(steps)) > WHOLE_TOLERANCE * max(1.0, abs(steps)):
+            if abs(steps - round(steps)) > _WHOLE_TOLERANCE * max(1.0, abs(steps)):
                 return value, Violation("bad_value", name, (
                     f"{name!r}={value:g} {self.unit} is not a whole number of "
                     f"{1 / scale:g} {self.unit}"))
@@ -275,13 +275,18 @@ def _constant_frame(frame: tuple | None) -> bytes | None:
     data = bytearray()
     for part in frame:
         if part == XOR_CHECKSUM:
-            checksum = 0
-            for byte in data:
-                checksum ^= byte
-            data.append(checksum)
+            data.append(xor_checksum(data))
         else:
             data += part
     return bytes(data)
+
+
+def xor_checksum(payload: bytes) -> int:
+    """The XOR_CHECKSUM byte of ``payload``, the bytes before it."""
+    value = 0
+    for b in payload:
+        value ^= b
+    return value
 
 
 def _check_frame(op: OperationSchema, params: dict[str, ParamSchema], where: str) -> None:
@@ -440,10 +445,11 @@ _LIFECYCLE_OPERATIONS = {
 # integer it holds; a text field's formats (an integer one zero-padded, as
 # spaces would not read back); and the characters a text field may write.
 XOR_CHECKSUM = "xor"
-# How far, relative to the step count and at least in whole steps, a value
-# times an integer field's scale may lie from a whole number: float noise,
-# as in 0.29 mL * 1000 = 290.00000000000006, and not a fraction of a step.
-WHOLE_TOLERANCE = 1e-12
+# How far a value times an integer field's scale, its number of steps, may
+# lie from a whole number, relative to that number and at least 1: float
+# noise passes (0.97 mL * 1000 is 970.0000000000001), a fraction of a step
+# does not.
+_WHOLE_TOLERANCE = 1e-12
 _PACK_RANGES = {
     order + code: (0, 256 ** size - 1) if code.isupper() else (-(256 ** size // 2), 256 ** size // 2 - 1)
     for code, size in (("b", 1), ("B", 1), ("h", 2), ("H", 2), ("i", 4), ("I", 4), ("q", 8), ("Q", 8))

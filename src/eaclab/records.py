@@ -9,7 +9,7 @@ hash that tuple and refuse assignment; mutable ones are unhashable. Only
 ``__init__`` is compiled, at the class's first instance: until then the
 class has a stub that compiles it, puts it in its own place and calls
 it, so every later instance runs the compiled code alone. A command
-compiles only the records it makes: ``import eaclab.cli`` defines 22
+compiles only the records it makes: ``import eaclab.cli`` defines 19
 and compiles 2, the two that serve as class-level defaults.
 ``replace`` copies a record through its ``__init__``, so
 ``__post_init__`` checks every copy.

@@ -22,6 +22,7 @@ from eaclab.capabilities import (
     CapabilitySchema,
     OperationSchema,
     registry_from_lab_config,
+    xor_checksum,
 )
 from eaclab.errors import FrameParseError, SimFault
 from eaclab.labstate import SimDeviceConfig
@@ -44,13 +45,6 @@ class WireFrame:
 
     def hex(self) -> str:
         return self.data.hex()
-
-
-def _xor_checksum(payload: bytes) -> int:
-    value = 0
-    for b in payload:
-        value ^= b
-    return value
 
 
 def parse_balance_line(line: str) -> dict:
@@ -84,7 +78,7 @@ def encode_operation(
         if isinstance(part, bytes):
             data += part
         elif part == XOR_CHECKSUM:
-            data.append(_xor_checksum(data))
+            data.append(xor_checksum(data))
         else:
             name, scale, pack, text = part
             value = canonicalize_units(params[name], operation.params[name].unit).value * scale
@@ -108,7 +102,7 @@ def _decode_frame(frame: tuple, data: bytes) -> dict | None:
                 return None
             at += len(part)
         elif part == XOR_CHECKSUM:
-            if at == len(data) or data[at] != _xor_checksum(data[:at]):
+            if at == len(data) or data[at] != xor_checksum(data[:at]):
                 return None
             at += 1
         else:
