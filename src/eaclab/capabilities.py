@@ -20,7 +20,7 @@ from eaclab.errors import (
     UnitError,
 )
 from eaclab.records import field, record, replace
-from eaclab.units import Quantity, canonicalize_units, known_units, to_canonical, unit_dimension
+from eaclab.units import Quantity, canonical_value, known_units, unit_dimension, value_in
 
 # Calibration validity window for every built-in device type, in simulated
 # seconds. Short on purpose: desk-scale runs, not annual service cycles.
@@ -55,7 +55,7 @@ class ParamSchema:
         anything: its unit, its range, ``integer``, then the resolution
         of each frame field that writes it."""
         try:  # raises on an unknown unit or a dimension mismatch
-            value = canonicalize_units(q, self.unit).value
+            value = value_in(q, self.unit)  # infinite, and so out of range, past every float
         except (UnitError, KeyError):
             return None, Violation(
                 "bad_unit", name, f"{name!r}: unit {q.unit!r} incompatible with {self.unit!r}")
@@ -148,14 +148,15 @@ class SafetyEnvelope:
 
     def violations(self, values: dict[str, Quantity]):
         """(predicate, value, threshold) of each condition that ``values``
-        break, value and threshold in canonical units; a condition on a
-        field ``values`` lacks is not checked."""
+        break, value and threshold in canonical units (an infinity for a
+        value past every float there); a condition on a field ``values``
+        lacks is not checked."""
         for predicate in self.conditions:
             quantity = values.get(predicate.field)
             if quantity is None:
                 continue
-            value = to_canonical(quantity).value
-            threshold = to_canonical(predicate.threshold).value
+            value = canonical_value(quantity)
+            threshold = canonical_value(predicate.threshold)
             if not predicate.holds(value, threshold):
                 yield predicate, value, threshold
 

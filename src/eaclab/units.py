@@ -78,8 +78,10 @@ class Quantity:
         return cls(value=obj["value"], unit=obj.get("unit", ""))
 
 
-def canonicalize_units(q: Quantity, target_unit: str) -> Quantity:
-    """Convert ``q`` to ``target_unit``; both must share a dimension."""
+def value_in(q: Quantity, target_unit: str) -> float:
+    """``q``'s value in ``target_unit``, which must share its dimension
+    (UnitError otherwise). A value beyond every float in that unit is
+    returned as an infinity, so that it compares as out of any range."""
     src_dim, src_factor, src_offset = _UNIT_TABLE[q.unit]
     if target_unit not in _UNIT_TABLE:
         raise UnitError(f"unknown unit {target_unit!r}")
@@ -89,7 +91,21 @@ def canonicalize_units(q: Quantity, target_unit: str) -> Quantity:
             f"incompatible units: {q.unit!r} ({src_dim}) -> {target_unit!r} ({dst_dim})"
         )
     base = q.value * src_factor + src_offset
-    return Quantity(value=(base - dst_offset) / dst_factor, unit=target_unit)
+    value = (base - dst_offset) / dst_factor
+    if math.isinf(value):  # perhaps only on the way through the canonical unit
+        value = q.value * (src_factor / dst_factor) + (src_offset - dst_offset) / dst_factor
+    return value
+
+
+def canonical_value(q: Quantity) -> float:
+    """``value_in`` the canonical unit of the quantity's dimension."""
+    return value_in(q, CANONICAL_UNITS[unit_dimension(q.unit)])
+
+
+def canonicalize_units(q: Quantity, target_unit: str) -> Quantity:
+    """Convert ``q`` to ``target_unit``; both must share a dimension, and
+    the value must be finite in it (UnitError otherwise)."""
+    return Quantity(value=value_in(q, target_unit), unit=target_unit)
 
 
 def to_canonical(q: Quantity) -> Quantity:

@@ -1757,8 +1757,10 @@ def test_a_configure_frame_writes_only_what_its_step_carries(tmp_path, capsys):
 # The reference campaign without its sweeps, a param of one step set to a
 # value no frame carries faithfully, and the one line every command refuses
 # it with: a frequency window the potentiostat cannot scan, integer params
-# that the frame would truncate, and values between two steps of a scaled
-# integer field, which the frame would round.
+# that the frame would truncate, values between two steps of a scaled
+# integer field, which the frame would round, and quantities (a value and
+# its unit) too large for a float in the param's unit, which are out of
+# range, not in another unit.
 UNSENDABLE = {
     "window_equal": ("measure", "freq_min", 592000,
                      "out_of_range error measure: 'freq_min'=592000 Hz is not below "
@@ -1777,6 +1779,11 @@ UNSENDABLE = {
     "flow_rate_resolution": ("fill", "flow_rate", 4.0005,
                              "bad_value error fill: 'flow_rate'=4.0005 mL/min is not a whole "
                              "number of 0.001 mL/min"),
+    "volume_past_every_float": ("fill", "volume", {"value": 1e303, "unit": "m^3"},
+                                "out_of_range error fill: 'volume'=inf mL outside [0.01, 50]"),
+    "flow_rate_past_every_float": ("fill", "flow_rate", {"value": -1e303, "unit": "m^3/s"},
+                                   "out_of_range error fill: 'flow_rate'=-inf mL/min outside "
+                                   "[0.1, 10]"),
 }
 
 
@@ -1787,7 +1794,10 @@ def test_a_value_no_frame_carries_is_refused_before_anything_runs(tmp_path, caps
     for step in doc["steps"]:
         del step["repeat"]
         if step["id"] == step_id:
-            step["params"][param]["value"] = value
+            if isinstance(value, dict):
+                step["params"][param] = value
+            else:
+                step["params"][param]["value"] = value
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
     for command, extra in (("validate", []), ("plan", []),
@@ -1796,6 +1806,41 @@ def test_a_value_no_frame_carries_is_refused_before_anything_runs(tmp_path, caps
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", line + "\n")
     assert os.listdir(tmp_path) == ["spec.json"]
+
+
+# An oven whose safety condition bounds its bake's hold by 30 s, its
+# hold's range, and the one line every command refuses a bake of 1e306 h
+# with, a hold past every float in seconds: out of range when the range is
+# in seconds, where the condition (a minimum) holds; a broken condition
+# when the range is in hours, where the hold is in range.
+PAST_EVERY_FLOAT = {
+    "range": ({"unit": "s", "min": 0, "max": 60}, ">=",
+              "out_of_range error bake: 'hold'=inf s outside [0, 60]"),
+    "safety": ({"unit": "h", "min": 0, "max": 1e306}, "<=",
+               "safety_violation error bake: hold <= 30 violated by commanded value inf"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(PAST_EVERY_FLOAT))
+def test_a_safety_field_past_every_float_is_refused_before_anything_runs(tmp_path, capsys, row):
+    hold, comparator, line = PAST_EVERY_FLOAT[row]
+    oven = {"operations": {"bake": {"params": {"hold": hold}}},
+            "safety": {"conditions": [{"field": "hold", "comparator": comparator,
+                                       "threshold": {"value": 30, "unit": "s"}}]}}
+    lab = _lab_with_capabilities(tmp_path, {"oven": oven}, [("oven_1", "oven")])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "spec_id": "long-bake", "version": "1.0.0",
+        "resources": [{"name": "oven", "capability": "oven"}],
+        "steps": [{"id": "bake", "binding": "oven", "op": "bake",
+                   "params": {"hold": {"value": 1e306, "unit": "h"}}}],
+    }))
+    for command, extra in (("validate", []), ("plan", []),
+                           ("run", ["--out", str(tmp_path / "runs")])):
+        assert main([command, str(spec), "--lab", lab, *extra]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line + "\n")
+    assert sorted(os.listdir(tmp_path)) == ["lab.json", "spec.json"]
 
 
 _HOT_TCELL = {"device_id": "tcell_1", "capability": "tcell",

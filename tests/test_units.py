@@ -13,10 +13,12 @@ from eaclab.canon import canonical_bytes, canonical_json, sha256_hex
 from eaclab.errors import UnitError
 from eaclab.units import (
     Quantity,
+    canonical_value,
     canonicalize_units,
     known_units,
     to_canonical,
     unit_dimension,
+    value_in,
 )
 
 
@@ -52,6 +54,21 @@ def test_incompatible_dimensions():
     with pytest.raises(UnitError):
         canonicalize_units(Quantity(1.0, "s"), "V")
     assert unit_dimension("mol/kg") == "molality"
+
+
+def test_a_value_past_every_float_converts_to_an_infinity():
+    """A value too large for a float in the target unit is infinite there,
+    with its sign; one that is a float there converts, even when it would
+    not be in the canonical unit on the way. A Quantity stays finite."""
+    assert value_in(Quantity(1e303, "m^3"), "mL") == math.inf
+    assert value_in(Quantity(-1e303, "m^3/s"), "mL/min") == -math.inf
+    assert canonical_value(Quantity(1e306, "h")) == math.inf
+    assert value_in(Quantity(1e306, "h"), "h") == 1e306
+    assert value_in(Quantity(1e306, "h"), "min") == pytest.approx(6e307)
+    with pytest.raises(UnitError, match="non-finite"):
+        canonicalize_units(Quantity(1e303, "m^3"), "mL")
+    with pytest.raises(UnitError, match="incompatible"):
+        value_in(Quantity(1.0, "s"), "V")
 
 
 def test_quantity_dict_round_trip():
