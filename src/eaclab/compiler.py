@@ -5,7 +5,9 @@ gives the diagnostics and nodes of its instances ``step#k``, in expansion
 order. The check looks at each distinct value of each param once, so it
 costs what the distinct values cost, however many instances a sweep's
 product makes; lowering builds each distinct configuration of a sweep
-once.
+once. An expanded spec, whose instance steps share their params dicts
+and stabilizations (``expand_sweeps``, ``parse_spec``), is checked once
+per distinct configuration of its steps and lowered as its template is.
 
 Lowering rules: each used binding gets one connect node before its first
 operation and one teardown node after its last; operations that declare a
@@ -151,13 +153,6 @@ def _canonical_params(params: dict[str, Quantity]) -> dict[str, Quantity]:
     return {name: to_canonical(q) for name, q in params.items()}
 
 
-def _configuration(capability: str, operation: str, params: dict[str, Quantity]) -> tuple:
-    """A step configuration as a key: equal keys give equal nodes, since
-    every node holds canonical values, in which ``-0.0`` is ``0.0`` and an
-    int is a float."""
-    return capability, operation, tuple([(name, q.value, q.unit) for name, q in params.items()])
-
-
 def _step_mode(op: OperationSchema, params: dict[str, Quantity]) -> str | None:
     """Device-condition compatibility class for state batching; ``params``
     are the step's canonical params."""
@@ -182,8 +177,11 @@ def static_check(
     unknown params are found once per step. The cost grows with the
     distinct values a spec writes, not with its instances: a step is
     walked instance by instance only when one of its values fails, to
-    report each instance's problems in order. Dependency cycles are not
-    looked for here: ``parse_spec`` refuses them.
+    report each instance's problems in order. An unswept step is checked
+    once per configuration, its capability, operation and params dict:
+    the steps of an expansion that share a params dict take its problems,
+    each at its own id. Dependency cycles are not looked for here:
+    ``parse_spec`` refuses them.
     """
     diagnostics: list[Diagnostic] = []
     registered: dict[str, str] = {}  # binding -> its capability, when registered
@@ -211,19 +209,37 @@ def static_check(
             )
 
     memo: tuple[dict, dict, dict] = ({}, {}, {})  # values, below pairs, safety
+    # An unswept step's problems, as (code, message) pairs, by its
+    # configuration: its capability, operation and params dict, which
+    # the steps of a parsed or expanded spec share when they are equal.
+    configurations: dict[tuple, list[tuple[str, str]]] = {}
     for step in spec.steps:
         capability = registered.get(step.binding)
         if capability is None:
             continue  # already diagnosed at the binding
-        schema = registry.get(capability)
-        op = schema.operations.get(step.operation)
-        if op is None:
-            message = f"{capability} has no operation {step.operation!r}"
-            diagnostics.extend(
-                Diagnostic("unknown_operation", step_id, message) for step_id in instance_ids(step))
+        if step.repeat is not None:
+            diagnostics.extend(_step_diagnostics(step, capability, registry, memo))
             continue
-        diagnostics.extend(_check_step(step, capability, schema, op, memo))
+        key = (capability, step.operation, id(step.params))
+        problems = configurations.get(key)
+        if problems is None:
+            problems = configurations[key] = [
+                (d.code, d.message) for d in _step_diagnostics(step, capability, registry, memo)]
+        if problems:
+            diagnostics.extend(Diagnostic(code, step.step_id, message) for code, message in problems)
     return diagnostics
+
+
+def _step_diagnostics(
+    step: StepSpec, capability: str, registry: CapabilityRegistry, memo: tuple[dict, dict, dict],
+) -> list[Diagnostic]:
+    """The diagnostics of one step of a registered capability."""
+    schema = registry.get(capability)
+    op = schema.operations.get(step.operation)
+    if op is None:
+        message = f"{capability} has no operation {step.operation!r}"
+        return [Diagnostic("unknown_operation", step_id, message) for step_id in instance_ids(step)]
+    return _check_step(step, capability, schema, op, memo)
 
 
 def _check_step(
@@ -332,6 +348,29 @@ def _lowering(
     return cfg_params, main, mode, cfg_op.duration(cfg_params), op.duration(canonical)
 
 
+class _StepGroup:
+    """What ``compile_spec`` resolves once for the steps of one binding,
+    operation and stabilization object: the binding's capability schema,
+    the operation and its configure operation, the connect node's id, the
+    stabilize detail in canonical units and the main node's kind; and
+    ``lowered``, the ``_lowering`` of each params dict by its identity."""
+
+    def __init__(self, spec: ExperimentSpec, registry: CapabilityRegistry, step: StepSpec):
+        self.schema = schema = registry.get(spec.binding(step.binding).capability)
+        self.op = op = schema.operation(step.operation)
+        self.cfg_op = None if op.configure_via is None else schema.operation(op.configure_via)
+        self.connect_id = f"connect:{step.binding}"
+        self.stab = None
+        if step.stabilization is not None:
+            self.stab = {
+                "mode": step.stabilization.mode,
+                "duration_s": to_canonical(step.stabilization.duration).value,
+                "signal": step.stabilization.signal,
+            }
+        self.main_kind = "measure" if op.kind == "read" else "action"
+        self.lowered: dict[int, tuple] = {}
+
+
 def compile_spec(
     spec: ExperimentSpec,
     registry: CapabilityRegistry,
@@ -342,10 +381,14 @@ def compile_spec(
 
     ``spec`` may keep its sweeps: the DAG is then that of its expansion,
     node for node and in the same order, without building the instances.
-    Each distinct configuration (of a swept step, one of
-    ``StepSpec.sweep``) is lowered once per call and each step's stabilize
-    duration converted once; every instance ``step#k`` is stamped from
-    them, with the ids and dependencies of ``step_instances``.
+    The steps of one binding, operation and stabilization object have
+    their schema, operation and stabilize duration resolved once
+    (``_StepGroup``), and each of their distinct params dicts (of a swept
+    step, the configurations of ``StepSpec.sweep``) is lowered once per
+    call; every instance ``step#k`` is stamped from them, with the ids and
+    dependencies of ``step_instances``. So an expanded spec whose
+    instances share their params and stabilizations, as ``expand_sweeps``
+    and ``parse_spec`` make them, lowers at the cost of its template.
     Raises CompileError if the spec has static errors. ``diagnostics`` is
     ``static_check(spec, registry, state)`` when the caller has already
     run it; otherwise the spec is checked here.
@@ -361,13 +404,14 @@ def compile_spec(
     edges: list[tuple[str, str, str]] = []
     used_bindings: dict = {}  # binding -> its CapabilitySchema, in order of first use
     last_on_binding: dict[str, list[str]] = {}
-    lowerings: dict[tuple, tuple] = {}  # configuration -> its _lowering
+    groups: dict[tuple, _StepGroup] = {}  # (binding, operation, id(stabilization)) -> its group
 
     for step, ids, deps in step_instances(spec):
-        binding = spec.binding(step.binding)
-        schema = registry.get(binding.capability)
-        op = schema.operation(step.operation)
-        connect_id = f"connect:{step.binding}"
+        key = (step.binding, step.operation, id(step.stabilization))
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = _StepGroup(spec, registry, step)
+        schema, op, cfg_op, connect_id = group.schema, group.op, group.cfg_op, group.connect_id
         if step.binding not in used_bindings:
             used_bindings[step.binding] = schema
             last_on_binding[step.binding] = []
@@ -380,22 +424,14 @@ def compile_spec(
                 est_duration=schema.operation("connect").duration({}),
             )
 
-        cfg_op = None if op.configure_via is None else schema.operation(op.configure_via)
         configurations, which = ([step.params], [0]) if step.repeat is None else step.sweep
         lowered = []
         for params in configurations:
-            key = _configuration(binding.capability, step.operation, params)
-            if key not in lowerings:
-                lowerings[key] = _lowering(op, cfg_op, params)
-            lowered.append(lowerings[key])
-        stab = None
-        if step.stabilization is not None:
-            stab = {
-                "mode": step.stabilization.mode,
-                "duration_s": to_canonical(step.stabilization.duration).value,
-                "signal": step.stabilization.signal,
-            }
-        main_kind = "measure" if op.kind == "read" else "action"
+            lowering = group.lowered.get(id(params))
+            if lowering is None:
+                lowering = group.lowered[id(params)] = _lowering(op, cfg_op, params)
+            lowered.append(lowering)
+        stab, main_kind = group.stab, group.main_kind
 
         for step_id, index, step_deps in zip(ids, which, deps):
             cfg_params, params, mode, cfg_duration, main_duration = lowered[index]

@@ -154,6 +154,8 @@ def _require(obj: dict, key: str, locus: str):
 
 
 def _check_no_unknown(obj: dict, allowed: frozenset[str], locus: str) -> None:
+    if obj.keys() <= allowed:
+        return
     for key in obj:
         if key not in allowed:
             raise SpecSchemaError("unknown_field", locus, f"unknown field {key!r}")
@@ -186,6 +188,32 @@ def _parse_quantity(obj, locus: str) -> Quantity:
         raise SpecSchemaError("bad_unit", locus, str(exc)) from exc
 
 
+def _quantity_key(obj):
+    """A key under which equal quantities of a document share one parse:
+    ``obj``'s value and unit, if ``obj`` is a quantity object whose parse
+    depends on nothing else (a dict of an int or float ``value`` and
+    perhaps a str ``unit``); None otherwise. Equal keys parse to equal
+    quantities or fail alike: 1 and 1.0 both give 1.0, and a zero is keyed
+    by its text, since 0.0 and -0.0 are equal but print apart."""
+    if type(obj) is dict:
+        value, unit = obj.get("value"), obj.get("unit", "")
+        if type(value) in _NUMBER_TYPES and type(unit) is str and len(obj) == 1 + ("unit" in obj):
+            return value if value else repr(value), unit
+    return None
+
+
+def _stabilization_key(obj):
+    """As ``_quantity_key``, for a stabilization object: its mode, its
+    duration's key and its signal, or None."""
+    if type(obj) is dict and obj.keys() <= _STAB_FIELDS:
+        mode, signal = obj.get("mode"), obj.get("signal")
+        duration = _quantity_key(obj.get("duration"))
+        if type(mode) is str and (signal is None or type(signal) is str) and duration is not None:
+            return mode, duration, signal
+    return None
+
+
+_NUMBER_TYPES = (int, float)
 _QUANTITY_FIELDS = frozenset({"value", "unit"})
 _TOP_FIELDS = frozenset({"spec_id", "version", "resources", "steps", "metadata"})
 _RESOURCE_FIELDS = frozenset({"name", "capability", "selector", "constraints"})
@@ -244,7 +272,12 @@ def _parse_stabilization(obj, locus: str) -> StabilizationConstraint:
     return StabilizationConstraint(mode=mode, duration=duration, signal=signal)
 
 
-def _parse_step(obj, index: int) -> StepSpec:
+def _parse_step(obj, index: int, memo: tuple[dict, dict, dict]) -> StepSpec:
+    """One step of a document. ``memo`` is the document's: its quantities
+    and stabilizations by key, and its params dicts by the identities of
+    their quantities, so that equal ones, such as the instances of an
+    expanded sweep, share one object."""
+    quantities, stabilizations, configurations = memo
     locus = f"steps[{index}]"
     _expect(obj, dict, locus, "step")
     _check_no_unknown(obj, _STEP_FIELDS, locus)
@@ -260,14 +293,27 @@ def _parse_step(obj, index: int) -> StepSpec:
     for pname, pval in raw_params.items():
         if not pname:
             raise SpecSchemaError("bad_value", locus, "empty param name")
-        params[pname] = _parse_quantity(pval, f"{locus}.params.{pname}")
+        key = _quantity_key(pval)
+        quantity = quantities.get(key)
+        if quantity is None:
+            quantity = _parse_quantity(pval, f"{locus}.params.{pname}")
+            if key is not None:
+                quantities[key] = quantity
+        params[pname] = quantity
+    params = configurations.setdefault(tuple(zip(params, map(id, params.values()))), params)
     depends_on = obj.get("depends_on", [])
     _expect(depends_on, list, locus, "depends_on")
     for dep in depends_on:
         _expect(dep, str, locus, "dependency id")
     stabilization = None
-    if obj.get("stabilization") is not None:
-        stabilization = _parse_stabilization(obj["stabilization"], locus + ".stabilization")
+    raw_stabilization = obj.get("stabilization")
+    if raw_stabilization is not None:
+        key = _stabilization_key(raw_stabilization)
+        stabilization = stabilizations.get(key)
+        if stabilization is None:
+            stabilization = _parse_stabilization(raw_stabilization, locus + ".stabilization")
+            if key is not None:
+                stabilizations[key] = stabilization
     repeat = None
     if obj.get("repeat") is not None:
         raw_repeat = _expect(obj["repeat"], dict, locus, "repeat")
@@ -365,7 +411,14 @@ def validate_spec(spec: ExperimentSpec) -> None:
 
 
 def parse_spec(text: str) -> ExperimentSpec:
-    """Parse and fully validate a spec document."""
+    """Parse and fully validate a spec document.
+
+    Equal quantities and stabilizations of the document are decoded once
+    and share one object, and so do steps' equal params dicts: the steps
+    of an expanded sweep, as a run's ``spec.json`` holds them, then share
+    their configurations as ``expand_sweeps`` makes them share, and the
+    static check and lowering key on those objects.
+    """
     try:
         if text.startswith("\ufeff"):  # ``json.loads`` checks this; ``decode`` does not
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -388,11 +441,12 @@ def parse_spec(text: str) -> ExperimentSpec:
     _expect(metadata, dict, "$", "metadata")
     for key, value in metadata.items():
         _expect(value, str, "metadata", "metadata value")
+    memo: tuple[dict, dict, dict] = ({}, {}, {})
     spec = ExperimentSpec(
         spec_id=spec_id,
         version=version,
         resources=tuple(_parse_resource(r, i) for i, r in enumerate(raw_resources)),
-        steps=tuple(_parse_step(s, i) for i, s in enumerate(raw_steps)),
+        steps=tuple(_parse_step(s, i, memo) for i, s in enumerate(raw_steps)),
         metadata=dict(metadata),
     )
     validate_spec(spec)

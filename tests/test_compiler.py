@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from eaclab import compiler, units
+from eaclab import compiler, specmodel, units
 from eaclab.capabilities import ParamSchema, builtin_registry, registry_from_lab_config
 from eaclab.compiler import (
     Diagnostic,
@@ -18,10 +18,12 @@ from eaclab.compiler import (
 )
 from eaclab.errors import CompileError, CycleError, SpecSchemaError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
-from eaclab.specmodel import expand_sweeps, parse_spec
+from eaclab.specmodel import expand_sweeps, parse_spec, serialize_spec
 
 from conftest import LAB_PATH
 from workloads import (
+    campaign_doc,
+    campaign_spec_json,
     campaign_template,
     campaign_workload,
     lowered_params_per_step,
@@ -363,10 +365,16 @@ def test_compile_converts_each_quantity_once_and_hashes_each_configuration_once(
     """At N=48 the campaign has 48 selects (1 param), fills (2) and measures
     (5, plus a stabilize duration), but each sweep takes only 6 distinct
     configurations, and a configuration's params are converted once: 6 * (1
-    + 2 + 5) conversions, and one per stabilize duration, 48. The measures'
-    6 configurations, one per port's concentration, are hashed once each."""
+    + 2 + 5) conversions. The 48 measures share one stabilization, whose
+    duration is converted once, as in the template: 49 in all. The
+    measures' 6 configurations, one per port's concentration, are hashed
+    once each."""
     counts = _count_lowering(monkeypatch, *campaign_workload(48))
-    assert counts == {"conversions": 96, "digests": 6}
+    assert counts == {"conversions": 49, "digests": 6}
+    # The spec.json that resume reads shares equal quantities, params and
+    # stabilizations as the expansion does.
+    assert _count_lowering(monkeypatch, *campaign_spec_json(48)) == {"conversions": 49,
+                                                                     "digests": 6}
 
 
 def test_compile_of_the_template_converts_each_stabilize_duration_once(monkeypatch):
@@ -377,7 +385,7 @@ def test_compile_of_the_template_converts_each_stabilize_duration_once(monkeypat
     assert counts == {"conversions": 49, "digests": 6}
 
 
-@pytest.mark.parametrize("workload", [campaign_workload, campaign_template])
+@pytest.mark.parametrize("workload", [campaign_workload, campaign_template, campaign_spec_json])
 def test_static_check_checks_each_value_once(monkeypatch, workload):
     """At N=48 the campaign_scale spec has 144 instance steps but 18
     distinct param values: 6 ports, a flow rate and a 0.7 mL fill, 4 EIS
@@ -397,6 +405,83 @@ def test_static_check_checks_each_value_once(monkeypatch, workload):
     assert len(expand_sweeps(spec).steps) == 144
     assert calls == {"dest": 6, "flow_rate": 1, "volume": 1, "eac": 1, "freq_min": 1,
                      "freq_max": 1, "n_freq": 1, "concentration": 6}
+
+
+def _count_step_checks(monkeypatch, spec, registry, genesis) -> tuple[list, int]:
+    """``static_check(spec)``, and how many times it checked a step."""
+    calls = []
+    check_step = compiler._check_step
+
+    def counted(step, *args):
+        calls.append(step.step_id)
+        return check_step(step, *args)
+
+    monkeypatch.setattr(compiler, "_check_step", counted)
+    return static_check(spec, registry, genesis), len(calls)
+
+
+@pytest.mark.parametrize("workload", [campaign_workload, campaign_spec_json])
+def test_static_check_checks_each_unswept_configuration_once(monkeypatch, workload):
+    """The 144 steps of the expanded campaign at N=48 have 13 distinct
+    configurations: 6 selects, one 0.7 mL fill and 6 measures. Each is
+    checked once, in the expansion and in spec.json as resume reads it."""
+    spec, registry, genesis = workload(48, fill_ml=0.7)
+    assert len(spec.steps) == 144
+    assert _count_step_checks(monkeypatch, spec, registry, genesis) == ([], 13)
+
+
+def test_parsing_spec_json_builds_each_distinct_quantity_once(monkeypatch):
+    """spec.json of the campaign at N=48 writes 432 quantities, of 19
+    distinct raw quantities: 18 param values and the stabilize duration.
+    Parsing builds one Quantity for each, and equal params share one dict,
+    one per distinct configuration."""
+    spec, _, _ = campaign_workload(48, fill_ml=0.7)
+    text = serialize_spec(spec)
+    raw = []
+    for step in json.loads(text)["steps"]:
+        raw += step["params"].values()
+        raw += [step["stabilization"]["duration"]] if "stabilization" in step else []
+    assert len(raw) == 432
+    built = Counter()
+    quantity = specmodel.Quantity
+
+    def counted(value, unit=""):
+        built[repr(value), unit] += 1
+        return quantity(value, unit)
+
+    monkeypatch.setattr(specmodel, "Quantity", counted)
+    parsed = parse_spec(text)
+    assert built.keys() == {(repr(float(q["value"])), q.get("unit", "")) for q in raw}
+    assert len(built) == sum(built.values()) == 19
+    assert parsed == spec
+    assert len({id(step.params) for step in parsed.steps}) == 13
+
+
+def test_a_failing_configuration_is_reported_at_every_step_that_has_it(monkeypatch):
+    """A port no valve has, a fill between two steps of the pump's frame and
+    a window the potentiostat cannot scan, each swept twice: every instance
+    that has one is reported, in the template, in the expansion and in
+    spec.json as resume reads it, which checks each configuration once."""
+    doc = campaign_doc(4, fill_ml=0.7)
+    select, fill, measure = doc["steps"]
+    select["repeat"]["dest"] = [7, 1, 7, 2]
+    fill["repeat"]["volume"] = [0.7004, 0.7, 0.7004, 0.7]
+    measure["params"]["freq_min"]["value"] = 600000
+    template = parse_spec(json.dumps(doc))
+    registry = registry_from_lab_config(json.loads(LAB_PATH.read_text()))
+    genesis = genesis_from_lab_config(json.loads(LAB_PATH.read_text()))
+    expanded = expand_sweeps(template)
+    expected = static_check_per_step(expanded, registry, genesis)
+    assert [(d.code, d.locus) for d in expected] == [
+        ("out_of_range", "select#0"), ("out_of_range", "select#2"),
+        ("bad_value", "fill#0"), ("bad_value", "fill#2"),
+        *[("out_of_range", f"measure#{k}") for k in range(4)],
+    ]
+    assert static_check(template, registry, genesis) == expected
+    assert static_check(expanded, registry, genesis) == expected
+    reread = parse_spec(serialize_spec(expanded))
+    # 3 selects, 2 fills and 4 measures (one per concentration).
+    assert _count_step_checks(monkeypatch, reread, registry, genesis) == (expected, 9)
 
 
 # A custom capability with a configure-gated operation, a temperature mode

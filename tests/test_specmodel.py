@@ -64,6 +64,54 @@ def test_parse_minimal():
     assert spec.steps[0].params["volume"].unit == "mL"
 
 
+def _fills(*volumes, stabilization=None) -> dict:
+    """MINIMAL with one fill per volume, each a quantity object or a value
+    in mL, and each with ``stabilization`` if given."""
+    steps = []
+    for k, volume in enumerate(volumes):
+        step = copy.deepcopy(MINIMAL["steps"][0])
+        step["id"] = f"fill{k}"
+        step["params"]["volume"] = volume if isinstance(volume, dict) else {
+            "value": volume, "unit": "mL"}
+        if stabilization is not None:
+            step["stabilization"] = copy.deepcopy(stabilization)
+        steps.append(step)
+    return _doc(steps=steps)
+
+
+def test_equal_quantities_share_one_object_and_only_equal_ones():
+    """A document's equal quantities, params and stabilizations are one
+    object each; 1 and 1.0 are one quantity, but 0.0 and -0.0, which print
+    apart, are two."""
+    hold = {"mode": "fixed_delay", "duration": {"value": -0.0, "unit": "s"}}
+    spec = parse_spec(json.dumps(_fills(1, 1.0, 0.0, -0.0, 0.0, 1, stabilization=hold)))
+    volumes = [step.params["volume"] for step in spec.steps]
+    assert [v.value for v in volumes] == [1.0, 1.0, 0.0, -0.0, 0.0, 1.0]
+    assert [id(v) for v in volumes] == [id(volumes[k]) for k in (0, 0, 2, 3, 2, 0)]
+    params = [id(step.params) for step in spec.steps]
+    assert params == [params[k] for k in (0, 0, 2, 3, 2, 0)]
+    assert spec.steps[0].params["flow_rate"] is spec.steps[3].params["flow_rate"]
+    assert len({id(step.stabilization) for step in spec.steps}) == 1
+    assert '"value":-0.0' in serialize_spec(spec)
+    assert serialize_spec(spec) == serialize_spec(
+        parse_spec(json.dumps(_fills(1, 1.0, 0.0, -0.0, 0.0, 1, stabilization=hold))))
+
+
+@pytest.mark.parametrize("volume, code", [
+    ({"value": True, "unit": "mL"}, "bad_type"),
+    ({"value": 1, "unit": "mL", "note": "x"}, "unknown_field"),
+    ({"value": 1, "unit": None}, "bad_type"),
+    ({"value": "1", "unit": "mL"}, "bad_type"),
+])
+def test_a_quantity_equal_to_an_earlier_one_but_malformed_is_refused(volume, code):
+    """A quantity is shared only with one that parses the same way: one
+    that differs in a way the parse refuses is refused, after a valid
+    quantity of the same value."""
+    with pytest.raises(SpecSchemaError) as err:
+        parse_spec(json.dumps(_fills(1, volume)))
+    assert (err.value.code, err.value.locus) == (code, "steps[fill1].params.volume")
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(SpecSyntaxError) as err:
         parse_spec("{\n  broken")
@@ -396,6 +444,10 @@ _ENSEMBLE_GENESIS = genesis_from_lab_config(_ENSEMBLE_LAB)
 _AGENT_SPECS = [doc for doc, code in _INPUTS.agent_ensemble(
     1, json.loads(CAMPAIGN_PATH.read_text()), _ENSEMBLE_LAB) if code != "dependency_cycle"]
 _SWEPT_VALUES = [0.5, 1, 2.0, 6, 298.0, {"value": 1.0, "unit": "mL"}, {"value": 310, "unit": "K"}]
+# A quantity of a param in each unit that is past every float in that unit.
+_PAST_EVERY_FLOAT = {"mL": {"value": 1e303, "unit": "m^3"},
+                     "mL/min": {"value": -1e303, "unit": "m^3/s"},
+                     "s": {"value": 1e306, "unit": "h"}}
 
 
 def _planted_values(draw, step: dict, name: str, pschema) -> list:
@@ -403,8 +455,8 @@ def _planted_values(draw, step: dict, name: str, pschema) -> list:
     declared by ``pschema`` if not None: its own value, values in its
     range, and values planted to fail: out of range, a fraction of an
     integer or of a frame field's step, one not below the param its ``below`` names (or equal to the
-    one it bounds), a temperature the cells' envelope refuses, and a
-    quantity in a foreign unit."""
+    one it bounds), a temperature the cells' envelope refuses, a
+    quantity in a foreign unit, and one past every float in its own."""
     pool = [step["params"][name]["value"]]
     if pschema is not None:
         pool += [pschema.min, pschema.max, (pschema.min + pschema.max) / 2, pschema.max + 1,
@@ -414,6 +466,7 @@ def _planted_values(draw, step: dict, name: str, pschema) -> list:
         pool += [step["params"][other]["value"] for other in ("freq_min", "freq_max")
                  if name in ("freq_min", "freq_max") and other in step["params"]]
         pool += [370] if name == "temperature" else []
+        pool += [_PAST_EVERY_FLOAT[pschema.unit]] if pschema.unit in _PAST_EVERY_FLOAT else []
     return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
 
 
@@ -474,7 +527,11 @@ def test_a_parsed_spec_checks_lowers_and_expands(data):
     and ``expand_sweeps`` expands. The check of the template, which looks
     at each distinct value once, gives the diagnostics that the per-step
     oracle gives its expansion, planted failures of sweeps over several
-    params of one step included."""
+    params of one step included; and so does the check of the expansion,
+    and of the expansion written out and parsed again, as ``resume``
+    reads it, which check each distinct configuration of their unswept
+    steps once. A failing value drawn twice gives a failing configuration
+    that repeats, reported at each instance that has it."""
     if data.draw(st.booleans()):
         doc = campaign_doc(data.draw(st.integers(1, 6)))
     else:
@@ -492,6 +549,9 @@ def test_a_parsed_spec_checks_lowers_and_expands(data):
     diagnostics = static_check(spec, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS)
     expanded = expand_sweeps(spec)
     assert diagnostics == static_check_per_step(expanded, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS)
+    assert static_check(expanded, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS) == diagnostics
+    reread = parse_spec(serialize_spec(expanded))
+    assert static_check(reread, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS) == diagnostics
     if not diagnostics:
         compile_spec(spec, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS, diagnostics)
 

@@ -14,9 +14,11 @@ from eaclab.compiler import Diagnostic, OpNode, WorkflowDAG
 from eaclab.errors import EacError, UnitError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
 from eaclab.records import field, record, replace
-from eaclab.specmodel import expand_sweeps, parse_spec
+from eaclab.specmodel import expand_sweeps, parse_spec, serialize_spec
 from eaclab.telemetry import TelemetryRecord
-from eaclab.units import canonicalize_units, to_canonical
+from eaclab.units import (
+    CANONICAL_UNITS, Quantity, canonicalize_units, to_canonical, unit_dimension,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -98,6 +100,14 @@ def campaign_workload(n: int, fill_ml: float | None = None):
     Returns (expanded spec, registry, genesis)."""
     spec, registry, genesis = campaign_template(n, fill_ml)
     return expand_sweeps(spec), registry, genesis
+
+
+def campaign_spec_json(n: int, fill_ml: float | None = None):
+    """``campaign_workload(n, fill_ml)`` written out as ``run`` writes
+    ``spec.json`` and parsed again, as ``resume`` reads it. Returns
+    (parsed expansion, registry, genesis)."""
+    spec, registry, genesis = campaign_workload(n, fill_ml)
+    return parse_spec(serialize_spec(spec)), registry, genesis
 
 
 def perfbench_inputs():
@@ -333,6 +343,20 @@ def dependency_cycle_recursive(steps) -> list[str] | None:
     return None
 
 
+def _value_in(q, unit: str) -> float | None:
+    """``q``'s value in ``unit``, or None in another dimension. Past every
+    float on the way through the canonical unit, it is ``q``'s value
+    times the ratio of the two units: an infinity only when it is past
+    every float in ``unit`` too."""
+    if unit_dimension(q.unit) != unit_dimension(unit):
+        return None
+    try:
+        return canonicalize_units(q, unit).value
+    except UnitError:
+        return q.value * (to_canonical(Quantity(1.0, q.unit)).value
+                          / to_canonical(Quantity(1.0, unit)).value)
+
+
 def _param_problems(schema, op, params) -> list[tuple[str, str]]:
     """(code, message) of each range, unit, completeness, ``integer``,
     frame-resolution and ``below`` problem of one step's params, written
@@ -349,14 +373,14 @@ def _param_problems(schema, op, params) -> list[tuple[str, str]]:
             if not p.optional:
                 problems.append(("missing_param", f"missing parameter {name!r}"))
             continue
-        try:
-            value = canonicalize_units(params[name], p.unit).value
-        except (UnitError, KeyError):
+        value = _value_in(params[name], p.unit)
+        if value is None:
             problems.append(("bad_unit", f"{name!r}: unit {params[name].unit!r} "
                                          f"incompatible with {p.unit!r}"))
             continue
-        coarse = [scale for param, scale in integer_fields if param == name and not math.isclose(
-            value * scale, round(value * scale), rel_tol=1e-12, abs_tol=1e-12)]
+        coarse = [scale for param, scale in integer_fields if param == name and math.isfinite(
+            value) and not math.isclose(value * scale, round(value * scale), rel_tol=1e-12,
+                                        abs_tol=1e-12)]
         if not p.min <= value <= p.max:
             problems.append(("out_of_range", f"{name!r}={value:g} {p.unit} outside "
                                              f"[{p.min:g}, {p.max:g}]"))
@@ -366,11 +390,8 @@ def _param_problems(schema, op, params) -> list[tuple[str, str]]:
             problems.append(("bad_value", f"{name!r}={value:g} {p.unit} is not a whole "
                                           f"number of {1 / coarse[0]:g} {p.unit}"))
         elif p.below in params:
-            try:
-                bound = canonicalize_units(params[p.below], p.unit).value
-            except (UnitError, KeyError):
-                continue
-            if value >= bound:
+            bound = _value_in(params[p.below], p.unit)
+            if bound is not None and value >= bound:
                 problems.append(("out_of_range", f"{name!r}={value:g} {p.unit} is not below "
                                                  f"{p.below!r}={bound:g} {p.unit}"))
     problems.extend(("unknown_param", f"unknown parameter {name!r}")
@@ -416,7 +437,8 @@ def static_check_per_step(spec, registry, state) -> list[Diagnostic]:
         for predicate in schema.safety.conditions:
             if predicate.field not in step.params:
                 continue
-            commanded = to_canonical(step.params[predicate.field]).value
+            quantity = step.params[predicate.field]
+            commanded = _value_in(quantity, CANONICAL_UNITS[unit_dimension(quantity.unit)])
             threshold = to_canonical(predicate.threshold).value
             if not predicate.holds(commanded, threshold):
                 diagnostics.append(Diagnostic(
