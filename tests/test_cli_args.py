@@ -2,19 +2,21 @@
 
 ``workloads.build_parser`` is that parser. Drawn argument lists must be
 read alike: accepted with the same values, or refused with exit 4 and one
-``usage error:`` line. Four differences are on purpose, and are the only
+``usage error:`` line. Five differences are on purpose, and are the only
 ones: an option's value is the next argument even when it starts with
-``-`` (argparse refused ``--clear -x``); ``-h`` or ``--help`` anywhere
-prints help, where argparse could report an error first; an option is
-never abbreviated (argparse read ``--pol`` as ``--policy``); and a ``--``
-that ends the line is ignored (argparse refused ``state --``).
+``-`` (argparse refused ``--clear -x``), and so even when it is ``--``
+(argparse, handed ``--lab=--``, strips the ``--`` and reads ``[]``);
+``-h`` or ``--help`` anywhere prints help, where argparse could report
+an error first; an option is never abbreviated (argparse read ``--pol``
+as ``--policy``); and a ``--`` that ends the line is ignored (argparse
+refused ``state --``).
 """
 
 import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eaclab import cli
 from workloads import ReferenceUsageError, build_parser
@@ -36,10 +38,16 @@ ARGV = st.one_of(
 )
 
 
+# What an option's value ``--`` is handed to argparse as, which keeps it
+# (it strips a ``--`` value), and taken back from.
+DASH_DASH = "\0--"
+
+
 def _as_argparse_reads_it(argv):
     """argv with each option of its command joined by ``=`` to a next
     argument that starts with ``-``, which argparse then takes as the value,
-    as the table does without the ``=``; and without a ``--`` that ends it."""
+    as the table does without the ``=``, a ``--`` value as ``DASH_DASH``;
+    and without a ``--`` that ends it."""
     options = cli.COMMANDS[argv[0]][3] if argv and argv[0] in cli.COMMANDS else {}
     joined, rest = [], iter(argv)
     for arg in rest:
@@ -49,7 +57,7 @@ def _as_argparse_reads_it(argv):
             break
         following = next(rest, None) if arg in options else None
         if following is not None and following.startswith("-"):
-            joined.append(f"{arg}={following}")
+            joined.append(f"{arg}={DASH_DASH if following == '--' else following}")
         else:
             joined += [arg] if following is None else [arg, following]
     return joined
@@ -61,6 +69,7 @@ def _reference(argv):
         values = vars(REFERENCE.parse_args(_as_argparse_reads_it(argv)))
     except ReferenceUsageError:
         return None
+    values = {name: "--" if value == DASH_DASH else value for name, value in values.items()}
     return values.pop("command"), values
 
 
@@ -96,6 +105,7 @@ def _assert_refused(argv):
 
 @settings(max_examples=600, deadline=None)
 @given(ARGV)
+@example(["validate", "--lab", "--lab", "spec.json", "--lab", "--"])
 def test_the_table_reads_a_command_line_as_argparse_did(argv):
     if "-h" in argv or "--help" in argv:
         _assert_help(argv)
