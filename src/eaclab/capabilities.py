@@ -355,6 +355,8 @@ class CapabilityRegistry:
 
         Values are canonicalized to the declared unit before comparison, so
         any dimensionally identical restatement passes or fails identically.
+        ``compiler.static_check`` reports each distinct configuration of a
+        failing step by it.
         """
         schema = self.get(capability).operation(op)
         violations: list[Violation] = []

@@ -2,12 +2,11 @@
 
 A spec is checked and lowered with its sweeps, or expanded: a swept step
 gives the diagnostics and nodes of its instances ``step#k``, in expansion
-order. The check looks at each distinct value of each param once, so it
-costs what the distinct values cost, however many instances a sweep's
-product makes; lowering builds each distinct configuration of a sweep
-once. An expanded spec, whose instance steps share their params dicts
-and stabilizations (``expand_sweeps``, ``parse_spec``), is checked once
-per distinct configuration of its steps and lowered as its template is.
+order. The check of a clean spec costs its distinct values, however many
+instances a sweep's product makes, and lowering builds each distinct
+configuration of a sweep once. An expanded spec, whose instance steps
+share their params dicts and stabilizations (``expand_sweeps``,
+``parse_spec``), is checked and lowered at the cost of its template.
 
 Lowering rules: each used binding gets one connect node before its first
 operation and one teardown node after its last; operations that declare a
@@ -23,7 +22,6 @@ dispatch.
 from __future__ import annotations
 
 import heapq
-import itertools
 from functools import cached_property
 
 from eaclab.canon import sha256_hex
@@ -32,7 +30,6 @@ from eaclab.capabilities import (
     CapabilityRegistry,
     CapabilitySchema,
     OperationSchema,
-    Violation,
 )
 from eaclab.errors import CompileError, CycleError
 from eaclab.labstate import LabState
@@ -169,19 +166,15 @@ def static_check(
     """All statically decidable errors; empty list means compilable.
 
     ``spec`` may keep its sweeps: the diagnostics are then those of its
-    expansion, each problem of a swept step reported at every instance
-    ``step#k`` that has it, in expansion order. No instance is built: each
-    distinct value of each param is checked once per call, across steps,
-    and so is each distinct pair of values that ``below`` relates and each
-    safety predicate at each distinct value of its field; missing and
-    unknown params are found once per step. The cost grows with the
-    distinct values a spec writes, not with its instances: a step is
-    walked instance by instance only when one of its values fails, to
-    report each instance's problems in order. An unswept step is checked
-    once per configuration, its capability, operation and params dict:
-    the steps of an expansion that share a params dict take its problems,
-    each at its own id. Dependency cycles are not looked for here:
-    ``parse_spec`` refuses them.
+    expansion, in expansion order. A step's verdict, ``_check_step``, looks
+    at its distinct values only, through one memo per call, and is kept per
+    configuration: capability, operation, params dict and sweep, which the
+    equal steps of a parsed or expanded spec share. Only a failing step is
+    reported, at the cost of its configurations: each distinct one of its
+    instances (``StepSpec.sweep``) gives ``registry.check_param_ranges``
+    and then the safety conditions it breaks, once per call, at every
+    instance ``step#k`` that has it. Dependency cycles are not looked for
+    here: ``parse_spec`` refuses them.
     """
     diagnostics: list[Diagnostic] = []
     registered: dict[str, str] = {}  # binding -> its capability, when registered
@@ -209,128 +202,105 @@ def static_check(
             )
 
     memo: tuple[dict, dict, dict] = ({}, {}, {})  # values, below pairs, safety
-    # An unswept step's problems, as (code, message) pairs, by its
-    # configuration: its capability, operation and params dict, which
-    # the steps of a parsed or expanded spec share when they are equal.
-    configurations: dict[tuple, list[tuple[str, str]]] = {}
+    # (schema, operation or None, fails) by (capability, operation, id(params),
+    # id(repeat)); a failing configuration's (code, message)s by the first three.
+    verdicts: dict[tuple, tuple] = {}
+    problems: dict[tuple, list[tuple[str, str]]] = {}
     for step in spec.steps:
         capability = registered.get(step.binding)
         if capability is None:
             continue  # already diagnosed at the binding
-        if step.repeat is not None:
-            diagnostics.extend(_step_diagnostics(step, capability, registry, memo))
+        operation = step.operation
+        key = (capability, operation, id(step.params), id(step.repeat))
+        verdict = verdicts.get(key)
+        if verdict is None:
+            schema = registry.get(capability)
+            op = schema.operations.get(operation)
+            verdict = verdicts[key] = (
+                schema, op, op is None or _check_step(step, capability, schema, op, memo))
+        schema, op, fails = verdict
+        if not fails:
             continue
-        key = (capability, step.operation, id(step.params))
-        problems = configurations.get(key)
-        if problems is None:
-            problems = configurations[key] = [
-                (d.code, d.message) for d in _step_diagnostics(step, capability, registry, memo)]
-        if problems:
-            diagnostics.extend(Diagnostic(code, step.step_id, message) for code, message in problems)
+        ids = instance_ids(step)
+        if op is None:
+            message = f"{capability} has no operation {operation!r}"
+            diagnostics.extend(Diagnostic("unknown_operation", i, message) for i in ids)
+            continue
+        configurations, which = ([step.params], [0]) if step.repeat is None else step.sweep
+        for step_id, index in zip(ids, which):
+            params = configurations[index]
+            at = (capability, operation, id(params))
+            if at not in problems:
+                problems[at] = [
+                    (v.code, v.message)
+                    for v in registry.check_param_ranges(capability, operation, params)
+                ] + [
+                    ("safety_violation", f"{predicate.field} {predicate.comparator} "
+                     f"{threshold:g} violated by commanded value {commanded:g}")
+                    for predicate, commanded, threshold in schema.safety.violations(params)
+                ]
+            diagnostics.extend(Diagnostic(code, step_id, text) for code, text in problems[at])
     return diagnostics
-
-
-def _step_diagnostics(
-    step: StepSpec, capability: str, registry: CapabilityRegistry, memo: tuple[dict, dict, dict],
-) -> list[Diagnostic]:
-    """The diagnostics of one step of a registered capability."""
-    schema = registry.get(capability)
-    op = schema.operations.get(step.operation)
-    if op is None:
-        message = f"{capability} has no operation {step.operation!r}"
-        return [Diagnostic("unknown_operation", step_id, message) for step_id in instance_ids(step)]
-    return _check_step(step, capability, schema, op, memo)
 
 
 def _check_step(
     step: StepSpec, capability: str, schema: CapabilitySchema, op: OperationSchema,
     memo: tuple[dict, dict, dict],
-) -> list[Diagnostic]:
-    """The diagnostics of one step of a registered operation: those of its
-    instances in expansion order, each instance's in the order of
-    ``check_param_ranges`` and then of the safety conditions. ``memo``
-    holds the checks of a call's distinct values, pairs and safety values.
+) -> bool:
+    """Whether any instance of a step of a registered operation has a
+    problem, found from the step's distinct values alone: a param unknown
+    or missing, a value ``ParamSchema.check`` fails, a pair of values
+    ``below`` relates that fails ``check_below``, or a value a safety
+    condition refuses. ``memo`` holds the checks of a call's distinct
+    values, pairs and safety values.
     """
     values, pairs, safety = memo
-    # Each param the step gives, in its instances' order, with its distinct
-    # quantities; and each swept param with its sweep column, which picks
-    # one of them per instance (an unswept param has one).
+    # Each param the step gives, with its distinct quantities (a swept one's column's).
     given: dict[str, list[Quantity]] = {name: [q] for name, q in step.params.items()}
-    columns: dict[str, int] = {}
     if step.repeat is not None:
-        for column, (name, (quantities, _)) in enumerate(zip(step.repeat, step.columns)):
-            given[name], columns[name] = quantities, column
-    failing = not given.keys() <= op.params.keys()  # an unknown param
+        given.update(zip(step.repeat, (quantities for quantities, _ in step.columns)))
+    if not given.keys() <= op.params.keys():
+        return True  # an unknown param
 
     # Each declared param given: ParamSchema.check of each distinct quantity.
-    checked: dict[str, list[tuple]] = {}
+    checked: dict[str, list[float]] = {}
     operation = op.name
     for name, pschema in op.params.items():
         if name not in given:
-            failing = failing or not pschema.optional
+            if not pschema.optional:
+                return True
             continue
-        results = checked[name] = []
+        checked[name] = []
         for q in given[name]:
             key = (capability, operation, name, q.value, q.unit)
             result = values.get(key)
             if result is None:
                 result = values[key] = pschema.check(name, q)
-            failing = failing or result[1] is not None
-            results.append(result)
+            if result[1] is not None:
+                return True
+            checked[name].append(result[0])
     # Each param given with the one it must be below: check_below of each
-    # distinct pair of its passing values and the other's, by their indices.
-    below: dict[str, dict[tuple[int, int], Violation | None]] = {}
+    # distinct pair of their values.
     for name, pschema in op.params.items():
         if name in checked and pschema.below in checked:
-            table = below[name] = {}
-            for i, (value, violation) in enumerate(checked[name]):
-                for j, (bound, _) in enumerate(checked[pschema.below] if violation is None else ()):
+            for value in checked[name]:
+                for bound in checked[pschema.below]:
                     key = (capability, operation, name, value, bound)
                     if key not in pairs:
                         pairs[key] = pschema.check_below(name, value, bound)
-                    table[i, j] = pairs[key]
-                    failing = failing or pairs[key] is not None
-    # Each field of a safety condition given: the conditions that each of
-    # its distinct quantities breaks.
-    broken: dict[str, list[list[tuple]]] = {}
+                    if pairs[key] is not None:
+                        return True
+    # Each field of a safety condition given: whether any condition
+    # refuses one of its distinct quantities.
     for predicate in schema.safety.conditions:
         name = predicate.field
-        if name in given and name not in broken:
-            broken[name] = []
-            for q in given[name]:
-                key = (capability, name, q.value, q.unit)
-                if key not in safety:
-                    safety[key] = list(schema.safety.violations({name: q}))
-                failing = failing or bool(safety[key])
-                broken[name].append(safety[key])
-    if not failing:
-        return []
-
-    diagnostics = []
-    combos = itertools.product(*(indices for _, indices in step.columns)) if step.repeat else [()]
-    for step_id, combo in zip(instance_ids(step), combos):
-        at = {name: combo[column] for name, column in columns.items()}
-        for name, pschema in op.params.items():
-            if name not in checked:
-                if not pschema.optional:
-                    diagnostics.append(
-                        Diagnostic("missing_param", step_id, f"missing parameter {name!r}"))
-                continue
-            violation = checked[name][at.get(name, 0)][1]
-            if violation is None and name in below:
-                violation = below[name][at.get(name, 0), at.get(pschema.below, 0)]
-            if violation is not None:
-                diagnostics.append(Diagnostic(violation.code, step_id, violation.message))
-        diagnostics.extend(Diagnostic("unknown_param", step_id, f"unknown parameter {name!r}")
-                           for name in given if name not in op.params)
-        for predicate in schema.safety.conditions:
-            name = predicate.field
-            for breaks, commanded, threshold in broken[name][at.get(name, 0)] if name in given else ():
-                if breaks is predicate:
-                    diagnostics.append(Diagnostic("safety_violation", step_id, (
-                        f"{name} {predicate.comparator} {threshold:g} violated "
-                        f"by commanded value {commanded:g}")))
-    return diagnostics
+        for q in given.get(name, ()):
+            key = (capability, name, q.value, q.unit)
+            if key not in safety:
+                safety[key] = any(schema.safety.violations({name: q}))
+            if safety[key]:
+                return True
+    return False
 
 
 def _lowering(

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from eaclab import compiler, specmodel, units
-from eaclab.capabilities import ParamSchema, builtin_registry, registry_from_lab_config
+from eaclab.capabilities import (
+    CapabilityRegistry,
+    ParamSchema,
+    builtin_registry,
+    registry_from_lab_config,
+)
 from eaclab.compiler import (
     Diagnostic,
     WorkflowDAG,
@@ -405,6 +410,46 @@ def test_static_check_checks_each_value_once(monkeypatch, workload):
     assert len(expand_sweeps(spec).steps) == 144
     assert calls == {"dest": 6, "flow_rate": 1, "volume": 1, "eac": 1, "freq_min": 1,
                      "freq_max": 1, "n_freq": 1, "concentration": 6}
+
+
+def _count_range_checks(monkeypatch, spec, registry, genesis) -> tuple[list, int]:
+    """``static_check(spec)``, and how many times it called
+    ``check_param_ranges``."""
+    calls = []
+    check = CapabilityRegistry.check_param_ranges
+
+    def counted(self, capability, op, params):
+        calls.append(op)
+        return check(self, capability, op, params)
+
+    monkeypatch.setattr(CapabilityRegistry, "check_param_ranges", counted)
+    return static_check(spec, registry, genesis), len(calls)
+
+
+@pytest.mark.parametrize("workload", [campaign_template, campaign_spec_json])
+def test_a_clean_spec_is_not_checked_configuration_by_configuration(monkeypatch, workload):
+    """campaign_scale's template and its spec.json pass on their distinct
+    values alone: no configuration is range-checked whole."""
+    assert _count_range_checks(monkeypatch, *workload(48, fill_ml=0.7)) == ([], 0)
+
+
+def test_a_failing_configuration_is_checked_once_and_reported_at_each_step(monkeypatch):
+    """With a flow rate the pump cannot write, the 48 fills of
+    campaign_scale's spec.json share one failing params dict: it is
+    range-checked once, and its problem reported at each of the 48, as
+    the per-step oracle reports them."""
+    spec, registry, genesis = campaign_workload(48, fill_ml=0.7)
+    doc = json.loads(serialize_spec(spec))
+    for step in doc["steps"]:
+        if step["op"] == "dispense":
+            step["params"]["flow_rate"] = {"value": 4.0005, "unit": "mL/min"}
+    spec = parse_spec(json.dumps(doc))
+    diagnostics, calls = _count_range_checks(monkeypatch, spec, registry, genesis)
+    assert calls == 1
+    assert len(diagnostics) == 48
+    assert diagnostics[0].render() == ("bad_value error fill#0: 'flow_rate'=4.0005 mL/min "
+                                       "is not a whole number of 0.001 mL/min")
+    assert diagnostics == static_check_per_step(spec, registry, genesis)
 
 
 def _count_step_checks(monkeypatch, spec, registry, genesis) -> tuple[list, int]:
