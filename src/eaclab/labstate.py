@@ -115,19 +115,30 @@ class LabState:
 
 
 def genesis_from_lab_config(config: dict) -> LabState:
-    """Build the genesis state from a lab-config document."""
+    """Build the genesis state from a lab-config document. A device's id
+    must be a non-empty string, its capability and status strings and its
+    mode a string or null; ValueError names the device and field if not."""
     devices: dict[str, DeviceRecord] = {}
-    for entry in config.get("devices", []):
+    for index, entry in enumerate(config.get("devices", [])):
         device_id = entry["device_id"]
+        if not isinstance(device_id, str) or not device_id:
+            raise ValueError(
+                f"devices[{index}].device_id must be a non-empty string, not {device_id!r}")
         if device_id in devices:
             raise SpecSchemaError("duplicate_id", device_id, "duplicate device_id")
+        capability, status = entry["capability"], entry.get("status", "idle")
+        mode = entry.get("mode")
+        for key, value in (("capability", capability), ("status", status), ("mode", mode)):
+            if not (isinstance(value, str) or key == "mode" and value is None):
+                kind = "a string or null" if key == "mode" else "a string"
+                raise ValueError(f"{device_id}.{key} must be {kind}, not {value!r}")
         attrs = entry.get("attrs", {})
         devices[device_id] = DeviceRecord(
             device_id=device_id,
-            capability=entry["capability"],
-            status=entry.get("status", "idle"),
+            capability=capability,
+            status=status,
             last_calibrated=finite_number(entry, "last_calibrated", device_id, 0.0),
-            mode=entry.get("mode"),
+            mode=mode,
             observed={
                 k: finite_quantity(v, f"{device_id}.observed.{k}")
                 for k, v in entry.get("observed", {}).items()

@@ -1601,7 +1601,7 @@ def test_bad_sim_section_fails_every_command_closed(tmp_path, capsys, damage):
     assert os.listdir(tmp_path) == ["lab.json"]
 
 
-def _lab_with_device(tmp_path, device_id, **fields):
+def _lab_with_device(tmp_path, device_id, /, **fields):
     """The reference lab with fields of one device set, as a file; a device
     the lab does not hold is added."""
     lab = json.loads(LAB_PATH.read_text())
@@ -1616,9 +1616,26 @@ def _lab_with_device(tmp_path, device_id, **fields):
 
 
 # Device fields a lab is refused for: numbers that are not finite JSON
-# numbers, and capabilities the lab does not register. (device, field,
-# value, what the one-line error says.)
+# numbers, ids that are not non-empty strings, a capability, status or
+# mode of another JSON type, and capabilities the lab does not register.
+# (device, field, value, what the one-line error says.)
 BAD_DEVICE = {
+    "id_number": ("pstat_1", "device_id", 7,
+                  "devices[5].device_id must be a non-empty string, not 7"),
+    "id_null": ("pstat_1", "device_id", None,
+                "devices[5].device_id must be a non-empty string, not None"),
+    "id_bool": ("pstat_1", "device_id", True,
+                "devices[5].device_id must be a non-empty string, not True"),
+    "id_float": ("pump_1", "device_id", 2.5,
+                 "devices[0].device_id must be a non-empty string, not 2.5"),
+    "id_empty": ("relay_1", "device_id", "",
+                 "devices[4].device_id must be a non-empty string, not ''"),
+    "mode_list": ("pstat_1", "mode", [], "pstat_1.mode must be a string or null, not []"),
+    "mode_number": ("pstat_1", "mode", 3, "pstat_1.mode must be a string or null, not 3"),
+    "status_list": ("valve_1", "status", ["idle"],
+                    "valve_1.status must be a string, not ['idle']"),
+    "capability_list": ("pump_2", "capability", ["pump"],
+                        "pump_2.capability must be a string, not ['pump']"),
     "attr_text": ("valve_1", "attrs", {"ports": "6"},
                   "valve_1.attrs.ports must be a finite number, not '6'"),
     "attr_bool": ("valve_1", "attrs", {"ports": True},
