@@ -239,19 +239,31 @@ def cmd_validate(args) -> int:
     return EXIT_OK if spec is not None else EXIT_VALIDATION
 
 
-def cmd_plan(args) -> int:
+def _plan_pipeline(args):
+    """Check, lower and schedule ``args.spec`` on ``args.lab`` under
+    ``args.policy``, as ``plan`` and ``run`` do: (spec, lab, DAG, plan),
+    or None, its errors reported on stderr, when the spec has static
+    errors or no device can run it."""
     from eaclab.scheduler import schedule
 
-    spec, diagnostics, (_, registry, genesis, _) = _validate_pipeline(args.spec, args.lab)
+    spec, diagnostics, lab = _validate_pipeline(args.spec, args.lab)
     _report(diagnostics)
     if spec is None:
-        return EXIT_VALIDATION
+        return None
+    _, registry, genesis, _ = lab
     dag = compile_spec(spec, registry, genesis, diagnostics)
     try:
-        plan = schedule(dag, genesis, registry, policy=args.policy)
+        return spec, lab, dag, schedule(dag, genesis, registry, policy=args.policy)
     except UnschedulableError as exc:
         print(f"unsatisfiable_binding error $: {exc}", file=sys.stderr)
+        return None
+
+
+def cmd_plan(args) -> int:
+    planned = _plan_pipeline(args)
+    if planned is None:
         return EXIT_VALIDATION
+    _, _, dag, plan = planned
     print(plan.serialize())
     print(render_tree(dag), file=sys.stderr)
     return EXIT_OK
@@ -322,23 +334,16 @@ def _report_run(result, summary: dict) -> int:
 
 def cmd_run(args) -> int:
     from eaclab.executor import execute
-    from eaclab.scheduler import plan_hash, schedule
+    from eaclab.scheduler import plan_hash
     from eaclab.shims import SimFleet
 
     # The seed goes into the run id, and so into a directory name.
     if not -2**63 <= args.seed < 2**63:
         raise _Usage(f"--seed must lie in the signed 64-bit range {-2**63}..{2**63 - 1}")
-    spec, diagnostics, lab = _validate_pipeline(args.spec, args.lab)
-    sim_configs, registry, genesis, lab_hash = lab
-    _report(diagnostics)
-    if spec is None:
+    planned = _plan_pipeline(args)
+    if planned is None:
         return EXIT_VALIDATION
-    dag = compile_spec(spec, registry, genesis, diagnostics)
-    try:
-        plan = schedule(dag, genesis, registry, policy=args.policy)
-    except UnschedulableError as exc:
-        print(f"unsatisfiable_binding error $: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    spec, (sim_configs, registry, genesis, lab_hash), dag, plan = planned
     fault_schedule = _parse_inject(args.inject)
     # spec.json holds the expansion, so that a resume reads no sweeps.
     spec_text = serialize_spec(expand_sweeps(spec))
