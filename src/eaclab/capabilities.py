@@ -349,9 +349,11 @@ class CapabilityRegistry:
     ) -> list[Violation]:
         """Range- and completeness-check params against the operation
         schema; the violations, in the schema's param order, then unknown
-        params in ``params``' order. Each given param is checked alone by
-        ``ParamSchema.check`` and, if it passes, against the param it must
-        be below, when that param is given (``ParamSchema.check_below``).
+        params by name, so that the order does not depend on the order of
+        ``params``' keys, which a written and reread spec sorts. Each given
+        param is checked alone by ``ParamSchema.check`` and, if it passes,
+        against the param it must be below, when that param is given
+        (``ParamSchema.check_below``).
 
         Values are canonicalized to the declared unit before comparison, so
         any dimensionally identical restatement passes or fails identically.
@@ -374,7 +376,7 @@ class CapabilityRegistry:
                 violation = pschema.check_below(name, value, bound)
             if violation is not None:
                 violations.append(violation)
-        for name in params:
+        for name in sorted(params):
             if name not in schema.params:
                 violations.append(
                     Violation("unknown_param", name, f"unknown parameter {name!r}")
@@ -462,6 +464,15 @@ _TEXT_FORMATS = frozenset({"number", "d", *(f"0{width}d" for width in range(2, 1
 _NUMBER_CHARACTERS = "0123456789+-.e"
 
 
+def json_value(value, kind: type, where: str):
+    """``value``, a field of a lab document at ``where``, which must be a
+    JSON object (``kind`` dict) or array (``kind`` list)."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ValueError(f"{where} must be {shape}, not {value!r}")
+    return value
+
+
 def finite_number(obj: dict, key: str, where: str, default: float | None = None) -> float:
     """``obj[key]``, which must be a finite JSON number, as a float."""
     value = obj.get(key, default)
@@ -473,7 +484,7 @@ def finite_number(obj: dict, key: str, where: str, default: float | None = None)
 def finite_quantity(obj: dict, where: str) -> Quantity:
     """A lab's ``{"value", "unit"}`` object, whose value must be a finite
     JSON number (not a boolean)."""
-    finite_number(obj, "value", where)
+    finite_number(json_value(obj, dict, where), "value", where)
     return Quantity.from_dict(obj)
 
 
@@ -533,10 +544,11 @@ def _parse_frame(frame, where: str) -> tuple:
 
 
 def _parse_operation(name: str, obj: dict, where: str) -> OperationSchema:
+    json_value(obj, dict, where)
     params = {}
-    for pname, p in obj.get("params", {}).items():
+    for pname, p in json_value(obj.get("params", {}), dict, f"{where}.params").items():
         at = f"{where}.params.{pname}"
-        unit = p.get("unit", "")
+        unit = json_value(p, dict, at).get("unit", "")
         if not isinstance(unit, str) or unit not in known_units():
             raise ValueError(f"{at}.unit must name a unit of the unit table, not {unit!r}")
         params[pname] = ParamSchema(
@@ -570,17 +582,22 @@ def _parse_operation(name: str, obj: dict, where: str) -> OperationSchema:
 def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
     """Build a capability schema from its lab-config JSON form; a malformed
     field is a ValueError that names it, and keys not read are ignored."""
+    json_value(obj, dict, name)
+    declared = json_value(obj.get("operations", {}), dict, f"{name}.operations")
     operations = {
         op_name: _parse_operation(op_name, op_obj, f"{name}.{op_name}")
-        for op_name, op_obj in {**_LIFECYCLE_OPERATIONS, **obj.get("operations", {})}.items()
+        for op_name, op_obj in {**_LIFECYCLE_OPERATIONS, **declared}.items()
     }
+    where = f"{name}.safety"
+    conditions = json_value(json_value(obj.get("safety", {}), dict, where).get("conditions", []),
+                            list, f"{where}.conditions")
     safety = SafetyEnvelope(conditions=tuple(
         SafetyPredicate(
             field=c["field"],
             comparator=c["comparator"],
-            threshold=finite_quantity(c["threshold"], f"{name}.safety.{c['field']}.threshold"),
+            threshold=finite_quantity(c["threshold"], f"{where}.{c['field']}.threshold"),
         )
-        for c in obj.get("safety", {}).get("conditions", [])
+        for c in (json_value(c, dict, f"{where}.conditions[{i}]") for i, c in enumerate(conditions))
     ))
     for op_name, operation in operations.items():
         # The integer fields of the frames that carry this operation's
@@ -597,9 +614,9 @@ def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
         safety.refuse_other_dimensions(
             {pname: p.unit for pname, p in operation.params.items()}, f"{name}.{op_name}.params"
         )
-    trans_obj = obj.get("transitions", {})
     where = f"{name}.transitions"
-    latencies = trans_obj.get("reconfigure", {})
+    trans_obj = json_value(obj.get("transitions", {}), dict, where)
+    latencies = json_value(trans_obj.get("reconfigure", {}), dict, f"{where}.reconfigure")
     reconfigure = {}
     for key in latencies:
         old, arrow, new = key.partition("->")
@@ -630,7 +647,9 @@ def builtin_registry() -> CapabilityRegistry:
 def registry_from_lab_config(config: dict) -> CapabilityRegistry:
     """Built-in fleet plus any custom capabilities from a lab config."""
     registry = CapabilityRegistry()
-    for capabilities in (BUILTIN_CAPABILITIES, config.get("capabilities", {})):
+    custom = json_value(json_value(config, dict, "the lab").get("capabilities", {}), dict,
+                        "capabilities")
+    for capabilities in (BUILTIN_CAPABILITIES, custom):
         for name, obj in capabilities.items():
             registry.register(schema_from_dict(name, obj))
     return registry

@@ -13,7 +13,9 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from eaclab.canon import canonical_bytes
-from eaclab.capabilities import CapabilityRegistry, CapabilitySchema, finite_number, finite_quantity
+from eaclab.capabilities import (
+    CapabilityRegistry, CapabilitySchema, finite_number, finite_quantity, json_value,
+)
 from eaclab.errors import IllegalTransitionError, SequenceGapError, SpecSchemaError
 from eaclab.records import field, record, replace
 from eaclab.units import Quantity
@@ -115,12 +117,13 @@ class LabState:
 
 
 def genesis_from_lab_config(config: dict) -> LabState:
-    """Build the genesis state from a lab-config document. A device's id
-    must be a non-empty string, its capability and status strings and its
-    mode a string or null; ValueError names the device and field if not."""
+    """Build the genesis state from a lab-config document. ``devices`` must
+    be a list of objects, a device's id a non-empty string, its capability
+    and status strings, its mode a string or null, and its ``attrs`` and
+    ``observed`` objects; ValueError names the device and field if not."""
     devices: dict[str, DeviceRecord] = {}
-    for index, entry in enumerate(config.get("devices", [])):
-        device_id = entry["device_id"]
+    for index, entry in enumerate(json_value(config.get("devices", []), list, "devices")):
+        device_id = json_value(entry, dict, f"devices[{index}]")["device_id"]
         if not isinstance(device_id, str) or not device_id:
             raise ValueError(
                 f"devices[{index}].device_id must be a non-empty string, not {device_id!r}")
@@ -132,7 +135,8 @@ def genesis_from_lab_config(config: dict) -> LabState:
             if not (isinstance(value, str) or key == "mode" and value is None):
                 kind = "a string or null" if key == "mode" else "a string"
                 raise ValueError(f"{device_id}.{key} must be {kind}, not {value!r}")
-        attrs = entry.get("attrs", {})
+        attrs = json_value(entry.get("attrs", {}), dict, f"{device_id}.attrs")
+        observed = json_value(entry.get("observed", {}), dict, f"{device_id}.observed")
         devices[device_id] = DeviceRecord(
             device_id=device_id,
             capability=capability,
@@ -141,7 +145,7 @@ def genesis_from_lab_config(config: dict) -> LabState:
             mode=mode,
             observed={
                 k: finite_quantity(v, f"{device_id}.observed.{k}")
-                for k, v in entry.get("observed", {}).items()
+                for k, v in observed.items()
             },
             attrs={k: finite_number(attrs, k, f"{device_id}.attrs") for k in attrs},
         )
@@ -187,18 +191,23 @@ class SimDeviceConfig:
 
     @classmethod
     def from_lab_entry(cls, entry: dict) -> "SimDeviceConfig":
-        sim = entry.get("sim", {})
+        """A device entry of a lab document, which ``genesis_from_lab_config``
+        has read; its ``sim`` section and tables must be objects."""
+        where = f"{entry['device_id']}.sim"
+        sim = json_value(entry.get("sim", {}), dict, where)
+        tables = {
+            name: json_value(sim.get(name, {}), dict, f"{where}.{name}")
+            for name in ("conductivity_table", "port_concentrations")
+        }
         return cls(
             device_id=entry["device_id"],
             capability=entry["capability"],
             seed=sim.get("seed", 0),
             conductivity_table={
-                float(k): float(v)
-                for k, v in sim.get("conductivity_table", {}).items()
+                float(k): float(v) for k, v in tables["conductivity_table"].items()
             },
             port_concentrations={
-                int(k): float(v)
-                for k, v in sim.get("port_concentrations", {}).items()
+                int(k): float(v) for k, v in tables["port_concentrations"].items()
             },
             temperature_start=float(sim.get("temperature_start", 293.0)),
             temperature_setpoint=float(sim.get("temperature_setpoint", 293.0)),

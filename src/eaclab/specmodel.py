@@ -57,32 +57,20 @@ class StepSpec:
         in row-major order (``itertools.product``).
 
         Values that give the same quantity, to the type and sign of each
-        value, share one quantity. Computed once per step; the lists must
-        not be modified.
+        value, share one quantity (``_sweep_column``). ``parse_spec`` sets
+        them as it walks the values, so they are computed here only for a
+        step the parser did not build, such as one made by ``replace``;
+        a sweep that cannot be expanded raises what ``_check_sweeps``
+        raises. The lists must not be modified.
         """
-        columns: list[tuple[list[Quantity], list[int]]] = []
-        for pname, values in self.repeat.items():  # type: ignore[union-attr]
-            quantities: list[Quantity] = []
-            seen: dict = {}  # a value's key -> the index of its quantity
-            indices = []
-            for value in values:
-                # A number becomes a float in the template's unit, so 1 and 1.0
-                # give one quantity; 0.0 and -0.0 are equal but print apart. A
-                # quantity keeps its value's type.
-                if isinstance(value, dict):
-                    key = (repr(value["value"]), value.get("unit", ""))
-                else:
-                    key = value if value else repr(float(value))
-                index = seen.get(key)
-                if index is None:
-                    index = seen[key] = len(quantities)
-                    quantities.append(
-                        Quantity.from_dict(value) if isinstance(value, dict)
-                        else Quantity(float(value), self.params[pname].unit)
-                    )
-                indices.append(index)
-            columns.append((quantities, indices))
-        return columns
+        locus = f"steps[{self.step_id}]"
+        columns = [
+            _sweep_column(pname, values, self.params.get(pname), locus)
+            for pname, values in self.repeat.items()  # type: ignore[union-attr]
+        ]
+        if None in columns:
+            _refuse_sweep(self)
+        return columns  # type: ignore[return-value]
 
     @cached_property
     def sweep(self) -> tuple[list[dict[str, Quantity]], list[int]]:
@@ -167,7 +155,9 @@ def _expect(value, types, locus: str, what: str):
     return value
 
 
-def _parse_quantity(obj, locus: str) -> Quantity:
+def _parse_quantity(obj, locus: str, keep_type: bool = False) -> Quantity:
+    """A quantity object of a document, its value a float, or of the
+    type it is written in with ``keep_type``."""
     _expect(obj, dict, locus, "quantity")
     _check_no_unknown(obj, _QUANTITY_FIELDS, locus)
     value = _require(obj, "value", locus)
@@ -183,9 +173,60 @@ def _parse_quantity(obj, locus: str) -> Quantity:
     if not math.isfinite(value):
         raise SpecSchemaError("bad_value", locus, f"quantity value {value!r} is not finite")
     try:
-        return Quantity(value, unit)
+        return Quantity(obj["value"] if keep_type else value, unit)
     except UnitError as exc:
         raise SpecSchemaError("bad_unit", locus, str(exc)) from exc
+
+
+def _sweep_column(pname: str, values, template: Quantity | None, locus: str):
+    """Walk the values of a sweep of ``pname`` at step ``locus`` once:
+    validate each, key it and convert each distinct key to a quantity.
+    ``template`` is the step's own quantity of ``pname``, None if it
+    declares none.
+
+    Returns ``(quantities, indices)``, the sweep's distinct quantities and
+    for each value the index of its quantity, or None if the sweep needs
+    ``_check_sweeps``' deferred rules: a number swept over an undeclared
+    param, or a number that is not finite. A number becomes a float in the
+    template's unit, so 1 and 1.0 give one quantity; 0.0 and -0.0 are
+    equal but print apart, so a zero is keyed by its text. A quantity
+    object is keyed by its value's text and its unit and keeps its
+    value's type. A malformed value raises at the first value that has
+    it, whatever the sweep defers; each distinct key is validated once.
+    """
+    quantities: list[Quantity] = []
+    indices: list[int] = []
+    seen: dict = {}  # a value's key -> the index of its quantity
+    deferred = False
+    for value in values:
+        kind = type(value)
+        if kind is float or kind is int:
+            key = value if value else repr(float(value))
+        elif kind is dict:
+            key = _quantity_key(value)  # None for a malformed one, which raises below
+            if key is not None:
+                key = (*key, type(value["value"]))
+        else:
+            raise SpecSchemaError("bad_type", locus, f"sweep {pname!r} value has wrong type")
+        index = seen.get(key)
+        if index is None:
+            if kind is dict:
+                quantity = _parse_quantity(value, f"{locus}.repeat.{pname}", keep_type=True)
+            else:
+                try:
+                    number = float(value)
+                except OverflowError:
+                    raise SpecSchemaError(
+                        "bad_value", locus, f"sweep {pname!r} value is too large for a float"
+                    ) from None
+                if template is None or not math.isfinite(number):
+                    deferred = True
+                    continue
+                quantity = Quantity(number, template.unit)
+            index = seen[key] = len(quantities)
+            quantities.append(quantity)
+        indices.append(index)
+    return None if deferred else (quantities, indices)
 
 
 def _quantity_key(obj):
@@ -276,7 +317,12 @@ def _parse_step(obj, index: int, memo: tuple[dict, dict, dict]) -> StepSpec:
     """One step of a document. ``memo`` is the document's: its quantities
     and stabilizations by key, and its params dicts by the identities of
     their quantities, so that equal ones, such as the instances of an
-    expanded sweep, share one object."""
+    expanded sweep, share one object.
+
+    Each swept value is walked once, by ``_sweep_column``, which validates
+    it, keys it and converts each distinct key; the step's ``columns`` are
+    set from that walk unless a sweep needs ``_check_sweeps``' deferred
+    rules, which the parse applies once every step is read."""
     quantities, stabilizations, configurations = memo
     locus = f"steps[{index}]"
     _expect(obj, dict, locus, "step")
@@ -314,30 +360,21 @@ def _parse_step(obj, index: int, memo: tuple[dict, dict, dict]) -> StepSpec:
             stabilization = _parse_stabilization(raw_stabilization, locus + ".stabilization")
             if key is not None:
                 stabilizations[key] = stabilization
-    repeat = None
+    repeat = columns = None
     if obj.get("repeat") is not None:
         raw_repeat = _expect(obj["repeat"], dict, locus, "repeat")
-        repeat = {}
+        repeat, columns = {}, []
         for pname, values in raw_repeat.items():
             _expect(values, list, locus, "sweep values")
             if not values:
                 raise SpecSchemaError("empty_sweep", locus, f"sweep {pname!r} has no values")
-            for value in values:
-                if isinstance(value, dict):
-                    _parse_quantity(value, f"{locus}.repeat.{pname}")
-                elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise SpecSchemaError(
-                        "bad_type", locus, f"sweep {pname!r} value has wrong type"
-                    )
-                elif isinstance(value, int):
-                    try:
-                        float(value)
-                    except OverflowError:
-                        raise SpecSchemaError(
-                            "bad_value", locus, f"sweep {pname!r} value is too large for a float"
-                        ) from None
+            column = _sweep_column(pname, values, params.get(pname), locus)
+            if column is None:
+                columns = None  # left to ``_check_sweeps``, which refuses the step
+            elif columns is not None:
+                columns.append(column)
             repeat[pname] = tuple(values)
-    return StepSpec(
+    step = StepSpec(
         step_id=step_id,
         binding=binding,
         operation=op,
@@ -346,6 +383,9 @@ def _parse_step(obj, index: int, memo: tuple[dict, dict, dict]) -> StepSpec:
         stabilization=stabilization,
         repeat=repeat,
     )
+    if columns is not None:
+        step.__dict__["columns"] = columns  # what the ``columns`` property caches
+    return step
 
 
 def _dependency_cycle(steps: tuple[StepSpec, ...]) -> list[str] | None:
@@ -522,6 +562,10 @@ def _check_sweeps(spec: ExperimentSpec) -> None:
     ``duplicate_id`` at the first instance id that repeats, in expansion
     order.
 
+    The parse walks each swept value once and sets the columns of every
+    step that breaks neither step rule (``_sweep_column``), so the values
+    are walked again here only for a step whose columns it did not set.
+
     Of validate_spec's rules, an expansion can break only unique step ids:
     its bindings are the template's, which exist; every dependency is an
     instance of a template step; and with unique ids each expanded edge
@@ -533,20 +577,8 @@ def _check_sweeps(spec: ExperimentSpec) -> None:
     if not swept:
         return
     for step in swept:
-        locus = f"steps[{step.step_id}]"
-        for pname, values in step.repeat.items():
-            if pname not in step.params and not all(isinstance(v, dict) for v in values):
-                raise SpecSchemaError(
-                    "unknown_sweep_param", locus, f"sweep over unknown parameter {pname!r}"
-                )
-        numbers = [v for values in step.repeat.values() for v in values if not isinstance(v, dict)]
-        if not all(map(math.isfinite, numbers)):
-            for combo in itertools.product(*step.repeat.values()):
-                for pname, value in zip(step.repeat, combo):
-                    if not isinstance(value, dict) and not math.isfinite(value):
-                        raise SpecSchemaError(
-                            "bad_value", locus, f"sweep {pname!r} value {value!r} is not finite"
-                        )
+        if "columns" not in step.__dict__:
+            _refuse_sweep(step)
     # Every instance id holds a '#' after its template's id, and template
     # ids are unique, so two ids can be equal only if a template id has one.
     if not any("#" in step.step_id for step in spec.steps):
@@ -557,6 +589,25 @@ def _check_sweeps(spec: ExperimentSpec) -> None:
             if step_id in step_ids:
                 raise SpecSchemaError("duplicate_id", step_id, "duplicate step id")
             step_ids.add(step_id)
+
+
+def _refuse_sweep(step: StepSpec) -> None:
+    """Raise the first of ``_check_sweeps``' step rules that ``step``
+    breaks, if any."""
+    locus = f"steps[{step.step_id}]"
+    for pname, values in step.repeat.items():  # type: ignore[union-attr]
+        if pname not in step.params and not all(isinstance(v, dict) for v in values):
+            raise SpecSchemaError(
+                "unknown_sweep_param", locus, f"sweep over unknown parameter {pname!r}"
+            )
+    numbers = [v for values in step.repeat.values() for v in values if not isinstance(v, dict)]
+    if not all(map(math.isfinite, numbers)):
+        for combo in itertools.product(*step.repeat.values()):
+            for pname, value in zip(step.repeat, combo):
+                if not isinstance(value, dict) and not math.isfinite(value):
+                    raise SpecSchemaError(
+                        "bad_value", locus, f"sweep {pname!r} value {value!r} is not finite"
+                    )
 
 
 def _swept_params(step: StepSpec, quantities: list[Quantity]) -> dict[str, Quantity]:

@@ -20,7 +20,8 @@ from eaclab.shims import SimDeviceConfig
 from eaclab.specmodel import expand_sweeps, parse_spec
 
 from conftest import (
-    BAD_TCELL, CAMPAIGN_PATH, LAB_PATH, SCAN_SPEC, TCELL, run_main, tcell_lab, with_edit,
+    BAD_TCELL, CAMPAIGN_PATH, LAB_PATH, SAFE_TCELL, SCAN_SPEC, TCELL, run_main, tcell_lab,
+    with_edit,
 )
 from workloads import campaign_doc, static_check_per_step
 
@@ -1578,8 +1579,12 @@ BAD_SIM = {
     "float": ({"seed": 1.5}, "must be an integer, not 1.5"),
     "bool": ({"seed": True}, "must be an integer, not True"),
     "string": ({"seed": "1"}, "must be an integer, not '1'"),
-    "section": ("x", "AttributeError"),
-    "table": ({"conductivity_table": [0.43]}, "AttributeError"),
+    "section": ("x", "pump_1.sim must be an object, not 'x'"),
+    "section_list": ([], "pump_1.sim must be an object, not []"),
+    "table": ({"conductivity_table": [0.43]},
+              "pump_1.sim.conductivity_table must be an object, not [0.43]"),
+    "ports_list": ({"port_concentrations": [0.43]},
+                   "pump_1.sim.port_concentrations must be an object, not [0.43]"),
     "port": ({"port_concentrations": {"a": 0.43}}, "invalid literal for int()"),
     "tau": ({"temperature_tau": 0}, "temperature_tau must be > 0"),
     "overflow": ({"temperature_tau": 10**400}, "OverflowError"),
@@ -1648,6 +1653,10 @@ BAD_DEVICE = {
                         "pstat_1.last_calibrated must be a finite number, not False"),
     "calibrated_null": ("pstat_1", "last_calibrated", None,
                         "pstat_1.last_calibrated must be a finite number, not None"),
+    "attrs_list": ("pstat_1", "attrs", [1], "pstat_1.attrs must be an object, not [1]"),
+    "observed_list": ("pstat_1", "observed", [], "pstat_1.observed must be an object, not []"),
+    "observed_value_list": ("pstat_1", "observed", {"temperature": [298]},
+                            "pstat_1.observed.temperature must be an object, not [298]"),
     "observed_bool": ("pstat_1", "observed", {"temperature": {"value": True, "unit": "K"}},
                       "pstat_1.observed.temperature.value must be a finite number, not True"),
     "calibrated_inf": ("pstat_1", "last_calibrated", float("-inf"),
@@ -1665,6 +1674,53 @@ def test_bad_device_field_fails_every_command_closed(tmp_path, capsys, damage):
     lab_path = _lab_with_device(tmp_path, device_id, **{key: value})
     for command, extra in (("validate", []), ("plan", []), ("run", ["--out", str(tmp_path)])):
         err = _usage_error(capsys, [command, SPEC, "--lab", lab_path, *extra])
+        assert err == f"usage error: lab config {lab_path} is invalid: ValueError: {named}\n"
+    assert os.listdir(tmp_path) == ["lab.json"]
+
+
+_TCELL_AT = ("capabilities", "tcell")
+_CONDITION_AT = (*_TCELL_AT, "safety", "conditions", 0)
+# Objects and lists of a lab document given as another JSON type: (path in
+# the reference lab with SAFE_TCELL as its custom capability, () for the
+# whole document, value, what the one-line error says).
+BAD_SHAPE = {
+    "lab_list": ((), [], "the lab must be an object, not []"),
+    "devices_object": (("devices",), {"a": 1}, "devices must be a list, not {'a': 1}"),
+    "device_number": (("devices", 1), 5, "devices[1] must be an object, not 5"),
+    "capabilities_list": (("capabilities",), ["tcell"],
+                          "capabilities must be an object, not ['tcell']"),
+    "capability_list": (_TCELL_AT, [], "tcell must be an object, not []"),
+    "operations_list": ((*_TCELL_AT, "operations"), ["scan"],
+                        "tcell.operations must be an object, not ['scan']"),
+    "operation_list": ((*_TCELL_AT, "operations", "scan"), [],
+                       "tcell.scan must be an object, not []"),
+    "params_list": ((*_TCELL_AT, "operations", "scan", "params"), ["temperature"],
+                    "tcell.scan.params must be an object, not ['temperature']"),
+    "param_list": ((*_TCELL_AT, "operations", "scan", "params", "temperature"), [250, 400],
+                   "tcell.scan.params.temperature must be an object, not [250, 400]"),
+    "safety_list": ((*_TCELL_AT, "safety"), [], "tcell.safety must be an object, not []"),
+    "conditions_object": ((*_TCELL_AT, "safety", "conditions"), {},
+                          "tcell.safety.conditions must be a list, not {}"),
+    "condition_list": (_CONDITION_AT, ["temperature"],
+                       "tcell.safety.conditions[0] must be an object, not ['temperature']"),
+    "threshold_list": ((*_CONDITION_AT, "threshold"), [360],
+                       "tcell.safety.temperature.threshold must be an object, not [360]"),
+    "transitions_list": ((*_TCELL_AT, "transitions"), [],
+                         "tcell.transitions must be an object, not []"),
+    "reconfigure_list": ((*_TCELL_AT, "transitions", "reconfigure"), [],
+                         "tcell.transitions.reconfigure must be an object, not []"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(BAD_SHAPE))
+def test_a_lab_field_of_another_json_type_fails_every_command_closed(tmp_path, capsys, damage):
+    path, value, named = BAD_SHAPE[damage]
+    lab = json.loads(LAB_PATH.read_text())
+    lab["capabilities"] = {"tcell": SAFE_TCELL}
+    lab_path = tmp_path / "lab.json"
+    lab_path.write_text(json.dumps(with_edit(lab, path, value) if path else value))
+    for command, extra in (("validate", []), ("plan", []), ("run", ["--out", str(tmp_path)])):
+        err = _usage_error(capsys, [command, SPEC, "--lab", str(lab_path), *extra])
         assert err == f"usage error: lab config {lab_path} is invalid: ValueError: {named}\n"
     assert os.listdir(tmp_path) == ["lab.json"]
 

@@ -412,6 +412,31 @@ def test_static_check_checks_each_value_once(monkeypatch, workload):
                      "freq_max": 1, "n_freq": 1, "concentration": 6}
 
 
+def test_a_template_walks_its_swept_values_once_at_parse(monkeypatch):
+    """campaign_scale's template sweeps 144 values, of 13 distinct
+    quantities (6 ports, one 0.7 mL fill, 6 concentrations): parsing it
+    builds each once, and the static check of the parsed template then
+    builds no Quantity, reading the columns the parse set."""
+    built = []
+    post_init = units.Quantity.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    _, registry, genesis = campaign_template(1)
+    monkeypatch.setattr(units.Quantity, "__post_init__", counted)
+    template = parse_spec(json.dumps(campaign_doc(48, fill_ml=0.7)))
+    parsed = {id(q) for q in built}
+    built.clear()
+    assert static_check(template, registry, genesis) == []
+    assert built == []
+    swept = [q for step in template.steps for quantities, _ in step.columns for q in quantities]
+    assert sum(len(values) for step in template.steps for values in step.repeat.values()) == 144
+    assert len(swept) == 13
+    assert {id(q) for q in swept} <= parsed
+
+
 def _count_range_checks(monkeypatch, spec, registry, genesis) -> tuple[list, int]:
     """``static_check(spec)``, and how many times it called
     ``check_param_ranges``."""

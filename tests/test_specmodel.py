@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from eaclab import specmodel
 from eaclab.canon import canonical_json
@@ -31,6 +31,7 @@ from workloads import (
     dependency_cycle_recursive,
     perfbench_inputs,
     static_check_per_step,
+    sweep_columns,
     sweep_refusal,
 )
 
@@ -517,9 +518,35 @@ def _drawn_sweep_edit(draw, doc: dict):
     return step
 
 
+@st.composite
+def _edited_docs(draw):
+    """The campaign at a few points or one of the benchmark's agent specs,
+    with one or two drawn sweep edits: (document, the loci the edits
+    name)."""
+    if draw(st.booleans()):
+        doc = campaign_doc(draw(st.integers(1, 6)))
+    else:
+        doc = copy.deepcopy(draw(st.sampled_from(_AGENT_SPECS)))
+    edits = [_drawn_sweep_edit(draw, doc) for _ in range(draw(st.integers(1, 2)))]
+    return doc, {f"steps[{edit['id']}]" if isinstance(edit, dict) else edit for edit in edits}
+
+
+def _with_select_repeat(repeat: dict) -> tuple[dict, set[str]]:
+    """The reference campaign with ``repeat`` as its select step's sweeps."""
+    doc = json.loads(CAMPAIGN_PATH.read_text())
+    doc["steps"][0]["repeat"] = repeat
+    return doc, {"steps[select]"}
+
+
+_MILLILITRE = {"value": 1.0, "unit": "mL"}
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.data())
-def test_a_parsed_spec_checks_lowers_and_expands(data):
+@given(_edited_docs())
+# Two unknown params swept in an order that the reread spec.json sorts:
+# each is reported by name, in both.
+@example(_with_select_repeat({"dest": [2], "ghost": [_MILLILITRE], "extra": [_MILLILITRE]}))
+def test_a_parsed_spec_checks_lowers_and_expands(edited):
     """Parsing is total: the campaign at a few points and the benchmark's
     agent specs, with sweep edits that expanding would break, either are
     refused by ``parse_spec`` where an edit names, or parse to a spec that
@@ -532,12 +559,7 @@ def test_a_parsed_spec_checks_lowers_and_expands(data):
     reads it, which check each distinct configuration of their unswept
     steps once. A failing value drawn twice gives a failing configuration
     that repeats, reported at each instance that has it."""
-    if data.draw(st.booleans()):
-        doc = campaign_doc(data.draw(st.integers(1, 6)))
-    else:
-        doc = copy.deepcopy(data.draw(st.sampled_from(_AGENT_SPECS)))
-    edits = [_drawn_sweep_edit(data.draw, doc) for _ in range(data.draw(st.integers(1, 2)))]
-    named = {f"steps[{edit['id']}]" if isinstance(edit, dict) else edit for edit in edits}
+    doc, named = edited
     try:
         spec = parse_spec(json.dumps(doc))
     except SpecSchemaError as err:
@@ -554,6 +576,55 @@ def test_a_parsed_spec_checks_lowers_and_expands(data):
     assert static_check(reread, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS) == diagnostics
     if not diagnostics:
         compile_spec(spec, _ENSEMBLE_REGISTRY, _ENSEMBLE_GENESIS, diagnostics)
+
+
+_NUMBERS = st.sampled_from([1, 1.0, 0, 0.0, -0.0, 2, 2.0, 2.5, -3, 1e-3])
+_QUANTITIES = st.builds(
+    lambda value, unit: {"value": value} if unit is None else {"value": value, "unit": unit},
+    _NUMBERS, st.sampled_from([None, "", "mL", "m^3", "mL/min"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(volume=st.lists(st.one_of(_NUMBERS, _QUANTITIES), min_size=1, max_size=6),
+       flow=st.lists(_NUMBERS, min_size=1, max_size=4),
+       extra=st.lists(_QUANTITIES, min_size=0, max_size=3))
+@example(volume=[1, 1.0, 0.0, -0.0, {"value": 1, "unit": "mL"}, {"value": 1.0, "unit": "mL"},
+                 {"value": -0.0, "unit": "mL"}, {"value": 0}, {"value": 1, "unit": "mL"}, 1],
+         flow=[2, 2.0, 0, -0.0], extra=[{"value": 1}, {"value": 1.0}, {"value": 1}])
+def test_the_parse_walk_gives_the_columns_value_by_value(volume, flow, extra):
+    """A step's columns, which the parse sets as it validates its swept
+    values, are the reference's, computed value by value: ints and floats,
+    1 and 1.0, 0.0 and -0.0, repeated values, quantity objects with int and
+    float values and a param the step does not declare swept with
+    quantities. A step the parser did not build computes the same."""
+    doc = _doc()
+    doc["steps"][0]["repeat"] = {"volume": volume, "flow_rate": flow}
+    if extra:
+        doc["steps"][0]["repeat"]["extra"] = extra
+    step = parse_spec(json.dumps(doc)).steps[0]
+    assert "columns" in vars(step)  # set by the parse, not by the property
+
+    def printed(columns):
+        return [([(repr(q.value), q.unit) for q in quantities], indices)
+                for quantities, indices in columns]
+
+    expected = printed(sweep_columns(step))
+    assert printed(step.columns) == expected
+    assert printed(replace(step).columns) == expected
+
+
+def test_a_step_not_built_by_the_parser_refuses_a_sweep_as_the_parse_does():
+    """The columns of a step made by ``replace`` with a sweep that
+    ``parse_spec`` refuses raise what the parse raises."""
+    step = parse_spec(json.dumps(MINIMAL)).steps[0]
+    for repeat, message in (
+        ({"volume": (1.0,), "pressure": (1, 2)},
+         "unknown_sweep_param at steps[fill]: sweep over unknown parameter 'pressure'"),
+        ({"volume": (1.0, INF)}, "bad_value at steps[fill]: sweep 'volume' value inf is not finite"),
+    ):
+        with pytest.raises(SpecSchemaError) as raised:
+            replace(step, repeat=repeat).columns
+        assert str(raised.value) == message
 
 
 def test_unknown_sweep_param_raises():

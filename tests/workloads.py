@@ -146,6 +146,35 @@ def sweep_refusal(doc: dict) -> tuple[str, str] | None:
     return None
 
 
+def sweep_columns(step) -> list[tuple[list[Quantity], list[int]]]:
+    """Per swept param of a parsed step, its distinct quantities and for
+    each value the index of its quantity, keyed and converted value by
+    value: the reference for ``StepSpec.columns``, which the parse sets
+    as it validates the values."""
+    columns = []
+    for pname, values in step.repeat.items():
+        quantities: list[Quantity] = []
+        seen: dict = {}
+        indices = []
+        for value in values:
+            # A number becomes a float in the template's unit, so 1 and 1.0
+            # give one quantity; 0.0 and -0.0 are equal but print apart. A
+            # quantity keeps its value's type.
+            if isinstance(value, dict):
+                key = (repr(value["value"]), value.get("unit", ""))
+            else:
+                key = value if value else repr(float(value))
+            if key not in seen:
+                seen[key] = len(quantities)
+                quantities.append(
+                    Quantity.from_dict(value) if isinstance(value, dict)
+                    else Quantity(float(value), step.params[pname].unit)
+                )
+            indices.append(seen[key])
+        columns.append((quantities, indices))
+    return columns
+
+
 def with_device(state: LabState, device: DeviceRecord) -> LabState:
     """``state`` with ``device`` added, or replacing the record of its id."""
     return replace(state, devices={**state.devices, device.device_id: device})
@@ -359,7 +388,8 @@ def _value_in(q, unit: str) -> float | None:
 
 def _param_problems(schema, op, params) -> list[tuple[str, str]]:
     """(code, message) of each range, unit, completeness, ``integer``,
-    frame-resolution and ``below`` problem of one step's params, written
+    frame-resolution and ``below`` problem of one step's params, in the
+    operation's param order, then each unknown param by name, written
     out apart from ``capabilities``: the reference for
     ``ParamSchema.check`` and ``check_below``."""
     configure = schema.operations.get(op.configure_via)
@@ -395,7 +425,7 @@ def _param_problems(schema, op, params) -> list[tuple[str, str]]:
                 problems.append(("out_of_range", f"{name!r}={value:g} {p.unit} is not below "
                                                  f"{p.below!r}={bound:g} {p.unit}"))
     problems.extend(("unknown_param", f"unknown parameter {name!r}")
-                    for name in params if name not in op.params)
+                    for name in sorted(params) if name not in op.params)
     return problems
 
 
