@@ -464,12 +464,16 @@ _TEXT_FORMATS = frozenset({"number", "d", *(f"0{width}d" for width in range(2, 1
 _NUMBER_CHARACTERS = "0123456789+-.e"
 
 
-def json_value(value, kind: type, where: str):
+def json_value(value, kind: type, where: str, *keys: str):
     """``value``, a field of a lab document at ``where``, which must be a
-    JSON object (``kind`` dict) or array (``kind`` list)."""
+    JSON object (``kind`` dict) or array (``kind`` list); an object must
+    hold each of ``keys``."""
     if not isinstance(value, kind):
         shape = "an object" if kind is dict else "a list"
         raise ValueError(f"{where} must be {shape}, not {value!r}")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{where} has no {key!r}")
     return value
 
 
@@ -597,7 +601,8 @@ def schema_from_dict(name: str, obj: dict) -> CapabilitySchema:
             comparator=c["comparator"],
             threshold=finite_quantity(c["threshold"], f"{where}.{c['field']}.threshold"),
         )
-        for c in (json_value(c, dict, f"{where}.conditions[{i}]") for i, c in enumerate(conditions))
+        for c in (json_value(c, dict, f"{where}.conditions[{i}]", "field", "comparator",
+                             "threshold") for i, c in enumerate(conditions))
     ))
     for op_name, operation in operations.items():
         # The integer fields of the frames that carry this operation's

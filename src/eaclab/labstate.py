@@ -118,15 +118,16 @@ class LabState:
 
 def genesis_from_lab_config(config: dict) -> LabState:
     """Build the genesis state from a lab-config document. ``devices`` must
-    be a list of objects, a device's id a non-empty string, its capability
-    and status strings, its mode a string or null, and its ``attrs`` and
-    ``observed`` objects; ValueError names the device and field if not."""
+    be a list of objects, each with an id and a capability, a device's id
+    a non-empty string, its capability and status strings, its mode a
+    string or null, and its ``attrs`` and ``observed`` objects; ValueError
+    names the device and field if not."""
     devices: dict[str, DeviceRecord] = {}
     for index, entry in enumerate(json_value(config.get("devices", []), list, "devices")):
-        device_id = json_value(entry, dict, f"devices[{index}]")["device_id"]
+        where = f"devices[{index}]"
+        device_id = json_value(entry, dict, where, "device_id", "capability")["device_id"]
         if not isinstance(device_id, str) or not device_id:
-            raise ValueError(
-                f"devices[{index}].device_id must be a non-empty string, not {device_id!r}")
+            raise ValueError(f"{where}.device_id must be a non-empty string, not {device_id!r}")
         if device_id in devices:
             raise SpecSchemaError("duplicate_id", device_id, "duplicate device_id")
         capability, status = entry["capability"], entry.get("status", "idle")

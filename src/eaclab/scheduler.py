@@ -1,11 +1,13 @@
 """State-aware assignment of workflow nodes to devices over virtual time.
 
-Two policies ship in-tree: ``fifo`` processes nodes in deterministic
+Two policies ship in-tree: ``fifo`` dispatches nodes in deterministic
 topological order; ``batched`` prefers ready nodes whose mode matches the
 target device's current mode, amortizing reconfiguration latency, and
-falls back to the FIFO ordering whenever that would finish sooner (so a
-batched plan never loses to FIFO). Under both policies the plan lists its
-batches, each device's maximal runs of nodes in one mode, as it runs them.
+falls back to the FIFO plan whenever that would finish sooner (so a
+batched plan never loses to FIFO). Both list-scheduling passes read one
+integer index of the DAG, built once per ``schedule`` call. Under both
+policies the plan lists its batches, each device's maximal runs of nodes
+in one mode, as it runs them.
 """
 
 from __future__ import annotations
@@ -162,159 +164,153 @@ def resolve_bindings(
     return resolved
 
 
-class _FifoQueue:
-    """Ready nodes in topological order."""
+class _DagIndex:
+    """The DAG as lists over integer node indices, read by both passes.
 
-    def __init__(self, rank: dict[str, int]) -> None:
-        self._rank = rank
-        self._heap: list[tuple[int, str, float]] = []
+    Node i is the i-th node id in sorted order, so comparing indices breaks
+    every tie exactly as comparing node ids does; device j is the j-th
+    resolved device id in sorted order. Per node the index holds its
+    device, ``est_duration``, mode and the transition latency of its
+    binding's capability, its successors (an edge repeated per edge kind)
+    and its count of predecessor entries. ``order`` lists the nodes in
+    topological order: ``fifo`` dispatches them in that order, as the
+    least-ranked ready node is always the next one in it.
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, nid: str, earliest: float) -> None:
-        heapq.heappush(self._heap, (self._rank[nid], nid, earliest))
-
-    def pop(self, free, mode) -> tuple[str, float]:
-        _, nid, earliest = heapq.heappop(self._heap)
-        return nid, earliest
-
-
-class _BatchedQueue:
-    """Ready nodes by the batched key, least first.
-
-    The key of a ready node on device d is (cost > 0, start, est_duration,
-    node_id), where cost is the transition latency from d's mode to the
-    node's mode and start = max(earliest, free[d]) + cost. Only the device
-    of the last pick changes its free time and mode, so nodes are kept in
-    one group per (binding, mode): every node of a group has the same cost.
-    Within a cost-free group the order is exact without any re-scoring:
-    nodes whose earliest start has passed free[d] ("available") all start
-    at free[d] and are ordered by (est_duration, node_id); the others
-    ("waiting") start at their earliest and are ordered by (earliest,
-    est_duration, node_id). free[d] only grows, so a node moves from
-    waiting to available at most once. When every ready node would pay a
-    transition, the keys are computed one by one, as floating-point sums
-    may tie where their addends do not.
+    ``group`` is each node's ready group in the batched pass. A binding
+    whose capability charges no transition (warmup, cooldown and every
+    ``reconfigure`` entry zero) keeps its ready nodes in one group, whose
+    ``group_latency`` is None: its cost is never asked. Every other binding
+    keeps one group per (binding, mode), so all nodes of a group pay one
+    transition cost on the group's device.
     """
 
-    def __init__(self, dag: WorkflowDAG, devices: dict[str, str], latency: dict) -> None:
-        self._dag = dag
-        self._devices = devices
-        self._latency = latency
-        self._earliest: dict[str, float] = {}  # the ready nodes
-        self._waiting: dict[tuple, list[tuple[float, float, str]]] = {}
-        self._available: dict[tuple, list[tuple[float, str]]] = {}
-
-    def __bool__(self) -> bool:
-        return bool(self._earliest)
-
-    def push(self, nid: str, earliest: float) -> None:
-        node = self._dag.nodes[nid]
-        self._earliest[nid] = earliest
-        group = (node.binding, node.mode)
-        self._available.setdefault(group, [])
-        heapq.heappush(
-            self._waiting.setdefault(group, []), (earliest, node.est_duration, nid)
-        )
-
-    def pop(self, free: dict[str, float], mode: dict[str, str | None]) -> tuple[str, float]:
-        best = None
-        for group in list(self._waiting):
-            binding, node_mode = group
-            device = self._devices[binding]
-            if self._latency[binding].cost(mode.get(device), node_mode) > 0:
-                continue
-            top = self._top(group, free[device])
-            if top is not None and (best is None or top < best):
-                best = top
-        if best is None:
-            best = min(self._key(nid, free, mode) for nid in self._earliest)
-        nid = best[-1]
-        return nid, self._earliest.pop(nid)
-
-    def _top(self, group: tuple, free: float) -> tuple | None:
-        """Least (start, est_duration, node_id) of a cost-free group."""
-        live = self._earliest
-        waiting, available = self._waiting[group], self._available[group]
-        while waiting and (waiting[0][0] <= free or waiting[0][2] not in live):
-            _, duration, nid = heapq.heappop(waiting)
-            if nid in live:
-                heapq.heappush(available, (duration, nid))
-        while available and available[0][1] not in live:
-            heapq.heappop(available)
-        if available:
-            return (free, *available[0])
-        if waiting:
-            return waiting[0]
-        del self._waiting[group], self._available[group]
-        return None
-
-    def _key(self, nid: str, free, mode) -> tuple:
-        node = self._dag.nodes[nid]
-        device = self._devices[node.binding]
-        cost = self._latency[node.binding].cost(mode.get(device), node.mode)
-        start = max(self._earliest[nid], free[device]) + cost
-        return (cost > 0, start, node.est_duration, nid)
+    def __init__(self, dag: WorkflowDAG, state: LabState, registry: CapabilityRegistry,
+                 devices: dict[str, str]) -> None:
+        self.ids = ids = sorted(dag.nodes)
+        index = dict(zip(ids, range(len(ids))))
+        self.device_ids = sorted(set(devices.values()))
+        device_index = dict(zip(self.device_ids, range(len(self.device_ids))))
+        self.initial_mode = [state.devices[device].mode if device in state.devices else None
+                             for device in self.device_ids]
+        # binding -> (device, latency, the latency if it ever charges, else None)
+        bound = {}
+        for binding, device in devices.items():
+            latency = registry.get(dag.bindings[binding]["capability"]).transitions
+            charges = latency.warmup or latency.cooldown or any(latency.reconfigure.values())
+            bound[binding] = (device_index[device], latency, latency if charges else None)
+        nodes = [dag.nodes[nid] for nid in ids]
+        per_node = [bound[node.binding] for node in nodes]
+        self.device = [b[0] for b in per_node]
+        self.latency = [b[1] for b in per_node]
+        self.duration = [node.est_duration for node in nodes]
+        self.mode = [node.mode for node in nodes]
+        self.successors: list[list[int]] = [[] for _ in ids]
+        self.indegree = [0] * len(ids)
+        for src, dst, _ in dag.edges:
+            succ = index[dst]
+            self.successors[index[src]].append(succ)
+            self.indegree[succ] += 1
+        self.order = [index[nid] for nid in topo_rank(dag)]
+        groups: dict[tuple[str, str | None], int] = {}
+        self.group = [
+            groups.setdefault((node.binding, node.mode if b[2] else None), len(groups))
+            for node, b in zip(nodes, per_node)
+        ]
+        self.group_device = [bound[binding][0] for binding, _ in groups]
+        self.group_latency = [bound[binding][2] for binding, _ in groups]
+        self.group_mode = [mode for _, mode in groups]
 
 
-def _run_list_schedule(
-    dag: WorkflowDAG,
-    state: LabState,
-    registry: CapabilityRegistry,
-    devices: dict[str, str],
-    prefer_mode_match: bool,
-) -> list[tuple[float, str, str, float, float]]:
+def _list_schedule(ix: _DagIndex, batched: bool) -> list[tuple[float, int, int, float, float]]:
     """Graham list scheduling: repeatedly dispatch the least ready node.
 
-    ``fifo`` takes ready nodes in topological order, ``batched`` by the
-    key described at ``_BatchedQueue``. A node's earliest start (the end of
-    its last predecessor, or 0) is fixed once it becomes ready. Each device
-    starts free at 0 in its mode in ``state``. Returns (start, node_id,
-    device, end, transition) tuples by start, then node_id.
-    """
-    rank = topo_rank(dag)
-    predecessors, successors = dag.predecessor_index, dag.successor_index
-    free: dict[str, float] = dict.fromkeys(devices.values(), 0.0)
-    mode: dict[str, str | None] = {
-        device: state.devices[device].mode if device in state.devices else None
-        for device in free
-    }
-    latency = {
-        binding: registry.get(dag.bindings[binding]["capability"]).transitions
-        for binding in devices
-    }
+    ``fifo`` takes the nodes in topological order. ``batched`` takes the
+    ready node of least key (cost > 0, start, est_duration, node), where
+    cost is the transition latency from its device's mode to the node's
+    mode and start = max(earliest, free[device]) + cost. Only the device of
+    the last pick changes its free time and mode, so ready nodes are kept
+    in ``_DagIndex.group``s, each of one cost. Within a cost-free group the
+    order is exact without any re-scoring: nodes whose earliest start has
+    passed the device's free time ("available") all start then and are
+    ordered by (est_duration, node); the others ("waiting") start at their
+    earliest and are ordered by (earliest, est_duration, node). Free times
+    only grow, so a node moves from waiting to available at most once.
+    When every ready node would pay a transition, the keys are computed one
+    by one, as floating-point sums may tie where their addends do not.
 
-    # Predecessor index entries, an edge counted once per edge kind, as the
-    # successor loop below decrements once per entry.
-    unmet = {nid: len(predecessors[nid]) for nid in rank}
-    earliest = dict.fromkeys(rank, 0.0)  # the latest end of a finished predecessor
-    slots: list[tuple[float, str, str, float, float]] = []
-    ready = (
-        _BatchedQueue(dag, devices, latency) if prefer_mode_match else _FifoQueue(rank)
-    )
-    for nid, count in unmet.items():
-        if count == 0:
-            ready.push(nid, 0.0)
-    while ready:
-        nid, at = ready.pop(free, mode)
-        node = dag.nodes[nid]
-        device = devices[node.binding]
-        cost = latency[node.binding].cost(mode.get(device), node.mode)
-        start = max(at, free[device]) + cost
-        end = start + node.est_duration
-        slots.append((start, nid, device, end, cost))
-        free[device] = end
-        if node.mode is not None:
-            mode[device] = node.mode
-        for succ in successors[nid]:
+    A node's earliest start (the end of its last predecessor, or 0) is
+    fixed once it becomes ready. Each device starts free at 0 in its lab
+    mode. Returns (start, node, device, end, transition) in pick order.
+    """
+    device, duration, modes, latency = ix.device, ix.duration, ix.mode, ix.latency
+    successors, group = ix.successors, ix.group
+    group_device, group_latency, group_mode = ix.group_device, ix.group_latency, ix.group_mode
+    unmet = ix.indegree.copy()
+    earliest = [0.0] * len(unmet)  # the latest end of a finished predecessor
+    free = [0.0] * len(ix.device_ids)
+    mode = ix.initial_mode.copy()
+    ready: set[int] = set()
+    active: dict[int, None] = {}  # the groups that may hold ready nodes
+    waiting: list[list[tuple[float, float, int]]] = [[] for _ in group_device]  # per group
+    available: list[list[tuple[float, int]]] = [[] for _ in group_device]
+    if batched:
+        for i, count in enumerate(unmet):
+            if count == 0:
+                ready.add(i)
+                active[group[i]] = None
+                heapq.heappush(waiting[group[i]], (0.0, duration[i], i))
+    slots: list[tuple[float, int, int, float, float]] = []
+    for i in ix.order:  # the fifo pick; batched makes its own
+        if batched:
+            best, emptied = None, []
+            for g in active:
+                d = group_device[g]
+                if group_latency[g] is not None and group_latency[g].cost(
+                        mode[d], group_mode[g]) > 0:
+                    continue
+                at, wait, avail = free[d], waiting[g], available[g]
+                while wait and (wait[0][0] <= at or wait[0][2] not in ready):
+                    _, length, j = heapq.heappop(wait)
+                    if j in ready:
+                        heapq.heappush(avail, (length, j))
+                while avail and avail[0][1] not in ready:
+                    heapq.heappop(avail)
+                if avail:
+                    top = (at, *avail[0])
+                elif wait:
+                    top = wait[0]
+                else:
+                    emptied.append(g)
+                    continue
+                if best is None or top < best:
+                    best = top
+            for g in emptied:
+                del active[g]
+            if best is None:  # every ready node pays a transition
+                for j in ready:
+                    d = device[j]
+                    cost = latency[j].cost(mode[d], modes[j])
+                    key = (cost > 0, max(earliest[j], free[d]) + cost, duration[j], j)
+                    if best is None or key < best:
+                        best = key
+            i = best[-1]
+            ready.remove(i)
+        d = device[i]
+        cost = latency[i].cost(mode[d], modes[i])
+        start = max(earliest[i], free[d]) + cost
+        end = start + duration[i]
+        slots.append((start, i, d, end, cost))
+        free[d] = end
+        if modes[i] is not None:
+            mode[d] = modes[i]
+        for succ in successors[i]:
             if end > earliest[succ]:
                 earliest[succ] = end
             unmet[succ] -= 1
-            if unmet[succ] == 0:
-                ready.push(succ, earliest[succ])
-
-    slots.sort()  # node ids are unique, so (start, node_id) decides
+            if unmet[succ] == 0 and batched:
+                ready.add(succ)
+                active[group[succ]] = None
+                heapq.heappush(waiting[group[succ]], (earliest[succ], duration[succ], succ))
     return slots
 
 
@@ -330,14 +326,18 @@ def schedule(
     validate_dag(dag)
     if not dag.nodes:
         return ExecutionPlan(assignments=(), batches=(), makespan=0.0, policy=policy)
-    devices = resolve_bindings(dag, state, registry)
-    chosen = _run_list_schedule(dag, state, registry, devices, prefer_mode_match=False)
+    ix = _DagIndex(dag, state, registry, resolve_bindings(dag, state, registry))
+    chosen = _list_schedule(ix, batched=False)
     makespan = max(slot[3] for slot in chosen)
     if policy == "batched":
-        greedy = _run_list_schedule(dag, state, registry, devices, prefer_mode_match=True)
+        greedy = _list_schedule(ix, batched=True)
         greedy_makespan = max(slot[3] for slot in greedy)
         if greedy_makespan <= makespan:
             chosen, makespan = greedy, greedy_makespan
+    # Node indices are unique, so (start, node) decides the plan order.
+    ids, device_ids = ix.ids, ix.device_ids
+    chosen = [(start, ids[i], device_ids[d], end, cost)
+              for start, i, d, end, cost in sorted(chosen)]
     return ExecutionPlan(
         assignments=tuple(
             Assignment(nid, device, start, end, cost) for start, nid, device, end, cost in chosen

@@ -46,6 +46,13 @@ def _safety(threshold: dict) -> dict:
     return {"conditions": [{"field": "temperature", "comparator": "<=", "threshold": threshold}]}
 
 
+def _safety_without(key: str) -> dict:
+    """A safety section whose one condition has no ``key``."""
+    safety = _safety({"value": 360, "unit": "K"})
+    del safety["conditions"][0][key]
+    return safety
+
+
 BAD_TCELL = {
     "idempotent": ((*_SCAN, "idempotent"), "false",
                    "tcell.scan.idempotent must be true or false, not 'false'"),
@@ -89,6 +96,12 @@ BAD_TCELL = {
                         "not temperature/frequency"),
     "threshold_bool": (("safety",), _safety({"value": True, "unit": "K"}),
                        "tcell.safety.temperature.threshold.value must be a finite number, not True"),
+    "field_missing": (("safety",), _safety_without("field"),
+                      "tcell.safety.conditions[0] has no 'field'"),
+    "comparator_missing": (("safety",), _safety_without("comparator"),
+                           "tcell.safety.conditions[0] has no 'comparator'"),
+    "threshold_missing": (("safety",), _safety_without("threshold"),
+                          "tcell.safety.conditions[0] has no 'threshold'"),
     # The scan's temperature is in K, so a threshold in mL cannot bound it.
     "threshold_dimension": (("safety",), _safety({"value": 360, "unit": "mL"}),
                             "tcell.scan.params.temperature in 'K' (temperature) cannot be "

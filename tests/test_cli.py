@@ -944,9 +944,11 @@ def _lab_with_capabilities(tmp_path, capabilities, devices=()):
 def test_malformed_capability_fails_closed(tmp_path, capsys, damage):
     path, value, named = BAD_TCELL[damage]
     lab = _lab_with_capabilities(tmp_path, {"tcell": with_edit(TCELL, path, value)})
-    err = _usage_error(capsys, ["validate", SPEC, "--lab", lab])
-    assert err.startswith(f"usage error: lab config {lab} is invalid: ValueError: ")
-    assert named in err
+    for command, extra in (("validate", []), ("plan", []), ("run", ["--out", str(tmp_path)])):
+        err = _usage_error(capsys, [command, SPEC, "--lab", lab, *extra])
+        assert err.startswith(f"usage error: lab config {lab} is invalid: ValueError: ")
+        assert named in err
+    assert os.listdir(tmp_path) == ["lab.json"]
 
 
 def test_lab_that_redeclares_a_builtin_capability_fails_closed(tmp_path, capsys):
@@ -1606,15 +1608,23 @@ def test_bad_sim_section_fails_every_command_closed(tmp_path, capsys, damage):
     assert os.listdir(tmp_path) == ["lab.json"]
 
 
+# A field value that stands for the field's absence.
+DROPPED = object()
+
+
 def _lab_with_device(tmp_path, device_id, /, **fields):
-    """The reference lab with fields of one device set, as a file; a device
-    the lab does not hold is added."""
+    """The reference lab with fields of one device set, or dropped where
+    their value is ``DROPPED``, as a file; a device the lab does not hold
+    is added."""
     lab = json.loads(LAB_PATH.read_text())
     device = next((d for d in lab["devices"] if d["device_id"] == device_id), None)
     if device is None:
         device = {"device_id": device_id}
         lab["devices"].append(device)
     device.update(fields)
+    for key, value in fields.items():
+        if value is DROPPED:
+            del device[key]
     path = tmp_path / "lab.json"
     path.write_text(json.dumps(lab))
     return str(path)
@@ -1622,9 +1632,12 @@ def _lab_with_device(tmp_path, device_id, /, **fields):
 
 # Device fields a lab is refused for: numbers that are not finite JSON
 # numbers, ids that are not non-empty strings, a capability, status or
-# mode of another JSON type, and capabilities the lab does not register.
-# (device, field, value, what the one-line error says.)
+# mode of another JSON type, a missing id or capability, and capabilities
+# the lab does not register. (device, field, value, what the one-line
+# error says.)
 BAD_DEVICE = {
+    "id_missing": ("pstat_1", "device_id", DROPPED, "devices[5] has no 'device_id'"),
+    "capability_missing": ("pstat_1", "capability", DROPPED, "devices[5] has no 'capability'"),
     "id_number": ("pstat_1", "device_id", 7,
                   "devices[5].device_id must be a non-empty string, not 7"),
     "id_null": ("pstat_1", "device_id", None,

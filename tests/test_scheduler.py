@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from eaclab.capabilities import builtin_registry
+from eaclab.capabilities import TransitionLatency
 from eaclab.compiler import compile_spec, topo_order
 from eaclab.errors import UnschedulableError
 from eaclab.labstate import DeviceRecord
@@ -10,6 +10,7 @@ from eaclab.scheduler import (
     POLICIES,
     Assignment,
     ExecutionPlan,
+    batch_compatible,
     plan_hash,
     resolve_bindings,
     schedule,
@@ -20,8 +21,10 @@ from workloads import (
     brute_force_makespan,
     campaign_workload,
     count_mode_transitions,
+    latency_dag,
     payoff_workload,
     random_dag,
+    reference_list_schedule,
     with_device,
 )
 
@@ -233,3 +236,70 @@ def test_a_batched_schedule_builds_the_assignments_of_the_returned_plan_only(mon
     plan = schedule(dag, genesis, registry, policy="batched")
     assert len(built) == len(dag.nodes) == 246
     assert built == list(plan.assignments)
+
+
+def _reference_plans(dag, state, registry):
+    """The plan ``schedule`` should give under each policy, built as it
+    builds one from the slots of the reference passes,
+    ``workloads.reference_list_schedule``."""
+    devices = resolve_bindings(dag, state, registry)
+    fifo = reference_list_schedule(dag, state, registry, devices, prefer_mode_match=False)
+    greedy = reference_list_schedule(dag, state, registry, devices, prefer_mode_match=True)
+    if max(slot[3] for slot in greedy) > max(slot[3] for slot in fifo):
+        greedy = fifo
+    return {
+        policy: ExecutionPlan(
+            assignments=tuple(Assignment(nid, device, start, end, cost)
+                              for start, nid, device, end, cost in chosen),
+            batches=batch_compatible(dag, chosen),
+            makespan=max(slot[3] for slot in chosen),
+            policy=policy,
+        )
+        for policy, chosen in (("fifo", fifo), ("batched", greedy))
+    }
+
+
+@pytest.mark.parametrize("make, seeds", [(random_dag, range(1000)), (latency_dag, range(3000))],
+                         ids=["random_dag", "latency_dag"])
+def test_schedule_gives_the_plan_of_the_reference_passes(make, seeds):
+    """``latency_dag`` adds what ``random_dag`` lacks: ``reconfigure``
+    tables, devices that start in a mode, bindings that share a device,
+    zero-duration nodes and edges repeated per edge kind."""
+    for seed in seeds:
+        dag, state, registry = make(seed)
+        expected = _reference_plans(dag, state, registry)
+        for policy in POLICIES:
+            assert schedule(dag, state, registry, policy=policy) == expected[policy], (seed, policy)
+
+
+def test_latency_dags_satisfy_invariants_and_the_brute_force_bound():
+    for seed in range(300):
+        dag, state, registry = latency_dag(seed)
+        fifo = schedule(dag, state, registry, policy="fifo")
+        batched = schedule(dag, state, registry, policy="batched")
+        _assert_plan_invariants(fifo, dag)
+        _assert_plan_invariants(batched, dag)
+        assert batched.makespan <= fifo.makespan, seed
+        if len(dag.nodes) <= 8:
+            devices = resolve_bindings(dag, state, registry)
+            optimal = brute_force_makespan(dag, state, registry, devices)
+            assert batched.makespan >= optimal - 1e-9, seed
+
+
+@pytest.mark.parametrize("policy, calls", [("batched", 492), ("fifo", 246)])
+def test_a_schedule_asks_one_transition_cost_per_pick(monkeypatch, policy, calls):
+    """On the reference lab no capability charges a transition, so each of
+    the 246 picks of a pass asks the cost it is charged and nothing else;
+    ``batched`` runs two passes."""
+    spec, registry, genesis = campaign_workload(48)
+    dag = compile_spec(spec, registry, genesis)
+    asked = []
+    cost = TransitionLatency.cost
+
+    def counted(self, old_mode, new_mode):
+        asked.append(new_mode)
+        return cost(self, old_mode, new_mode)
+
+    monkeypatch.setattr(TransitionLatency, "cost", counted)
+    schedule(dag, genesis, registry, policy=policy)
+    assert len(asked) == calls

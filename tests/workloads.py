@@ -2,6 +2,7 @@
 the test-only helpers and reference oracles the program does not ship."""
 
 import argparse
+import heapq
 import importlib.util
 import json
 import math
@@ -9,8 +10,8 @@ import random
 from pathlib import Path
 
 from eaclab.canon import sha256_hex
-from eaclab.capabilities import registry_from_lab_config
-from eaclab.compiler import Diagnostic, OpNode, WorkflowDAG
+from eaclab.capabilities import CapabilityRegistry, registry_from_lab_config, schema_from_dict
+from eaclab.compiler import Diagnostic, OpNode, WorkflowDAG, topo_rank
 from eaclab.errors import EacError, UnitError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
 from eaclab.records import field, record, replace
@@ -281,6 +282,74 @@ def random_dag(seed: int):
     return dag, state, registry
 
 
+def latency_dag(seed: int):
+    """Seeded random workflow instance whose devices pay for mode changes:
+    DAG, lab state, and registry.
+
+    Unlike ``random_dag``'s, its capabilities have ``reconfigure`` tables
+    with zero and nonzero entries (about a third charge nothing at all),
+    its devices may start in a mode, each capability has more bindings
+    than devices, so that bindings share a device, some nodes take no
+    time, and some edges are repeated under another edge kind. Durations
+    and latencies are not all whole numbers, so start times are sums
+    that round.
+    """
+    rng = random.Random(seed)
+    modes = ["A", "B", "C"]
+    capabilities, devices, bindings = {}, [], []
+    for c in range(rng.randint(1, 3)):
+        free = rng.random() < 0.3
+        capabilities[f"c{c}"] = {
+            "operations": {"go": {"params": {}}},
+            "transitions": {
+                "warmup": 0 if free else rng.choice([0, 0, 4]),
+                "cooldown": 0 if free else rng.choice([0, 0.3, 6]),
+                "reconfigure": {
+                    f"{old}->{new}": 0 if free else rng.choice([0, 0, 0.1, 7.5])
+                    for old in modes for new in modes if old != new and rng.random() < 0.5
+                },
+            },
+        }
+        n_devices = rng.randint(1, 2)
+        devices += [{"device_id": f"c{c}d{k}", "capability": f"c{c}",
+                     "mode": rng.choice([None, *modes])} for k in range(n_devices)]
+        bindings += [(f"c{c}b{k}", f"c{c}") for k in range(n_devices + rng.randint(1, 2))]
+    # Its own capabilities alone: parsing the built-in ones costs more
+    # than scheduling the instance.
+    registry = CapabilityRegistry()
+    for name, obj in capabilities.items():
+        registry.register(schema_from_dict(name, obj))
+    state = genesis_from_lab_config({"devices": devices})
+
+    n = rng.randint(2, 14)
+    ids = [f"n{i:02d}" for i in range(n)]
+    nodes = {
+        nid: OpNode(
+            node_id=nid,
+            binding=rng.choice(bindings)[0],
+            operation="go",
+            kind="action",
+            est_duration=rng.choice([0.0, 0.0, 0.1, 0.7, 1.0, 2.5, 4.0]),
+            mode=rng.choice([None, *modes]),
+        )
+        for nid in ids
+    }
+    kinds = ["flow", "dep", "setup", "teardown"]
+    edges = set()
+    for j in range(1, n):
+        for _ in range(rng.randint(0, 2)):
+            src, kind = ids[rng.randrange(j)], rng.choice(kinds)
+            edges.add((src, ids[j], kind))
+            if rng.random() < 0.3:
+                edges.add((src, ids[j], rng.choice([k for k in kinds if k != kind])))
+    dag = WorkflowDAG(
+        nodes=nodes,
+        edges=tuple(sorted(edges)),
+        bindings={name: {"capability": cap} for name, cap in bindings},
+    )
+    return dag, state, registry
+
+
 def brute_force_makespan(dag, state, registry, devices) -> float:
     """Exact minimum makespan over every dispatch order, for small DAGs.
 
@@ -339,6 +408,165 @@ def brute_force_makespan(dag, state, registry, devices) -> float:
 
     dfs(frozenset(), {}, {d: 0.0 for d in init_mode}, dict(init_mode), 0.0)
     return best[0]
+
+
+class _FifoQueue:
+    """Ready nodes in topological order."""
+
+    def __init__(self, rank: dict[str, int]) -> None:
+        self._rank = rank
+        self._heap: list[tuple[int, str, float]] = []
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+    def push(self, nid: str, earliest: float) -> None:
+        heapq.heappush(self._heap, (self._rank[nid], nid, earliest))
+
+    def pop(self, free, mode) -> tuple[str, float]:
+        _, nid, earliest = heapq.heappop(self._heap)
+        return nid, earliest
+
+
+class _BatchedQueue:
+    """Ready nodes by the batched key, least first.
+
+    The key of a ready node on device d is (cost > 0, start, est_duration,
+    node_id), where cost is the transition latency from d's mode to the
+    node's mode and start = max(earliest, free[d]) + cost. Only the device
+    of the last pick changes its free time and mode, so nodes are kept in
+    one group per (binding, mode): every node of a group has the same cost.
+    Within a cost-free group the order is exact without any re-scoring:
+    nodes whose earliest start has passed free[d] ("available") all start
+    at free[d] and are ordered by (est_duration, node_id); the others
+    ("waiting") start at their earliest and are ordered by (earliest,
+    est_duration, node_id). free[d] only grows, so a node moves from
+    waiting to available at most once. When every ready node would pay a
+    transition, the keys are computed one by one, as floating-point sums
+    may tie where their addends do not.
+    """
+
+    def __init__(self, dag: WorkflowDAG, devices: dict[str, str], latency: dict) -> None:
+        self._dag = dag
+        self._devices = devices
+        self._latency = latency
+        self._earliest: dict[str, float] = {}  # the ready nodes
+        self._waiting: dict[tuple, list[tuple[float, float, str]]] = {}
+        self._available: dict[tuple, list[tuple[float, str]]] = {}
+
+    def __bool__(self) -> bool:
+        return bool(self._earliest)
+
+    def push(self, nid: str, earliest: float) -> None:
+        node = self._dag.nodes[nid]
+        self._earliest[nid] = earliest
+        group = (node.binding, node.mode)
+        self._available.setdefault(group, [])
+        heapq.heappush(
+            self._waiting.setdefault(group, []), (earliest, node.est_duration, nid)
+        )
+
+    def pop(self, free: dict[str, float], mode: dict[str, str | None]) -> tuple[str, float]:
+        best = None
+        for group in list(self._waiting):
+            binding, node_mode = group
+            device = self._devices[binding]
+            if self._latency[binding].cost(mode.get(device), node_mode) > 0:
+                continue
+            top = self._top(group, free[device])
+            if top is not None and (best is None or top < best):
+                best = top
+        if best is None:
+            best = min(self._key(nid, free, mode) for nid in self._earliest)
+        nid = best[-1]
+        return nid, self._earliest.pop(nid)
+
+    def _top(self, group: tuple, free: float) -> tuple | None:
+        """Least (start, est_duration, node_id) of a cost-free group."""
+        live = self._earliest
+        waiting, available = self._waiting[group], self._available[group]
+        while waiting and (waiting[0][0] <= free or waiting[0][2] not in live):
+            _, duration, nid = heapq.heappop(waiting)
+            if nid in live:
+                heapq.heappush(available, (duration, nid))
+        while available and available[0][1] not in live:
+            heapq.heappop(available)
+        if available:
+            return (free, *available[0])
+        if waiting:
+            return waiting[0]
+        del self._waiting[group], self._available[group]
+        return None
+
+    def _key(self, nid: str, free, mode) -> tuple:
+        node = self._dag.nodes[nid]
+        device = self._devices[node.binding]
+        cost = self._latency[node.binding].cost(mode.get(device), node.mode)
+        start = max(self._earliest[nid], free[device]) + cost
+        return (cost > 0, start, node.est_duration, nid)
+
+
+def reference_list_schedule(
+    dag: WorkflowDAG,
+    state: LabState,
+    registry: CapabilityRegistry,
+    devices: dict[str, str],
+    prefer_mode_match: bool,
+) -> list[tuple[float, str, str, float, float]]:
+    """Graham list scheduling: repeatedly dispatch the least ready node.
+    The reference that ``scheduler.schedule``'s two passes over its
+    integer index of the DAG are tested against, with a queue object per
+    policy over string-keyed dicts.
+
+    ``fifo`` takes ready nodes in topological order, ``batched`` by the
+    key described at ``_BatchedQueue``. A node's earliest start (the end of
+    its last predecessor, or 0) is fixed once it becomes ready. Each device
+    starts free at 0 in its mode in ``state``. Returns (start, node_id,
+    device, end, transition) tuples by start, then node_id.
+    """
+    rank = topo_rank(dag)
+    predecessors, successors = dag.predecessor_index, dag.successor_index
+    free: dict[str, float] = dict.fromkeys(devices.values(), 0.0)
+    mode: dict[str, str | None] = {
+        device: state.devices[device].mode if device in state.devices else None
+        for device in free
+    }
+    latency = {
+        binding: registry.get(dag.bindings[binding]["capability"]).transitions
+        for binding in devices
+    }
+
+    # Predecessor index entries, an edge counted once per edge kind, as the
+    # successor loop below decrements once per entry.
+    unmet = {nid: len(predecessors[nid]) for nid in rank}
+    earliest = dict.fromkeys(rank, 0.0)  # the latest end of a finished predecessor
+    slots: list[tuple[float, str, str, float, float]] = []
+    ready = (
+        _BatchedQueue(dag, devices, latency) if prefer_mode_match else _FifoQueue(rank)
+    )
+    for nid, count in unmet.items():
+        if count == 0:
+            ready.push(nid, 0.0)
+    while ready:
+        nid, at = ready.pop(free, mode)
+        node = dag.nodes[nid]
+        device = devices[node.binding]
+        cost = latency[node.binding].cost(mode.get(device), node.mode)
+        start = max(at, free[device]) + cost
+        end = start + node.est_duration
+        slots.append((start, nid, device, end, cost))
+        free[device] = end
+        if node.mode is not None:
+            mode[device] = node.mode
+        for succ in successors[nid]:
+            if end > earliest[succ]:
+                earliest[succ] = end
+            unmet[succ] -= 1
+            if unmet[succ] == 0:
+                ready.push(succ, earliest[succ])
+
+    slots.sort()  # node ids are unique, so (start, node_id) decides
+    return slots
 
 
 def dependency_cycle_recursive(steps) -> list[str] | None:
