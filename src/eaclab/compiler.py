@@ -17,6 +17,10 @@ dependencies become edges between the lowered node groups. Every node's
 stabilize node's, which is its declared hold. Live-state checks are not
 lowered to nodes: the executor checks live state right before every
 dispatch.
+
+A DAG's adjacency lives in one integer index, ``WorkflowDAG.graph``,
+built once per DAG by ``compile_spec``'s own check and then shared by
+``validate_dag``, the scheduler, the executor and ``render_tree``.
 """
 
 from __future__ import annotations
@@ -71,74 +75,74 @@ class WorkflowDAG:
     # binding name -> {capability, selector, constraints}
     bindings: dict[str, dict] = field(default_factory=dict)
 
-    # The adjacency indexes and the topological order below are computed on
-    # first use and cached on the instance; they are derived from the
-    # fields, so equality never sees them.
-
     @cached_property
-    def successor_index(self) -> dict[str, tuple[str, ...]]:
-        """Sorted successors of every node (an edge repeated per edge kind)."""
-        return _adjacency(self.nodes, ((src, dst) for src, dst, _ in self.edges))
-
-    @cached_property
-    def predecessor_index(self) -> dict[str, tuple[str, ...]]:
-        """Sorted predecessors of every node (an edge repeated per edge kind)."""
-        return _adjacency(self.nodes, ((dst, src) for src, dst, _ in self.edges))
-
-    @cached_property
-    def _topo_rank(self) -> dict[str, int] | None:
-        """Kahn's algorithm, ties broken by ascending node_id; None on a cycle."""
-        indegree = {nid: 0 for nid in self.nodes}
-        for _, dst, _ in self.edges:
-            indegree[dst] += 1
-        ready = [nid for nid, deg in indegree.items() if deg == 0]
-        heapq.heapify(ready)
-        rank: dict[str, int] = {}
-        successors = self.successor_index
-        while ready:
-            nid = heapq.heappop(ready)
-            rank[nid] = len(rank)
-            for succ in successors[nid]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    heapq.heappush(ready, succ)
-        return rank if len(rank) == len(self.nodes) else None
+    def graph(self) -> Graph:
+        """The DAG's index, built on first use and cached on the instance,
+        where equality never sees it."""
+        return Graph(self.nodes, self.edges)
 
     def successors(self, node_id: str) -> list[str]:
-        return list(self.successor_index.get(node_id, ()))
+        return self._adjacent(node_id, self.graph.successors)
 
     def predecessors(self, node_id: str) -> list[str]:
-        return list(self.predecessor_index.get(node_id, ()))
+        return self._adjacent(node_id, self.graph.predecessors)
+
+    def _adjacent(self, node_id: str, lists: list[list[int]]) -> list[str]:
+        ids, i = self.graph.ids, self.graph.index.get(node_id)
+        return [] if i is None else [ids[j] for j in sorted(lists[i])]
 
 
-def _adjacency(nodes, pairs) -> dict[str, tuple[str, ...]]:
-    index: dict[str, list[str]] = {nid: [] for nid in nodes}
-    for key, value in pairs:
-        index.setdefault(key, []).append(value)
-    return {key: tuple(sorted(values)) for key, values in index.items()}
+class Graph:
+    """A DAG's edges as lists over integer node indices, built in one pass.
+
+    Node i is the i-th node id in sorted order (``ids``; ``index`` maps
+    back), so comparing indices breaks every tie as comparing node ids
+    does. ``successors`` and ``predecessors`` hold each node's neighbours
+    in edge order, an edge repeated per edge kind. ``order`` is Kahn's
+    topological order, ties broken by least index, or None on a cycle. An
+    edge whose endpoint is not a node raises CompileError.
+    """
+
+    def __init__(self, nodes: dict[str, OpNode], edges) -> None:
+        self.ids = ids = sorted(nodes)
+        self.index = index = dict(zip(ids, range(len(ids))))
+        self.successors = successors = [[] for _ in ids]
+        self.predecessors = predecessors = [[] for _ in ids]
+        for src, dst, _ in edges:
+            try:
+                i, j = index[src], index[dst]
+            except KeyError:
+                raise CompileError(f"edge endpoint missing: {src} -> {dst}") from None
+            successors[i].append(j)
+            predecessors[j].append(i)
+        unmet = [len(preds) for preds in predecessors]
+        ready = [i for i, count in enumerate(unmet) if count == 0]  # ascending: a heap
+        order = []
+        while ready:
+            i = heapq.heappop(ready)
+            order.append(i)
+            for j in successors[i]:
+                unmet[j] -= 1
+                if unmet[j] == 0:
+                    heapq.heappush(ready, j)
+        self.order = order if len(order) == len(ids) else None
 
 
-def validate_dag(dag: WorkflowDAG) -> None:
-    """Check the structural DAG invariants; raises CycleError/CompileError."""
-    for src, dst, _ in dag.edges:
-        if src not in dag.nodes or dst not in dag.nodes:
-            raise CompileError(f"edge endpoint missing: {src} -> {dst}")
-    # Raises CycleError on a cycle. An acyclic graph needs no reachability
-    # check: walking back along predecessors from any node ends at a node
-    # that has none.
-    topo_rank(dag)
+def validate_dag(dag: WorkflowDAG) -> Graph:
+    """The DAG's index, once checked; raises CompileError/CycleError on
+    every call. An acyclic graph needs no reachability check: walking back
+    along predecessors from any node ends at a node that has none."""
+    graph = dag.graph
+    if graph.order is None:
+        raise CycleError("workflow graph contains a cycle")
+    return graph
 
 
 def topo_rank(dag: WorkflowDAG) -> dict[str, int]:
-    """Position of every node in ``topo_order(dag)``, computed once per DAG.
-
-    The mapping is shared by every caller and must not be modified. Raises
-    CycleError, on every call, if the graph has a cycle.
-    """
-    rank = dag._topo_rank
-    if rank is None:
-        raise CycleError("workflow graph contains a cycle")
-    return rank
+    """Position of every node in ``topo_order(dag)``, read off the DAG's
+    cached order; raises as ``validate_dag`` does."""
+    graph = validate_dag(dag)
+    return {graph.ids[i]: position for position, i in enumerate(graph.order)}
 
 
 def topo_order(dag: WorkflowDAG) -> list[str]:
@@ -490,12 +494,14 @@ def render_tree(dag: WorkflowDAG) -> str:
     indentation, so the text grows linearly in the number of nodes however
     deep the DAG is.
     """
-    depth: dict[str, int] = {}
+    graph = validate_dag(dag)
+    ids, predecessors = graph.ids, graph.predecessors
+    depth = [0] * len(ids)
     lines = []
-    predecessors = dag.predecessor_index
-    for nid in topo_rank(dag):
-        preds = predecessors[nid]
-        depth[nid] = 0 if not preds else max(depth[p] for p in preds) + 1
+    for i in graph.order:
+        if predecessors[i]:
+            depth[i] = max([depth[j] for j in predecessors[i]]) + 1
+        nid = ids[i]
         node = dag.nodes[nid]
-        lines.append(f"{depth[nid]} {nid} [{node.kind}] {node.binding}.{node.operation}")
+        lines.append(f"{depth[i]} {nid} [{node.kind}] {node.binding}.{node.operation}")
     return "\n".join(lines)

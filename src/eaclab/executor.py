@@ -272,8 +272,8 @@ def resume(
 
 
 def _run(ctx: _RunContext, order: list, skip_through: str | None) -> RunResult:
-    predecessors = ctx.dag.predecessor_index
-    done_at: dict[str, float] = {}
+    index, predecessors = ctx.dag.graph.index, ctx.dag.graph.predecessors
+    done_at = [0.0] * len(index)  # by node index; ``order`` runs predecessors first
     device_free: dict[str, float] = {}
     silent = skip_through is not None
 
@@ -281,7 +281,8 @@ def _run(ctx: _RunContext, order: list, skip_through: str | None) -> RunResult:
         node = ctx.dag.nodes[assignment.node_id]
         device_id = assignment.device_id
         capability = _node_capability(ctx.dag, node)
-        earliest = max((done_at[p] for p in predecessors[node.node_id]), default=0.0)
+        i = index[node.node_id]
+        earliest = max([done_at[p] for p in predecessors[i]], default=0.0)
         start = max(earliest, device_free.get(device_id, 0.0)) + assignment.transition
 
         if silent:
@@ -293,7 +294,7 @@ def _run(ctx: _RunContext, order: list, skip_through: str | None) -> RunResult:
             if isinstance(end, RunResult):
                 return end
             ctx.last_committed = node.node_id
-        done_at[node.node_id] = end
+        done_at[i] = end
         device_free[device_id] = end
 
     return _result(ctx, "completed")

@@ -4,10 +4,10 @@ Two policies ship in-tree: ``fifo`` dispatches nodes in deterministic
 topological order; ``batched`` prefers ready nodes whose mode matches the
 target device's current mode, amortizing reconfiguration latency, and
 falls back to the FIFO plan whenever that would finish sooner (so a
-batched plan never loses to FIFO). Both list-scheduling passes read one
-integer index of the DAG, built once per ``schedule`` call. Under both
-policies the plan lists its batches, each device's maximal runs of nodes
-in one mode, as it runs them.
+batched plan never loses to FIFO). Both list-scheduling passes read the
+DAG's integer index, ``WorkflowDAG.graph``, and one call's columns of it.
+Under both policies the plan lists its batches, each device's maximal
+runs of nodes in one mode, as it runs them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cached_property
 
 from eaclab.canon import canonical_json, sha256_text
 from eaclab.capabilities import CapabilityRegistry
-from eaclab.compiler import WorkflowDAG, topo_rank, validate_dag
+from eaclab.compiler import Graph, WorkflowDAG, validate_dag
 from eaclab.errors import UnschedulableError
 from eaclab.labstate import LabState, query_eligible
 from eaclab.records import record
@@ -144,7 +144,8 @@ def resolve_bindings(
     order; each takes the eligible device with the fewest bindings already
     mapped to it, ties broken by ascending device id.
     """
-    order = list(dict.fromkeys(dag.nodes[nid].binding for nid in topo_rank(dag)))
+    graph, nodes = validate_dag(dag), dag.nodes
+    order = list(dict.fromkeys(nodes[graph.ids[i]].binding for i in graph.order))
     load: dict[str, int] = {}
     resolved: dict[str, str] = {}
     for binding in order:
@@ -165,16 +166,12 @@ def resolve_bindings(
 
 
 class _DagIndex:
-    """The DAG as lists over integer node indices, read by both passes.
+    """The per-node columns of one ``schedule`` call, over the indices of
+    the DAG's ``Graph``, read by both passes beside it.
 
-    Node i is the i-th node id in sorted order, so comparing indices breaks
-    every tie exactly as comparing node ids does; device j is the j-th
-    resolved device id in sorted order. Per node the index holds its
-    device, ``est_duration``, mode and the transition latency of its
-    binding's capability, its successors (an edge repeated per edge kind)
-    and its count of predecessor entries. ``order`` lists the nodes in
-    topological order: ``fifo`` dispatches them in that order, as the
-    least-ranked ready node is always the next one in it.
+    Device j is the j-th resolved device id in sorted order. Per node the
+    columns hold its device, ``est_duration``, mode and the transition
+    latency of its binding's capability.
 
     ``group`` is each node's ready group in the batched pass. A binding
     whose capability charges no transition (warmup, cooldown and every
@@ -184,10 +181,8 @@ class _DagIndex:
     transition cost on the group's device.
     """
 
-    def __init__(self, dag: WorkflowDAG, state: LabState, registry: CapabilityRegistry,
-                 devices: dict[str, str]) -> None:
-        self.ids = ids = sorted(dag.nodes)
-        index = dict(zip(ids, range(len(ids))))
+    def __init__(self, dag: WorkflowDAG, graph: Graph, state: LabState,
+                 registry: CapabilityRegistry, devices: dict[str, str]) -> None:
         self.device_ids = sorted(set(devices.values()))
         device_index = dict(zip(self.device_ids, range(len(self.device_ids))))
         self.initial_mode = [state.devices[device].mode if device in state.devices else None
@@ -198,19 +193,12 @@ class _DagIndex:
             latency = registry.get(dag.bindings[binding]["capability"]).transitions
             charges = latency.warmup or latency.cooldown or any(latency.reconfigure.values())
             bound[binding] = (device_index[device], latency, latency if charges else None)
-        nodes = [dag.nodes[nid] for nid in ids]
+        nodes = [dag.nodes[nid] for nid in graph.ids]
         per_node = [bound[node.binding] for node in nodes]
         self.device = [b[0] for b in per_node]
         self.latency = [b[1] for b in per_node]
         self.duration = [node.est_duration for node in nodes]
         self.mode = [node.mode for node in nodes]
-        self.successors: list[list[int]] = [[] for _ in ids]
-        self.indegree = [0] * len(ids)
-        for src, dst, _ in dag.edges:
-            succ = index[dst]
-            self.successors[index[src]].append(succ)
-            self.indegree[succ] += 1
-        self.order = [index[nid] for nid in topo_rank(dag)]
         groups: dict[tuple[str, str | None], int] = {}
         self.group = [
             groups.setdefault((node.binding, node.mode if b[2] else None), len(groups))
@@ -221,13 +209,15 @@ class _DagIndex:
         self.group_mode = [mode for _, mode in groups]
 
 
-def _list_schedule(ix: _DagIndex, batched: bool) -> list[tuple[float, int, int, float, float]]:
+def _list_schedule(graph: Graph, ix: _DagIndex,
+                   batched: bool) -> list[tuple[float, int, int, float, float]]:
     """Graham list scheduling: repeatedly dispatch the least ready node.
 
-    ``fifo`` takes the nodes in topological order. ``batched`` takes the
-    ready node of least key (cost > 0, start, est_duration, node), where
-    cost is the transition latency from its device's mode to the node's
-    mode and start = max(earliest, free[device]) + cost. Only the device of
+    ``fifo`` takes the nodes in ``graph.order``, as the least-ranked ready
+    node is always the next one in it. ``batched`` takes the ready node of
+    least key (cost > 0, start, est_duration, node), where cost is the
+    transition latency from its device's mode to the node's mode and
+    start = max(earliest, free[device]) + cost. Only the device of
     the last pick changes its free time and mode, so ready nodes are kept
     in ``_DagIndex.group``s, each of one cost. Within a cost-free group the
     order is exact without any re-scoring: nodes whose earliest start has
@@ -243,9 +233,9 @@ def _list_schedule(ix: _DagIndex, batched: bool) -> list[tuple[float, int, int, 
     mode. Returns (start, node, device, end, transition) in pick order.
     """
     device, duration, modes, latency = ix.device, ix.duration, ix.mode, ix.latency
-    successors, group = ix.successors, ix.group
+    successors, group = graph.successors, ix.group
     group_device, group_latency, group_mode = ix.group_device, ix.group_latency, ix.group_mode
-    unmet = ix.indegree.copy()
+    unmet = [len(preds) for preds in graph.predecessors]  # an edge once per edge kind
     earliest = [0.0] * len(unmet)  # the latest end of a finished predecessor
     free = [0.0] * len(ix.device_ids)
     mode = ix.initial_mode.copy()
@@ -260,7 +250,7 @@ def _list_schedule(ix: _DagIndex, batched: bool) -> list[tuple[float, int, int, 
                 active[group[i]] = None
                 heapq.heappush(waiting[group[i]], (0.0, duration[i], i))
     slots: list[tuple[float, int, int, float, float]] = []
-    for i in ix.order:  # the fifo pick; batched makes its own
+    for i in graph.order:  # the fifo pick; batched makes its own
         if batched:
             best, emptied = None, []
             for g in active:
@@ -323,19 +313,19 @@ def schedule(
     """Produce a deterministic, invariant-satisfying execution plan."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    validate_dag(dag)
+    graph = validate_dag(dag)
     if not dag.nodes:
         return ExecutionPlan(assignments=(), batches=(), makespan=0.0, policy=policy)
-    ix = _DagIndex(dag, state, registry, resolve_bindings(dag, state, registry))
-    chosen = _list_schedule(ix, batched=False)
+    ix = _DagIndex(dag, graph, state, registry, resolve_bindings(dag, state, registry))
+    chosen = _list_schedule(graph, ix, batched=False)
     makespan = max(slot[3] for slot in chosen)
     if policy == "batched":
-        greedy = _list_schedule(ix, batched=True)
+        greedy = _list_schedule(graph, ix, batched=True)
         greedy_makespan = max(slot[3] for slot in greedy)
         if greedy_makespan <= makespan:
             chosen, makespan = greedy, greedy_makespan
     # Node indices are unique, so (start, node) decides the plan order.
-    ids, device_ids = ix.ids, ix.device_ids
+    ids, device_ids = graph.ids, ix.device_ids
     chosen = [(start, ids[i], device_ids[d], end, cost)
               for start, i, d, end, cost in sorted(chosen)]
     return ExecutionPlan(

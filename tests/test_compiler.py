@@ -23,6 +23,7 @@ from eaclab.compiler import (
 )
 from eaclab.errors import CompileError, CycleError, SpecSchemaError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
+from eaclab.scheduler import schedule
 from eaclab.specmodel import expand_sweeps, parse_spec, serialize_spec
 
 from conftest import LAB_PATH
@@ -31,7 +32,11 @@ from workloads import (
     campaign_spec_json,
     campaign_template,
     campaign_workload,
+    latency_dag,
     lowered_params_per_step,
+    random_dag,
+    reference_adjacency,
+    reference_topo_order,
     static_check_per_step,
     sweep_refusal,
     with_device,
@@ -269,6 +274,8 @@ def test_static_safety_predicate(genesis):
 
 
 def test_validate_dag_rejects_cycles_and_dangling_edges():
+    """Every reader of the DAG's index raises the check's error, and so
+    again on a second call, though the index caches a cycle's None order."""
     from eaclab.compiler import OpNode
 
     nodes = {
@@ -276,28 +283,64 @@ def test_validate_dag_rejects_cycles_and_dangling_edges():
         "b": OpNode("b", "b1", "x", "action"),
     }
     cyclic = WorkflowDAG(nodes=nodes, edges=(("a", "b", "flow"), ("b", "a", "flow")))
-    for _ in range(2):  # the cached failure raises on every call
-        with pytest.raises(CycleError):
-            topo_order(cyclic)
-        with pytest.raises(CycleError):
-            validate_dag(cyclic)
-    dangling = WorkflowDAG(nodes=nodes, edges=(("a", "ghost", "flow"),))
-    with pytest.raises(CompileError):
-        validate_dag(dangling)
+    dangling = WorkflowDAG(nodes=nodes, edges=(("a", "b", "flow"), ("a", "ghost", "flow")))
+    readers = (validate_dag, topo_order, render_tree,
+               lambda dag: schedule(dag, LabState(devices={}), builtin_registry()))
+    for dag, error, text in ((cyclic, CycleError, "workflow graph contains a cycle"),
+                             (dangling, CompileError, "edge endpoint missing: a -> ghost")):
+        for reader in readers:
+            for _ in range(2):
+                with pytest.raises(error) as raised:
+                    reader(dag)
+                assert raised.type is error and str(raised.value) == text
 
 
 def test_cached_indexes_stay_out_of_identity(campaign_spec, registry, genesis):
+    """``compile_spec`` builds each DAG's ``graph`` once, by its own check;
+    equality, the hash and the repr read the fields alone."""
     dag = compile_spec(campaign_spec, registry, genesis)
     fresh = compile_spec(campaign_spec, registry, genesis)
-    assert dag == fresh
+    bare = WorkflowDAG(nodes=dag.nodes, edges=dag.edges, bindings=dag.bindings)
+    assert "graph" in dag.__dict__ and "graph" in fresh.__dict__
+    assert "graph" not in bare.__dict__ and dag.graph is not fresh.graph
+    assert dag == fresh == bare and repr(dag) == repr(fresh) == repr(bare)
+    for made in (dag, bare):  # a DAG's fields hold dicts, cached index or not
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(made)
     order = topo_order(dag)
     order.reverse()  # callers get their own list
-    assert topo_order(dag) == topo_order(fresh)
+    assert topo_order(dag) == topo_order(fresh) == topo_order(bare)
     for nid, node in dag.nodes.items():
         assert dag.successors(nid) == sorted(d for s, d, _ in dag.edges if s == nid)
         assert dag.predecessors(nid) == sorted(s for s, d, _ in dag.edges if d == nid)
-    assert dag == fresh
-    assert "predecessor_index" in dag.__dict__ and "predecessor_index" not in fresh.__dict__
+    assert "graph" in bare.__dict__ and dag == fresh == bare
+
+
+def _index_cases():
+    for seed in range(1000):
+        yield f"random_dag:{seed}", random_dag(seed)[0]
+    for seed in range(3000):
+        yield f"latency_dag:{seed}", latency_dag(seed)[0]
+    for n in (*range(1, 25), 48):
+        yield f"campaign:{n}", compile_spec(*campaign_workload(n))
+
+
+def test_the_index_gives_the_adjacency_and_order_of_the_reference():
+    """``WorkflowDAG.graph`` against the string-keyed reference: its order,
+    and each node's successors and predecessors, an edge repeated per edge
+    kind. ``latency_dag`` repeats edges and has zero-duration nodes."""
+    for case, dag in _index_cases():
+        graph = dag.graph
+        ids = graph.ids
+        assert ids == sorted(dag.nodes) and graph.index == {nid: i for i, nid in enumerate(ids)}
+        assert [ids[i] for i in graph.order] == reference_topo_order(dag), case
+        assert topo_order(dag) == reference_topo_order(dag), case
+        successors, predecessors = reference_adjacency(dag)
+        for i, nid in enumerate(ids):
+            assert tuple(sorted(ids[j] for j in graph.successors[i])) == successors[nid], case
+            assert tuple(sorted(ids[j] for j in graph.predecessors[i])) == predecessors[nid], case
+            assert tuple(dag.successors(nid)) == successors[nid], case
+            assert tuple(dag.predecessors(nid)) == predecessors[nid], case
 
 
 def test_render_tree_mentions_every_node(campaign_dag):

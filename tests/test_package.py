@@ -189,6 +189,44 @@ def test_only_the_reader_opens_a_run_directory_file_for_reading(tmp_path, monkey
     }
 
 
+def test_each_command_builds_the_dag_index_once(tmp_path, monkeypatch):
+    """``compile_spec``'s own check builds a DAG's ``Graph``, which the
+    schedule, the execution and the rendering then read: ``plan``, ``run``,
+    ``state --run`` and ``resume`` build one each, and ``validate``, which
+    lowers nothing, builds none."""
+    from eaclab import compiler
+
+    run_dir = _paused_run(tmp_path)
+    built = []
+    init = compiler.Graph.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(compiler.Graph, "__init__", counted)
+    counts = {}
+    for name, argv in (
+        ("validate", ["validate", *SPEC_AND_LAB]),
+        ("plan", ["plan", *SPEC_AND_LAB]),
+        ("run", ["run", *SPEC_AND_LAB, "--out", str(tmp_path / "again")]),
+        ("state --run", ["state", "--run", str(run_dir), "--lab", str(LAB_PATH)]),
+        ("resume", ["resume", str(run_dir), "--clear", "pump_1", "--lab", str(LAB_PATH)]),
+    ):
+        built.clear()
+        counts[name] = (run_main(argv)[0], len(built))
+    assert counts == {"validate": (0, 0), "plan": (0, 1), "run": (0, 1),
+                      "state --run": (0, 1), "resume": (0, 1)}
+
+
+def test_only_the_compiler_reads_the_edges_of_a_dag():
+    """A DAG's edges are read once, into its ``Graph``: every other reader
+    of its adjacency or order goes through that index."""
+    reads = _owners_in_package(lambda node: isinstance(node, ast.Attribute)
+                               and node.attr == "edges")
+    assert reads == {("compiler.py", "graph")}
+
+
 # Counts the record ``__init__``s a process compiles and prints the count as
 # the last line of stderr; with arguments it runs ``eaclab.cli`` on them.
 _COUNT_INIT_COMPILES = """

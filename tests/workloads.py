@@ -11,7 +11,7 @@ from pathlib import Path
 
 from eaclab.canon import sha256_hex
 from eaclab.capabilities import CapabilityRegistry, registry_from_lab_config, schema_from_dict
-from eaclab.compiler import Diagnostic, OpNode, WorkflowDAG, topo_rank
+from eaclab.compiler import Diagnostic, OpNode, WorkflowDAG
 from eaclab.errors import EacError, UnitError
 from eaclab.labstate import DeviceRecord, LabState, genesis_from_lab_config
 from eaclab.records import field, record, replace
@@ -506,6 +506,41 @@ class _BatchedQueue:
         return (cost > 0, start, node.est_duration, nid)
 
 
+def reference_adjacency(dag: WorkflowDAG) -> tuple[dict, dict]:
+    """Each node's sorted successors and predecessors, by node id, an edge
+    repeated per edge kind: the string-keyed reference that
+    ``WorkflowDAG.graph`` is tested against."""
+
+    def adjacency(pairs) -> dict[str, tuple[str, ...]]:
+        index: dict[str, list[str]] = {nid: [] for nid in dag.nodes}
+        for key, value in pairs:
+            index.setdefault(key, []).append(value)
+        return {key: tuple(sorted(values)) for key, values in index.items()}
+
+    return (adjacency((src, dst) for src, dst, _ in dag.edges),
+            adjacency((dst, src) for src, dst, _ in dag.edges))
+
+
+def reference_topo_order(dag: WorkflowDAG) -> list[str] | None:
+    """Kahn's algorithm over a heap of node ids, ties broken by ascending
+    node_id; None on a cycle."""
+    successors, _ = reference_adjacency(dag)
+    indegree = {nid: 0 for nid in dag.nodes}
+    for _, dst, _ in dag.edges:
+        indegree[dst] += 1
+    ready = [nid for nid, deg in indegree.items() if deg == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for succ in successors[nid]:
+            indegree[succ] -= 1
+            if indegree[succ] == 0:
+                heapq.heappush(ready, succ)
+    return order if len(order) == len(dag.nodes) else None
+
+
 def reference_list_schedule(
     dag: WorkflowDAG,
     state: LabState,
@@ -514,9 +549,10 @@ def reference_list_schedule(
     prefer_mode_match: bool,
 ) -> list[tuple[float, str, str, float, float]]:
     """Graham list scheduling: repeatedly dispatch the least ready node.
-    The reference that ``scheduler.schedule``'s two passes over its
-    integer index of the DAG are tested against, with a queue object per
-    policy over string-keyed dicts.
+    The reference that ``scheduler.schedule``'s two passes over the DAG's
+    integer index are tested against, with a queue object per policy over
+    string-keyed dicts, and its adjacency and topological order built from
+    ``dag.edges`` by ``reference_adjacency`` and ``reference_topo_order``.
 
     ``fifo`` takes ready nodes in topological order, ``batched`` by the
     key described at ``_BatchedQueue``. A node's earliest start (the end of
@@ -524,8 +560,8 @@ def reference_list_schedule(
     starts free at 0 in its mode in ``state``. Returns (start, node_id,
     device, end, transition) tuples by start, then node_id.
     """
-    rank = topo_rank(dag)
-    predecessors, successors = dag.predecessor_index, dag.successor_index
+    rank = {nid: position for position, nid in enumerate(reference_topo_order(dag))}
+    successors, predecessors = reference_adjacency(dag)
     free: dict[str, float] = dict.fromkeys(devices.values(), 0.0)
     mode: dict[str, str | None] = {
         device: state.devices[device].mode if device in state.devices else None
