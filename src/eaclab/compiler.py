@@ -77,8 +77,7 @@ class WorkflowDAG:
 
     @cached_property
     def graph(self) -> Graph:
-        """The DAG's index, built on first use and cached on the instance,
-        where equality never sees it."""
+        """The DAG's index, built on first use; equality never sees it."""
         return Graph(self.nodes, self.edges)
 
     def successors(self, node_id: str) -> list[str]:
@@ -99,8 +98,9 @@ class Graph:
     back), so comparing indices breaks every tie as comparing node ids
     does. ``successors`` and ``predecessors`` hold each node's neighbours
     in edge order, an edge repeated per edge kind. ``order`` is Kahn's
-    topological order, ties broken by least index, or None on a cycle. An
-    edge whose endpoint is not a node raises CompileError.
+    topological order, ties broken by least index, or None on a cycle;
+    ``rank`` maps each node id to its position in it. An edge whose
+    endpoint is not a node raises CompileError.
     """
 
     def __init__(self, nodes: dict[str, OpNode], edges) -> None:
@@ -127,6 +127,10 @@ class Graph:
                     heapq.heappush(ready, j)
         self.order = order if len(order) == len(ids) else None
 
+    @cached_property
+    def rank(self) -> dict[str, int]:
+        return {self.ids[i]: position for position, i in enumerate(self.order)}
+
 
 def validate_dag(dag: WorkflowDAG) -> Graph:
     """The DAG's index, once checked; raises CompileError/CycleError on
@@ -139,10 +143,9 @@ def validate_dag(dag: WorkflowDAG) -> Graph:
 
 
 def topo_rank(dag: WorkflowDAG) -> dict[str, int]:
-    """Position of every node in ``topo_order(dag)``, read off the DAG's
-    cached order; raises as ``validate_dag`` does."""
-    graph = validate_dag(dag)
-    return {graph.ids[i]: position for position, i in enumerate(graph.order)}
+    """Position of every node in ``topo_order(dag)``: the DAG's cached
+    mapping, which callers must not modify; raises as ``validate_dag`` does."""
+    return validate_dag(dag).rank
 
 
 def topo_order(dag: WorkflowDAG) -> list[str]:
@@ -501,7 +504,6 @@ def render_tree(dag: WorkflowDAG) -> str:
     for i in graph.order:
         if predecessors[i]:
             depth[i] = max([depth[j] for j in predecessors[i]]) + 1
-        nid = ids[i]
-        node = dag.nodes[nid]
-        lines.append(f"{depth[i]} {nid} [{node.kind}] {node.binding}.{node.operation}")
+        node = dag.nodes[ids[i]]
+        lines.append(f"{depth[i]} {ids[i]} [{node.kind}] {node.binding}.{node.operation}")
     return "\n".join(lines)

@@ -19,6 +19,7 @@ from eaclab.compiler import (
     render_tree,
     static_check,
     topo_order,
+    topo_rank,
     validate_dag,
 )
 from eaclab.errors import CompileError, CycleError, SpecSchemaError
@@ -284,7 +285,7 @@ def test_validate_dag_rejects_cycles_and_dangling_edges():
     }
     cyclic = WorkflowDAG(nodes=nodes, edges=(("a", "b", "flow"), ("b", "a", "flow")))
     dangling = WorkflowDAG(nodes=nodes, edges=(("a", "b", "flow"), ("a", "ghost", "flow")))
-    readers = (validate_dag, topo_order, render_tree,
+    readers = (validate_dag, topo_rank, topo_order, render_tree,
                lambda dag: schedule(dag, LabState(devices={}), builtin_registry()))
     for dag, error, text in ((cyclic, CycleError, "workflow graph contains a cycle"),
                              (dangling, CompileError, "edge endpoint missing: a -> ghost")):
@@ -310,6 +311,8 @@ def test_cached_indexes_stay_out_of_identity(campaign_spec, registry, genesis):
     order = topo_order(dag)
     order.reverse()  # callers get their own list
     assert topo_order(dag) == topo_order(fresh) == topo_order(bare)
+    assert topo_rank(dag) is dag.graph.rank is topo_rank(dag)  # built once, shared
+    assert list(topo_rank(dag)) == topo_order(dag)
     for nid, node in dag.nodes.items():
         assert dag.successors(nid) == sorted(d for s, d, _ in dag.edges if s == nid)
         assert dag.predecessors(nid) == sorted(s for s, d, _ in dag.edges if d == nid)
@@ -333,8 +336,8 @@ def test_the_index_gives_the_adjacency_and_order_of_the_reference():
         graph = dag.graph
         ids = graph.ids
         assert ids == sorted(dag.nodes) and graph.index == {nid: i for i, nid in enumerate(ids)}
-        assert [ids[i] for i in graph.order] == reference_topo_order(dag), case
-        assert topo_order(dag) == reference_topo_order(dag), case
+        expected = reference_topo_order(dag)
+        assert [ids[i] for i in graph.order] == topo_order(dag) == expected, case
         successors, predecessors = reference_adjacency(dag)
         for i, nid in enumerate(ids):
             assert tuple(sorted(ids[j] for j in graph.successors[i])) == successors[nid], case
