@@ -41,6 +41,13 @@ class StabilizationConstraint:
 
 @record(frozen=True)
 class StepSpec:
+    """One step of a spec. A swept step that ``parse_spec`` returns also
+    has ``columns``, set by the parse walk (``_sweep_column``) and not a
+    field, so out of equality and repr: per swept param, in ``repeat``
+    order, its distinct quantities, and for each of its values the index of
+    its quantity. Instance ``k`` takes the ``k``-th combination of these
+    indices in row-major order. The lists must not be modified."""
+
     step_id: str
     binding: str
     operation: str
@@ -50,33 +57,10 @@ class StepSpec:
     repeat: dict[str, tuple] | None = None
 
     @cached_property
-    def columns(self) -> list[tuple[list[Quantity], list[int]]]:
-        """Per swept param, in ``repeat`` order: its distinct quantities,
-        and for each of its values the index of its quantity. Instance
-        ``k`` of the step takes the ``k``-th combination of these indices
-        in row-major order (``itertools.product``).
-
-        Values that give the same quantity, to the type and sign of each
-        value, share one quantity (``_sweep_column``). ``parse_spec`` sets
-        them as it walks the values, so they are computed here only for a
-        step the parser did not build, such as one made by ``replace``;
-        a sweep that cannot be expanded raises what ``_check_sweeps``
-        raises. The lists must not be modified.
-        """
-        locus = f"steps[{self.step_id}]"
-        columns = [
-            _sweep_column(pname, values, self.params.get(pname), locus)
-            for pname, values in self.repeat.items()  # type: ignore[union-attr]
-        ]
-        if None in columns:
-            _refuse_sweep(self)
-        return columns  # type: ignore[return-value]
-
-    @cached_property
     def sweep(self) -> tuple[list[dict[str, Quantity]], list[int]]:
         """The distinct params of a swept step's instances, and for each
         instance in expansion order the index of its params, built from
-        ``columns``.
+        the ``columns`` the parse set.
 
         Instances whose swept quantities are the same share one dict; every
         unswept param is the template's own quantity. Computed once per
@@ -111,12 +95,6 @@ class ExperimentSpec:
             if r.binding_name == name:
                 return r
         raise KeyError(name)
-
-    def step(self, step_id: str) -> StepSpec:
-        for s in self.steps:
-            if s.step_id == step_id:
-                return s
-        raise KeyError(step_id)
 
 
 def _reject_duplicate_keys(pairs):
@@ -185,19 +163,21 @@ def _sweep_column(pname: str, values, template: Quantity | None, locus: str):
     declares none.
 
     Returns ``(quantities, indices)``, the sweep's distinct quantities and
-    for each value the index of its quantity, or None if the sweep needs
-    ``_check_sweeps``' deferred rules: a number swept over an undeclared
-    param, or a number that is not finite. A number becomes a float in the
-    template's unit, so 1 and 1.0 give one quantity; 0.0 and -0.0 are
-    equal but print apart, so a zero is keyed by its text. A quantity
-    object is keyed by its value's text and its unit and keeps its
-    value's type. A malformed value raises at the first value that has
-    it, whatever the sweep defers; each distinct key is validated once.
+    for each value the index of its quantity. If the step is to be refused
+    for this sweep, it returns ``(None, at)`` instead: ``at`` None if a
+    number sweeps a param the step does not declare, else the index of the
+    sweep's first number that is not finite (``_parse_step`` makes the
+    refusal). A number becomes a float in the template's unit, so 1 and
+    1.0 give one quantity; 0.0 and -0.0 are equal but print apart, so a
+    zero is keyed by its text. A quantity object is keyed by its value's
+    text and its unit and keeps its value's type. A malformed value raises
+    at the first value that has it, whatever the sweep is refused for; each
+    distinct key is validated once.
     """
     quantities: list[Quantity] = []
     indices: list[int] = []
     seen: dict = {}  # a value's key -> the index of its quantity
-    deferred = False
+    refused = None  # the first refused value's index: len(indices), as none before it was refused
     for value in values:
         kind = type(value)
         if kind is float or kind is int:
@@ -220,13 +200,16 @@ def _sweep_column(pname: str, values, template: Quantity | None, locus: str):
                         "bad_value", locus, f"sweep {pname!r} value is too large for a float"
                     ) from None
                 if template is None or not math.isfinite(number):
-                    deferred = True
+                    if refused is None:
+                        refused = len(indices)
                     continue
                 quantity = Quantity(number, template.unit)
             index = seen[key] = len(quantities)
             quantities.append(quantity)
         indices.append(index)
-    return None if deferred else (quantities, indices)
+    if refused is None:
+        return quantities, indices
+    return None, None if template is None else refused
 
 
 def _quantity_key(obj):
@@ -313,7 +296,7 @@ def _parse_stabilization(obj, locus: str) -> StabilizationConstraint:
     return StabilizationConstraint(mode=mode, duration=duration, signal=signal)
 
 
-def _parse_step(obj, index: int, memo: tuple[dict, dict, dict]) -> StepSpec:
+def _parse_step(obj, index: int, memo: tuple[dict, dict, dict], refusals: list) -> StepSpec:
     """One step of a document. ``memo`` is the document's: its quantities
     and stabilizations by key, and its params dicts by the identities of
     their quantities, so that equal ones, such as the instances of an
@@ -321,8 +304,15 @@ def _parse_step(obj, index: int, memo: tuple[dict, dict, dict]) -> StepSpec:
 
     Each swept value is walked once, by ``_sweep_column``, which validates
     it, keys it and converts each distinct key; the step's ``columns`` are
-    set from that walk unless a sweep needs ``_check_sweeps``' deferred
-    rules, which the parse applies once every step is read."""
+    set from that walk. If its sweeps would expand to an invalid step, the
+    walk's notes give the step's refusal, which goes to ``refusals`` for
+    ``_check_sweeps`` to raise once every step is read:
+    ``unknown_sweep_param`` at the first param, in ``repeat`` order, swept
+    with a number it does not declare, else ``bad_value`` at the first
+    instance, in row-major order, that holds a number that is not finite.
+    That instance holds the first param whose first value is not finite,
+    if there is one, and otherwise the first such value of the last param
+    that has one, every other param at its first value."""
     quantities, stabilizations, configurations = memo
     locus = f"steps[{index}]"
     _expect(obj, dict, locus, "step")
@@ -363,17 +353,26 @@ def _parse_step(obj, index: int, memo: tuple[dict, dict, dict]) -> StepSpec:
     repeat = columns = None
     if obj.get("repeat") is not None:
         raw_repeat = _expect(obj["repeat"], dict, locus, "repeat")
-        repeat, columns = {}, []
+        repeat, columns, refused = {}, [], []
         for pname, values in raw_repeat.items():
             _expect(values, list, locus, "sweep values")
             if not values:
                 raise SpecSchemaError("empty_sweep", locus, f"sweep {pname!r} has no values")
             column = _sweep_column(pname, values, params.get(pname), locus)
-            if column is None:
-                columns = None  # left to ``_check_sweeps``, which refuses the step
-            elif columns is not None:
+            if column[0] is None:
+                refused.append((pname, column[1]))
+            else:
                 columns.append(column)
             repeat[pname] = tuple(values)
+        if refused:
+            unknown = [pname for pname, at in refused if at is None]
+            if unknown:
+                refusals.append(SpecSchemaError(
+                    "unknown_sweep_param", locus, f"sweep over unknown parameter {unknown[0]!r}"))
+            else:
+                pname, at = next((note for note in refused if note[1] == 0), refused[-1])
+                refusals.append(SpecSchemaError(
+                    "bad_value", locus, f"sweep {pname!r} value {repeat[pname][at]!r} is not finite"))
     step = StepSpec(
         step_id=step_id,
         binding=binding,
@@ -384,7 +383,7 @@ def _parse_step(obj, index: int, memo: tuple[dict, dict, dict]) -> StepSpec:
         repeat=repeat,
     )
     if columns is not None:
-        step.__dict__["columns"] = columns  # what the ``columns`` property caches
+        step.__dict__["columns"] = columns  # not a field: out of equality and repr
     return step
 
 
@@ -482,15 +481,16 @@ def parse_spec(text: str) -> ExperimentSpec:
     for key, value in metadata.items():
         _expect(value, str, "metadata", "metadata value")
     memo: tuple[dict, dict, dict] = ({}, {}, {})
+    refusals: list[SpecSchemaError] = []
     spec = ExperimentSpec(
         spec_id=spec_id,
         version=version,
         resources=tuple(_parse_resource(r, i) for i, r in enumerate(raw_resources)),
-        steps=tuple(_parse_step(s, i, memo) for i, s in enumerate(raw_steps)),
+        steps=tuple(_parse_step(s, i, memo, refusals) for i, s in enumerate(raw_steps)),
         metadata=dict(metadata),
     )
     validate_spec(spec)
-    _check_sweeps(spec)
+    _check_sweeps(spec, refusals)
     return spec
 
 
@@ -550,21 +550,15 @@ def instance_ids(step: StepSpec) -> list[str]:
     return [f"{step.step_id}#{k}" for k in range(count)]
 
 
-def _check_sweeps(spec: ExperimentSpec) -> None:
+def _check_sweeps(spec: ExperimentSpec, refusals: list[SpecSchemaError]) -> None:
     """Raise what expanding the sweeps of ``spec``, a validated spec, would
     raise, so that every spec ``parse_spec`` returns expands, checks and
     lowers.
 
-    Each is a ``SpecSchemaError``. Step by step, at ``steps[<id>]``:
-    ``unknown_sweep_param`` if the step sweeps a param it does not declare,
-    unless every value of that sweep is a quantity, and ``bad_value`` at
-    its first instance with a number that is not finite. Then
-    ``duplicate_id`` at the first instance id that repeats, in expansion
-    order.
-
-    The parse walks each swept value once and sets the columns of every
-    step that breaks neither step rule (``_sweep_column``), so the values
-    are walked again here only for a step whose columns it did not set.
+    Each is a ``SpecSchemaError``. First the first of ``refusals``, the
+    step refusals the parse walk made (``_parse_step``), at
+    ``steps[<id>]``. Then ``duplicate_id`` at the first instance id that
+    repeats, in expansion order.
 
     Of validate_spec's rules, an expansion can break only unique step ids:
     its bindings are the template's, which exist; every dependency is an
@@ -573,15 +567,12 @@ def _check_sweeps(spec: ExperimentSpec) -> None:
     expansion would project onto one in the template, which has none. A
     spec without sweeps, such as an expansion, returns at once.
     """
-    swept = [step for step in spec.steps if step.repeat is not None]
-    if not swept:
-        return
-    for step in swept:
-        if "columns" not in step.__dict__:
-            _refuse_sweep(step)
+    if refusals:
+        raise refusals[0]
     # Every instance id holds a '#' after its template's id, and template
     # ids are unique, so two ids can be equal only if a template id has one.
-    if not any("#" in step.step_id for step in spec.steps):
+    if all(step.repeat is None for step in spec.steps) or not any(
+            "#" in step.step_id for step in spec.steps):
         return
     step_ids: set[str] = set()
     for step in spec.steps:
@@ -589,25 +580,6 @@ def _check_sweeps(spec: ExperimentSpec) -> None:
             if step_id in step_ids:
                 raise SpecSchemaError("duplicate_id", step_id, "duplicate step id")
             step_ids.add(step_id)
-
-
-def _refuse_sweep(step: StepSpec) -> None:
-    """Raise the first of ``_check_sweeps``' step rules that ``step``
-    breaks, if any."""
-    locus = f"steps[{step.step_id}]"
-    for pname, values in step.repeat.items():  # type: ignore[union-attr]
-        if pname not in step.params and not all(isinstance(v, dict) for v in values):
-            raise SpecSchemaError(
-                "unknown_sweep_param", locus, f"sweep over unknown parameter {pname!r}"
-            )
-    numbers = [v for values in step.repeat.values() for v in values if not isinstance(v, dict)]
-    if not all(map(math.isfinite, numbers)):
-        for combo in itertools.product(*step.repeat.values()):
-            for pname, value in zip(step.repeat, combo):
-                if not isinstance(value, dict) and not math.isfinite(value):
-                    raise SpecSchemaError(
-                        "bad_value", locus, f"sweep {pname!r} value {value!r} is not finite"
-                    )
 
 
 def _swept_params(step: StepSpec, quantities: list[Quantity]) -> dict[str, Quantity]:

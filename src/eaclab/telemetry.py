@@ -37,18 +37,6 @@ class TelemetryRecord:
             "plan_hash": self.plan_hash,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "TelemetryRecord":
-        return cls(
-            run_id=obj["run_id"],
-            node_id=obj["node_id"],
-            device_id=obj["device_id"],
-            time=obj["time"],
-            fields={k: Quantity.from_dict(v) for k, v in obj["fields"].items()},
-            spec_hash=obj["spec_hash"],
-            plan_hash=obj["plan_hash"],
-        )
-
 
 _CSV_COLUMNS = ("concentration", "conductivity", "temperature")
 

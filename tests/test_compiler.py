@@ -1,6 +1,7 @@
 import itertools
 import json
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -483,6 +484,38 @@ def test_a_template_walks_its_swept_values_once_at_parse(monkeypatch):
     assert {id(q) for q in swept} <= parsed
 
 
+def test_a_refused_sweep_is_walked_once_at_parse(monkeypatch):
+    """A 100 x 100 x 100 EIS sweep whose ``eac`` ends in a value that is
+    not finite is refused at instance 990000 of the million, where the
+    expansion would find it first, by the parse walk alone:
+    one ``_sweep_column`` call per swept param and no walk of the
+    product."""
+    doc = campaign_doc(1)
+    doc["steps"][2]["repeat"] = {
+        "eac": [0.01 * k for k in range(1, 100)] + [float("inf")],
+        "freq_min": [1000.0 + k for k in range(100)],
+        "concentration": [0.01 * k for k in range(1, 101)],
+    }
+    walked, products = [], []
+    sweep_column, product = specmodel._sweep_column, itertools.product
+
+    def counted_column(pname, *args):
+        walked.append(pname)
+        return sweep_column(pname, *args)
+
+    def counted_product(*args):
+        products.append(len(args))
+        return product(*args)
+
+    monkeypatch.setattr(specmodel, "_sweep_column", counted_column)
+    monkeypatch.setattr(specmodel, "itertools", SimpleNamespace(product=counted_product))
+    with pytest.raises(SpecSchemaError) as raised:
+        parse_spec(json.dumps(doc))
+    assert str(raised.value) == "bad_value at steps[measure]: sweep 'eac' value inf is not finite"
+    assert walked == ["dest", "volume", "eac", "freq_min", "concentration"]
+    assert products == []
+
+
 def _count_range_checks(monkeypatch, spec, registry, genesis) -> tuple[list, int]:
     """``static_check(spec)``, and how many times it called
     ``check_param_ranges``."""
@@ -751,7 +784,7 @@ def test_the_template_check_matches_the_check_of_the_expansion(data):
         named = {f"steps[{step['id']}]" for step in swept} | set(renames.values())
         assert err.code in ("unknown_sweep_param", "bad_value", "duplicate_id")
         assert err.locus in named
-        assert (err.code, err.locus) == sweep_refusal(doc)
+        assert str(err) == sweep_refusal(doc)
         return
     assert sweep_refusal(doc) is None
     expected = static_check_per_step(expand_sweeps(template), OVEN_REGISTRY, OVEN_GENESIS)

@@ -474,6 +474,25 @@ def _owners_in_package(matches):
     }
 
 
+def test_only_the_parse_walk_reads_a_sweep_and_sets_its_columns():
+    """A swept step's values are walked once, by ``_sweep_column``, whose
+    one caller ``_parse_step`` sets the step's ``columns`` from that walk
+    and makes its refusal: no other place walks a sweep or sets them."""
+
+    def calls_sweep_column(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_sweep_column")
+
+    def sets_columns(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "columns" and isinstance(node.ctx, ast.Store)
+        return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.slice, ast.Constant) and node.slice.value == "columns")
+
+    assert _owners_in_package(calls_sweep_column) == {("specmodel.py", "_parse_step")}
+    assert _owners_in_package(sets_columns) == {("specmodel.py", "_parse_step")}
+
+
 def test_only_the_gate_compares_a_calibration():
     """The calibration rule is written once, in ``labstate.gate``, which
     planning (``query_eligible``) and every dispatch (``runtime_precheck``)

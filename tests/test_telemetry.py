@@ -7,7 +7,7 @@ from eaclab.errors import ProvenanceError
 from eaclab.telemetry import TelemetryRecord, export_csv
 from eaclab.units import Quantity
 
-from workloads import NoDataError, TelemetryStore
+from workloads import NoDataError, TelemetryStore, telemetry_from_dict
 
 
 def _record(node_id: str, conductivity: float, concentration: float, run_id="r1"):
@@ -67,7 +67,7 @@ def test_ndjson_round_trip():
     rec = _record("m0", 0.05, 1.5)
     lines = canonical_json(rec.to_dict()).splitlines()
     assert len(lines) == 1
-    assert TelemetryRecord.from_dict(json.loads(lines[0])) == rec
+    assert telemetry_from_dict(json.loads(lines[0])) == rec
 
 
 def test_csv_export_columns():

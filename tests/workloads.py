@@ -4,6 +4,7 @@ the test-only helpers and reference oracles the program does not ship."""
 import argparse
 import heapq
 import importlib.util
+import itertools
 import json
 import math
 import random
@@ -120,21 +121,28 @@ def perfbench_inputs():
     return inputs
 
 
-def sweep_refusal(doc: dict) -> tuple[str, str] | None:
-    """The (code, locus) a spec document whose template is valid is refused
-    with for its sweeps, or None: ``unknown_sweep_param`` or ``bad_value``
-    at the first step that sweeps an undeclared param with a number or
-    sweeps a number that is not finite, else ``duplicate_id`` at the first
-    id that repeats among the ids of its expansion, each written out. The
-    reference for the sweep checks ``parse_spec`` makes without expanding."""
+def sweep_refusal(doc: dict) -> str | None:
+    """The line a spec document whose template is valid is refused with
+    for its sweeps, or None: at the first step that breaks a sweep rule,
+    ``unknown_sweep_param`` at its first param swept with a number it does
+    not declare, else ``bad_value`` at its first instance, walking the
+    product of its sweeps in row-major order, that holds a number that is
+    not finite; then ``duplicate_id`` at the first id that repeats among
+    the ids of its expansion, each written out. The reference for the
+    sweep checks ``parse_spec`` makes in its one walk of the values."""
     for step in doc["steps"]:
         repeat = step.get("repeat") or {}
-        numbers = [(name, v) for name, values in repeat.items()
-                   for v in values if not isinstance(v, dict)]
-        if any(name not in step.get("params", {}) for name, _ in numbers):
-            return "unknown_sweep_param", f"steps[{step['id']}]"
-        if not all(math.isfinite(v) for _, v in numbers):
-            return "bad_value", f"steps[{step['id']}]"
+        locus = f"steps[{step['id']}]"
+        for name, values in repeat.items():
+            if name not in step.get("params", {}) and not all(isinstance(v, dict) for v in values):
+                return f"unknown_sweep_param at {locus}: sweep over unknown parameter {name!r}"
+        numbers = [v for values in repeat.values() for v in values if not isinstance(v, dict)]
+        if all(map(math.isfinite, numbers)):
+            continue
+        for combo in itertools.product(*repeat.values()):
+            for name, value in zip(repeat, combo):
+                if not isinstance(value, dict) and not math.isfinite(value):
+                    return f"bad_value at {locus}: sweep {name!r} value {value!r} is not finite"
     seen: set[str] = set()
     for step in doc["steps"]:
         repeat = step.get("repeat")
@@ -142,7 +150,7 @@ def sweep_refusal(doc: dict) -> tuple[str, str] | None:
             f"{step['id']}#{k}" for k in range(math.prod(map(len, repeat.values())))]
         for step_id in ids:
             if step_id in seen:
-                return "duplicate_id", step_id
+                return f"duplicate_id at {step_id}: duplicate step id"
             seen.add(step_id)
     return None
 
@@ -179,6 +187,12 @@ def sweep_columns(step) -> list[tuple[list[Quantity], list[int]]]:
 def with_device(state: LabState, device: DeviceRecord) -> LabState:
     """``state`` with ``device`` added, or replacing the record of its id."""
     return replace(state, devices={**state.devices, device.device_id: device})
+
+
+def telemetry_from_dict(obj: dict) -> TelemetryRecord:
+    """The record whose ``TelemetryRecord.to_dict`` is ``obj``."""
+    return TelemetryRecord(**{**obj, "fields": {
+        name: Quantity.from_dict(value) for name, value in obj["fields"].items()}})
 
 
 class NoDataError(EacError):
